@@ -77,11 +77,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _read_source(path: str) -> str | None:
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return handle.read()
+        with open(path, "rb") as handle:
+            data = handle.read()
     except OSError as exc:
         print(f"evrforge: cannot read {path}: {exc.strerror or exc}", file=sys.stderr)
         return None
+    try:
+        text = data.decode("utf-8-sig")  # drops a leading BOM
+    except UnicodeDecodeError as exc:
+        # exc.object is the input after any BOM; all before exc.start is valid.
+        before = exc.object[:exc.start].decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+        line, col = before.count("\n") + 1, len(before) - before.rfind("\n")
+        print(f"evrforge: cannot decode {path}:{line}:{col}: "
+              f"byte 0x{exc.object[exc.start]:02x} is not valid UTF-8 ({exc.reason})",
+              file=sys.stderr)
+        return None
+    return text.replace("\r\n", "\n").replace("\r", "\n")  # as text-mode open() does
 
 
 def _parse_file(path: str) -> dsl.ParseResult | None:
@@ -165,7 +176,7 @@ def cmd_check(args) -> int:
 
 
 def _signature_line(doc: m.RegisterDocument, attestation_id: str) -> str:
-    att = next((a for a in doc.attestations if a.id == attestation_id), None)
+    att = doc.index.attestations.get(attestation_id)
     if att is None:
         return attestation_id
     return f"{att.signatory_name} ({att.signatory_role.value}), {att.date}"

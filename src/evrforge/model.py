@@ -18,6 +18,7 @@ import datetime
 import re
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import cached_property
 
 
 class Phase(str, Enum):
@@ -451,6 +452,12 @@ class RegisterDocument:
     feedback: tuple[FeedbackEntry, ...] = ()
     alias_map: dict[str, str] = field(default_factory=dict)
 
+    @cached_property
+    def index(self) -> DocIndex:
+        """Lookup tables over this document, built on first use and cached
+        outside the dataclass fields, so ``==`` and ``replace`` ignore it."""
+        return DocIndex(self)
+
 
 class RegisterError(ValueError):
     """Base error for register operations."""
@@ -486,10 +493,11 @@ class GateReport:
 
 
 class DocIndex:
-    """Lookup tables over one document, built once and shared by checks."""
+    """Lookup tables over one document, built once per document through
+    :attr:`RegisterDocument.index`.  It holds no reference to the document,
+    so the cached index makes no reference cycle."""
 
     def __init__(self, doc: RegisterDocument) -> None:
-        self.doc = doc
         self.stakeholders = {s.id: s for s in doc.stakeholders}
         self.sessions = {s.id: s for s in doc.sessions}
         self.statements = {s.id: s for s in doc.statements}
@@ -501,6 +509,10 @@ class DocIndex:
         self.dispositions = {d.id: d for d in doc.dispositions}
         self.functional_requirements = {f.id: f for f in doc.functional_requirements}
         self.attestations = {a.id: a for a in doc.attestations}
+        self._attestations_by_subject: dict[tuple[SubjectKind, str], list[Attestation]] = {}
+        for a in doc.attestations:
+            self._attestations_by_subject.setdefault(
+                (a.subject.kind, a.subject.ref), []).append(a)
 
         self.qualities_by_value: dict[int, list[ValueQuality]] = {}
         for q in doc.qualities:
@@ -528,11 +540,7 @@ class DocIndex:
         return out
 
     def attestations_for(self, kind: SubjectKind, ref: str = "") -> list[Attestation]:
-        return [
-            a
-            for a in self.doc.attestations
-            if a.subject.kind is kind and a.subject.ref == ref
-        ]
+        return list(self._attestations_by_subject.get((kind, ref), ()))
 
 
 def _well_formed_date(value: str) -> bool:
@@ -598,7 +606,7 @@ def validate_register(doc: RegisterDocument) -> tuple[Violation, ...]:
     check_dup("attestation", [a.id for a in doc.attestations])
     check_dup("feedback entry", [f.id for f in doc.feedback])
 
-    idx = DocIndex(doc)
+    idx = doc.index
 
     # Id shape.  Non-numbered kinds use identifier-shaped ids so that the
     # text format can always re-emit them.
@@ -1024,7 +1032,7 @@ def advance_phase(doc: RegisterDocument, target: Phase) -> RegisterDocument | Ga
         if doc.mission is None and not has_no_go:
             failures.append("neither a value mission nor a no-go decision is recorded")
     elif target is Phase.DEPLOYMENT:
-        idx = DocIndex(doc)
+        idx = doc.index
         for evr in doc.evrs:
             if evr.risk_path is not RiskPath.HIGH:
                 continue

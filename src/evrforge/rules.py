@@ -591,7 +591,7 @@ def run_rules(doc: m.RegisterDocument,
         if not selection:
             selection = None
 
-    idx = m.DocIndex(doc)
+    idx = doc.index
     findings: list[Diagnostic] = []
     for rule in _RULES:
         if selection is not None and rule.rule_id not in selection:

@@ -140,7 +140,7 @@ def maturity_score(doc: m.RegisterDocument) -> MaturityScore:
     total = len(doc.core_values)
     if total == 0:
         return MaturityScore(addressed=0, total=0, ratio=0.0, empty=True)
-    idx = m.DocIndex(doc)
+    idx = doc.index
     addressed = sum(1 for cv in doc.core_values if _value_addressed(idx, cv.id))
     return MaturityScore(addressed=addressed, total=total,
                          ratio=addressed / total, empty=False)
@@ -164,13 +164,13 @@ COVERAGE_CSV_HEADER = "core_value,rank,qualities,evrs,thresholds,threats,control
 
 def coverage_report(doc: m.RegisterDocument) -> tuple[CoverageRow, ...]:
     """One row per core value, ordered by priority rank."""
-    idx = m.DocIndex(doc)
+    idx = doc.index
     rows = []
     for cv in sorted(doc.core_values, key=lambda c: c.priority_rank):
         evrs = idx.evrs_under_value(cv.id)
         evr_ids = {e.id for e in evrs}
-        threats = [t for t in doc.threats if t.evr in evr_ids]
-        controls = [c for c in doc.controls if m.control_parent(c.id) in evr_ids]
+        threats = sum(len(idx.threats_by_evr.get(eid, [])) for eid in evr_ids)
+        controls = [c for eid in evr_ids for c in idx.controls_by_evr.get(eid, [])]
         attestations = len(idx.attestations_for(m.SubjectKind.PRIORITY_DECISION, str(cv.id)))
         attestations += sum(
             len(idx.attestations_for(m.SubjectKind.RISK_ACCEPTANCE, c.id))
@@ -182,7 +182,7 @@ def coverage_report(doc: m.RegisterDocument) -> tuple[CoverageRow, ...]:
             qualities=len(idx.qualities_by_value.get(cv.id, [])),
             evrs=len(evrs),
             thresholds=sum(1 for e in evrs if e.threshold is not None),
-            threats=len(threats),
+            threats=threats,
             controls=len(controls),
             attestations=attestations,
             addressed=_value_addressed(idx, cv.id),

@@ -1,8 +1,9 @@
 """Shared builders for the test suite.
 
-Two things live here: a seeded generator of structurally valid registers
-used by the bulk round-trip and monotonicity runs, and the table of
-violation/repair document pairs behind the monotone-repair checks.
+Three things live here: a seeded generator of structurally valid registers
+used by the bulk round-trip and monotonicity runs, the table of
+violation/repair document pairs behind the monotone-repair checks, and
+scanning oracles for the indexed analysis layer.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import random
 from dataclasses import replace
 
 from evrforge import model as m
+from evrforge import trace
 
 ALL_LENSES = (
     m.Lens(m.LensKind.UTILITARIAN),
@@ -653,3 +655,121 @@ def violation_cases() -> dict[str, tuple[m.RegisterDocument, m.RegisterDocument,
     cases["VBE-C20"] = (bad, good, "1.1.1-C1")
 
     return cases
+
+
+# ---------------------------------------------------------------------------
+# Scanning oracles for the analysis layer: the attestation lookup, coverage
+# table and value check as they were before the index grouped attestations by
+# subject and listed threats and controls per EVR.  Differential tests compare
+# the indexed code against these.
+
+class ScanningIndex(m.DocIndex):
+    """DocIndex whose attestation lookup scans every attestation."""
+
+    def __init__(self, doc: m.RegisterDocument) -> None:
+        super().__init__(doc)
+        self._all_attestations = doc.attestations
+
+    def attestations_for(self, kind: m.SubjectKind, ref: str = "") -> list[m.Attestation]:
+        return [
+            a
+            for a in self._all_attestations
+            if a.subject.kind is kind and a.subject.ref == ref
+        ]
+
+
+def with_scanning_index(doc: m.RegisterDocument) -> m.RegisterDocument:
+    """An equal document whose cached index is a :class:`ScanningIndex`."""
+    copy = replace(doc)
+    copy.__dict__["index"] = ScanningIndex(copy)
+    return copy
+
+
+def oracle_value_addressed(idx: m.DocIndex, value_id: int) -> bool:
+    for quality in idx.qualities_by_value.get(value_id, []):
+        evrs = idx.evrs_by_quality.get(quality.id, [])
+        if quality.direction is m.QualityDirection.SUPPORTS and not evrs:
+            return False
+        for evr in evrs:
+            if evr.risk_path is not m.RiskPath.HIGH:
+                continue
+            for threat in idx.threats_by_evr.get(evr.id, []):
+                if not threat.realistic:
+                    continue
+                covering = idx.controls_by_threat.get(threat.id, [])
+                if not any(c.status in (m.ControlStatus.ACCEPTED,
+                                        m.ControlStatus.IMPLEMENTED)
+                           for c in covering):
+                    return False
+    return True
+
+
+def oracle_maturity_score(doc: m.RegisterDocument) -> trace.MaturityScore:
+    total = len(doc.core_values)
+    if total == 0:
+        return trace.MaturityScore(addressed=0, total=0, ratio=0.0, empty=True)
+    idx = ScanningIndex(doc)
+    addressed = sum(1 for cv in doc.core_values if oracle_value_addressed(idx, cv.id))
+    return trace.MaturityScore(addressed=addressed, total=total,
+                               ratio=addressed / total, empty=False)
+
+
+def oracle_coverage_report(doc: m.RegisterDocument) -> tuple[trace.CoverageRow, ...]:
+    idx = ScanningIndex(doc)
+    rows = []
+    for cv in sorted(doc.core_values, key=lambda c: c.priority_rank):
+        evrs = idx.evrs_under_value(cv.id)
+        evr_ids = {e.id for e in evrs}
+        threats = [t for t in doc.threats if t.evr in evr_ids]
+        controls = [c for c in doc.controls if m.control_parent(c.id) in evr_ids]
+        attestations = len(idx.attestations_for(m.SubjectKind.PRIORITY_DECISION, str(cv.id)))
+        attestations += sum(
+            len(idx.attestations_for(m.SubjectKind.RISK_ACCEPTANCE, c.id))
+            for c in controls
+        )
+        rows.append(trace.CoverageRow(
+            core_value=cv.name,
+            rank=cv.priority_rank,
+            qualities=len(idx.qualities_by_value.get(cv.id, [])),
+            evrs=len(evrs),
+            thresholds=sum(1 for e in evrs if e.threshold is not None),
+            threats=len(threats),
+            controls=len(controls),
+            attestations=attestations,
+            addressed=oracle_value_addressed(idx, cv.id),
+        ))
+    return tuple(rows)
+
+
+def unvalidated_analysis_doc() -> m.RegisterDocument:
+    """A design-phase document that fails validation in the ways the index
+    must tolerate: a duplicate EVR id, an orphan control whose EVR does not
+    exist, a rule attestation with an empty ref, and a risk acceptance whose
+    ref is a core value id."""
+    risk = m.SubjectKind.RISK_ACCEPTANCE
+    return base_doc(
+        m.Phase.DESIGN,
+        core_values=(_cv(1), _cv(2)),
+        qualities=(_quality("1.1", 1), _quality("2.1", 2)),
+        evrs=(_high_evr("1.1.1"), _evr("1.1.1"), _high_evr("2.1.1", "2.1")),
+        threats=(m.Threat(id="1.1.1-T1", evr="1.1.1"),
+                 m.Threat(id="2.1.1-T1", evr="2.1.1")),
+        controls=(
+            m.Control(id="1.1.1-C1", threats=("1.1.1-T1",), form=m.ControlForm.STRUCTURAL,
+                      status=m.ControlStatus.ACCEPTED),
+            m.Control(id="2.1.1-C1", threats=("2.1.1-T1",), form=m.ControlForm.STRUCTURAL,
+                      status=m.ControlStatus.IMPLEMENTED),
+            m.Control(id="9.9.9-C1", threats=("9.9.9-T1",), form=m.ControlForm.STRUCTURAL,
+                      status=m.ControlStatus.ACCEPTED),
+        ),
+        attestations=(
+            _attestation("A1", m.AttestationSubject(m.SubjectKind.PRIORITY_DECISION, "1")),
+            _attestation("A2", m.AttestationSubject(risk, "1.1.1-C1"),
+                         role=m.SignatoryRole.ENGINEER),
+            _attestation("A3", m.AttestationSubject(risk, "1.1.1-C1")),
+            _attestation("A4", m.AttestationSubject(risk, "9.9.9-C1"),
+                         role=m.SignatoryRole.ENGINEER),
+            _attestation("A5", m.AttestationSubject(m.SubjectKind.RULE, "")),
+            _attestation("A6", m.AttestationSubject(risk, "2")),
+        ),
+    )

@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import replace
+from pathlib import Path
+
+import pytest
 
 from evrforge import cli, dsl
 from evrforge import model as m
@@ -262,6 +265,45 @@ class TestExport:
 
     def test_unknown_format_exits_three(self):
         assert cli.main(["export", CLEAN, "--format", "xml"]) == 3
+
+
+class TestSourceEncoding:
+    @pytest.mark.parametrize("argv", [
+        ["check", "{}"], ["report", "{}"], ["trace", "{}", "1"], ["score", "{}"],
+        ["diff", CLEAN, "{}"], ["export", "{}"],
+    ])
+    @pytest.mark.parametrize("bom,newline", [
+        (b"", "\n"), (b"\xef\xbb\xbf", "\n"), (b"", "\r\n"), (b"", "\r"),
+    ], ids=["lf", "bom", "crlf", "cr"])
+    def test_undecodable_byte_exits_three_with_its_position(self, tmp_path, capsys,
+                                                            argv, bom, newline):
+        path = tmp_path / "bad.evr"
+        path.write_bytes(bom + f'register "TM"{newline}  é'.encode("utf-8") + b"\xff\n")
+        assert cli.main([arg.format(path) for arg in argv]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"evrforge: cannot decode {path}:2:4: byte 0xff is not valid UTF-8 "
+            "(invalid start byte)"
+        ]
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("tail", [b"", b"\n@\n"], ids=["clean", "parse-error"])
+    def test_bom_and_crlf_check_like_the_plain_file(self, tmp_path, capsys, tail):
+        source = Path(CLEAN).read_bytes() + tail
+        path = tmp_path / "register.evr"
+        outcomes = []
+        for variant in (source, b"\xef\xbb\xbf" + source, source.replace(b"\n", b"\r\n")):
+            path.write_bytes(variant)
+            code = cli.main(["check", str(path)])
+            outcomes.append((code, capsys.readouterr()))
+        assert outcomes[1] == outcomes[0] and outcomes[2] == outcomes[0]
+        code, captured = outcomes[0]
+        assert "Traceback" not in captured.err
+        if tail:
+            assert code == 2 and f"{path}:316:1: illegal character '@'" in captured.err
+        else:
+            assert code == 0 and captured.err == "0 errors, 0 warnings\n"
 
 
 class TestUsage:
