@@ -3,7 +3,9 @@
 
 Feeds seeded random token soup into the register parser and checks the
 robustness contract: no crash, document present exactly when there are no
-errors, and every diagnostic span inside the input's bounds.
+errors, and every diagnostic span inside the input's bounds.  It also checks
+that the lexer gives the same tokens and diagnostics as the reference lexer
+in ``tests/support.py``.
 
     python scripts/fuzz_parse.py --count 100000 --seed 123456
 """
@@ -16,9 +18,11 @@ import sys
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
-from evrforge import dsl
+from evrforge import dsl  # noqa: E402
+from tests.support import reference_lex  # noqa: E402
 
 PIECES = [
     "register", "phase", "end", "corevalue", "quality", "evr", "threat",
@@ -39,6 +43,11 @@ def fuzz_source(rng: random.Random) -> str:
     return "".join(out)
 
 
+def lexed(lex, text: str) -> tuple[list[tuple], list]:
+    tokens, diags = lex(text, "fuzz.evr")
+    return [(t.kind, t.text, t.value, t.line, t.col, t.end_col) for t in tokens], diags
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--count", type=int, default=100_000)
@@ -50,6 +59,9 @@ def main() -> int:
     with_errors = 0
     for i in range(args.count):
         text = fuzz_source(rng)
+        if lexed(dsl._lex, text) != lexed(reference_lex, text):
+            print(f"lexer differs from the reference at input {i}: {text!r}")
+            return 1
         result = dsl.parse_register(text, "fuzz.evr")
         if (result.document is not None) == bool(result.errors):
             print(f"contract breach at input {i}: {text!r}")
@@ -66,7 +78,7 @@ def main() -> int:
                 return 1
     elapsed = time.monotonic() - started
     print(f"{args.count} inputs, {with_errors} with errors, "
-          f"no crashes, all spans in bounds ({elapsed:.1f}s)")
+          f"no crashes, all spans in bounds, lexing as the reference ({elapsed:.1f}s)")
     return 0
 
 

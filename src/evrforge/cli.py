@@ -3,7 +3,8 @@
 Subcommands: check, report, trace, score, diff, init, export.  Diagnostics
 go to standard error; reports and exported artifacts go to standard output
 or the path given with --out.  Exit codes: 0 clean, 1 warnings only,
-2 errors, 3 usage or I/O failure.
+2 errors, 3 usage or I/O failure.  A register file without a ``register``
+header (empty, blank or comment-only) exits 2 with one line on stderr.
 
 Output is byte-deterministic for fixed inputs: reports never include wall
 clock time, only dates recorded inside the register itself.
@@ -75,31 +76,38 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_source(path: str) -> str | None:
+class _Failure(Exception):
+    """Ends a subcommand with one line on standard error and an exit code."""
+
+    def __init__(self, code: int, message: str):
+        super().__init__(message)
+        self.code = code
+
+
+def _read_source(path: str) -> str:
     try:
         with open(path, "rb") as handle:
             data = handle.read()
     except OSError as exc:
-        print(f"evrforge: cannot read {path}: {exc.strerror or exc}", file=sys.stderr)
-        return None
+        raise _Failure(EXIT_USAGE, f"cannot read {path}: {exc.strerror or exc}") from exc
     try:
         text = data.decode("utf-8-sig")  # drops a leading BOM
     except UnicodeDecodeError as exc:
         # exc.object is the input after any BOM; all before exc.start is valid.
         before = exc.object[:exc.start].decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
         line, col = before.count("\n") + 1, len(before) - before.rfind("\n")
-        print(f"evrforge: cannot decode {path}:{line}:{col}: "
-              f"byte 0x{exc.object[exc.start]:02x} is not valid UTF-8 ({exc.reason})",
-              file=sys.stderr)
-        return None
+        raise _Failure(EXIT_USAGE,
+                       f"cannot decode {path}:{line}:{col}: byte 0x{exc.object[exc.start]:02x} "
+                       f"is not valid UTF-8 ({exc.reason})") from exc
     return text.replace("\r\n", "\n").replace("\r", "\n")  # as text-mode open() does
 
 
-def _parse_file(path: str) -> dsl.ParseResult | None:
-    source = _read_source(path)
-    if source is None:
-        return None
-    return dsl.parse_register(source, path)
+def _parse_file(path: str) -> dsl.ParseResult:
+    result = dsl.parse_register(_read_source(path), path)
+    if result.document is not None and result.header is None:
+        raise _Failure(EXIT_ERRORS, f"{path}: no register header "
+                                    "(the file is empty or holds only comments)")
+    return result
 
 
 def _print_parse_diagnostics(result: dsl.ParseResult) -> None:
@@ -129,8 +137,6 @@ def cmd_check(args) -> int:
         selection = {rid.strip() for rid in args.rules.split(",") if rid.strip()}
 
     result = _parse_file(args.path)
-    if result is None:
-        return EXIT_USAGE
     if result.document is None:
         _print_parse_diagnostics(result)
         print(f"{len(result.errors)} errors, {len(result.warnings)} warnings",
@@ -301,8 +307,6 @@ def cmd_report(args) -> int:
         print(f"evrforge: unknown report kind {args.kind!r}", file=sys.stderr)
         return EXIT_USAGE
     result = _parse_file(args.path)
-    if result is None:
-        return EXIT_USAGE
     if result.document is None:
         _print_parse_diagnostics(result)
         return EXIT_ERRORS
@@ -328,8 +332,6 @@ def cmd_report(args) -> int:
 
 def cmd_trace(args) -> int:
     result = _parse_file(args.path)
-    if result is None:
-        return EXIT_USAGE
     if result.document is None:
         _print_parse_diagnostics(result)
         return EXIT_ERRORS
@@ -346,8 +348,6 @@ def cmd_trace(args) -> int:
 
 def cmd_score(args) -> int:
     result = _parse_file(args.path)
-    if result is None:
-        return EXIT_USAGE
     if result.document is None:
         _print_parse_diagnostics(result)
         return EXIT_ERRORS
@@ -357,11 +357,7 @@ def cmd_score(args) -> int:
 
 def cmd_diff(args) -> int:
     old_result = _parse_file(args.old_path)
-    if old_result is None:
-        return EXIT_USAGE
     new_result = _parse_file(args.new_path)
-    if new_result is None:
-        return EXIT_USAGE
     if old_result.document is None or new_result.document is None:
         for result in (old_result, new_result):
             if result.document is None:
@@ -580,8 +576,6 @@ def cmd_export(args) -> int:
         print(f"evrforge: unknown format {args.fmt!r}", file=sys.stderr)
         return EXIT_USAGE
     result = _parse_file(args.path)
-    if result is None:
-        return EXIT_USAGE
     if result.document is None:
         _print_parse_diagnostics(result)
         return EXIT_ERRORS
@@ -612,7 +606,11 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except _Failure as failure:
+        print(f"evrforge: {failure}", file=sys.stderr)
+        return failure.code
 
 
 def run() -> None:

@@ -29,8 +29,11 @@ A document is returned only when no error-severity diagnostic was produced.
 
 from __future__ import annotations
 
+import functools
 import json
+import re
 from dataclasses import dataclass
+from enum import Enum
 
 from . import model as m
 
@@ -63,6 +66,9 @@ class ParseDiagnostic:
 class ParseResult:
     document: m.RegisterDocument | None
     diagnostics: tuple[ParseDiagnostic, ...]
+    # The ``register`` keyword; None when the source has none, as an empty,
+    # blank or comment-only source, whose document is an empty register.
+    header: SourceSpan | None = None
 
     @property
     def errors(self) -> tuple[ParseDiagnostic, ...]:
@@ -76,134 +82,94 @@ class ParseResult:
 # ---------------------------------------------------------------------------
 # Lexer
 
-_IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_IDENT_CONT = _IDENT_START | set("0123456789")
-_DIGITS = set("0123456789")
-
-
-@dataclass(frozen=True)
 class _Token:
-    kind: str  # IDENT STRING INT DOTTED COMMA EOF
-    text: str
-    value: str
-    line: int
-    col: int
-    end_col: int
+    """One lexeme: kind is IDENT STRING INT DOTTED COMMA or EOF, and
+    ``end_col`` is exclusive."""
+
+    __slots__ = ("kind", "text", "value", "line", "col", "end_col")
+
+    def __init__(self, kind: str, text: str, value: str, line: int, col: int,
+                 end_col: int) -> None:
+        self.kind = kind
+        self.text = text
+        self.value = value
+        self.line = line
+        self.col = col
+        self.end_col = end_col
 
     def span(self, file: str) -> SourceSpan:
         return SourceSpan(file, self.line, self.col, self.line, max(self.col, self.end_col - 1))
 
 
+# One match per lexeme, blanks before it included.  Neither strings nor
+# comments span lines, so the source is matched one line at a time.  A
+# string matches up to its closing quote or the end of the line, whatever
+# its escapes, so malformed strings need no second pass.  Character classes
+# are spelled out because the format is ASCII-only (no \d, \w).
+_TOKEN_RE = re.compile(
+    r'[ \t\r]*(?:'
+    r'(?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)'
+    r'|(?P<STRING>"[^"\\]*(?:\\.?[^"\\]*)*(?P<close>"?))'
+    r'|(?P<DOTTED>[0-9]+(?:\.[0-9]+)+(?:-[TC][0-9]+)?)'
+    r'|(?P<INT>[0-9]+)'
+    r'|(?P<COMMA>,)'
+    r'|(?P<COMMENT>#.*)'
+    r'|(?P<ILLEGAL>[^ \t\r]))'
+)
+_ESCAPE_RE = re.compile(r'\\(.?)')
+
+
+def _unescape(body: str, line: int, col: int, file: str,
+              diags: list[ParseDiagnostic]) -> str:
+    """Resolve the escapes in a string body that starts at column ``col``.
+
+    A backslash before anything but a quote or a backslash is kept as it is
+    and reported.
+    """
+    def resolve(escape: re.Match) -> str:
+        if escape[1] in ('"', "\\"):
+            return escape[1]
+        at = col + escape.start()
+        diags.append(ParseDiagnostic(
+            SourceSpan(file, line, at, line, at), "error", "P003",
+            "unsupported escape sequence; only \\\" and \\\\ are recognized",
+        ))
+        return escape[0]
+
+    return _ESCAPE_RE.sub(resolve, body)
+
+
 def _lex(source: str, file: str) -> tuple[list[_Token], list[ParseDiagnostic]]:
     tokens: list[_Token] = []
     diags: list[ParseDiagnostic] = []
-    i = 0
-    line = 1
-    col = 1
-    n = len(source)
-
-    def point(length: int = 1) -> SourceSpan:
-        return SourceSpan(file, line, col, line, col + max(length - 1, 0))
-
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and source[i] != "\n":
-                i += 1
-                col += 1
-            continue
-        if ch == ",":
-            tokens.append(_Token("COMMA", ",", ",", line, col, col + 1))
-            i += 1
-            col += 1
-            continue
-        if ch == '"':
-            start_col = col
-            i += 1
-            col += 1
-            buf: list[str] = []
-            closed = False
-            while i < n:
-                c = source[i]
-                if c == "\n":
-                    break
-                if c == '"':
-                    i += 1
-                    col += 1
-                    closed = True
-                    break
-                if c == "\\":
-                    if i + 1 < n and source[i + 1] in ('"', "\\"):
-                        buf.append(source[i + 1])
-                        i += 2
-                        col += 2
-                        continue
-                    diags.append(ParseDiagnostic(
-                        SourceSpan(file, line, col, line, col),
-                        "error", "P003",
-                        "unsupported escape sequence; only \\\" and \\\\ are recognized",
-                    ))
-                    buf.append(c)
-                    i += 1
-                    col += 1
-                    continue
-                buf.append(c)
-                i += 1
-                col += 1
-            if not closed:
+    append = tokens.append
+    lines = source.split("\n")
+    for lineno, text in enumerate(lines, 1):
+        for match in _TOKEN_RE.finditer(text):
+            kind = match.lastgroup
+            start = match.start(kind)
+            end = match.end()
+            lexeme = text[start:end]
+            if kind == "STRING":
+                closed = match["close"]
+                value = lexeme[1:-1] if closed else lexeme[1:]
+                if "\\" in value:
+                    value = _unescape(value, lineno, start + 2, file, diags)
+                token = _Token(kind, lexeme, value, lineno, start + 1, end + 1)
+                if not closed:
+                    diags.append(ParseDiagnostic(token.span(file), "error", "P002",
+                                                 "unterminated string"))
+                append(token)
+            elif kind == "ILLEGAL":
                 diags.append(ParseDiagnostic(
-                    SourceSpan(file, line, start_col, line, max(start_col, col - 1)),
-                    "error", "P002", "unterminated string",
+                    SourceSpan(file, lineno, start + 1, lineno, start + 1), "error", "P004",
+                    f"illegal character {lexeme!r}",
                 ))
-            tokens.append(_Token("STRING", source[i - (col - start_col):i], "".join(buf),
-                                 line, start_col, col))
-            continue
-        if ch in _DIGITS:
-            start_col = col
-            j = i
-            while j < n and source[j] in _DIGITS:
-                j += 1
-            dotted = False
-            while j < n and source[j] == "." and j + 1 < n and source[j + 1] in _DIGITS:
-                dotted = True
-                j += 1
-                while j < n and source[j] in _DIGITS:
-                    j += 1
-            if dotted and j + 2 < n and source[j] == "-" and source[j + 1] in "TC" and source[j + 2] in _DIGITS:
-                j += 2
-                while j < n and source[j] in _DIGITS:
-                    j += 1
-            text = source[i:j]
-            col += len(text)
-            i = j
-            tokens.append(_Token("DOTTED" if dotted else "INT", text, text,
-                                 line, start_col, col))
-            continue
-        if ch in _IDENT_START:
-            start_col = col
-            j = i
-            while j < n and source[j] in _IDENT_CONT:
-                j += 1
-            text = source[i:j]
-            col += len(text)
-            i = j
-            tokens.append(_Token("IDENT", text, text, line, start_col, col))
-            continue
-        diags.append(ParseDiagnostic(point(), "error", "P004",
-                                     f"illegal character {ch!r}"))
-        i += 1
-        col += 1
+            elif kind != "COMMENT":
+                append(_Token(kind, lexeme, lexeme, lineno, start + 1, end + 1))
 
-    tokens.append(_Token("EOF", "", "", line, col, col))
+    end = len(lines[-1]) + 1
+    append(_Token("EOF", "", "", len(lines), end, end))
     return tokens, diags
 
 
@@ -216,6 +182,11 @@ _BLOCK_KEYWORDS = {
     "funcreq", "concept", "persona", "attestation", "mission", "decision",
     "feedback", "alias",
 }
+
+
+@functools.cache
+def _enum_members(enum_cls: type[Enum]) -> dict[str, Enum]:
+    return {e.value: e for e in enum_cls}
 
 
 class _SyntaxProblem(Exception):
@@ -307,14 +278,15 @@ class _Parser:
 
     def need_enum(self, enum_cls, what: str):
         tok = self.peek()
-        values = [e.value for e in enum_cls]
-        if tok.kind == "IDENT" and tok.value in values:
-            return enum_cls(self.advance().value)
-        self.error(
-            f"expected one of {', '.join(values)} for {what}, "
-            f"found {tok.text or 'end of input'!r}",
-            code="P020",
-        )
+        member = _enum_members(enum_cls).get(tok.value) if tok.kind == "IDENT" else None
+        if member is None:
+            self.error(
+                f"expected one of {', '.join(e.value for e in enum_cls)} for {what}, "
+                f"found {tok.text or 'end of input'!r}",
+                code="P020",
+            )
+        self.advance()
+        return member
 
     def need_dotted(self, pattern, what: str) -> str:
         tok = self.peek()
@@ -1024,7 +996,8 @@ def parse_register(source_text: str, file_name: str = "<register>") -> ParseResu
         key=lambda d: (d.span.start_line, d.span.start_col, d.code, d.message),
     ))
     has_errors = any(d.severity == "error" for d in ordered)
-    return ParseResult(document=None if has_errors else doc, diagnostics=ordered)
+    return ParseResult(document=None if has_errors else doc, diagnostics=ordered,
+                       header=parser.spans.get("register"))
 
 
 # ---------------------------------------------------------------------------
@@ -1521,7 +1494,8 @@ def export_interchange(doc: m.RegisterDocument) -> str:
         ],
         "alias_map": dict(doc.alias_map),
     }
-    assert tuple(payload) == _INTERCHANGE_KEYS
+    if tuple(payload) != _INTERCHANGE_KEYS:
+        raise RuntimeError("interchange payload keys differ from _INTERCHANGE_KEYS")
     return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
 
 

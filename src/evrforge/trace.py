@@ -322,6 +322,7 @@ def apply_inverse(new: m.RegisterDocument, changes: ChangeSet,
     kwargs["alias_map"] = (
         dict(old.alias_map) if "alias_map" in register_changes else dict(new.alias_map)
     )
-    field_names = {f.name for f in fields(m.RegisterDocument)}
-    assert set(kwargs) == field_names
+    uncovered = {f.name for f in fields(m.RegisterDocument)} ^ set(kwargs)
+    if uncovered:
+        raise RuntimeError(f"apply_inverse does not match the document fields {sorted(uncovered)}")
     return m.RegisterDocument(**kwargs)

@@ -1,9 +1,10 @@
 """Shared builders for the test suite.
 
-Three things live here: a seeded generator of structurally valid registers
+Four things live here: a seeded generator of structurally valid registers
 used by the bulk round-trip and monotonicity runs, the table of
-violation/repair document pairs behind the monotone-repair checks, and
-scanning oracles for the indexed analysis layer.
+violation/repair document pairs behind the monotone-repair checks, scanning
+oracles for the indexed analysis layer, and the reference lexer that the
+master-regex lexer is checked against.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from dataclasses import replace
 
 from evrforge import model as m
 from evrforge import trace
+from evrforge.dsl import ParseDiagnostic, SourceSpan, _Token
 
 ALL_LENSES = (
     m.Lens(m.LensKind.UTILITARIAN),
@@ -773,3 +775,126 @@ def unvalidated_analysis_doc() -> m.RegisterDocument:
             _attestation("A6", m.AttestationSubject(risk, "2")),
         ),
     )
+
+
+# ---------------------------------------------------------------------------
+# Reference lexer: the character loop that ``dsl._lex`` replaced, kept so a
+# differential test and ``scripts/fuzz_parse.py`` can compare the two.
+
+_IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
+_IDENT_CONT = _IDENT_START | set("0123456789")
+_DIGITS = set("0123456789")
+
+
+def reference_lex(source: str, file: str) -> tuple[list[_Token], list[ParseDiagnostic]]:
+    """The character-by-character lexer that ``dsl._lex`` replaced."""
+    tokens: list[_Token] = []
+    diags: list[ParseDiagnostic] = []
+    i = 0
+    line = 1
+    col = 1
+    n = len(source)
+
+    def point(length: int = 1) -> SourceSpan:
+        return SourceSpan(file, line, col, line, col + max(length - 1, 0))
+
+    while i < n:
+        ch = source[i]
+        if ch == "\n":
+            i += 1
+            line += 1
+            col = 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if ch == "#":
+            while i < n and source[i] != "\n":
+                i += 1
+                col += 1
+            continue
+        if ch == ",":
+            tokens.append(_Token("COMMA", ",", ",", line, col, col + 1))
+            i += 1
+            col += 1
+            continue
+        if ch == '"':
+            start_col = col
+            i += 1
+            col += 1
+            buf: list[str] = []
+            closed = False
+            while i < n:
+                c = source[i]
+                if c == "\n":
+                    break
+                if c == '"':
+                    i += 1
+                    col += 1
+                    closed = True
+                    break
+                if c == "\\":
+                    if i + 1 < n and source[i + 1] in ('"', "\\"):
+                        buf.append(source[i + 1])
+                        i += 2
+                        col += 2
+                        continue
+                    diags.append(ParseDiagnostic(
+                        SourceSpan(file, line, col, line, col),
+                        "error", "P003",
+                        "unsupported escape sequence; only \\\" and \\\\ are recognized",
+                    ))
+                    buf.append(c)
+                    i += 1
+                    col += 1
+                    continue
+                buf.append(c)
+                i += 1
+                col += 1
+            if not closed:
+                diags.append(ParseDiagnostic(
+                    SourceSpan(file, line, start_col, line, max(start_col, col - 1)),
+                    "error", "P002", "unterminated string",
+                ))
+            tokens.append(_Token("STRING", source[i - (col - start_col):i], "".join(buf),
+                                 line, start_col, col))
+            continue
+        if ch in _DIGITS:
+            start_col = col
+            j = i
+            while j < n and source[j] in _DIGITS:
+                j += 1
+            dotted = False
+            while j < n and source[j] == "." and j + 1 < n and source[j + 1] in _DIGITS:
+                dotted = True
+                j += 1
+                while j < n and source[j] in _DIGITS:
+                    j += 1
+            if dotted and j + 2 < n and source[j] == "-" and source[j + 1] in "TC" and source[j + 2] in _DIGITS:
+                j += 2
+                while j < n and source[j] in _DIGITS:
+                    j += 1
+            text = source[i:j]
+            col += len(text)
+            i = j
+            tokens.append(_Token("DOTTED" if dotted else "INT", text, text,
+                                 line, start_col, col))
+            continue
+        if ch in _IDENT_START:
+            start_col = col
+            j = i
+            while j < n and source[j] in _IDENT_CONT:
+                j += 1
+            text = source[i:j]
+            col += len(text)
+            i = j
+            tokens.append(_Token("IDENT", text, text, line, start_col, col))
+            continue
+        diags.append(ParseDiagnostic(point(), "error", "P004",
+                                     f"illegal character {ch!r}"))
+        i += 1
+        col += 1
+
+    tokens.append(_Token("EOF", "", "", line, col, col))
+    return tokens, diags

@@ -306,6 +306,41 @@ class TestSourceEncoding:
             assert code == 0 and captured.err == "0 errors, 0 warnings\n"
 
 
+class TestEmptyRegister:
+    @pytest.mark.parametrize("argv", [
+        ["check", "{}"], ["check", "{}", "--format", "interchange"], ["report", "{}"],
+        ["trace", "{}", "1"], ["score", "{}"], ["diff", CLEAN, "{}"], ["diff", "{}", CLEAN],
+        ["export", "{}"],
+    ])
+    @pytest.mark.parametrize("content", [
+        b"", b"\n  \t\r\n\n", b"# a comment\n   # another\n", b"\xef\xbb\xbf",
+    ], ids=["zero-bytes", "blank", "comments", "bom"])
+    def test_file_without_header_exits_two_with_one_line(self, tmp_path, capsys,
+                                                         argv, content):
+        path = tmp_path / "empty.evr"
+        path.write_bytes(content)
+        assert cli.main([arg.format(path) for arg in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"evrforge: {path}: no register header "
+            "(the file is empty or holds only comments)"
+        ]
+        assert captured.out == ""
+
+    def test_library_still_parses_empty_source_to_an_empty_document(self):
+        result = dsl.parse_register("# nothing\n", "e.evr")
+        assert result.document is not None and result.header is None
+        header = dsl.parse_register('# first\n  register "" phase concept\n', "h.evr")
+        assert header.document is not None
+        assert header.header == dsl.SourceSpan("h.evr", 2, 3, 2, 10)
+
+    def test_header_with_empty_project_name_still_checks(self, tmp_path, capsys):
+        path = tmp_path / "named.evr"
+        path.write_text('register "" phase concept\n', encoding="utf-8")
+        assert cli.main(["check", str(path)]) == 0
+        assert capsys.readouterr().err == "0 errors, 0 warnings\n"
+
+
 class TestUsage:
     def test_missing_subcommand_exits_three(self, capsys):
         assert cli.main([]) == 3

@@ -192,3 +192,39 @@ class TestSpanBounds:
             line = lines[d.span.start_line - 1] if d.span.start_line <= len(lines) else ""
             assert 1 <= d.span.start_col <= len(line) + 1
         assert (result.document is not None) == (not result.errors)
+
+
+_CONTRACT_SCRIPT = """
+import sys
+from evrforge import dsl, trace
+from evrforge import model as m
+
+doc = m.new_empty_register("X")
+dsl._INTERCHANGE_KEYS = dsl._INTERCHANGE_KEYS[:-1]
+trace._DIFF_KINDS = trace._DIFF_KINDS[:-1]
+for check in (lambda: dsl.export_interchange(doc),
+              lambda: trace.apply_inverse(doc, trace.diff_registers(doc, doc), doc)):
+    try:
+        check()
+    except RuntimeError as exc:
+        print(exc)
+print(sys.flags.optimize)
+"""
+
+
+def test_contract_checks_hold_under_python_O():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(dsl.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-O", "-c", _CONTRACT_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "interchange payload keys differ from _INTERCHANGE_KEYS",
+        "apply_inverse does not match the document fields ['feedback']",
+        "1",
+    ]
