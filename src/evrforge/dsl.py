@@ -32,8 +32,10 @@ from __future__ import annotations
 import functools
 import json
 import re
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, fields, is_dataclass
 from enum import Enum
+from operator import attrgetter
 
 from . import model as m
 
@@ -209,24 +211,11 @@ class _Parser:
         self.version = ""
         self.phase = m.Phase.CONCEPT
         self.soi: m.Soi | None = None
-        self.sos: list[m.SosElement] = []
-        self.stakeholders: list[m.Stakeholder] = []
-        self.contexts: list[m.ContextOfUse] = []
-        self.sessions: list[m.ElicitationSession] = []
-        self.statements: list[m.ValueStatement] = []
-        self.core_values: list[m.CoreValue] = []
-        self.qualities: list[m.ValueQuality] = []
-        self.evrs: list[m.Evr] = []
-        self.threats: list[m.Threat] = []
-        self.controls: list[m.Control] = []
-        self.dispositions: list[m.ValueDisposition] = []
-        self.funcreqs: list[m.FunctionalRequirement] = []
-        self.concepts: list[m.DesignConcept] = []
-        self.personas: list[_RawPersona] = []
-        self.attestations: list[m.Attestation] = []
+        # Entities per document collection; personas are _RawPersona until
+        # build_document resolves their kind.
+        self.entities: dict[str, list] = {kind: [] for kind in m.ENTITY_KINDS}
         self.mission: m.ValueMission | None = None
         self.decision: m.InvestmentDecision | None = None
-        self.feedback: list[m.FeedbackEntry] = []
         self.aliases: dict[str, str] = {}
 
     # -- token plumbing
@@ -433,7 +422,7 @@ class _Parser:
         })
         if "cooperation" not in state:
             self.error(f"sos element {eid} declares no cooperation type", head, code="P006")
-        self.sos.append(m.SosElement(
+        self.entities["sos_elements"].append(m.SosElement(
             id=eid, name=name, cooperation_type=state["cooperation"],
             tier=state["tier"], processes_personal_data=state["personal_data"],
             in_ethical_scope=state["ethical_scope"],
@@ -461,7 +450,7 @@ class _Parser:
         })
         if "kind" not in state:
             self.error(f"stakeholder {eid} declares no kind", head, code="P006")
-        self.stakeholders.append(m.Stakeholder(
+        self.entities["stakeholders"].append(m.Stakeholder(
             id=eid, name=name, kind=state["kind"], description=notes.text(),
             region=state["region"],
             selection_profile=m.SelectionProfile(**profile) if profile else None,
@@ -500,7 +489,7 @@ class _Parser:
             "subject": add_subject,
             "expect": lambda: expectations.append(self.need_string("integrity expectation")),
         })
-        self.contexts.append(m.ContextOfUse(
+        self.entities["contexts"].append(m.ContextOfUse(
             id=eid, name=name, captured=state["captured"],
             data_elements=tuple(elements), data_flows=tuple(flows),
             data_subjects=tuple(subjects), data_types=tuple(types),
@@ -514,17 +503,12 @@ class _Parser:
         participants: list[str] = []
         lenses: list[m.Lens] = []
 
-        def add_lens():
-            lens = self.parse_lens()
-            if lens not in lenses:
-                lenses.append(lens)
-
         self.parse_attrs({
             "date": lambda: state.__setitem__("date", self.need_string("session date")),
             "participant": lambda: participants.append(self.need_ident("stakeholder id")),
-            "lens": add_lens,
+            "lens": lambda: lenses.append(self.parse_lens()),
         })
-        self.sessions.append(m.ElicitationSession(
+        self.entities["sessions"].append(m.ElicitationSession(
             id=eid, date=state["date"], participants=tuple(participants),
             lenses_used=tuple(lenses),
         ))
@@ -550,7 +534,7 @@ class _Parser:
         for required in ("session", "by", "lens"):
             if required not in state:
                 self.error(f"statement {eid} declares no {required}", head, code="P006")
-        self.statements.append(m.ValueStatement(
+        self.entities["statements"].append(m.ValueStatement(
             id=eid, session=state["session"], stakeholder=state["by"],
             lens=state["lens"], text=notes.text(), polarity=state["polarity"],
             named_values=tuple(named), extracted_values=tuple(extracted),
@@ -595,7 +579,7 @@ class _Parser:
                     head, code="P034",
                 )
             hierarchy = m.HierarchyScores(**scores)
-        self.core_values.append(m.CoreValue(
+        self.entities["core_values"].append(m.CoreValue(
             id=cv_id, name=name, priority_rank=rank, aliases=tuple(aliases),
             intrinsic=state["intrinsic"], hierarchy_scores=hierarchy,
             supporting_statements=tuple(supports),
@@ -615,7 +599,7 @@ class _Parser:
             "source": lambda: state.__setitem__(
                 "source", self.need_enum(m.QualitySource, "quality source")),
         })
-        self.qualities.append(m.ValueQuality(
+        self.entities["qualities"].append(m.ValueQuality(
             id=qid, core_value=parent, name=name, direction=direction,
             source=state["source"],
         ))
@@ -660,7 +644,7 @@ class _Parser:
                 "likelihood", self.need_enum(m.HarmLikelihood, "harm likelihood")),
             "demand": set_demand,
         })
-        self.evrs.append(m.Evr(
+        self.entities["evrs"].append(m.Evr(
             id=eid, quality=quality, text=text, kind=state["kind"],
             threshold=state.get("threshold"), risk_path=state["risk"],
             legal_instruments=tuple(legal),
@@ -682,8 +666,8 @@ class _Parser:
             "realistic": lambda: state.__setitem__("realistic", self.need_bool("realistic")),
             "note": lambda: notes.add(self.need_string("note text")),
         })
-        self.threats.append(m.Threat(id=tid, evr=evr, description=notes.text(),
-                                     realistic=state["realistic"]))
+        self.entities["threats"].append(m.Threat(id=tid, evr=evr, description=notes.text(),
+                                                 realistic=state["realistic"]))
 
     def block_control(self, head: _Token) -> None:
         cid = self.need_dotted(m.CONTROL_ID_RE, "a control id of the form N.M.K-Cj")
@@ -708,7 +692,7 @@ class _Parser:
         })
         if "form" not in state:
             self.error(f"control {cid} declares no form", head, code="P006")
-        self.controls.append(m.Control(
+        self.entities["controls"].append(m.Control(
             id=cid, threats=tuple(threats), form=state["form"],
             description=notes.text(), rigor=state["rigor"], status=state["status"],
             implementing_disposition=state.get("disposition"),
@@ -730,7 +714,7 @@ class _Parser:
         })
         if "component" not in state:
             self.error(f"disposition {did} declares no soi component", head, code="P006")
-        self.dispositions.append(m.ValueDisposition(
+        self.entities["dispositions"].append(m.ValueDisposition(
             id=did, soi_component=state["component"], implements=tuple(implements),
             description=notes.text(),
         ))
@@ -742,7 +726,8 @@ class _Parser:
         self.parse_attrs({
             "note": lambda: notes.add(self.need_string("note text")),
         })
-        self.funcreqs.append(m.FunctionalRequirement(id=fid, text=notes.text()))
+        self.entities["functional_requirements"].append(
+            m.FunctionalRequirement(id=fid, text=notes.text()))
 
     def block_concept(self, head: _Token) -> None:
         cid = self.need_ident("design concept id")
@@ -765,7 +750,7 @@ class _Parser:
             "functional": lambda: functional.append(
                 self.need_ident("functional requirement id")),
         })
-        self.concepts.append(m.DesignConcept(
+        self.entities["design_concepts"].append(m.DesignConcept(
             id=cid, name=name, ethical_refs=tuple(ethical),
             functional_refs=tuple(functional),
         ))
@@ -784,7 +769,7 @@ class _Parser:
         })
         if "stakeholder" not in state:
             self.error(f"persona {pid} declares no stakeholder", head, code="P006")
-        self.personas.append(_RawPersona(
+        self.entities["personas"].append(_RawPersona(
             id=pid, name=name, stakeholder=state["stakeholder"],
             narrative=notes.text(),
         ))
@@ -824,7 +809,7 @@ class _Parser:
         for required in ("by", "role", "date"):
             if required not in state:
                 self.error(f"attestation {aid} declares no {required}", head, code="P006")
-        self.attestations.append(m.Attestation(
+        self.entities["attestations"].append(m.Attestation(
             id=aid, subject=subject, signatory_name=state["by"],
             signatory_role=state["role"], date=state["date"],
             statement=notes.text(), consent=state["consent"],
@@ -897,7 +882,7 @@ class _Parser:
         })
         if "source" not in state:
             self.error(f"feedback {fid} declares no source", head, code="P006")
-        self.feedback.append(m.FeedbackEntry(
+        self.entities["feedback"].append(m.FeedbackEntry(
             id=fid, source=state["source"], date=state["date"], text=notes.text(),
             resulted=tuple(resulted),
             reprioritization_required=state["reprioritize"],
@@ -916,39 +901,25 @@ class _Parser:
 
     def build_document(self) -> m.RegisterDocument:
         soi = self.soi if self.soi is not None else m.Soi(name=self.project_name)
-        holders = {s.id: s for s in self.stakeholders}
-        personas = tuple(
+        collections = {kind: tuple(items) for kind, items in self.entities.items()}
+        holders = {s.id: s for s in collections["stakeholders"]}
+        collections["personas"] = tuple(
             m.Persona(
                 id=p.id, name=p.name, stakeholder=p.stakeholder,
                 kind=holders[p.stakeholder].kind if p.stakeholder in holders
                 else m.StakeholderKind.DIRECT,
                 narrative=p.narrative,
             )
-            for p in self.personas
+            for p in collections["personas"]
         )
         return m.RegisterDocument(
             project=m.ProjectMeta(name=self.project_name, version=self.version),
             phase=self.phase,
             soi=soi,
-            sos_elements=tuple(self.sos),
-            stakeholders=tuple(self.stakeholders),
-            contexts=tuple(self.contexts),
-            sessions=tuple(self.sessions),
-            statements=tuple(self.statements),
-            core_values=tuple(self.core_values),
-            qualities=tuple(self.qualities),
-            evrs=tuple(self.evrs),
-            threats=tuple(self.threats),
-            controls=tuple(self.controls),
-            dispositions=tuple(self.dispositions),
-            functional_requirements=tuple(self.funcreqs),
-            design_concepts=tuple(self.concepts),
-            personas=personas,
-            attestations=tuple(self.attestations),
             mission=self.mission,
             investment_decision=self.decision,
-            feedback=tuple(self.feedback),
             alias_map=dict(self.aliases),
+            **collections,
         )
 
 
@@ -1284,220 +1255,62 @@ def _lens_text(lens: m.Lens) -> str:
 # ---------------------------------------------------------------------------
 # Interchange export
 
-_INTERCHANGE_KEYS = (
-    "project", "phase", "soi", "sos_elements", "stakeholders", "contexts",
-    "sessions", "statements", "core_values", "qualities", "evrs", "threats",
-    "controls", "dispositions", "functional_requirements", "design_concepts",
-    "personas", "attestations", "mission", "investment_decision", "feedback",
-    "alias_map",
-)
+# Where the interchange format departs from the model.  Each entry lists
+# the keys that open a class's object, in order: a field written under its
+# own name, a (key, field) pair for a renamed field, or a (key, {key: field})
+# pair for fields nested as one object.  The remaining fields follow in
+# field order under their own names; unlisted classes write every field so.
+_INTERCHANGE_QUIRKS: dict[type, tuple] = {
+    m.ElicitationSession: ("id", "date", "participants", ("lenses", "lenses_used")),
+    m.Control: ("id", "threats", "description", "rigor"),
+    m.ValueDisposition: ("id", "description"),
+    m.Attestation: ("id", "subject",
+                    ("signatory", {"name": "signatory_name", "role": "signatory_role"})),
+    m.FeedbackEntry: ("id", "date"),
+}
+
+
+# _encoder's result per class.  A plain dict, not functools.cache: it is
+# looked up once per exported value, and the dict is the cheaper lookup.
+_ENCODERS: dict[type, Callable | None] = {}
+
+
+def _plain(value):
+    """The JSON form of a model value: dataclasses become objects, enums
+    their values, tuples and lists arrays; anything else is kept."""
+    cls = type(value)
+    try:
+        encode = _ENCODERS[cls]
+    except KeyError:
+        encode = _ENCODERS[cls] = _encoder(cls)
+    return value if encode is None else encode(value)
+
+
+def _encoder(cls: type) -> Callable | None:
+    """How ``_plain`` converts a value of ``cls``; None keeps it as it is.
+    A dataclass's key plan is worked out here, once per class."""
+    if issubclass(cls, Enum):
+        return attrgetter("value")
+    if cls is tuple or cls is list:
+        return lambda items: [_plain(item) for item in items]
+    if not is_dataclass(cls):
+        return None
+    plan = [(entry, entry) if isinstance(entry, str) else entry
+            for entry in _INTERCHANGE_QUIRKS.get(cls, ())]
+    taken = {name for _, held in plan
+             for name in ((held,) if isinstance(held, str) else held.values())}
+    plan += [(f.name, f.name) for f in fields(cls) if f.name not in taken]
+    return _object(plan)
+
+
+def _object(plan) -> Callable:
+    """Encoder of an object from its (key, field or {key: field}) pairs."""
+    getters = [(key, attrgetter(held) if isinstance(held, str) else _object(held.items()))
+               for key, held in plan]
+    return lambda obj: {key: _plain(get(obj)) for key, get in getters}
 
 
 def export_interchange(doc: m.RegisterDocument) -> str:
-    """Loss-free JSON rendering with a fixed top-level key order."""
-    payload = {
-        "project": {"name": doc.project.name, "version": doc.project.version},
-        "phase": doc.phase.value,
-        "soi": {
-            "name": doc.soi.name,
-            "concept_of_operation": doc.soi.concept_of_operation,
-            "deployment_regions": list(doc.soi.deployment_regions),
-        },
-        "sos_elements": [
-            {
-                "id": s.id,
-                "name": s.name,
-                "cooperation_type": s.cooperation_type.value,
-                "tier": s.tier,
-                "processes_personal_data": s.processes_personal_data,
-                "in_ethical_scope": s.in_ethical_scope,
-                "access_to_enabling_elements": s.access_to_enabling_elements,
-            }
-            for s in doc.sos_elements
-        ],
-        "stakeholders": [
-            {
-                "id": s.id,
-                "name": s.name,
-                "kind": s.kind.value,
-                "description": s.description,
-                "region": s.region,
-                "selection_profile": None if s.selection_profile is None else {
-                    "motivation": s.selection_profile.motivation,
-                    "power": s.selection_profile.power,
-                    "knowledge": s.selection_profile.knowledge,
-                    "legitimization": s.selection_profile.legitimization,
-                },
-            }
-            for s in doc.stakeholders
-        ],
-        "contexts": [
-            {
-                "id": c.id,
-                "name": c.name,
-                "captured": c.captured.value,
-                "data_elements": list(c.data_elements),
-                "data_flows": [
-                    {"source": f.source, "sink": f.sink, "data_type": f.data_type}
-                    for f in c.data_flows
-                ],
-                "data_subjects": list(c.data_subjects),
-                "data_types": list(c.data_types),
-                "integrity_expectations": list(c.integrity_expectations),
-            }
-            for c in doc.contexts
-        ],
-        "sessions": [
-            {
-                "id": s.id,
-                "date": s.date,
-                "participants": list(s.participants),
-                "lenses": [_lens_payload(lens) for lens in s.lenses_used],
-            }
-            for s in doc.sessions
-        ],
-        "statements": [
-            {
-                "id": s.id,
-                "session": s.session,
-                "stakeholder": s.stakeholder,
-                "lens": _lens_payload(s.lens),
-                "text": s.text,
-                "polarity": s.polarity.value,
-                "named_values": list(s.named_values),
-                "extracted_values": list(s.extracted_values),
-            }
-            for s in doc.statements
-        ],
-        "core_values": [
-            {
-                "id": c.id,
-                "name": c.name,
-                "priority_rank": c.priority_rank,
-                "aliases": list(c.aliases),
-                "intrinsic": c.intrinsic,
-                "hierarchy_scores": None if c.hierarchy_scores is None else {
-                    "endurance": c.hierarchy_scores.endurance,
-                    "depth": c.hierarchy_scores.depth,
-                    "indivisibility": c.hierarchy_scores.indivisibility,
-                    "bearer_independence": c.hierarchy_scores.bearer_independence,
-                    "intrinsic_worth": c.hierarchy_scores.intrinsic_worth,
-                },
-                "supporting_statements": list(c.supporting_statements),
-            }
-            for c in doc.core_values
-        ],
-        "qualities": [
-            {
-                "id": q.id,
-                "core_value": q.core_value,
-                "name": q.name,
-                "direction": q.direction.value,
-                "source": q.source.value,
-            }
-            for q in doc.qualities
-        ],
-        "evrs": [
-            {
-                "id": e.id,
-                "quality": e.quality,
-                "text": e.text,
-                "kind": e.kind.value,
-                "threshold": None if e.threshold is None else {
-                    "metric": e.threshold.metric,
-                    "comparator": e.threshold.comparator,
-                    "level": e.threshold.level,
-                    "rationale": e.threshold.rationale,
-                },
-                "risk_path": e.risk_path.value,
-                "legal_instruments": list(e.legal_instruments),
-                "harm_flags": {
-                    "life": e.harm_flags.life,
-                    "health": e.harm_flags.health,
-                    "legal_breach": e.harm_flags.legal_breach,
-                },
-                "harm_likelihood": e.harm_likelihood.value,
-                "protection_demand": None if e.protection_demand is None else {
-                    "level": e.protection_demand.level,
-                    "rationale": e.protection_demand.rationale,
-                },
-            }
-            for e in doc.evrs
-        ],
-        "threats": [
-            {"id": t.id, "evr": t.evr, "description": t.description,
-             "realistic": t.realistic}
-            for t in doc.threats
-        ],
-        "controls": [
-            {
-                "id": c.id,
-                "threats": list(c.threats),
-                "description": c.description,
-                "rigor": c.rigor,
-                "form": c.form.value,
-                "status": c.status.value,
-                "implementing_disposition": c.implementing_disposition,
-            }
-            for c in doc.controls
-        ],
-        "dispositions": [
-            {"id": d.id, "description": d.description,
-             "soi_component": d.soi_component, "implements": list(d.implements)}
-            for d in doc.dispositions
-        ],
-        "functional_requirements": [
-            {"id": f.id, "text": f.text} for f in doc.functional_requirements
-        ],
-        "design_concepts": [
-            {"id": c.id, "name": c.name, "ethical_refs": list(c.ethical_refs),
-             "functional_refs": list(c.functional_refs)}
-            for c in doc.design_concepts
-        ],
-        "personas": [
-            {"id": p.id, "name": p.name, "stakeholder": p.stakeholder,
-             "kind": p.kind.value, "narrative": p.narrative}
-            for p in doc.personas
-        ],
-        "attestations": [
-            {
-                "id": a.id,
-                "subject": {"kind": a.subject.kind.value, "ref": a.subject.ref},
-                "signatory": {"name": a.signatory_name,
-                              "role": a.signatory_role.value},
-                "date": a.date,
-                "statement": a.statement,
-                "consent": a.consent,
-            }
-            for a in doc.attestations
-        ],
-        "mission": None if doc.mission is None else {
-            "text": doc.mission.text,
-            "featured": list(doc.mission.featured),
-            "signed_by": list(doc.mission.signed_by),
-        },
-        "investment_decision": None if doc.investment_decision is None else {
-            "verdict": doc.investment_decision.verdict.value,
-            "rationale": doc.investment_decision.rationale,
-            "attestations": list(doc.investment_decision.attestations),
-        },
-        "feedback": [
-            {
-                "id": f.id,
-                "date": f.date,
-                "source": f.source,
-                "text": f.text,
-                "resulted": list(f.resulted),
-                "reprioritization_required": f.reprioritization_required,
-            }
-            for f in doc.feedback
-        ],
-        "alias_map": dict(doc.alias_map),
-    }
-    if tuple(payload) != _INTERCHANGE_KEYS:
-        raise RuntimeError("interchange payload keys differ from _INTERCHANGE_KEYS")
-    return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
-
-
-def _lens_payload(lens: m.Lens) -> dict:
-    return {"kind": lens.kind.value, "framework": lens.framework}
+    """Loss-free JSON rendering.  Keys follow the model's field order, apart
+    from the quirks listed in ``_INTERCHANGE_QUIRKS``."""
+    return json.dumps(_plain(doc), indent=2, ensure_ascii=False) + "\n"

@@ -459,6 +459,31 @@ class RegisterDocument:
         return DocIndex(self)
 
 
+# The id-keyed collections of a document, in field order: the label for
+# messages, the earliest phase at which the collection may be non-empty
+# (None for any phase), and whether its ids must be identifier-shaped so
+# that the text format can always re-emit them.  Validation, the parser and
+# the diff are driven by this table.
+ENTITY_KINDS: dict[str, tuple[str, Phase | None, bool]] = {
+    "sos_elements": ("sos element", None, True),
+    "stakeholders": ("stakeholder", None, True),
+    "contexts": ("context", None, True),
+    "sessions": ("session", Phase.EXPLORATION, True),
+    "statements": ("statement", Phase.EXPLORATION, True),
+    "core_values": ("core value", Phase.EXPLORATION, False),
+    "qualities": ("quality", Phase.EXPLORATION, False),
+    "evrs": ("evr", Phase.EXPLORATION, False),
+    "threats": ("threat", Phase.DESIGN, False),
+    "controls": ("control", Phase.DESIGN, False),
+    "dispositions": ("disposition", Phase.DESIGN, True),
+    "functional_requirements": ("functional requirement", Phase.DESIGN, True),
+    "design_concepts": ("design concept", Phase.DESIGN, True),
+    "personas": ("persona", Phase.DESIGN, True),
+    "attestations": ("attestation", Phase.EXPLORATION, True),
+    "feedback": ("feedback entry", Phase.DESIGN, True),
+}
+
+
 class RegisterError(ValueError):
     """Base error for register operations."""
 
@@ -551,24 +576,6 @@ def _well_formed_date(value: str) -> bool:
     return True
 
 
-# Earliest phase at which each collection may be non-empty.
-_CONTENT_FLOOR: dict[str, Phase] = {
-    "sessions": Phase.EXPLORATION,
-    "statements": Phase.EXPLORATION,
-    "core_values": Phase.EXPLORATION,
-    "qualities": Phase.EXPLORATION,
-    "evrs": Phase.EXPLORATION,
-    "attestations": Phase.EXPLORATION,
-    "threats": Phase.DESIGN,
-    "controls": Phase.DESIGN,
-    "dispositions": Phase.DESIGN,
-    "functional_requirements": Phase.DESIGN,
-    "design_concepts": Phase.DESIGN,
-    "personas": Phase.DESIGN,
-    "feedback": Phase.DESIGN,
-}
-
-
 def validate_register(doc: RegisterDocument) -> tuple[Violation, ...]:
     """Check every structural invariant and return all breaches found.
 
@@ -582,50 +589,22 @@ def validate_register(doc: RegisterDocument) -> tuple[Violation, ...]:
     def bad(code: str, subject: str, message: str) -> None:
         out.append(Violation(code=code, subject=subject, message=message))
 
-    def check_dup(kind: str, ids: list[str]) -> None:
+    for kind, (label, _, _) in ENTITY_KINDS.items():
         seen: set[str] = set()
-        for eid in ids:
+        for entity in getattr(doc, kind):
+            eid = str(entity.id)
             if eid in seen:
-                bad("P010", eid, f"duplicate {kind} id {eid!r}")
+                bad("P010", eid, f"duplicate {label} id {eid!r}")
             seen.add(eid)
-
-    check_dup("sos element", [s.id for s in doc.sos_elements])
-    check_dup("stakeholder", [s.id for s in doc.stakeholders])
-    check_dup("context", [c.id for c in doc.contexts])
-    check_dup("session", [s.id for s in doc.sessions])
-    check_dup("statement", [s.id for s in doc.statements])
-    check_dup("core value", [str(c.id) for c in doc.core_values])
-    check_dup("quality", [q.id for q in doc.qualities])
-    check_dup("evr", [e.id for e in doc.evrs])
-    check_dup("threat", [t.id for t in doc.threats])
-    check_dup("control", [c.id for c in doc.controls])
-    check_dup("disposition", [d.id for d in doc.dispositions])
-    check_dup("functional requirement", [f.id for f in doc.functional_requirements])
-    check_dup("design concept", [c.id for c in doc.design_concepts])
-    check_dup("persona", [p.id for p in doc.personas])
-    check_dup("attestation", [a.id for a in doc.attestations])
-    check_dup("feedback entry", [f.id for f in doc.feedback])
 
     idx = doc.index
 
-    # Id shape.  Non-numbered kinds use identifier-shaped ids so that the
-    # text format can always re-emit them.
-    for kind, ids in (
-        ("sos element", [s.id for s in doc.sos_elements]),
-        ("stakeholder", [s.id for s in doc.stakeholders]),
-        ("context", [c.id for c in doc.contexts]),
-        ("session", [s.id for s in doc.sessions]),
-        ("statement", [s.id for s in doc.statements]),
-        ("disposition", [d.id for d in doc.dispositions]),
-        ("functional requirement", [f.id for f in doc.functional_requirements]),
-        ("design concept", [c.id for c in doc.design_concepts]),
-        ("persona", [p.id for p in doc.personas]),
-        ("attestation", [a.id for a in doc.attestations]),
-        ("feedback entry", [f.id for f in doc.feedback]),
-    ):
-        for eid in ids:
-            if not IDENT_RE.match(eid):
-                bad("P012", eid, f"{kind} id {eid!r} is not identifier-shaped")
+    # Id shape.  Numbered kinds are checked against their patterns below.
+    for kind, (label, _, identifier) in ENTITY_KINDS.items():
+        if identifier:
+            for entity in getattr(doc, kind):
+                if not IDENT_RE.match(entity.id):
+                    bad("P012", entity.id, f"{label} id {entity.id!r} is not identifier-shaped")
 
     evr_and_control_ids = set(idx.evrs) | set(idx.controls)
     for f in doc.functional_requirements:
@@ -857,12 +836,13 @@ def validate_register(doc: RegisterDocument) -> tuple[Violation, ...]:
             bad("P019", name, f"alias {name!r} maps to {target!r}, which is itself an alias")
 
     # Phase gating of content.
-    for attr, floor in _CONTENT_FLOOR.items():
+    gated = [(kind, floor) for kind, (_, floor, _) in ENTITY_KINDS.items() if floor is not None]
+    for kind, floor in sorted(gated, key=lambda gate: PHASE_ORDER[gate[1]]):
         if phase_at_least(doc.phase, floor):
             continue
-        for entity in getattr(doc, attr):
-            bad("P023", entity.id if not isinstance(entity.id, int) else str(entity.id),
-                f"{attr.replace('_', ' ')} are not allowed in phase {doc.phase.value}")
+        for entity in getattr(doc, kind):
+            bad("P023", str(entity.id),
+                f"{kind.replace('_', ' ')} are not allowed in phase {doc.phase.value}")
     if not phase_at_least(doc.phase, Phase.EXPLORATION):
         if doc.mission is not None:
             bad("P023", "register", f"a mission is not allowed in phase {doc.phase.value}")

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from . import model as m
 
@@ -233,14 +233,6 @@ class ChangeSet:
                     or any(self.modified.values()))
 
 
-_DIFF_KINDS = (
-    "sos_elements", "stakeholders", "contexts", "sessions", "statements",
-    "core_values", "qualities", "evrs", "threats", "controls", "dispositions",
-    "functional_requirements", "design_concepts", "personas", "attestations",
-    "feedback",
-)
-
-
 def diff_registers(old: m.RegisterDocument, new: m.RegisterDocument) -> ChangeSet:
     """Entity-level diff keyed by explicit ids.
 
@@ -253,7 +245,7 @@ def diff_registers(old: m.RegisterDocument, new: m.RegisterDocument) -> ChangeSe
     removed: dict[str, tuple[str, ...]] = {}
     modified: dict[str, tuple[str, ...]] = {}
 
-    for kind in _DIFF_KINDS:
+    for kind in m.ENTITY_KINDS:
         old_entities = {str(e.id): e for e in getattr(old, kind)}
         new_entities = {str(e.id): e for e in getattr(new, kind)}
         added[kind] = tuple(i for i in new_entities if i not in old_entities)
@@ -284,45 +276,3 @@ def diff_registers(old: m.RegisterDocument, new: m.RegisterDocument) -> ChangeSe
         modified=modified,
         new_core_values_require_reprioritization=bool(added["core_values"]),
     )
-
-
-def apply_inverse(new: m.RegisterDocument, changes: ChangeSet,
-                  old: m.RegisterDocument) -> m.RegisterDocument:
-    """Rebuild the old document from the new one, steered by the changeset.
-
-    Entities the changeset does not mention are taken from ``new``
-    unchanged, so an incomplete diff produces a visibly wrong result.  Used
-    as the oracle that ``diff_registers`` captured every difference.
-    """
-    kwargs: dict = {}
-    for kind in _DIFF_KINDS:
-        old_entities = {str(e.id): e for e in getattr(old, kind)}
-        rebuilt = [
-            e for e in getattr(new, kind)
-            if str(e.id) not in changes.added[kind]
-        ]
-        rebuilt = [
-            old_entities[str(e.id)] if str(e.id) in changes.modified[kind] else e
-            for e in rebuilt
-        ]
-        order = {str(e.id): i for i, e in enumerate(getattr(old, kind))}
-        rebuilt.extend(old_entities[i] for i in changes.removed[kind])
-        rebuilt.sort(key=lambda e: order[str(e.id)])
-        kwargs[kind] = tuple(rebuilt)
-
-    register_changes = set(changes.modified.get("register", ()))
-    kwargs["project"] = old.project if "project" in register_changes else new.project
-    kwargs["phase"] = old.phase if "project" in register_changes else new.phase
-    kwargs["soi"] = old.soi if "soi" in register_changes else new.soi
-    kwargs["mission"] = old.mission if "mission" in register_changes else new.mission
-    kwargs["investment_decision"] = (
-        old.investment_decision if "investment_decision" in register_changes
-        else new.investment_decision
-    )
-    kwargs["alias_map"] = (
-        dict(old.alias_map) if "alias_map" in register_changes else dict(new.alias_map)
-    )
-    uncovered = {f.name for f in fields(m.RegisterDocument)} ^ set(kwargs)
-    if uncovered:
-        raise RuntimeError(f"apply_inverse does not match the document fields {sorted(uncovered)}")
-    return m.RegisterDocument(**kwargs)

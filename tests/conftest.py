@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 import pytest
@@ -31,185 +30,3 @@ def full_doc() -> m.RegisterDocument:
 @pytest.fixture(scope="session")
 def clean_doc() -> m.RegisterDocument:
     return load_fixture("tm_clean.evr")
-
-
-def import_interchange(text: str) -> m.RegisterDocument:
-    """Test-only loader for the interchange export."""
-    data = json.loads(text)
-
-    def lens(payload) -> m.Lens:
-        return m.Lens(kind=m.LensKind(payload["kind"]),
-                      framework=payload["framework"])
-
-    return m.RegisterDocument(
-        project=m.ProjectMeta(**data["project"]),
-        phase=m.Phase(data["phase"]),
-        soi=m.Soi(
-            name=data["soi"]["name"],
-            concept_of_operation=data["soi"]["concept_of_operation"],
-            deployment_regions=tuple(data["soi"]["deployment_regions"]),
-        ),
-        sos_elements=tuple(
-            m.SosElement(
-                id=s["id"], name=s["name"],
-                cooperation_type=m.CooperationType(s["cooperation_type"]),
-                tier=s["tier"],
-                processes_personal_data=s["processes_personal_data"],
-                in_ethical_scope=s["in_ethical_scope"],
-                access_to_enabling_elements=s["access_to_enabling_elements"],
-            )
-            for s in data["sos_elements"]
-        ),
-        stakeholders=tuple(
-            m.Stakeholder(
-                id=s["id"], name=s["name"], kind=m.StakeholderKind(s["kind"]),
-                description=s["description"], region=s["region"],
-                selection_profile=(
-                    None if s["selection_profile"] is None
-                    else m.SelectionProfile(**s["selection_profile"])
-                ),
-            )
-            for s in data["stakeholders"]
-        ),
-        contexts=tuple(
-            m.ContextOfUse(
-                id=c["id"], name=c["name"],
-                captured=m.CaptureStage(c["captured"]),
-                data_elements=tuple(c["data_elements"]),
-                data_flows=tuple(m.DataFlow(**f) for f in c["data_flows"]),
-                data_subjects=tuple(c["data_subjects"]),
-                data_types=tuple(c["data_types"]),
-                integrity_expectations=tuple(c["integrity_expectations"]),
-            )
-            for c in data["contexts"]
-        ),
-        sessions=tuple(
-            m.ElicitationSession(
-                id=s["id"], date=s["date"],
-                participants=tuple(s["participants"]),
-                lenses_used=tuple(lens(p) for p in s["lenses"]),
-            )
-            for s in data["sessions"]
-        ),
-        statements=tuple(
-            m.ValueStatement(
-                id=s["id"], session=s["session"], stakeholder=s["stakeholder"],
-                lens=lens(s["lens"]), text=s["text"],
-                polarity=m.Polarity(s["polarity"]),
-                named_values=tuple(s["named_values"]),
-                extracted_values=tuple(s["extracted_values"]),
-            )
-            for s in data["statements"]
-        ),
-        core_values=tuple(
-            m.CoreValue(
-                id=c["id"], name=c["name"], priority_rank=c["priority_rank"],
-                aliases=tuple(c["aliases"]), intrinsic=c["intrinsic"],
-                hierarchy_scores=(
-                    None if c["hierarchy_scores"] is None
-                    else m.HierarchyScores(**c["hierarchy_scores"])
-                ),
-                supporting_statements=tuple(c["supporting_statements"]),
-            )
-            for c in data["core_values"]
-        ),
-        qualities=tuple(
-            m.ValueQuality(
-                id=q["id"], core_value=q["core_value"], name=q["name"],
-                direction=m.QualityDirection(q["direction"]),
-                source=m.QualitySource(q["source"]),
-            )
-            for q in data["qualities"]
-        ),
-        evrs=tuple(
-            m.Evr(
-                id=e["id"], quality=e["quality"], text=e["text"],
-                kind=m.EvrKind(e["kind"]),
-                threshold=None if e["threshold"] is None else m.Threshold(**e["threshold"]),
-                risk_path=m.RiskPath(e["risk_path"]),
-                legal_instruments=tuple(e["legal_instruments"]),
-                harm_flags=m.HarmFlags(**e["harm_flags"]),
-                harm_likelihood=m.HarmLikelihood(e["harm_likelihood"]),
-                protection_demand=(
-                    None if e["protection_demand"] is None
-                    else m.ProtectionDemand(**e["protection_demand"])
-                ),
-            )
-            for e in data["evrs"]
-        ),
-        threats=tuple(
-            m.Threat(id=t["id"], evr=t["evr"], description=t["description"],
-                     realistic=t["realistic"])
-            for t in data["threats"]
-        ),
-        controls=tuple(
-            m.Control(
-                id=c["id"], threats=tuple(c["threats"]),
-                form=m.ControlForm(c["form"]), description=c["description"],
-                rigor=c["rigor"], status=m.ControlStatus(c["status"]),
-                implementing_disposition=c["implementing_disposition"],
-            )
-            for c in data["controls"]
-        ),
-        dispositions=tuple(
-            m.ValueDisposition(
-                id=d["id"], soi_component=d["soi_component"],
-                implements=tuple(d["implements"]), description=d["description"],
-            )
-            for d in data["dispositions"]
-        ),
-        functional_requirements=tuple(
-            m.FunctionalRequirement(**f) for f in data["functional_requirements"]
-        ),
-        design_concepts=tuple(
-            m.DesignConcept(
-                id=c["id"], name=c["name"],
-                ethical_refs=tuple(c["ethical_refs"]),
-                functional_refs=tuple(c["functional_refs"]),
-            )
-            for c in data["design_concepts"]
-        ),
-        personas=tuple(
-            m.Persona(id=p["id"], name=p["name"], stakeholder=p["stakeholder"],
-                      kind=m.StakeholderKind(p["kind"]), narrative=p["narrative"])
-            for p in data["personas"]
-        ),
-        attestations=tuple(
-            m.Attestation(
-                id=a["id"],
-                subject=m.AttestationSubject(
-                    kind=m.SubjectKind(a["subject"]["kind"]),
-                    ref=a["subject"]["ref"],
-                ),
-                signatory_name=a["signatory"]["name"],
-                signatory_role=m.SignatoryRole(a["signatory"]["role"]),
-                date=a["date"], statement=a["statement"], consent=a["consent"],
-            )
-            for a in data["attestations"]
-        ),
-        mission=(
-            None if data["mission"] is None
-            else m.ValueMission(
-                text=data["mission"]["text"],
-                featured=tuple(data["mission"]["featured"]),
-                signed_by=tuple(data["mission"]["signed_by"]),
-            )
-        ),
-        investment_decision=(
-            None if data["investment_decision"] is None
-            else m.InvestmentDecision(
-                verdict=m.Verdict(data["investment_decision"]["verdict"]),
-                rationale=data["investment_decision"]["rationale"],
-                attestations=tuple(data["investment_decision"]["attestations"]),
-            )
-        ),
-        feedback=tuple(
-            m.FeedbackEntry(
-                id=f["id"], source=f["source"], date=f["date"], text=f["text"],
-                resulted=tuple(f["resulted"]),
-                reprioritization_required=f["reprioritization_required"],
-            )
-            for f in data["feedback"]
-        ),
-        alias_map=dict(data["alias_map"]),
-    )

@@ -1,16 +1,21 @@
 """Shared builders for the test suite.
 
-Four things live here: a seeded generator of structurally valid registers
+Six things live here: a seeded generator of structurally valid registers
 used by the bulk round-trip and monotonicity runs, the table of
 violation/repair document pairs behind the monotone-repair checks, scanning
-oracles for the indexed analysis layer, and the reference lexer that the
-master-regex lexer is checked against.
+oracles for the indexed analysis layer, the reference lexer that the
+master-regex lexer is checked against, a strict reader of the interchange
+export, and the inverse of a register diff.
 """
 
 from __future__ import annotations
 
+import json
 import random
-from dataclasses import replace
+import types
+import typing
+from dataclasses import fields, is_dataclass, replace
+from enum import Enum
 
 from evrforge import model as m
 from evrforge import trace
@@ -898,3 +903,91 @@ def reference_lex(source: str, file: str) -> tuple[list[_Token], list[ParseDiagn
 
     tokens.append(_Token("EOF", "", "", line, col, col))
     return tokens, diags
+
+
+# ---------------------------------------------------------------------------
+# Interchange reader: the oracle that the export is loss-free.  It is driven
+# by the model's type hints and knows only the format's two renames, so a
+# key the export moves, drops or retypes fails here rather than passing
+# through a shared table.
+
+def import_interchange(text: str) -> m.RegisterDocument:
+    """The document an interchange export describes; raises on any key or
+    value the model does not declare."""
+    return _decode(m.RegisterDocument, json.loads(text))
+
+
+def _decode(hint, data):
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is types.UnionType:
+        return None if data is None else _decode(args[0], data)
+    if origin is tuple:
+        return tuple(_decode(args[0], item) for item in _expect(data, list))
+    if origin is dict:
+        return {_expect(k, str): _expect(v, str) for k, v in _expect(data, dict).items()}
+    if isinstance(hint, type) and issubclass(hint, Enum):
+        return hint(_expect(data, str))
+    if is_dataclass(hint):
+        data = dict(_expect(data, dict))
+        if data.keys() & {"lenses_used", "signatory_name", "signatory_role"}:
+            raise ValueError(f"{hint.__name__} holds a field under its model name, not its key")
+        if "lenses" in data:
+            data["lenses_used"] = data.pop("lenses")
+        for key, value in _expect(data.pop("signatory", {}), dict).items():
+            data[f"signatory_{key}"] = value
+        hints = typing.get_type_hints(hint)
+        if data.keys() != hints.keys():
+            raise ValueError(f"{hint.__name__} keys {sorted(data)} are not its fields {sorted(hints)}")
+        return hint(**{name: _decode(hints[name], value) for name, value in data.items()})
+    return _expect(data, hint)
+
+
+def _expect(value, kind: type):
+    if type(value) is not kind:
+        raise TypeError(f"expected {kind.__name__}, found {value!r}")
+    return value
+
+
+# ---------------------------------------------------------------------------
+# Diff inverse: the oracle that ``trace.diff_registers`` captures every
+# difference.
+
+def apply_inverse(new: m.RegisterDocument, changes: trace.ChangeSet,
+                  old: m.RegisterDocument) -> m.RegisterDocument:
+    """Rebuild the old document from the new one, steered by the changeset.
+
+    Entities the changeset does not mention are taken from ``new``
+    unchanged, so an incomplete diff produces a visibly wrong result.
+    """
+    kwargs: dict = {}
+    for kind in m.ENTITY_KINDS:
+        old_entities = {str(e.id): e for e in getattr(old, kind)}
+        rebuilt = [
+            e for e in getattr(new, kind)
+            if str(e.id) not in changes.added[kind]
+        ]
+        rebuilt = [
+            old_entities[str(e.id)] if str(e.id) in changes.modified[kind] else e
+            for e in rebuilt
+        ]
+        order = {str(e.id): i for i, e in enumerate(getattr(old, kind))}
+        rebuilt.extend(old_entities[i] for i in changes.removed[kind])
+        rebuilt.sort(key=lambda e: order[str(e.id)])
+        kwargs[kind] = tuple(rebuilt)
+
+    register_changes = set(changes.modified.get("register", ()))
+    kwargs["project"] = old.project if "project" in register_changes else new.project
+    kwargs["phase"] = old.phase if "project" in register_changes else new.phase
+    kwargs["soi"] = old.soi if "soi" in register_changes else new.soi
+    kwargs["mission"] = old.mission if "mission" in register_changes else new.mission
+    kwargs["investment_decision"] = (
+        old.investment_decision if "investment_decision" in register_changes
+        else new.investment_decision
+    )
+    kwargs["alias_map"] = (
+        dict(old.alias_map) if "alias_map" in register_changes else dict(new.alias_map)
+    )
+    uncovered = {f.name for f in fields(m.RegisterDocument)} ^ set(kwargs)
+    if uncovered:
+        raise RuntimeError(f"apply_inverse does not match the document fields {sorted(uncovered)}")
+    return m.RegisterDocument(**kwargs)

@@ -9,7 +9,8 @@ import pytest
 from evrforge import cli, dsl
 from evrforge import model as m
 
-from .conftest import FIXTURES, import_interchange
+from .conftest import FIXTURES
+from .support import import_interchange
 
 CLEAN = str(FIXTURES / "tm_clean.evr")
 WARNINGS = str(FIXTURES / "tm_warnings.evr")

@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given
@@ -101,6 +101,10 @@ class TestAdvancePhase:
 
 
 class TestValidation:
+    def test_every_collection_declares_its_kind(self):
+        collections = [f.name for f in fields(m.RegisterDocument) if f.default == ()]
+        assert list(m.ENTITY_KINDS) == collections
+
     def test_duplicate_ids_rejected(self):
         doc = base_doc(m.Phase.EXPLORATION, stakeholders=(
             m.Stakeholder(id="ST1", name="a", kind=m.StakeholderKind.DIRECT),
