@@ -1,13 +1,17 @@
-"""Pins on the writers, validation and diff.
+"""Pins on the parser, the writers, validation and diff.
 
 ``fixtures/pins.json`` holds SHA-256 digests of ``serialize_canonical`` and
 ``export_interchange`` for every fixture and ``random_register`` seeds
 0..999, the violations ``validate_register`` reports for crafted invalid
 documents (one entity duplicated, one id made non-identifier, seeds 0..99
 demoted to phase concept), and the bucket contents and key order of
-``diff_registers`` for seed pairs.  A refactor of any of these must leave
-every pin as it is.  Regenerate the file only for an intended change of
-output: ``PYTHONPATH=src python -m tests.test_pins``.
+``diff_registers`` for seed pairs.  It also holds the rendered parse
+diagnostics, and whether a document came back, for mutants of the
+``evrforge init demo`` scaffold (``fixtures/scaffold_demo.evr``), and the
+line-break violations (P037) for a line break injected into every string
+field of the model.  A refactor of any of these must leave every pin as it
+is.  Regenerate the file only for an intended change of output:
+``PYTHONPATH=src python -m tests.test_pins``.
 """
 
 from __future__ import annotations
@@ -16,7 +20,9 @@ import functools
 import hashlib
 import json
 import random
-from dataclasses import fields, replace
+import types
+import typing
+from dataclasses import fields, is_dataclass, replace
 
 import pytest
 
@@ -27,6 +33,7 @@ from .conftest import FIXTURES, load_fixture
 from .support import random_register
 
 PINS = FIXTURES / "pins.json"
+SCAFFOLD = FIXTURES / "scaffold_demo.evr"
 SEEDS = range(1000)
 KINDS = tuple(f.name for f in fields(m.RegisterDocument) if f.default == ())
 IDENT_KINDS = ("sos_elements", "stakeholders", "contexts", "sessions", "statements",
@@ -42,11 +49,126 @@ def _violations(doc: m.RegisterDocument) -> list[list[str]]:
     return [[v.code, v.subject, v.message] for v in m.validate_register(doc)]
 
 
+# One token of each kind, put in place of every token of another kind.
+REPLACEMENTS = {"STRING": '"s"', "INT": "7", "DOTTED": "1.1.1", "IDENT": "word",
+                "COMMA": ",", "END": "end"}
+
+
+def _scaffold_mutants(text: str):
+    """(name, source) for the scaffold with each line deleted (``-LINE``),
+    each ``end`` dropped (``LINE:COL``) and each token after the first on
+    its line replaced by one of every other kind (``LINE:COL=TOKEN``)."""
+    lines = text.split("\n")
+
+    def edit(line_no: int, col: int, end_col: int, new: str) -> str:
+        line = lines[line_no - 1]
+        return "\n".join(lines[:line_no - 1] + [line[:col - 1] + new + line[end_col - 1:]]
+                         + lines[line_no:])
+
+    for i, line in enumerate(lines):
+        if line.strip() and not line.lstrip().startswith("#"):
+            yield f"-{i + 1}", "\n".join(lines[:i] + lines[i + 1:])
+    tokens, _ = dsl._lex(text, SCAFFOLD.name)
+    first: dict[int, object] = {}
+    for tok in tokens[:-1]:
+        first.setdefault(tok.line, tok)
+        kind = "END" if tok.kind == "IDENT" and tok.value == "end" else tok.kind
+        if kind == "END":
+            yield f"{tok.line}:{tok.col}", edit(tok.line, tok.col, tok.end_col, "")
+        elif first[tok.line] is not tok:
+            for other, new in REPLACEMENTS.items():
+                if other != kind:
+                    yield (f"{tok.line}:{tok.col}={new}",
+                           edit(tok.line, tok.col, tok.end_col, new))
+
+
+def _parse_pins() -> dict[str, str]:
+    pins = {}
+    for name, source in _scaffold_mutants(SCAFFOLD.read_text(encoding="utf-8")):
+        result = dsl.parse_register(source, SCAFFOLD.name)
+        flag = "no document" if result.document is None else "document"
+        pins[name] = "\n".join([flag] + [d.render() for d in result.diagnostics])
+    return pins
+
+
+def _string_shapes(hint, shape=()):
+    """Where a string can sit in a document: field names, ``[]`` for a
+    tuple item, ``{key}`` and ``{value}`` for the alias map."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (typing.Union, types.UnionType):
+        yield from _string_shapes(args[0], shape)
+    elif origin is tuple:
+        yield from _string_shapes(args[0], shape + ("[]",))
+    elif origin is dict:
+        yield shape + ("{key}",)
+        yield shape + ("{value}",)
+    elif hint is str:
+        yield shape
+    elif is_dataclass(hint):
+        for name, sub in typing.get_type_hints(hint).items():
+            yield from _string_shapes(sub, shape + (name,))
+
+
+def _held(value, shape, path=()):
+    """The paths to non-empty strings of ``shape`` in ``value``."""
+    if not shape:
+        if value:
+            yield path
+    elif value is not None:
+        step, rest = shape[0], shape[1:]
+        if step == "[]":
+            for i, item in enumerate(value):
+                yield from _held(item, rest, path + (i,))
+        elif step in ("{key}", "{value}"):
+            for key, item in value.items():
+                if (key if step == "{key}" else item):
+                    yield path + ((step, key),)
+        else:
+            yield from _held(getattr(value, step), rest, path + (step,))
+
+
+def _inject(value, path, new):
+    """``value`` with the string at ``path`` replaced by ``new(string)``."""
+    if not path:
+        return new(value)
+    step, rest = path[0], path[1:]
+    if isinstance(step, int):
+        return value[:step] + (_inject(value[step], rest, new),) + value[step + 1:]
+    if isinstance(step, tuple):
+        where, key = step
+        if where == "{value}":
+            return {**value, key: new(value[key])}
+        return {(new(k) if k == key else k): v for k, v in value.items()}
+    return replace(value, **{step: _inject(getattr(value, step), rest, new)})
+
+
+def _line_break_pins(named) -> dict[str, list]:
+    """For every string shape: the first document holding it, and the P037
+    (code, subject) pairs after a LF, then a CR, is put into the string."""
+    pins = {}
+    for shape in _string_shapes(m.RegisterDocument):
+        key = ".".join(shape).replace(".[]", "[]").replace(".{", "{")
+        for name, doc in named:
+            path = next(_held(doc, shape), None)
+            if path is not None:
+                break
+        else:
+            pins[key] = None
+            continue
+        pins[key] = [name] + [
+            [[v.code, v.subject] for v in m.validate_register(
+                _inject(doc, path, lambda s: s[:1] + brk + s[1:])) if v.code == "P037"]
+            for brk in ("\n", "\r")
+        ]
+    return pins
+
+
 @functools.cache
 def compute_pins() -> dict:
     seeds = [random_register(random.Random(s)) for s in SEEDS]
-    named = [(p.name, load_fixture(p.name)) for p in sorted(FIXTURES.glob("*.evr"))]
+    named = [(p.name, load_fixture(p.name)) for p in sorted(FIXTURES.glob("tm_*.evr"))]
     named += [(f"seed {s}", doc) for s, doc in enumerate(seeds)]
+    holders = named[:5] + [(SCAFFOLD.name, load_fixture(SCAFFOLD.name))] + named[5:]
 
     duplicated: dict[str, list] = {}
     bad_id: dict[str, list] = {}
@@ -75,19 +197,34 @@ def compute_pins() -> dict:
         "demoted": {f"seed {s}": _sha(json.dumps(_violations(replace(seeds[s], phase=m.Phase.CONCEPT))))
                     for s in range(100)},
         "diff": diff,
+        "line_breaks": _line_break_pins(holders),
+        "parse": _parse_pins(),
     }
 
 
-@pytest.mark.parametrize("section", ["writers", "duplicated", "bad_id", "demoted", "diff"])
+@pytest.mark.parametrize("section", ["writers", "duplicated", "bad_id", "demoted", "diff",
+                                     "line_breaks"])
 def test_pins_hold(section):
     pinned = json.loads(PINS.read_text(encoding="utf-8"))
     assert compute_pins()[section] == pinned[section]
+
+
+def test_parse_pins_hold():
+    pinned = json.loads(PINS.read_text(encoding="utf-8"))["parse"]
+    computed = compute_pins()["parse"]
+    assert computed.keys() == pinned.keys()
+    changed = {name: (pinned[name], text) for name, text in computed.items()
+               if text != pinned[name]}
+    assert not changed, f"{len(changed)} mutants changed, e.g. {next(iter(changed.items()))}"
 
 
 def test_pins_cover_every_kind():
     pinned = json.loads(PINS.read_text(encoding="utf-8"))
     assert {key.split(" in ")[0] for key in pinned["duplicated"]} == set(KINDS)
     assert {key.split(" in ")[0] for key in pinned["bad_id"]} == set(IDENT_KINDS)
+    assert all(pinned["line_breaks"].values())
+    codes = {line.split()[1] for text in pinned["parse"].values() for line in text.split("\n")[1:]}
+    assert {"P001", "P006", "P012", "P018", "P020", "P034", "P090"} <= codes
 
 
 if __name__ == "__main__":
