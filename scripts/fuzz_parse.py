@@ -5,7 +5,10 @@ Feeds seeded random token soup into the register parser and checks the
 robustness contract: no crash, document present exactly when there are no
 errors, and every diagnostic span inside the input's bounds.  It also checks
 that the lexer gives the same tokens and diagnostics as the reference lexer
-in ``tests/support.py``.
+in ``tests/support.py``.  Besides a fixed piece list, the soup draws on
+every block keyword and attribute key of the parser's block table, and on
+the lines of the ``evrforge init`` scaffold, which open every kind of block
+and give every attribute a value, so that each attribute reader is reached.
 
     python scripts/fuzz_parse.py --count 100000 --seed 123456
 """
@@ -22,6 +25,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 from evrforge import dsl  # noqa: E402
+from evrforge.cli import scaffold_text  # noqa: E402
 from tests.support import reference_lex  # noqa: E402
 
 PIECES = [
@@ -33,6 +37,10 @@ PIECES = [
     "\\", '"a\\"b"', '"a\\qb"', "€", "日本語", "~", "xyz", "concept",
     "exploration", "@", "-", ".", '"', "direct",
 ]
+TABLE = {*dsl._BLOCKS, *(a.key for block in dsl._BLOCKS.values() for a in block.attrs)}
+SCAFFOLD = {line.strip() for line in scaffold_text("fuzz").splitlines()
+            if line.strip() and not line.startswith("#")}
+PIECES += sorted((TABLE | SCAFFOLD) - set(PIECES))
 
 
 def fuzz_source(rng: random.Random) -> str:

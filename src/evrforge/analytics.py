@@ -11,14 +11,13 @@ nothing here writes back into a document.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from . import model as m
 
 MANDATORY_LENSES = (m.LensKind.UTILITARIAN, m.LensKind.VIRTUE, m.LensKind.DUTY)
 
-CRITERIA = ("endurance", "depth", "indivisibility", "bearer_independence",
-            "intrinsic_worth")
+CRITERIA = tuple(f.name for f in fields(m.HierarchyScores))
 
 
 @dataclass(frozen=True)

@@ -238,15 +238,6 @@ def render_coverage_report(doc: m.RegisterDocument) -> str:
     return "\n".join(lines) + "\n"
 
 
-_SUBJECT_LABEL = {
-    m.SubjectKind.PRIORITY_DECISION: "priority",
-    m.SubjectKind.RISK_ACCEPTANCE: "risk",
-    m.SubjectKind.MISSION: "mission",
-    m.SubjectKind.INVESTMENT_DECISION: "decision",
-    m.SubjectKind.RULE: "rule",
-}
-
-
 def render_audit_report(doc: m.RegisterDocument,
                         diagnostics: tuple[rules.Diagnostic, ...]) -> str:
     lines = ["ETHICAL VALUE REGISTER AUDIT", "============================"]
@@ -288,7 +279,7 @@ def render_audit_report(doc: m.RegisterDocument,
     lines.extend(["", "ATTESTATIONS", "------------"])
     if doc.attestations:
         for att in doc.attestations:
-            subject = _SUBJECT_LABEL[att.subject.kind]
+            subject = dsl._ATTESTED_WORDS[att.subject.kind][0]
             if att.subject.ref:
                 subject += f" {att.subject.ref}"
             consent = ", consent given" if att.consent else ""
@@ -407,6 +398,10 @@ stakeholder ST1 "end users"
   kind direct
   note "People who use the system directly."
   region "EU"
+  motivation "wants quick answers they can trust"
+  power "can switch to another service at any time"
+  knowledge "knows their own needs and constraints"
+  legitimization "their personal data is processed"
 end
 
 stakeholder ST2 "local communities"
@@ -439,14 +434,16 @@ end
 statement V1
   session SES1
   by ST1
-  lens utilitarian
+  lens cultural "a regional ethics tradition"
   polarity positive
   note "The service saves people time."
   value "convenience"
+  extracted "efficiency"
 end
 
 corevalue 1 "privacy" rank 1
   alias "data protection"
+  intrinsic true
   endurance 5
   depth 4
   indivisibility 4
@@ -464,6 +461,10 @@ evr 1.1.1 "Personal data is encrypted at rest and in transit" of 1.1
   threshold "encrypted records" ">=" "100 percent" "coverage is verifiable in storage audits"
   risk high
   legal "data protection law"
+  harm_life false
+  harm_health true
+  harm_legal_breach true
+  likelihood reasonably_likely
   demand 3 "a breach exposes personal data"
 end
 
@@ -526,6 +527,14 @@ attestation A4 decision
   date "2026-01-22"
 end
 
+attestation A5 rule "VBE-C12"
+  by "Alex Example"
+  role stakeholder_rep
+  date "2026-01-23"
+  consent true
+  note "The user panel agrees with the value priorities."
+end
+
 mission
   note "We build {name} so that people keep control over their personal data."
   feature 1
@@ -542,6 +551,7 @@ feedback FB1
   from ST1
   note "Early testers ask for clearer consent wording."
   resulted V1
+  reprioritize false
 end
 
 alias "secrecy" "privacy"

@@ -20,11 +20,14 @@ Sketch of the grammar::
     threat      := "threat" N.M.K-Tj "of" N.M.K attrs "end"
     control     := "control" N.M.K-Cj "for" TID ("," TID)* attrs "end"
     alias       := "alias" STRING STRING
-    attrs       := (KEY value*)*      keys fixed per block kind
+    attrs       := (KEY value*)*      keys and values declared per block kind
 
-Parsing never aborts: problems come back as diagnostics with source spans,
-and recovery continues after a broken block so one run reports many errors.
-A document is returned only when no error-severity diagnostic was produced.
+``_BLOCKS`` declares each block kind once, header slots and attributes in
+canonical order; the parser, the canonical writer and the line-break check
+(P037) all follow it.  Parsing never aborts: problems come back as
+diagnostics with source spans, and recovery continues after a broken block
+so one run reports many errors.  A document is returned only when no
+error-severity diagnostic was produced.
 """
 
 from __future__ import annotations
@@ -32,10 +35,12 @@ from __future__ import annotations
 import functools
 import json
 import re
+import sys
+import typing
 from collections.abc import Callable
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from enum import Enum
-from operator import attrgetter
+from operator import attrgetter, methodcaller
 
 from . import model as m
 
@@ -178,14 +183,6 @@ def _lex(source: str, file: str) -> tuple[list[_Token], list[ParseDiagnostic]]:
 # ---------------------------------------------------------------------------
 # Parser
 
-_BLOCK_KEYWORDS = {
-    "soi", "sos", "stakeholder", "context", "session", "statement",
-    "corevalue", "quality", "evr", "threat", "control", "disposition",
-    "funcreq", "concept", "persona", "attestation", "mission", "decision",
-    "feedback", "alias",
-}
-
-
 @functools.cache
 def _enum_members(enum_cls: type[Enum]) -> dict[str, Enum]:
     return {e.value: e for e in enum_cls}
@@ -206,16 +203,15 @@ class _Parser:
         self.pos = 0
         self.diags: list[ParseDiagnostic] = []
         self.spans: dict[str, SourceSpan] = {}
+        # int() refuses numbers with more digits than this; 0 means no limit,
+        # and Python before 3.10.7 has none.
+        self.max_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
         self.project_name = ""
         self.version = ""
         self.phase = m.Phase.CONCEPT
-        self.soi: m.Soi | None = None
-        # Entities per document collection; personas are _RawPersona until
-        # build_document resolves their kind.
         self.entities: dict[str, list] = {kind: [] for kind in m.ENTITY_KINDS}
-        self.mission: m.ValueMission | None = None
-        self.decision: m.InvestmentDecision | None = None
+        self.singles: dict[str, object] = {}  # soi, mission, investment_decision
         self.aliases: dict[str, str] = {}
 
     # -- token plumbing
@@ -235,6 +231,14 @@ class _Parser:
     def diag(self, severity: str, code: str, message: str, token: _Token) -> None:
         self.diags.append(ParseDiagnostic(token.span(self.file), severity, code, message))
 
+    def refused(self, text: str) -> bool:
+        """Whether int() would refuse a run of digits in ``text``."""
+        limit = self.max_digits
+        return 0 < limit < len(text) and any(len(run) > limit
+                                             for run in re.findall("[0-9]+", text))
+
+    # -- token readers: each takes a description for its error message
+
     def need_string(self, what: str) -> str:
         tok = self.peek()
         if tok.kind != "STRING":
@@ -245,11 +249,31 @@ class _Parser:
         tok = self.peek()
         if tok.kind != "INT":
             self.error(f"expected {what} (an integer), found {tok.text or 'end of input'!r}")
+        if self.refused(tok.value):
+            self.error(f"{what} is out of range ({len(tok.value)} digits)", code="P021")
+        return int(self.advance().value)
+
+    def need_number(self, what: str) -> int:
+        """A core value number: an integer without a leading zero."""
+        tok = self.peek()
+        if tok.kind != "INT" or (len(tok.value) > 1 and tok.value.startswith("0")):
+            self.error(f"expected {what}, found {tok.text or 'end of input'!r}", code="P012")
+        if self.refused(tok.value):
+            self.error(f"expected {what}, found a {len(tok.value)}-digit number", code="P012")
         return int(self.advance().value)
 
     def need_ident(self, what: str) -> str:
         tok = self.peek()
         if tok.kind != "IDENT":
+            self.error(f"expected {what}, found {tok.text or 'end of input'!r}")
+        return self.advance().value
+
+    def need_name(self, what: str, dotted=None) -> str:
+        """An identifier other than ``end``, or a dotted id that matches
+        the pattern ``dotted``."""
+        tok = self.peek()
+        if not (tok.kind == "IDENT" and tok.value != "end"
+                or dotted and tok.kind == "DOTTED" and dotted.match(tok.value)):
             self.error(f"expected {what}, found {tok.text or 'end of input'!r}")
         return self.advance().value
 
@@ -281,7 +305,30 @@ class _Parser:
         tok = self.peek()
         if tok.kind not in ("DOTTED", "INT") or not pattern.match(tok.value):
             self.error(f"expected {what}, found {tok.text or 'end of input'!r}", code="P012")
+        if self.refused(tok.value):
+            self.error(f"expected {what}, found a {len(tok.value)}-character id", code="P012")
         return self.advance().value
+
+    def need_lens(self, what: str) -> m.Lens:
+        kind = self.need_enum(m.LensKind, what)
+        if kind is m.LensKind.CULTURAL and self.peek().kind == "STRING":
+            return m.Lens(kind, self.advance().value)
+        return m.Lens(kind)
+
+    def need_subject(self, what: str) -> str:
+        """A data subject: a stakeholder id, or any name as a string."""
+        tok = self.peek()
+        if tok.kind == "IDENT" and tok.value != "end":
+            return self.advance().value
+        return self.need_string(what)
+
+    def need_attested(self, what: str) -> m.AttestationSubject:
+        word = self.need_ident(what)
+        if word not in _ATTESTED:
+            *words, last = _ATTESTED
+            self.error(f"expected {', '.join(words)} or {last}, found {word!r}")
+        kind, reader, ref_what = _ATTESTED[word]
+        return m.AttestationSubject(kind, "" if reader is None else str(reader.read(self, ref_what)))
 
     def record_span(self, entity_id: str, token: _Token) -> None:
         self.spans.setdefault(entity_id, token.span(self.file))
@@ -298,7 +345,7 @@ class _Parser:
             self.skip_to_block()
         while self.peek().kind != "EOF":
             tok = self.peek()
-            if tok.kind == "IDENT" and tok.value in _BLOCK_KEYWORDS:
+            if tok.kind == "IDENT" and tok.value in _BLOCKS:
                 try:
                     self.parse_block(self.advance())
                 except _SyntaxProblem as problem:
@@ -315,7 +362,7 @@ class _Parser:
     def skip_to_block(self) -> None:
         while self.peek().kind != "EOF":
             tok = self.peek()
-            if tok.kind == "IDENT" and tok.value in _BLOCK_KEYWORDS:
+            if tok.kind == "IDENT" and tok.value in _BLOCKS:
                 return
             self.advance()
 
@@ -325,7 +372,7 @@ class _Parser:
             tok = self.advance()
             if tok.kind == "IDENT" and tok.value == "end":
                 return
-            if tok.kind == "IDENT" and tok.value in _BLOCK_KEYWORDS:
+            if tok.kind == "IDENT" and tok.value in _BLOCKS:
                 # The block was evidently never closed; rewind so the next
                 # block still parses.
                 self.pos -= 1
@@ -342,13 +389,35 @@ class _Parser:
         self.phase = self.need_enum(m.Phase, "phase")
 
     def parse_block(self, head: _Token) -> None:
-        handler = getattr(self, f"block_{head.value}")
-        handler(head)
+        block = _BLOCKS[head.value]
+        if block.single and block.slot in self.singles:
+            self.diag("error", "P018", f"duplicate {block.keyword} block", head)
+        values: dict = {}
+        for slot in block.head:
+            if slot.__class__ is str:
+                self.need_keyword(slot)
+                continue
+            values[slot.field] = slot.reader.read(self, slot.what)
+            if slot.field == block.id_field:
+                self.record_span(str(values[slot.field]), head)
+        if block.keys is not None:
+            self.parse_attrs(block.keys, values)
+        if block.from_project:
+            values.setdefault(block.from_project, self.project_name)
+        obj = block.build(values, self, head)
 
-    # -- attribute machinery
+        if block.single:
+            self.singles.setdefault(block.slot, obj)
+        elif block.cls is not _Alias:
+            self.entities[block.slot].append(obj)
+        elif obj.name in self.aliases:
+            self.diag("error", "P010", f"duplicate alias {obj.name!r}", head)
+        else:
+            self.aliases[obj.name] = obj.target
 
-    def parse_attrs(self, keys: dict) -> None:
-        """Consume ``(KEY value*)*`` up to and including ``end``."""
+    def parse_attrs(self, keys: dict, values: dict) -> None:
+        """Consume ``(KEY value*)*`` up to and including ``end``; a repeated
+        attribute collects its values in a list."""
         while True:
             tok = self.peek()
             if tok.kind == "EOF":
@@ -358,8 +427,8 @@ class _Parser:
             if tok.value == "end":
                 self.advance()
                 return
-            handler = keys.get(tok.value)
-            if handler is None:
+            attr = keys.get(tok.value)
+            if attr is None:
                 self.diag("warning", "P090", f"unknown attribute key {tok.value!r}", tok)
                 self.advance()
                 nxt = self.peek()
@@ -369,577 +438,33 @@ class _Parser:
                     self.advance()
                 continue
             self.advance()
-            handler()
-
-    def parse_lens(self) -> m.Lens:
-        kind = self.need_enum(m.LensKind, "lens kind")
-        framework = ""
-        if kind is m.LensKind.CULTURAL and self.peek().kind == "STRING":
-            framework = self.advance().value
-        return m.Lens(kind=kind, framework=framework)
-
-    def collect_notes(self) -> "_NoteAccumulator":
-        return _NoteAccumulator()
-
-    # -- blocks
-
-    def block_soi(self, head: _Token) -> None:
-        if self.soi is not None:
-            self.diag("error", "P018", "duplicate soi block", head)
-        regions: list[str] = []
-        notes = self.collect_notes()
-        state: dict = {}
-
-        self.parse_attrs({
-            "name": lambda: state.__setitem__("name", self.need_string("system name")),
-            "note": lambda: notes.add(self.need_string("note text")),
-            "region": lambda: regions.append(self.need_string("region code")),
-        })
-        # An soi block without a name inherits the project name.
-        name = state["name"] if "name" in state else self.project_name
-        soi = m.Soi(name=name, concept_of_operation=notes.text(),
-                    deployment_regions=tuple(regions))
-        if self.soi is None:
-            self.soi = soi
-
-    def block_sos(self, head: _Token) -> None:
-        eid = self.need_ident("sos element id")
-        self.record_span(eid, head)
-        name = self.need_string("sos element name")
-        state: dict = {"tier": 1, "personal_data": False, "ethical_scope": False,
-                       "enabling_access": False}
-
-        self.parse_attrs({
-            "cooperation": lambda: state.__setitem__(
-                "cooperation", self.need_enum(m.CooperationType, "cooperation type")),
-            "tier": lambda: state.__setitem__("tier", self.need_int("tier")),
-            "personal_data": lambda: state.__setitem__(
-                "personal_data", self.need_bool("personal_data")),
-            "ethical_scope": lambda: state.__setitem__(
-                "ethical_scope", self.need_bool("ethical_scope")),
-            "enabling_access": lambda: state.__setitem__(
-                "enabling_access", self.need_bool("enabling_access")),
-        })
-        if "cooperation" not in state:
-            self.error(f"sos element {eid} declares no cooperation type", head, code="P006")
-        self.entities["sos_elements"].append(m.SosElement(
-            id=eid, name=name, cooperation_type=state["cooperation"],
-            tier=state["tier"], processes_personal_data=state["personal_data"],
-            in_ethical_scope=state["ethical_scope"],
-            access_to_enabling_elements=state["enabling_access"],
-        ))
-
-    def block_stakeholder(self, head: _Token) -> None:
-        eid = self.need_ident("stakeholder id")
-        self.record_span(eid, head)
-        name = self.need_string("stakeholder name")
-        notes = self.collect_notes()
-        state: dict = {"region": ""}
-        profile: dict = {}
-
-        self.parse_attrs({
-            "kind": lambda: state.__setitem__(
-                "kind", self.need_enum(m.StakeholderKind, "stakeholder kind")),
-            "note": lambda: notes.add(self.need_string("note text")),
-            "region": lambda: state.__setitem__("region", self.need_string("region code")),
-            "motivation": lambda: profile.__setitem__("motivation", self.need_string("motivation")),
-            "power": lambda: profile.__setitem__("power", self.need_string("power")),
-            "knowledge": lambda: profile.__setitem__("knowledge", self.need_string("knowledge")),
-            "legitimization": lambda: profile.__setitem__(
-                "legitimization", self.need_string("legitimization")),
-        })
-        if "kind" not in state:
-            self.error(f"stakeholder {eid} declares no kind", head, code="P006")
-        self.entities["stakeholders"].append(m.Stakeholder(
-            id=eid, name=name, kind=state["kind"], description=notes.text(),
-            region=state["region"],
-            selection_profile=m.SelectionProfile(**profile) if profile else None,
-        ))
-
-    def block_context(self, head: _Token) -> None:
-        eid = self.need_ident("context id")
-        self.record_span(eid, head)
-        name = self.need_string("context name")
-        state: dict = {"captured": m.CaptureStage.PRE_DESIGN}
-        elements: list[str] = []
-        types: list[str] = []
-        flows: list[m.DataFlow] = []
-        subjects: list[str] = []
-        expectations: list[str] = []
-
-        def add_flow():
-            source = self.need_string("flow source element")
-            sink = self.need_string("flow sink element")
-            dtype = self.need_string("flow data type")
-            flows.append(m.DataFlow(source=source, sink=sink, data_type=dtype))
-
-        def add_subject():
-            tok = self.peek()
-            if tok.kind == "IDENT" and tok.value != "end":
-                subjects.append(self.advance().value)
+            name, read, what, repeated = attr
+            value = read(self, what)
+            if not repeated:
+                values[name] = value
+            elif name in values:
+                values[name].append(value)
             else:
-                subjects.append(self.need_string("data subject"))
-
-        self.parse_attrs({
-            "captured": lambda: state.__setitem__(
-                "captured", self.need_enum(m.CaptureStage, "capture stage")),
-            "element": lambda: elements.append(self.need_string("data element")),
-            "data_type": lambda: types.append(self.need_string("data type")),
-            "flow": add_flow,
-            "subject": add_subject,
-            "expect": lambda: expectations.append(self.need_string("integrity expectation")),
-        })
-        self.entities["contexts"].append(m.ContextOfUse(
-            id=eid, name=name, captured=state["captured"],
-            data_elements=tuple(elements), data_flows=tuple(flows),
-            data_subjects=tuple(subjects), data_types=tuple(types),
-            integrity_expectations=tuple(expectations),
-        ))
-
-    def block_session(self, head: _Token) -> None:
-        eid = self.need_ident("session id")
-        self.record_span(eid, head)
-        state: dict = {"date": ""}
-        participants: list[str] = []
-        lenses: list[m.Lens] = []
-
-        self.parse_attrs({
-            "date": lambda: state.__setitem__("date", self.need_string("session date")),
-            "participant": lambda: participants.append(self.need_ident("stakeholder id")),
-            "lens": lambda: lenses.append(self.parse_lens()),
-        })
-        self.entities["sessions"].append(m.ElicitationSession(
-            id=eid, date=state["date"], participants=tuple(participants),
-            lenses_used=tuple(lenses),
-        ))
-
-    def block_statement(self, head: _Token) -> None:
-        eid = self.need_ident("statement id")
-        self.record_span(eid, head)
-        notes = self.collect_notes()
-        state: dict = {"polarity": m.Polarity.POSITIVE}
-        named: list[str] = []
-        extracted: list[str] = []
-
-        self.parse_attrs({
-            "session": lambda: state.__setitem__("session", self.need_ident("session id")),
-            "by": lambda: state.__setitem__("by", self.need_ident("stakeholder id")),
-            "lens": lambda: state.__setitem__("lens", self.parse_lens()),
-            "polarity": lambda: state.__setitem__(
-                "polarity", self.need_enum(m.Polarity, "polarity")),
-            "note": lambda: notes.add(self.need_string("note text")),
-            "value": lambda: named.append(self.need_string("value name")),
-            "extracted": lambda: extracted.append(self.need_string("value name")),
-        })
-        for required in ("session", "by", "lens"):
-            if required not in state:
-                self.error(f"statement {eid} declares no {required}", head, code="P006")
-        self.entities["statements"].append(m.ValueStatement(
-            id=eid, session=state["session"], stakeholder=state["by"],
-            lens=state["lens"], text=notes.text(), polarity=state["polarity"],
-            named_values=tuple(named), extracted_values=tuple(extracted),
-        ))
-
-    def block_corevalue(self, head: _Token) -> None:
-        tok = self.peek()
-        if tok.kind != "INT" or (len(tok.value) > 1 and tok.value.startswith("0")):
-            self.error(f"expected a core value number, found {tok.text or 'end of input'!r}",
-                       code="P012")
-        cv_id = int(self.advance().value)
-        self.record_span(str(cv_id), head)
-        name = self.need_string("core value name")
-        self.need_keyword("rank")
-        rank = self.need_int("priority rank")
-        aliases: list[str] = []
-        supports: list[str] = []
-        state: dict = {"intrinsic": True}
-        scores: dict = {}
-
-        criteria = ("endurance", "depth", "indivisibility", "bearer_independence",
-                    "intrinsic_worth")
-
-        def score_setter(criterion: str):
-            return lambda: scores.__setitem__(criterion, self.need_int(criterion))
-
-        keys: dict = {
-            "alias": lambda: aliases.append(self.need_string("alias name")),
-            "intrinsic": lambda: state.__setitem__("intrinsic", self.need_bool("intrinsic")),
-            "support": lambda: supports.append(self.need_ident("statement id")),
-        }
-        for criterion in criteria:
-            keys[criterion] = score_setter(criterion)
-        self.parse_attrs(keys)
-
-        hierarchy = None
-        if scores:
-            missing = [c for c in criteria if c not in scores]
-            if missing:
-                self.error(
-                    f"core value {cv_id} scores are incomplete (missing {', '.join(missing)})",
-                    head, code="P034",
-                )
-            hierarchy = m.HierarchyScores(**scores)
-        self.entities["core_values"].append(m.CoreValue(
-            id=cv_id, name=name, priority_rank=rank, aliases=tuple(aliases),
-            intrinsic=state["intrinsic"], hierarchy_scores=hierarchy,
-            supporting_statements=tuple(supports),
-        ))
-
-    def block_quality(self, head: _Token) -> None:
-        qid = self.need_dotted(m.QUALITY_ID_RE, "a quality id of the form N.M")
-        self.record_span(qid, head)
-        name = self.need_string("quality name")
-        self.need_keyword("of")
-        parent = self.need_int("parent core value number")
-        self.need_keyword("direction")
-        direction = self.need_enum(m.QualityDirection, "direction")
-        state: dict = {"source": m.QualitySource.STAKEHOLDER}
-
-        self.parse_attrs({
-            "source": lambda: state.__setitem__(
-                "source", self.need_enum(m.QualitySource, "quality source")),
-        })
-        self.entities["qualities"].append(m.ValueQuality(
-            id=qid, core_value=parent, name=name, direction=direction,
-            source=state["source"],
-        ))
-
-    def block_evr(self, head: _Token) -> None:
-        eid = self.need_dotted(m.EVR_ID_RE, "an EVR id of the form N.M.K")
-        self.record_span(eid, head)
-        text = self.need_string("requirement text")
-        self.need_keyword("of")
-        quality = self.need_dotted(m.QUALITY_ID_RE, "the parent quality id")
-        state: dict = {
-            "kind": m.EvrKind.ORGANIZATIONAL,
-            "risk": m.RiskPath.UNCLASSIFIED,
-            "likelihood": m.HarmLikelihood.UNLIKELY,
-            "life": False, "health": False, "legal_breach": False,
-        }
-        legal: list[str] = []
-
-        def set_threshold():
-            metric = self.need_string("threshold metric")
-            comparator = self.need_string("threshold comparator")
-            level = self.need_string("threshold level")
-            rationale = self.need_string("threshold rationale")
-            state["threshold"] = m.Threshold(metric=metric, comparator=comparator,
-                                             level=level, rationale=rationale)
-
-        def set_demand():
-            level = self.need_int("protection demand level")
-            rationale = self.need_string("protection demand rationale")
-            state["demand"] = m.ProtectionDemand(level=level, rationale=rationale)
-
-        self.parse_attrs({
-            "kind": lambda: state.__setitem__("kind", self.need_enum(m.EvrKind, "EVR kind")),
-            "threshold": set_threshold,
-            "risk": lambda: state.__setitem__("risk", self.need_enum(m.RiskPath, "risk path")),
-            "legal": lambda: legal.append(self.need_string("legal instrument")),
-            "harm_life": lambda: state.__setitem__("life", self.need_bool("harm_life")),
-            "harm_health": lambda: state.__setitem__("health", self.need_bool("harm_health")),
-            "harm_legal_breach": lambda: state.__setitem__(
-                "legal_breach", self.need_bool("harm_legal_breach")),
-            "likelihood": lambda: state.__setitem__(
-                "likelihood", self.need_enum(m.HarmLikelihood, "harm likelihood")),
-            "demand": set_demand,
-        })
-        self.entities["evrs"].append(m.Evr(
-            id=eid, quality=quality, text=text, kind=state["kind"],
-            threshold=state.get("threshold"), risk_path=state["risk"],
-            legal_instruments=tuple(legal),
-            harm_flags=m.HarmFlags(life=state["life"], health=state["health"],
-                                   legal_breach=state["legal_breach"]),
-            harm_likelihood=state["likelihood"],
-            protection_demand=state.get("demand"),
-        ))
-
-    def block_threat(self, head: _Token) -> None:
-        tid = self.need_dotted(m.THREAT_ID_RE, "a threat id of the form N.M.K-Tj")
-        self.record_span(tid, head)
-        self.need_keyword("of")
-        evr = self.need_dotted(m.EVR_ID_RE, "the parent EVR id")
-        notes = self.collect_notes()
-        state: dict = {"realistic": True}
-
-        self.parse_attrs({
-            "realistic": lambda: state.__setitem__("realistic", self.need_bool("realistic")),
-            "note": lambda: notes.add(self.need_string("note text")),
-        })
-        self.entities["threats"].append(m.Threat(id=tid, evr=evr, description=notes.text(),
-                                                 realistic=state["realistic"]))
-
-    def block_control(self, head: _Token) -> None:
-        cid = self.need_dotted(m.CONTROL_ID_RE, "a control id of the form N.M.K-Cj")
-        self.record_span(cid, head)
-        self.need_keyword("for")
-        threats = [self.need_dotted(m.THREAT_ID_RE, "a threat id")]
-        while self.peek().kind == "COMMA":
-            self.advance()
-            threats.append(self.need_dotted(m.THREAT_ID_RE, "a threat id"))
-        notes = self.collect_notes()
-        state: dict = {"rigor": 1, "status": m.ControlStatus.PROPOSED}
-
-        self.parse_attrs({
-            "rigor": lambda: state.__setitem__("rigor", self.need_int("rigor")),
-            "form": lambda: state.__setitem__(
-                "form", self.need_enum(m.ControlForm, "control form")),
-            "status": lambda: state.__setitem__(
-                "status", self.need_enum(m.ControlStatus, "control status")),
-            "disposition": lambda: state.__setitem__(
-                "disposition", self.need_ident("disposition id")),
-            "note": lambda: notes.add(self.need_string("note text")),
-        })
-        if "form" not in state:
-            self.error(f"control {cid} declares no form", head, code="P006")
-        self.entities["controls"].append(m.Control(
-            id=cid, threats=tuple(threats), form=state["form"],
-            description=notes.text(), rigor=state["rigor"], status=state["status"],
-            implementing_disposition=state.get("disposition"),
-        ))
-
-    def block_disposition(self, head: _Token) -> None:
-        did = self.need_ident("disposition id")
-        self.record_span(did, head)
-        notes = self.collect_notes()
-        state: dict = {}
-        implements: list[str] = []
-
-        self.parse_attrs({
-            "component": lambda: state.__setitem__(
-                "component", self.need_string("soi component")),
-            "implements": lambda: implements.append(
-                self.need_dotted(m.CONTROL_ID_RE, "a control id")),
-            "note": lambda: notes.add(self.need_string("note text")),
-        })
-        if "component" not in state:
-            self.error(f"disposition {did} declares no soi component", head, code="P006")
-        self.entities["dispositions"].append(m.ValueDisposition(
-            id=did, soi_component=state["component"], implements=tuple(implements),
-            description=notes.text(),
-        ))
-
-    def block_funcreq(self, head: _Token) -> None:
-        fid = self.need_ident("functional requirement id")
-        self.record_span(fid, head)
-        notes = self.collect_notes()
-        self.parse_attrs({
-            "note": lambda: notes.add(self.need_string("note text")),
-        })
-        self.entities["functional_requirements"].append(
-            m.FunctionalRequirement(id=fid, text=notes.text()))
-
-    def block_concept(self, head: _Token) -> None:
-        cid = self.need_ident("design concept id")
-        self.record_span(cid, head)
-        name = self.need_string("design concept name")
-        ethical: list[str] = []
-        functional: list[str] = []
-
-        def add_ethical():
-            tok = self.peek()
-            if tok.kind == "DOTTED" and (m.EVR_ID_RE.match(tok.value)
-                                         or m.CONTROL_ID_RE.match(tok.value)):
-                ethical.append(self.advance().value)
-            else:
-                self.error(f"expected an EVR or control id, found {tok.text or 'end of input'!r}",
-                           code="P012")
-
-        self.parse_attrs({
-            "ethical": add_ethical,
-            "functional": lambda: functional.append(
-                self.need_ident("functional requirement id")),
-        })
-        self.entities["design_concepts"].append(m.DesignConcept(
-            id=cid, name=name, ethical_refs=tuple(ethical),
-            functional_refs=tuple(functional),
-        ))
-
-    def block_persona(self, head: _Token) -> None:
-        pid = self.need_ident("persona id")
-        self.record_span(pid, head)
-        name = self.need_string("persona name")
-        notes = self.collect_notes()
-        state: dict = {}
-
-        self.parse_attrs({
-            "stakeholder": lambda: state.__setitem__(
-                "stakeholder", self.need_ident("stakeholder id")),
-            "note": lambda: notes.add(self.need_string("note text")),
-        })
-        if "stakeholder" not in state:
-            self.error(f"persona {pid} declares no stakeholder", head, code="P006")
-        self.entities["personas"].append(_RawPersona(
-            id=pid, name=name, stakeholder=state["stakeholder"],
-            narrative=notes.text(),
-        ))
-
-    def block_attestation(self, head: _Token) -> None:
-        aid = self.need_ident("attestation id")
-        self.record_span(aid, head)
-        kind_word = self.need_ident("attestation subject")
-        if kind_word == "priority":
-            subject = m.AttestationSubject(m.SubjectKind.PRIORITY_DECISION,
-                                           str(self.need_int("core value number")))
-        elif kind_word == "risk":
-            subject = m.AttestationSubject(
-                m.SubjectKind.RISK_ACCEPTANCE,
-                self.need_dotted(m.CONTROL_ID_RE, "a control id"))
-        elif kind_word == "mission":
-            subject = m.AttestationSubject(m.SubjectKind.MISSION)
-        elif kind_word == "decision":
-            subject = m.AttestationSubject(m.SubjectKind.INVESTMENT_DECISION)
-        elif kind_word == "rule":
-            subject = m.AttestationSubject(m.SubjectKind.RULE,
-                                           self.need_string("rule id"))
-        else:
-            self.error(
-                f"expected priority, risk, mission, decision or rule, found {kind_word!r}")
-        notes = self.collect_notes()
-        state: dict = {"consent": False}
-
-        self.parse_attrs({
-            "by": lambda: state.__setitem__("by", self.need_string("signatory name")),
-            "role": lambda: state.__setitem__(
-                "role", self.need_enum(m.SignatoryRole, "signatory role")),
-            "date": lambda: state.__setitem__("date", self.need_string("date")),
-            "consent": lambda: state.__setitem__("consent", self.need_bool("consent")),
-            "note": lambda: notes.add(self.need_string("note text")),
-        })
-        for required in ("by", "role", "date"):
-            if required not in state:
-                self.error(f"attestation {aid} declares no {required}", head, code="P006")
-        self.entities["attestations"].append(m.Attestation(
-            id=aid, subject=subject, signatory_name=state["by"],
-            signatory_role=state["role"], date=state["date"],
-            statement=notes.text(), consent=state["consent"],
-        ))
-
-    def block_mission(self, head: _Token) -> None:
-        if self.mission is not None:
-            self.diag("error", "P018", "duplicate mission block", head)
-        notes = self.collect_notes()
-        featured: list[int] = []
-        signed: list[str] = []
-
-        self.parse_attrs({
-            "note": lambda: notes.add(self.need_string("note text")),
-            "feature": lambda: featured.append(self.need_int("core value number")),
-            "signed": lambda: signed.append(self.need_ident("attestation id")),
-        })
-        mission = m.ValueMission(text=notes.text(), featured=tuple(featured),
-                                 signed_by=tuple(signed))
-        if self.mission is None:
-            self.mission = mission
-
-    def block_decision(self, head: _Token) -> None:
-        if self.decision is not None:
-            self.diag("error", "P018", "duplicate decision block", head)
-        verdict = self.need_enum(m.Verdict, "verdict")
-        notes = self.collect_notes()
-        signed: list[str] = []
-
-        self.parse_attrs({
-            "note": lambda: notes.add(self.need_string("note text")),
-            "signed": lambda: signed.append(self.need_ident("attestation id")),
-        })
-        decision = m.InvestmentDecision(verdict=verdict, rationale=notes.text(),
-                                        attestations=tuple(signed))
-        if self.decision is None:
-            self.decision = decision
-
-    def block_feedback(self, head: _Token) -> None:
-        fid = self.need_ident("feedback id")
-        self.record_span(fid, head)
-        notes = self.collect_notes()
-        state: dict = {"date": "", "reprioritize": False}
-        resulted: list[str] = []
-
-        def set_source():
-            tok = self.peek()
-            if tok.kind == "IDENT" and tok.value != "end":
-                state["source"] = self.advance().value
-            else:
-                self.error(f"expected a stakeholder id or market, found {tok.text or 'end of input'!r}")
-
-        def add_resulted():
-            tok = self.peek()
-            if tok.kind == "IDENT" and tok.value != "end":
-                resulted.append(self.advance().value)
-            elif tok.kind == "DOTTED" and m.QUALITY_ID_RE.match(tok.value):
-                resulted.append(self.advance().value)
-            else:
-                self.error(
-                    f"expected a statement or quality id, found {tok.text or 'end of input'!r}")
-
-        self.parse_attrs({
-            "date": lambda: state.__setitem__("date", self.need_string("date")),
-            "from": set_source,
-            "note": lambda: notes.add(self.need_string("note text")),
-            "resulted": add_resulted,
-            "reprioritize": lambda: state.__setitem__(
-                "reprioritize", self.need_bool("reprioritize")),
-        })
-        if "source" not in state:
-            self.error(f"feedback {fid} declares no source", head, code="P006")
-        self.entities["feedback"].append(m.FeedbackEntry(
-            id=fid, source=state["source"], date=state["date"], text=notes.text(),
-            resulted=tuple(resulted),
-            reprioritization_required=state["reprioritize"],
-        ))
-
-    def block_alias(self, head: _Token) -> None:
-        name = self.need_string("alias name")
-        target = self.need_string("canonical name")
-        if name in self.aliases:
-            self.diag("error", "P010", f"duplicate alias {name!r}", head)
-            return
-        self.record_span(name, head)
-        self.aliases[name] = target
+                values[name] = [value]
 
     # -- assembly
 
     def build_document(self) -> m.RegisterDocument:
-        soi = self.soi if self.soi is not None else m.Soi(name=self.project_name)
-        collections = {kind: tuple(items) for kind, items in self.entities.items()}
-        holders = {s.id: s for s in collections["stakeholders"]}
-        collections["personas"] = tuple(
-            m.Persona(
-                id=p.id, name=p.name, stakeholder=p.stakeholder,
-                kind=holders[p.stakeholder].kind if p.stakeholder in holders
-                else m.StakeholderKind.DIRECT,
-                narrative=p.narrative,
-            )
-            for p in collections["personas"]
-        )
+        # A persona's kind is its stakeholder's.
+        kinds = {s.id: s.kind for s in self.entities["stakeholders"]}
+        self.entities["personas"] = [
+            replace(p, kind=kinds.get(p.stakeholder, m.StakeholderKind.DIRECT))
+            for p in self.entities["personas"]
+        ]
         return m.RegisterDocument(
             project=m.ProjectMeta(name=self.project_name, version=self.version),
             phase=self.phase,
-            soi=soi,
-            mission=self.mission,
-            investment_decision=self.decision,
+            soi=self.singles.get("soi") or m.Soi(name=self.project_name),
+            mission=self.singles.get("mission"),
+            investment_decision=self.singles.get("investment_decision"),
             alias_map=dict(self.aliases),
-            **collections,
+            **{kind: tuple(items) for kind, items in self.entities.items()},
         )
-
-
-@dataclass(frozen=True)
-class _RawPersona:
-    id: str
-    name: str
-    stakeholder: str
-    narrative: str
-
-
-class _NoteAccumulator:
-    def __init__(self) -> None:
-        self.lines: list[str] = []
-
-    def add(self, line: str) -> None:
-        self.lines.append(line)
-
-    def text(self) -> str:
-        return "\n".join(self.lines)
 
 
 def parse_register(source_text: str, file_name: str = "<register>") -> ParseResult:
@@ -972,284 +497,498 @@ def parse_register(source_text: str, file_name: str = "<register>") -> ParseResu
 
 
 # ---------------------------------------------------------------------------
-# Canonical serialization
+# The block table
 
 def _quote(value: str) -> str:
     return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def _notes(out: list[str], text: str) -> None:
-    if not text:
-        return
-    for line in text.split("\n"):
-        out.append(f"  note {_quote(line)}")
-
-
-def serialize_canonical(doc: m.RegisterDocument) -> str:
-    """Render a valid document in canonical form.
-
-    Declaration order is preserved per entity kind, attributes appear in a
-    fixed order, and attributes equal to their parse defaults are omitted,
-    so the output is a fixed point: parsing and re-serializing it gives the
-    same bytes.
-    """
-    blocks: list[str] = []
-    header = f"register {_quote(doc.project.name)}"
-    if doc.project.version:
-        header += f" version {_quote(doc.project.version)}"
-    header += f" phase {doc.phase.value}"
-    blocks.append(header)
-
-    if doc.soi != m.Soi(name=doc.project.name):
-        out = ["soi"]
-        if doc.soi.name != doc.project.name:
-            out.append(f"  name {_quote(doc.soi.name)}")
-        _notes(out, doc.soi.concept_of_operation)
-        for region in doc.soi.deployment_regions:
-            out.append(f"  region {_quote(region)}")
-        out.append("end")
-        blocks.append("\n".join(out))
-
-    for s in doc.sos_elements:
-        out = [f"sos {s.id} {_quote(s.name)}"]
-        out.append(f"  cooperation {s.cooperation_type.value}")
-        if s.tier != 1:
-            out.append(f"  tier {s.tier}")
-        if s.processes_personal_data:
-            out.append("  personal_data true")
-        if s.in_ethical_scope:
-            out.append("  ethical_scope true")
-        if s.access_to_enabling_elements:
-            out.append("  enabling_access true")
-        out.append("end")
-        blocks.append("\n".join(out))
-
-    for h in doc.stakeholders:
-        out = [f"stakeholder {h.id} {_quote(h.name)}"]
-        out.append(f"  kind {h.kind.value}")
-        _notes(out, h.description)
-        if h.region:
-            out.append(f"  region {_quote(h.region)}")
-        if h.selection_profile is not None:
-            p = h.selection_profile
-            for key, value in (("motivation", p.motivation), ("power", p.power),
-                               ("knowledge", p.knowledge),
-                               ("legitimization", p.legitimization)):
-                if value:
-                    out.append(f"  {key} {_quote(value)}")
-        out.append("end")
-        blocks.append("\n".join(out))
-
-    for c in doc.contexts:
-        out = [f"context {c.id} {_quote(c.name)}"]
-        if c.captured is not m.CaptureStage.PRE_DESIGN:
-            out.append(f"  captured {c.captured.value}")
-        for element in c.data_elements:
-            out.append(f"  element {_quote(element)}")
-        for dtype in c.data_types:
-            out.append(f"  data_type {_quote(dtype)}")
-        for flow in c.data_flows:
-            out.append(f"  flow {_quote(flow.source)} {_quote(flow.sink)} {_quote(flow.data_type)}")
-        holders = {s.id for s in doc.stakeholders}
-        for subject in c.data_subjects:
-            if subject in holders and m.IDENT_RE.match(subject):
-                out.append(f"  subject {subject}")
-            else:
-                out.append(f"  subject {_quote(subject)}")
-        for expectation in c.integrity_expectations:
-            out.append(f"  expect {_quote(expectation)}")
-        out.append("end")
-        blocks.append("\n".join(out))
-
-    for s in doc.sessions:
-        out = [f"session {s.id}"]
-        if s.date:
-            out.append(f"  date {_quote(s.date)}")
-        for participant in s.participants:
-            out.append(f"  participant {participant}")
-        for lens in s.lenses_used:
-            out.append("  lens " + _lens_text(lens))
-        out.append("end")
-        blocks.append("\n".join(out))
-
-    for st in doc.statements:
-        out = [f"statement {st.id}"]
-        out.append(f"  session {st.session}")
-        out.append(f"  by {st.stakeholder}")
-        out.append("  lens " + _lens_text(st.lens))
-        if st.polarity is not m.Polarity.POSITIVE:
-            out.append(f"  polarity {st.polarity.value}")
-        _notes(out, st.text)
-        for name in st.named_values:
-            out.append(f"  value {_quote(name)}")
-        for name in st.extracted_values:
-            out.append(f"  extracted {_quote(name)}")
-        out.append("end")
-        blocks.append("\n".join(out))
-
-    for cv in doc.core_values:
-        out = [f"corevalue {cv.id} {_quote(cv.name)} rank {cv.priority_rank}"]
-        for alias in cv.aliases:
-            out.append(f"  alias {_quote(alias)}")
-        if not cv.intrinsic:
-            out.append("  intrinsic false")
-        if cv.hierarchy_scores is not None:
-            s = cv.hierarchy_scores
-            out.append(f"  endurance {s.endurance}")
-            out.append(f"  depth {s.depth}")
-            out.append(f"  indivisibility {s.indivisibility}")
-            out.append(f"  bearer_independence {s.bearer_independence}")
-            out.append(f"  intrinsic_worth {s.intrinsic_worth}")
-        for ref in cv.supporting_statements:
-            out.append(f"  support {ref}")
-        out.append("end")
-        blocks.append("\n".join(out))
-
-    for q in doc.qualities:
-        out = [f"quality {q.id} {_quote(q.name)} of {q.core_value} direction {q.direction.value}"]
-        if q.source is not m.QualitySource.STAKEHOLDER:
-            out.append(f"  source {q.source.value}")
-        out.append("end")
-        blocks.append("\n".join(out))
-
-    for e in doc.evrs:
-        out = [f"evr {e.id} {_quote(e.text)} of {e.quality}"]
-        if e.kind is not m.EvrKind.ORGANIZATIONAL:
-            out.append(f"  kind {e.kind.value}")
-        if e.threshold is not None:
-            t = e.threshold
-            out.append(f"  threshold {_quote(t.metric)} {_quote(t.comparator)} "
-                       f"{_quote(t.level)} {_quote(t.rationale)}")
-        if e.risk_path is not m.RiskPath.UNCLASSIFIED:
-            out.append(f"  risk {e.risk_path.value}")
-        for instrument in e.legal_instruments:
-            out.append(f"  legal {_quote(instrument)}")
-        if e.harm_flags.life:
-            out.append("  harm_life true")
-        if e.harm_flags.health:
-            out.append("  harm_health true")
-        if e.harm_flags.legal_breach:
-            out.append("  harm_legal_breach true")
-        if e.harm_likelihood is not m.HarmLikelihood.UNLIKELY:
-            out.append(f"  likelihood {e.harm_likelihood.value}")
-        if e.protection_demand is not None:
-            out.append(f"  demand {e.protection_demand.level} "
-                       f"{_quote(e.protection_demand.rationale)}")
-        out.append("end")
-        blocks.append("\n".join(out))
-
-    for t in doc.threats:
-        out = [f"threat {t.id} of {t.evr}"]
-        if not t.realistic:
-            out.append("  realistic false")
-        _notes(out, t.description)
-        out.append("end")
-        blocks.append("\n".join(out))
-
-    for c in doc.controls:
-        out = [f"control {c.id} for {', '.join(c.threats)}"]
-        if c.rigor != 1:
-            out.append(f"  rigor {c.rigor}")
-        out.append(f"  form {c.form.value}")
-        if c.status is not m.ControlStatus.PROPOSED:
-            out.append(f"  status {c.status.value}")
-        if c.implementing_disposition is not None:
-            out.append(f"  disposition {c.implementing_disposition}")
-        _notes(out, c.description)
-        out.append("end")
-        blocks.append("\n".join(out))
-
-    for d in doc.dispositions:
-        out = [f"disposition {d.id}"]
-        out.append(f"  component {_quote(d.soi_component)}")
-        for cid in d.implements:
-            out.append(f"  implements {cid}")
-        _notes(out, d.description)
-        out.append("end")
-        blocks.append("\n".join(out))
-
-    for f in doc.functional_requirements:
-        out = [f"funcreq {f.id}"]
-        _notes(out, f.text)
-        out.append("end")
-        blocks.append("\n".join(out))
-
-    for dc in doc.design_concepts:
-        out = [f"concept {dc.id} {_quote(dc.name)}"]
-        for ref in dc.ethical_refs:
-            out.append(f"  ethical {ref}")
-        for ref in dc.functional_refs:
-            out.append(f"  functional {ref}")
-        out.append("end")
-        blocks.append("\n".join(out))
-
-    for p in doc.personas:
-        out = [f"persona {p.id} {_quote(p.name)}"]
-        out.append(f"  stakeholder {p.stakeholder}")
-        _notes(out, p.narrative)
-        out.append("end")
-        blocks.append("\n".join(out))
-
-    for a in doc.attestations:
-        subject = {
-            m.SubjectKind.PRIORITY_DECISION: lambda: f"priority {a.subject.ref}",
-            m.SubjectKind.RISK_ACCEPTANCE: lambda: f"risk {a.subject.ref}",
-            m.SubjectKind.MISSION: lambda: "mission",
-            m.SubjectKind.INVESTMENT_DECISION: lambda: "decision",
-            m.SubjectKind.RULE: lambda: f"rule {_quote(a.subject.ref)}",
-        }[a.subject.kind]()
-        out = [f"attestation {a.id} {subject}"]
-        out.append(f"  by {_quote(a.signatory_name)}")
-        out.append(f"  role {a.signatory_role.value}")
-        out.append(f"  date {_quote(a.date)}")
-        if a.consent:
-            out.append("  consent true")
-        _notes(out, a.statement)
-        out.append("end")
-        blocks.append("\n".join(out))
-
-    if doc.mission is not None:
-        out = ["mission"]
-        _notes(out, doc.mission.text)
-        for ref in doc.mission.featured:
-            out.append(f"  feature {ref}")
-        for ref in doc.mission.signed_by:
-            out.append(f"  signed {ref}")
-        out.append("end")
-        blocks.append("\n".join(out))
-
-    if doc.investment_decision is not None:
-        dec = doc.investment_decision
-        out = [f"decision {dec.verdict.value}"]
-        _notes(out, dec.rationale)
-        for ref in dec.attestations:
-            out.append(f"  signed {ref}")
-        out.append("end")
-        blocks.append("\n".join(out))
-
-    for fb in doc.feedback:
-        out = [f"feedback {fb.id}"]
-        if fb.date:
-            out.append(f"  date {_quote(fb.date)}")
-        out.append(f"  from {fb.source}")
-        _notes(out, fb.text)
-        for ref in fb.resulted:
-            out.append(f"  resulted {ref}")
-        if fb.reprioritization_required:
-            out.append("  reprioritize true")
-        out.append("end")
-        blocks.append("\n".join(out))
-
-    for name, target in doc.alias_map.items():
-        blocks.append(f"alias {_quote(name)} {_quote(target)}")
-
-    return "\n\n".join(blocks) + "\n"
-
-
-def _lens_text(lens: m.Lens) -> str:
+def _lens_text(lens: m.Lens, doc) -> str:
     if lens.kind is m.LensKind.CULTURAL:
         return f"cultural {_quote(lens.framework)}"
     return lens.kind.value
+
+
+class _Reader:
+    """One kind of value in the text format: how the parser reads it, how
+    the writer spells it, and which of its strings must stay on one line
+    (none when ``strings`` is None)."""
+
+    __slots__ = ("read", "text", "strings")
+
+    def __init__(self, read: Callable, text: Callable, strings: Callable | None = None):
+        self.read = read        # (parser, what) -> value
+        self.text = text        # (value, doc) -> text
+        self.strings = strings  # value -> strings
+
+
+def _same(value, doc):
+    return value
+
+
+def _alone(value) -> tuple:
+    return (value,)
+
+
+def _dotted(pattern) -> _Reader:
+    return _Reader(lambda p, what: p.need_dotted(pattern, what), _same)
+
+
+def _commas(reader: _Reader) -> _Reader:
+    """One or more values of ``reader``, separated by commas."""
+    def read(p, what):
+        items = [reader.read(p, what)]
+        while p.peek().kind == "COMMA":
+            p.advance()
+            items.append(reader.read(p, what))
+        return tuple(items)
+
+    return _Reader(read, lambda items, doc: ", ".join(reader.text(i, doc) for i in items))
+
+
+_STRING = _Reader(_Parser.need_string, lambda value, doc: _quote(value), _alone)
+_INT = _Reader(_Parser.need_int, lambda value, doc: str(value))
+_BOOL = _Reader(_Parser.need_bool, lambda value, doc: "true" if value else "false")
+_IDENT = _Reader(_Parser.need_ident, _same)
+# Prose: one ``note`` line per line of text.
+_NOTE = _Reader(lambda p, what: p.need_string("note text"), lambda value, doc: _quote(value),
+                _alone)
+_LENS = _Reader(_Parser.need_lens, _lens_text, lambda lens: (lens.framework,))
+# A data subject is written bare when it names a stakeholder.
+_SUBJECT = _Reader(_Parser.need_subject, lambda value, doc: (
+    value if value in doc.index.stakeholders and m.IDENT_RE.match(value) else _quote(value)),
+    _alone)
+_ATTESTED = {  # subject word: (kind, reader of the ref or None, what)
+    "priority": (m.SubjectKind.PRIORITY_DECISION, _INT, "core value number"),
+    "risk": (m.SubjectKind.RISK_ACCEPTANCE, _dotted(m.CONTROL_ID_RE), "a control id"),
+    "mission": (m.SubjectKind.MISSION, None, None),
+    "decision": (m.SubjectKind.INVESTMENT_DECISION, None, None),
+    "rule": (m.SubjectKind.RULE, _STRING, "rule id"),
+}
+_ATTESTED_WORDS = {kind: (word, reader) for word, (kind, reader, _) in _ATTESTED.items()}
+
+
+def _attested_text(subject: m.AttestationSubject, doc) -> str:
+    word, reader = _ATTESTED_WORDS[subject.kind]
+    return word if reader is None else f"{word} {reader.text(subject.ref, doc)}"
+
+
+# Placeholders the table compiles into a reader for the field's class.
+_ENUM = _Reader(None, None)    # an enum member, by its value
+_NESTED = _Reader(None, None)  # a dataclass, its fields in order on one line
+_GROUP = _Reader(None, None)   # a dataclass whose fields are attributes of their own
+_PLAIN = {str: _STRING, int: _INT, bool: _BOOL}
+
+
+def _nested(cls: type) -> _Reader:
+    hints = typing.get_type_hints(cls)
+    parts = [(f.name, _PLAIN[hints[f.name]]) for f in fields(cls)]
+
+    def read(p, whats):
+        return cls(*[reader.read(p, what) for (_, reader), what in zip(parts, whats)])
+
+    return _Reader(
+        read,
+        lambda value, doc: " ".join(reader.text(getattr(value, name), doc)
+                                    for name, reader in parts),
+        lambda value: tuple(getattr(value, name) for name, reader in parts
+                            if reader.strings is not None),
+    )
+
+
+def _held_class(hint) -> tuple[type, bool]:
+    """The class a field holds (``X`` for ``X | None``), and whether the
+    field is a tuple of them."""
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is tuple:
+        return args[0], True
+    return (args[0] if args else hint), False
+
+
+def _default(f):
+    if f.default is not MISSING:
+        return f.default
+    return MISSING if f.default_factory is MISSING else f.default_factory()
+
+
+_PROJECT = object()  # the default of a field that defaults to the project name
+
+
+@dataclass(frozen=True)
+class _Alias:
+    name: str
+    target: str
+
+
+class _Attr:
+    """One attribute of a block kind, compiled from its table entry for a
+    field of type ``hint``."""
+
+    __slots__ = ("key", "field", "member", "reader", "what", "missing", "default", "name",
+                 "gather", "split", "get")
+
+    def __init__(self, key: str | None, field: str, reader: _Reader, hint, what,
+                 missing: str | None = None, default=MISSING, member: str | None = None):
+        held, repeated = _held_class(hint)  # a tuple field: one item per line
+        if reader is _ENUM:
+            reader = _Reader(lambda p, what: p.need_enum(held, what), lambda value, doc: value.value)
+        elif reader is _NESTED:
+            reader = _nested(held)
+        self.key = key
+        self.field = field
+        self.member = member  # the field of a group this attribute fills
+        self.reader = reader
+        self.what = what
+        self.missing = missing
+        self.name = field if member is None else (field, member)  # the parser's key
+        # How the parser joins the values of a repeated attribute or of notes,
+        # and how the writer splits them again, one line each.
+        self.gather = "\n".join if reader is _NOTE else tuple if repeated else None
+        self.split = methodcaller("split", "\n") if reader is _NOTE else (
+            tuple if repeated else None)
+        # A repeated attribute or a note starts empty.
+        self.default = self.gather([]) if default is MISSING and self.gather else default
+        # The value in a model object; None for the members of a group that is None.
+        self.get = attrgetter(field) if member is None else (
+            lambda obj: None if (group := getattr(obj, field)) is None else getattr(group, member))
+
+
+class _Block:
+    """One row of the block table, compiled for the parser, the canonical
+    writer and the line-break check.
+
+    ``head`` lists the header slots in order: a literal keyword, or
+    ``(field, reader, what)``.  ``attrs`` lists the attributes in canonical
+    order as ``(key, field, reader[, what[, missing]])``: ``what`` names the
+    value in error messages and ``missing`` names a required attribute that
+    is absent (both default to the key).  A ``(prefix, field, _GROUP[,
+    what])`` entry makes each field of the group's class an attribute keyed
+    by prefix and field name.  ``attrs`` is None for a block without
+    attributes and ``end``.
+
+    The rest comes from the model: a field starts at its dataclass default
+    (a repeated attribute or a note at empty), a field without one that
+    nothing filled is reported as P006, and the writer leaves out a value
+    equal to its default.
+    """
+
+    def __init__(self, keyword: str, cls: type, slot: str, head: tuple = (),
+                 attrs: tuple | None = (), *, noun: str | None = None,
+                 from_project: str | None = None, derived: tuple = ()):
+        self.keyword = keyword
+        self.cls = cls
+        self.slot = slot  # the document field holding blocks of this kind
+        self.single = slot not in m.ENTITY_KINDS and cls is not _Alias
+        self.noun = noun or m.ENTITY_KINDS.get(slot, (keyword,))[0]
+        self.from_project = from_project  # a field that defaults to the project name
+        hints = typing.get_type_hints(cls)
+        defaults = {f.name: _default(f) for f in fields(cls)}
+
+        # A header slot is an attribute without a key, always written.
+        self.head = tuple(slot if isinstance(slot, str)
+                          else _Attr(None, slot[0], slot[1], hints[slot[0]], slot[2])
+                          for slot in head)
+        slots = [slot for slot in self.head if not isinstance(slot, str)]
+        self.id_field = None if self.single else slots[0].field
+
+        self.attrs: list[_Attr] = []
+        self.groups: list[tuple] = []
+        for key, field, reader, *words in attrs or ():
+            what = words[0] if words else key
+            if reader is _GROUP:
+                group = _held_class(hints[field])[0]
+                members = [_Attr(key + f.name, field, _PLAIN[hint], hint, key + f.name,
+                                 default=_default(f), member=f.name)
+                           for f, hint in zip(fields(group), typing.get_type_hints(group).values())]
+                self.groups.append((field, group, what, members))
+                self.attrs += members
+            else:
+                self.attrs.append(_Attr(key, field, reader, hints[field], what,
+                                        words[1] if len(words) > 1 else key, defaults[field]))
+
+        self.keys = None if attrs is None else {
+            a.key: (a.name, a.reader.read, a.what, a.gather is not None) for a in self.attrs}
+        self.gathered = [a for a in self.attrs if a.gather is not None]
+        self.required = [a for a in self.attrs if a.member is None and a.default is MISSING]
+        self.derived = derived  # fields the parser fills in after the block
+        defaults.update({a.field: a.default for a in self.attrs if a.member is None})
+        defaults.update(dict.fromkeys(derived))
+        self.defaults = {field: value for field, value in defaults.items() if value is not MISSING}
+        # For the line-break check: the slots and attributes that hold strings.
+        self.texts = [(f"{keyword} {a.key or a.field}", a.get, a.gather is tuple,
+                       None if a.reader.strings is _alone else a.reader.strings,
+                       a.reader is _NOTE) for a in slots + self.attrs
+                      if a.reader.strings is not None]
+        # For the writer, which leaves out a value equal to its default.
+        self.written = [(a.key, a.get, a.reader.text, a.split,
+                         _PROJECT if a.field == from_project else a.default)
+                        for a in self.attrs]
+
+    def build(self, values: dict, parser: _Parser, head: _Token):
+        """The model object from the values read for one block."""
+        for a in self.gathered:
+            if a.name in values:
+                values[a.name] = a.gather(values[a.name])
+        for field, group, what, members in self.groups:
+            given = {a.member: values.pop(a.name) for a in members if a.name in values}
+            if given:
+                missing = [a.member for a in members
+                           if a.member not in given and a.default is MISSING]
+                if missing:
+                    parser.error(f"{self.noun} {values[self.id_field]} {what} are incomplete "
+                                 f"(missing {', '.join(missing)})", head, code="P034")
+                values[field] = group(**given)
+        for a in self.required:
+            if a.field not in values:
+                parser.error(f"{self.noun} {values[self.id_field]} declares no {a.missing}",
+                             head, code="P006")
+        return self.cls(**{**self.defaults, **values})
+
+    def held(self, doc: m.RegisterDocument):
+        """The blocks of this kind in ``doc``, as model objects."""
+        if self.cls is _Alias:
+            return [_Alias(name, target) for name, target in doc.alias_map.items()]
+        held = getattr(doc, self.slot)
+        if not self.single:
+            return held
+        return () if held is None else (held,)
+
+    def write(self, obj, doc: m.RegisterDocument) -> str:
+        words = [self.keyword]
+        for slot in self.head:
+            words.append(slot if slot.__class__ is str else slot.reader.text(slot.get(obj), doc))
+        out = [" ".join(words)]
+        for key, get, text, split, default in self.written:
+            value = get(obj)
+            if value is None or value == default or (default is _PROJECT
+                                                     and value == doc.project.name):
+                continue
+            for item in split(value) if split else (value,):
+                out.append(f"  {key} {text(item, doc)}")
+        if self.keys is not None:
+            out.append("end")
+        return "\n".join(out)
+
+
+_BLOCKS: dict[str, _Block] = {block.keyword: block for block in (
+    _Block("soi", m.Soi, "soi", (), (
+        ("name", "name", _STRING, "system name"),
+        ("note", "concept_of_operation", _NOTE),
+        ("region", "deployment_regions", _STRING, "region code"),
+    ), from_project="name"),
+    _Block("sos", m.SosElement, "sos_elements", (
+        ("id", _IDENT, "sos element id"), ("name", _STRING, "sos element name"),
+    ), (
+        ("cooperation", "cooperation_type", _ENUM, "cooperation type", "cooperation type"),
+        ("tier", "tier", _INT),
+        ("personal_data", "processes_personal_data", _BOOL),
+        ("ethical_scope", "in_ethical_scope", _BOOL),
+        ("enabling_access", "access_to_enabling_elements", _BOOL),
+    )),
+    _Block("stakeholder", m.Stakeholder, "stakeholders", (
+        ("id", _IDENT, "stakeholder id"), ("name", _STRING, "stakeholder name"),
+    ), (
+        ("kind", "kind", _ENUM, "stakeholder kind"),
+        ("note", "description", _NOTE),
+        ("region", "region", _STRING, "region code"),
+        ("", "selection_profile", _GROUP),
+    )),
+    _Block("context", m.ContextOfUse, "contexts", (
+        ("id", _IDENT, "context id"), ("name", _STRING, "context name"),
+    ), (
+        ("captured", "captured", _ENUM, "capture stage"),
+        ("element", "data_elements", _STRING, "data element"),
+        ("data_type", "data_types", _STRING, "data type"),
+        ("flow", "data_flows", _NESTED,
+         ("flow source element", "flow sink element", "flow data type")),
+        ("subject", "data_subjects", _SUBJECT, "data subject"),
+        ("expect", "integrity_expectations", _STRING, "integrity expectation"),
+    )),
+    _Block("session", m.ElicitationSession, "sessions", (
+        ("id", _IDENT, "session id"),
+    ), (
+        ("date", "date", _STRING, "session date"),
+        ("participant", "participants", _IDENT, "stakeholder id"),
+        ("lens", "lenses_used", _LENS, "lens kind"),
+    )),
+    _Block("statement", m.ValueStatement, "statements", (
+        ("id", _IDENT, "statement id"),
+    ), (
+        ("session", "session", _IDENT, "session id"),
+        ("by", "stakeholder", _IDENT, "stakeholder id"),
+        ("lens", "lens", _LENS, "lens kind"),
+        ("polarity", "polarity", _ENUM),
+        ("note", "text", _NOTE),
+        ("value", "named_values", _STRING, "value name"),
+        ("extracted", "extracted_values", _STRING, "value name"),
+    )),
+    _Block("corevalue", m.CoreValue, "core_values", (
+        ("id", _Reader(_Parser.need_number, lambda value, doc: str(value)),
+         "a core value number"),
+        ("name", _STRING, "core value name"), "rank", ("priority_rank", _INT, "priority rank"),
+    ), (
+        ("alias", "aliases", _STRING, "alias name"),
+        ("intrinsic", "intrinsic", _BOOL),
+        ("", "hierarchy_scores", _GROUP, "scores"),
+        ("support", "supporting_statements", _IDENT, "statement id"),
+    )),
+    _Block("quality", m.ValueQuality, "qualities", (
+        ("id", _dotted(m.QUALITY_ID_RE), "a quality id of the form N.M"),
+        ("name", _STRING, "quality name"),
+        "of", ("core_value", _INT, "parent core value number"),
+        "direction", ("direction", _ENUM, "direction"),
+    ), (
+        ("source", "source", _ENUM, "quality source"),
+    )),
+    _Block("evr", m.Evr, "evrs", (
+        ("id", _dotted(m.EVR_ID_RE), "an EVR id of the form N.M.K"),
+        ("text", _STRING, "requirement text"),
+        "of", ("quality", _dotted(m.QUALITY_ID_RE), "the parent quality id"),
+    ), (
+        ("kind", "kind", _ENUM, "EVR kind"),
+        ("threshold", "threshold", _NESTED, ("threshold metric", "threshold comparator",
+                                             "threshold level", "threshold rationale")),
+        ("risk", "risk_path", _ENUM, "risk path"),
+        ("legal", "legal_instruments", _STRING, "legal instrument"),
+        ("harm_", "harm_flags", _GROUP),
+        ("likelihood", "harm_likelihood", _ENUM, "harm likelihood"),
+        ("demand", "protection_demand", _NESTED,
+         ("protection demand level", "protection demand rationale")),
+    )),
+    _Block("threat", m.Threat, "threats", (
+        ("id", _dotted(m.THREAT_ID_RE), "a threat id of the form N.M.K-Tj"),
+        "of", ("evr", _dotted(m.EVR_ID_RE), "the parent EVR id"),
+    ), (
+        ("realistic", "realistic", _BOOL),
+        ("note", "description", _NOTE),
+    )),
+    _Block("control", m.Control, "controls", (
+        ("id", _dotted(m.CONTROL_ID_RE), "a control id of the form N.M.K-Cj"),
+        "for", ("threats", _commas(_dotted(m.THREAT_ID_RE)), "a threat id"),
+    ), (
+        ("rigor", "rigor", _INT),
+        ("form", "form", _ENUM, "control form"),
+        ("status", "status", _ENUM, "control status"),
+        ("disposition", "implementing_disposition", _IDENT, "disposition id"),
+        ("note", "description", _NOTE),
+    )),
+    _Block("disposition", m.ValueDisposition, "dispositions", (
+        ("id", _IDENT, "disposition id"),
+    ), (
+        ("component", "soi_component", _STRING, "soi component", "soi component"),
+        ("implements", "implements", _dotted(m.CONTROL_ID_RE), "a control id"),
+        ("note", "description", _NOTE),
+    )),
+    _Block("funcreq", m.FunctionalRequirement, "functional_requirements", (
+        ("id", _IDENT, "functional requirement id"),
+    ), (
+        ("note", "text", _NOTE),
+    )),
+    _Block("concept", m.DesignConcept, "design_concepts", (
+        ("id", _IDENT, "design concept id"), ("name", _STRING, "design concept name"),
+    ), (
+        ("ethical", "ethical_refs",
+         _dotted(re.compile(f"{m.EVR_ID_RE.pattern}|{m.CONTROL_ID_RE.pattern}")),
+         "an EVR or control id"),
+        ("functional", "functional_refs", _IDENT, "functional requirement id"),
+    )),
+    _Block("persona", m.Persona, "personas", (
+        ("id", _IDENT, "persona id"), ("name", _STRING, "persona name"),
+    ), (
+        ("stakeholder", "stakeholder", _IDENT, "stakeholder id"),
+        ("note", "narrative", _NOTE),
+    ), derived=("kind",)),
+    _Block("attestation", m.Attestation, "attestations", (
+        ("id", _IDENT, "attestation id"),
+        ("subject", _Reader(_Parser.need_attested, _attested_text, lambda s: (s.ref,)),
+         "attestation subject"),
+    ), (
+        ("by", "signatory_name", _STRING, "signatory name"),
+        ("role", "signatory_role", _ENUM, "signatory role"),
+        ("date", "date", _STRING),
+        ("consent", "consent", _BOOL),
+        ("note", "statement", _NOTE),
+    )),
+    _Block("mission", m.ValueMission, "mission", (), (
+        ("note", "text", _NOTE),
+        ("feature", "featured", _INT, "core value number"),
+        ("signed", "signed_by", _IDENT, "attestation id"),
+    )),
+    _Block("decision", m.InvestmentDecision, "investment_decision", (
+        ("verdict", _ENUM, "verdict"),
+    ), (
+        ("note", "rationale", _NOTE),
+        ("signed", "attestations", _IDENT, "attestation id"),
+    )),
+    _Block("feedback", m.FeedbackEntry, "feedback", (
+        ("id", _IDENT, "feedback id"),
+    ), (
+        ("date", "date", _STRING),
+        ("from", "source", _Reader(_Parser.need_name, _same, _alone),
+         "a stakeholder id or market", "source"),
+        ("note", "text", _NOTE),
+        ("resulted", "resulted", _Reader(lambda p, what: p.need_name(what, m.QUALITY_ID_RE),
+                                         _same, _alone), "a statement or quality id"),
+        ("reprioritize", "reprioritization_required", _BOOL),
+    ), noun="feedback"),
+    _Block("alias", _Alias, "alias_map", (
+        ("name", _STRING, "alias name"), ("target", _STRING, "canonical name"),
+    ), None),
+)}
+
+
+# ---------------------------------------------------------------------------
+# Canonical serialization and the line-break check
+
+def serialize_canonical(doc: m.RegisterDocument) -> str:
+    """Render a valid document in canonical form; an invalid one raises
+    :class:`~evrforge.model.RegisterError`.
+
+    Blocks follow ``_BLOCKS`` in declaration order per kind, attributes
+    appear in table order, and values equal to their defaults are omitted,
+    so the output is a fixed point: parsing and re-serializing it gives the
+    same bytes.
+    """
+    violations = m.validate_register(doc)
+    if violations:
+        raise m.RegisterError("cannot serialize an invalid register: "
+                              + "; ".join(v.message for v in violations[:3]))
+    header = f"register {_quote(doc.project.name)}"
+    if doc.project.version:
+        header += f" version {_quote(doc.project.version)}"
+    blocks = [f"{header} phase {doc.phase.value}"]
+    for block in _BLOCKS.values():
+        for obj in block.held(doc):
+            # An soi block that says nothing beyond the project name is left out.
+            if not (block.from_project
+                    and obj == block.cls(**{block.from_project: doc.project.name})):
+                blocks.append(block.write(obj, doc))
+    return "\n\n".join(blocks) + "\n"
+
+
+def _check_line_breaks(doc: m.RegisterDocument, bad: Callable) -> None:
+    """Report P037 through ``bad(code, subject, message)`` for a string the
+    text format cannot carry: a line break in a single-line string, or a
+    carriage return in prose (notes), which may hold line feeds."""
+
+    def report(subject: str, label: str, prose: bool) -> None:
+        bad("P037", subject, f"{label} must not contain "
+                             + ("carriage returns" if prose else "line breaks"))
+
+    for field in ("name", "version"):
+        if "\n" in getattr(doc.project, field) or "\r" in getattr(doc.project, field):
+            report("register", f"register {field}", False)
+    for block in _BLOCKS.values():
+        for obj in block.held(doc) if block.texts else ():
+            for label, get, repeated, strings, prose in block.texts:
+                value = get(obj)
+                if not value:
+                    continue
+                for item in value if repeated else (value,):
+                    for text in strings(item) if strings else (item,):
+                        if "\r" in text or (not prose and "\n" in text):
+                            report("register" if block.single
+                                   else str(getattr(obj, block.id_field)), label, prose)
 
 
 # ---------------------------------------------------------------------------

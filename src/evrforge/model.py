@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import datetime
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, astuple, dataclass, field, replace
 from enum import Enum
 from functools import cached_property
 
@@ -28,12 +28,7 @@ class Phase(str, Enum):
     DEPLOYMENT = "deployment"
 
 
-PHASE_ORDER = {
-    Phase.CONCEPT: 0,
-    Phase.EXPLORATION: 1,
-    Phase.DESIGN: 2,
-    Phase.DEPLOYMENT: 3,
-}
+PHASE_ORDER = {phase: order for order, phase in enumerate(Phase)}
 
 
 def phase_at_least(phase: Phase, floor: Phase) -> bool:
@@ -267,13 +262,7 @@ class HierarchyScores:
     intrinsic_worth: int
 
     def as_tuple(self) -> tuple[int, int, int, int, int]:
-        return (
-            self.endurance,
-            self.depth,
-            self.indivisibility,
-            self.bearer_independence,
-            self.intrinsic_worth,
-        )
+        return astuple(self)
 
 
 @dataclass(frozen=True)
@@ -519,21 +508,14 @@ class GateReport:
 
 class DocIndex:
     """Lookup tables over one document, built once per document through
-    :attr:`RegisterDocument.index`.  It holds no reference to the document,
-    so the cached index makes no reference cycle."""
+    :attr:`RegisterDocument.index`: for each collection of
+    :data:`ENTITY_KINDS` a dict from id to entity under the collection's
+    name (``idx.evrs``), plus the groupings below.  It holds no reference to
+    the document, so the cached index makes no reference cycle."""
 
     def __init__(self, doc: RegisterDocument) -> None:
-        self.stakeholders = {s.id: s for s in doc.stakeholders}
-        self.sessions = {s.id: s for s in doc.sessions}
-        self.statements = {s.id: s for s in doc.statements}
-        self.core_values = {c.id: c for c in doc.core_values}
-        self.qualities = {q.id: q for q in doc.qualities}
-        self.evrs = {e.id: e for e in doc.evrs}
-        self.threats = {t.id: t for t in doc.threats}
-        self.controls = {c.id: c for c in doc.controls}
-        self.dispositions = {d.id: d for d in doc.dispositions}
-        self.functional_requirements = {f.id: f for f in doc.functional_requirements}
-        self.attestations = {a.id: a for a in doc.attestations}
+        for kind in ENTITY_KINDS:
+            setattr(self, kind, {entity.id: entity for entity in getattr(doc, kind)})
         self._attestations_by_subject: dict[tuple[SubjectKind, str], list[Attestation]] = {}
         for a in doc.attestations:
             self._attestations_by_subject.setdefault(
@@ -589,6 +571,12 @@ def validate_register(doc: RegisterDocument) -> tuple[Violation, ...]:
     def bad(code: str, subject: str, message: str) -> None:
         out.append(Violation(code=code, subject=subject, message=message))
 
+    def contiguous(what: str, numbers: dict) -> None:
+        """P016 for each parent whose children are not numbered 1..n."""
+        for parent, indices in numbers.items():
+            if sorted(indices) != list(range(1, len(indices) + 1)):
+                bad("P016", str(parent), f"{what} {parent} is not contiguous from 1")
+
     for kind, (label, _, _) in ENTITY_KINDS.items():
         seen: set[str] = set()
         for entity in getattr(doc, kind):
@@ -622,10 +610,7 @@ def validate_register(doc: RegisterDocument) -> tuple[Violation, ...]:
 
     for cv in doc.core_values:
         if cv.hierarchy_scores is not None:
-            for crit, score in zip(
-                ("endurance", "depth", "indivisibility", "bearer_independence", "intrinsic_worth"),
-                cv.hierarchy_scores.as_tuple(),
-            ):
+            for crit, score in asdict(cv.hierarchy_scores).items():
                 if not 1 <= score <= 5:
                     bad("P021", str(cv.id), f"hierarchy score {crit} must be 1..5, got {score}")
         for ref in cv.supporting_statements:
@@ -642,12 +627,9 @@ def validate_register(doc: RegisterDocument) -> tuple[Violation, ...]:
             bad("P013", q.id, f"quality id prefix {parent} does not match parent core value {q.core_value}")
         if q.core_value not in idx.core_values:
             bad("P011", q.id, f"quality {q.id} references unknown core value {q.core_value}")
-    for value_id, quals in idx.qualities_by_value.items():
-        minors = sorted(
-            m for m in (int(q.id.split(".")[1]) for q in quals if QUALITY_ID_RE.match(q.id))
-        )
-        if minors != list(range(1, len(minors) + 1)):
-            bad("P016", f"{value_id}", f"quality numbering under core value {value_id} is not contiguous from 1")
+    contiguous("quality numbering under core value", {
+        value_id: [int(q.id.split(".")[1]) for q in quals if QUALITY_ID_RE.match(q.id)]
+        for value_id, quals in idx.qualities_by_value.items()})
 
     for e in doc.evrs:
         parent = evr_parent(e.id)
@@ -658,10 +640,9 @@ def validate_register(doc: RegisterDocument) -> tuple[Violation, ...]:
             bad("P014", e.id, "EVR id prefix does not match parent quality")
         if e.quality not in idx.qualities:
             bad("P011", e.id, f"EVR {e.id} references unknown quality {e.quality!r}")
-    for quality_id, evrs in idx.evrs_by_quality.items():
-        ks = sorted(int(e.id.split(".")[2]) for e in evrs if EVR_ID_RE.match(e.id))
-        if ks != list(range(1, len(ks) + 1)):
-            bad("P016", quality_id, f"EVR numbering under quality {quality_id} is not contiguous from 1")
+    contiguous("EVR numbering under quality", {
+        quality_id: [int(e.id.split(".")[2]) for e in evrs if EVR_ID_RE.match(e.id)]
+        for quality_id, evrs in idx.evrs_by_quality.items()})
 
     for e in doc.evrs:
         if e.threshold is not None and e.threshold.comparator not in THRESHOLD_COMPARATORS:
@@ -688,9 +669,7 @@ def validate_register(doc: RegisterDocument) -> tuple[Violation, ...]:
         m = THREAT_ID_RE.match(t.id)
         if m:
             js.setdefault(m.group(1), []).append(int(m.group(2)))
-    for evr_id, indices in js.items():
-        if sorted(indices) != list(range(1, len(indices) + 1)):
-            bad("P016", evr_id, f"threat numbering under EVR {evr_id} is not contiguous from 1")
+    contiguous("threat numbering under EVR", js)
 
     cs: dict[str, list[int]] = {}
     for c in doc.controls:
@@ -713,9 +692,7 @@ def validate_register(doc: RegisterDocument) -> tuple[Violation, ...]:
             bad("P025", c.id, f"implemented control {c.id} names no implementing disposition")
         if c.implementing_disposition is not None and c.implementing_disposition not in idx.dispositions:
             bad("P011", c.id, f"control {c.id} references unknown disposition {c.implementing_disposition!r}")
-    for evr_id, indices in cs.items():
-        if sorted(indices) != list(range(1, len(indices) + 1)):
-            bad("P016", evr_id, f"control numbering under EVR {evr_id} is not contiguous from 1")
+    contiguous("control numbering under EVR", cs)
 
     for d in doc.dispositions:
         if not d.implements:
@@ -859,7 +836,9 @@ def validate_register(doc: RegisterDocument) -> tuple[Violation, ...]:
     if phase_at_least(doc.phase, Phase.EXPLORATION) and not doc.soi.concept_of_operation.strip():
         bad("P029", "register", f"concept of operation must be recorded before phase {doc.phase.value}")
 
-    _check_line_discipline(doc, bad)
+    # Which strings must keep to one line is declared by the text format.
+    from .dsl import _check_line_breaks
+    _check_line_breaks(doc, bad)
 
     return tuple(out)
 
@@ -869,86 +848,6 @@ def _check_lens(lens: Lens, subject: str, bad) -> None:
         bad("P030", subject, "cultural lens carries no framework name")
     if lens.kind is not LensKind.CULTURAL and lens.framework:
         bad("P030", subject, f"{lens.kind.value} lens must not carry a framework name")
-
-
-def _check_line_discipline(doc: RegisterDocument, bad) -> None:
-    """Single-line fields must not contain line breaks.
-
-    Multi-line prose is confined to the note-backed text fields; everything
-    else has to survive inside one quoted token of the text format.
-    """
-
-    def single(subject: str, label: str, *values: str) -> None:
-        for v in values:
-            if "\n" in v or "\r" in v:
-                bad("P037", subject, f"{label} must not contain line breaks")
-
-    def prose(subject: str, label: str, *values: str) -> None:
-        for v in values:
-            if "\r" in v:
-                bad("P037", subject, f"{label} must not contain carriage returns")
-
-    single("register", "project name", doc.project.name, doc.project.version)
-    single("register", "soi field", doc.soi.name, *doc.soi.deployment_regions)
-    prose("register", "concept of operation", doc.soi.concept_of_operation)
-    for s in doc.sos_elements:
-        single(s.id, "sos element name", s.name)
-    for s in doc.stakeholders:
-        single(s.id, "stakeholder field", s.name, s.region)
-        prose(s.id, "stakeholder description", s.description)
-        if s.selection_profile is not None:
-            p = s.selection_profile
-            single(s.id, "selection profile", p.motivation, p.power, p.knowledge, p.legitimization)
-    for c in doc.contexts:
-        single(c.id, "context field", c.name, *c.data_elements, *c.data_types,
-               *c.data_subjects, *c.integrity_expectations)
-        for f in c.data_flows:
-            single(c.id, "data flow", f.source, f.sink, f.data_type)
-    for s in doc.sessions:
-        single(s.id, "session date", s.date)
-        for lens in s.lenses_used:
-            single(s.id, "lens framework", lens.framework)
-    for st in doc.statements:
-        single(st.id, "statement field", st.lens.framework, *st.named_values, *st.extracted_values)
-        prose(st.id, "statement text", st.text)
-    for cv in doc.core_values:
-        single(str(cv.id), "core value field", cv.name, *cv.aliases)
-    for q in doc.qualities:
-        single(q.id, "quality name", q.name)
-    for e in doc.evrs:
-        single(e.id, "EVR text", e.text)
-        single(e.id, "legal instrument", *e.legal_instruments)
-        if e.threshold is not None:
-            single(e.id, "threshold field", e.threshold.metric, e.threshold.comparator,
-                   e.threshold.level, e.threshold.rationale)
-        if e.protection_demand is not None:
-            single(e.id, "protection demand rationale", e.protection_demand.rationale)
-    for t in doc.threats:
-        prose(t.id, "threat description", t.description)
-    for c in doc.controls:
-        prose(c.id, "control description", c.description)
-    for d in doc.dispositions:
-        single(d.id, "soi component", d.soi_component)
-        prose(d.id, "disposition description", d.description)
-    for f in doc.functional_requirements:
-        prose(f.id, "requirement text", f.text)
-    for dc in doc.design_concepts:
-        single(dc.id, "design concept name", dc.name)
-    for p in doc.personas:
-        single(p.id, "persona name", p.name)
-        prose(p.id, "persona narrative", p.narrative)
-    for a in doc.attestations:
-        single(a.id, "attestation field", a.signatory_name, a.date, a.subject.ref)
-        prose(a.id, "attestation statement", a.statement)
-    if doc.mission is not None:
-        prose("register", "mission text", doc.mission.text)
-    if doc.investment_decision is not None:
-        prose("register", "decision rationale", doc.investment_decision.rationale)
-    for fb in doc.feedback:
-        single(fb.id, "feedback field", fb.date, fb.source, *fb.resulted)
-        prose(fb.id, "feedback text", fb.text)
-    for name, target in doc.alias_map.items():
-        single(name, "alias", name, target)
 
 
 def new_empty_register(project_name: str) -> RegisterDocument:
@@ -971,11 +870,7 @@ def resolve_alias(doc: RegisterDocument, name: str) -> str:
     return doc.alias_map.get(name, name)
 
 
-_SUCCESSOR = {
-    Phase.CONCEPT: Phase.EXPLORATION,
-    Phase.EXPLORATION: Phase.DESIGN,
-    Phase.DESIGN: Phase.DEPLOYMENT,
-}
+_SUCCESSOR = dict(zip(list(Phase), list(Phase)[1:]))
 
 
 def advance_phase(doc: RegisterDocument, target: Phase) -> RegisterDocument | GateReport:

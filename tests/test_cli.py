@@ -235,6 +235,15 @@ class TestInit:
         for keyword in ("utilitarian", "virtue", "duty"):
             assert f"lens {keyword}" in text
 
+    def test_scaffold_shows_every_block_keyword_and_attribute_key(self, tmp_path):
+        target = tmp_path / "demo.evr"
+        cli.main(["init", "demo", "--out", str(target)])
+        lines = target.read_text(encoding="utf-8").splitlines()
+        keywords = {line.split()[0] for line in lines if line[:1].isalpha()}
+        keys = {line.split()[0] for line in lines if line.startswith("  ")}
+        assert set(dsl._BLOCKS) <= keywords
+        assert {a.key for block in dsl._BLOCKS.values() for a in block.attrs} <= keys
+
     def test_existing_file_without_force_exits_three(self, tmp_path, capsys):
         target = tmp_path / "demo.evr"
         target.write_text("precious", encoding="utf-8")
@@ -305,6 +314,27 @@ class TestSourceEncoding:
             assert code == 2 and f"{path}:316:1: illegal character '@'" in captured.err
         else:
             assert code == 0 and captured.err == "0 errors, 0 warnings\n"
+
+
+class TestLongIntegers:
+    """Numbers longer than int() reads are one diagnostic, not a crash."""
+
+    @pytest.mark.parametrize("body, code", [
+        ('sos S1 "n"\n  cooperation virtual\n  tier {}\nend\n', "P021"),
+        ('corevalue 1{} "v" rank 1\nend\n', "P012"),
+        ('corevalue 1 "v" rank 1\nend\nquality 1.1{} "q" of 1 direction supports\nend\n',
+         "P012"),
+    ], ids=["tier", "corevalue", "quality"])
+    def test_exits_two_with_one_diagnostic(self, tmp_path, capsys, body, code):
+        path = tmp_path / "long.evr"
+        path.write_text('register "X" phase exploration\nsoi\n  note "n"\nend\n'
+                        + body.format("9" * 5000), encoding="utf-8")
+        assert cli.main(["check", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "9" * 100 not in err
+        diagnostic, summary = err.splitlines()
+        assert diagnostic.startswith(f"ERROR {code} {path}:")
+        assert summary == "1 errors, 0 warnings"
 
 
 class TestEmptyRegister:

@@ -164,6 +164,30 @@ class TestSerialize:
         assert again == doc
         assert dsl.serialize_canonical(again) == text
 
+    def test_invalid_document_raises_instead_of_writing(self, clean_doc):
+        first, *rest = clean_doc.controls
+        doc = replace(clean_doc, controls=(replace(first, threats=()), *rest))
+        with pytest.raises(m.RegisterError, match=f"control {first.id} mitigates no threats"):
+            dsl.serialize_canonical(doc)
+
+
+class TestBlockTable:
+    def test_every_model_field_has_a_slot_or_attribute(self):
+        for block in dsl._BLOCKS.values():
+            slots = [slot for slot in block.head if not isinstance(slot, str)]
+            covered = {a.field for a in slots + block.attrs} | set(block.derived)
+            assert covered == {f.name for f in fields(block.cls)}, block.keyword
+        slots = {block.slot for block in dsl._BLOCKS.values()}
+        assert slots | {"project", "phase"} == {f.name for f in fields(m.RegisterDocument)}
+
+    def test_line_break_messages_name_keyword_and_key(self, clean_doc):
+        holder = replace(clean_doc.stakeholders[0], region="A\nB", description="one\r\ntwo")
+        doc = replace(clean_doc, stakeholders=(holder, *clean_doc.stakeholders[1:]))
+        assert [(v.subject, v.message) for v in m.validate_register(doc) if v.code == "P037"] == [
+            (holder.id, "stakeholder note must not contain carriage returns"),
+            (holder.id, "stakeholder region must not contain line breaks"),
+        ]
+
 
 def _listify(value):
     """``value`` with every tuple, nested ones too, turned into a list."""
