@@ -51,23 +51,24 @@ def fuzz_source(rng: random.Random) -> str:
     return "".join(out)
 
 
-def lexed(lex, text: str) -> tuple[list[tuple], list]:
-    tokens, diags = lex(text, "fuzz.evr")
-    return [(t.kind, t.text, t.value, t.line, t.col, t.end_col) for t in tokens], diags
+def lexed(text: str) -> tuple[list[tuple], list]:
+    """The lexer's tokens and diagnostics, in the reference lexer's form."""
+    diags: list = []
+    return list(dsl._lex(text, "fuzz.evr", diags)), diags
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--count", type=int, default=100_000)
     parser.add_argument("--seed", type=int, default=123456)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     rng = random.Random(args.seed)
     started = time.monotonic()
     with_errors = 0
     for i in range(args.count):
         text = fuzz_source(rng)
-        if lexed(dsl._lex, text) != lexed(reference_lex, text):
+        if lexed(text) != reference_lex(text, "fuzz.evr"):
             print(f"lexer differs from the reference at input {i}: {text!r}")
             return 1
         result = dsl.parse_register(text, "fuzz.evr")

@@ -37,7 +37,7 @@ import json
 import re
 import sys
 import typing
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from enum import Enum
 from operator import attrgetter, methodcaller
@@ -89,41 +89,37 @@ class ParseResult:
 # ---------------------------------------------------------------------------
 # Lexer
 
-class _Token:
-    """One lexeme: kind is IDENT STRING INT DOTTED COMMA or EOF, and
-    ``end_col`` is exclusive."""
-
-    __slots__ = ("kind", "text", "value", "line", "col", "end_col")
-
-    def __init__(self, kind: str, text: str, value: str, line: int, col: int,
-                 end_col: int) -> None:
-        self.kind = kind
-        self.text = text
-        self.value = value
-        self.line = line
-        self.col = col
-        self.end_col = end_col
-
-    def span(self, file: str) -> SourceSpan:
-        return SourceSpan(file, self.line, self.col, self.line, max(self.col, self.end_col - 1))
-
-
-# One match per lexeme, blanks before it included.  Neither strings nor
-# comments span lines, so the source is matched one line at a time.  A
-# string matches up to its closing quote or the end of the line, whatever
-# its escapes, so malformed strings need no second pass.  Character classes
-# are spelled out because the format is ASCII-only (no \d, \w).
+# A token is a plain tuple ``(kind, text, value, line, col, end_col)`` of
+# strings and ints: kind is IDENT STRING INT DOTTED COMMA or EOF, value is
+# the text with a string's quotes and escapes resolved, lines and columns
+# are 1-based and ``end_col`` is exclusive.  Such tuples cost little to build
+# and the cyclic collector untracks them, so a large register's tokens do
+# not slow collections down.
+#
+# One match per lexeme, blanks before it included, in one scan of the whole
+# source: a newline is a match of its own, which counts lines, and columns
+# are measured from the offset just after the last newline.  Neither strings
+# nor comments span lines.  A string matches up to its closing quote or the
+# end of the line, whatever its escapes, so malformed strings need no second
+# pass.  Character classes are spelled out because the format is ASCII-only
+# (no \d, \w).
 _TOKEN_RE = re.compile(
     r'[ \t\r]*(?:'
     r'(?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)'
-    r'|(?P<STRING>"[^"\\]*(?:\\.?[^"\\]*)*(?P<close>"?))'
+    r'|(?P<NEWLINE>\n)'
+    r'|(?P<STRING>"[^"\\\n]*(?:\\.?[^"\\\n]*)*(?P<close>"?))'
     r'|(?P<DOTTED>[0-9]+(?:\.[0-9]+)+(?:-[TC][0-9]+)?)'
     r'|(?P<INT>[0-9]+)'
     r'|(?P<COMMA>,)'
     r'|(?P<COMMENT>#.*)'
-    r'|(?P<ILLEGAL>[^ \t\r]))'
+    r'|(?P<ILLEGAL>[^ \t\r\n]))'
 )
 _ESCAPE_RE = re.compile(r'\\(.?)')
+
+
+def _span(tok: tuple, file: str) -> SourceSpan:
+    line, col = tok[3], tok[4]
+    return SourceSpan(file, line, col, line, max(col, tok[5] - 1))
 
 
 def _unescape(body: str, line: int, col: int, file: str,
@@ -146,38 +142,40 @@ def _unescape(body: str, line: int, col: int, file: str,
     return _ESCAPE_RE.sub(resolve, body)
 
 
-def _lex(source: str, file: str) -> tuple[list[_Token], list[ParseDiagnostic]]:
-    tokens: list[_Token] = []
-    diags: list[ParseDiagnostic] = []
-    append = tokens.append
-    lines = source.split("\n")
-    for lineno, text in enumerate(lines, 1):
-        for match in _TOKEN_RE.finditer(text):
-            kind = match.lastgroup
-            start = match.start(kind)
-            end = match.end()
-            lexeme = text[start:end]
-            if kind == "STRING":
-                closed = match["close"]
-                value = lexeme[1:-1] if closed else lexeme[1:]
-                if "\\" in value:
-                    value = _unescape(value, lineno, start + 2, file, diags)
-                token = _Token(kind, lexeme, value, lineno, start + 1, end + 1)
-                if not closed:
-                    diags.append(ParseDiagnostic(token.span(file), "error", "P002",
-                                                 "unterminated string"))
-                append(token)
-            elif kind == "ILLEGAL":
+def _lex(source: str, file: str, diags: list[ParseDiagnostic]) -> Iterator[tuple]:
+    """The tokens of ``source``, ending with one EOF token, made as they are
+    pulled; lexical problems are appended to ``diags`` in source order."""
+    line = 1
+    line_start = 0  # the offset of the current line's first character
+    for match in _TOKEN_RE.finditer(source):
+        kind = match.lastgroup
+        if kind == "NEWLINE":
+            line += 1
+            line_start = match.end()
+            continue
+        start = match.start(kind)
+        end = match.end()
+        lexeme = source[start:end]
+        col = start - line_start + 1
+        if kind == "STRING":
+            closed = match["close"]
+            value = lexeme[1:-1] if closed else lexeme[1:]
+            if "\\" in value:
+                value = _unescape(value, line, col + 1, file, diags)
+            if not closed:
                 diags.append(ParseDiagnostic(
-                    SourceSpan(file, lineno, start + 1, lineno, start + 1), "error", "P004",
-                    f"illegal character {lexeme!r}",
-                ))
-            elif kind != "COMMENT":
-                append(_Token(kind, lexeme, lexeme, lineno, start + 1, end + 1))
-
-    end = len(lines[-1]) + 1
-    append(_Token("EOF", "", "", len(lines), end, end))
-    return tokens, diags
+                    SourceSpan(file, line, col, line, max(col, end - line_start)), "error",
+                    "P002", "unterminated string"))
+            yield (kind, lexeme, value, line, col, end - line_start + 1)
+        elif kind == "ILLEGAL":
+            diags.append(ParseDiagnostic(
+                SourceSpan(file, line, col, line, col), "error", "P004",
+                f"illegal character {lexeme!r}",
+            ))
+        elif kind != "COMMENT":
+            yield (kind, lexeme, lexeme, line, col, end - line_start + 1)
+    end = len(source) - line_start + 1
+    yield ("EOF", "", "", line, end, end)
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +187,7 @@ def _enum_members(enum_cls: type[Enum]) -> dict[str, Enum]:
 
 
 class _SyntaxProblem(Exception):
-    def __init__(self, code: str, message: str, token: _Token):
+    def __init__(self, code: str, message: str, token: tuple):
         super().__init__(message)
         self.code = code
         self.message = message
@@ -197,10 +195,14 @@ class _SyntaxProblem(Exception):
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], file: str):
-        self.tokens = tokens
+    """Reads blocks from a token iterator.  It holds only the current token
+    and pulls the next one as it advances, so no token is read twice and no
+    token list is ever kept."""
+
+    def __init__(self, tokens: Iterator[tuple], file: str):
+        self.pull = tokens.__next__
+        self.tok = self.pull()
         self.file = file
-        self.pos = 0
         self.diags: list[ParseDiagnostic] = []
         self.spans: dict[str, SourceSpan] = {}
         # int() refuses numbers with more digits than this; 0 means no limit,
@@ -216,20 +218,20 @@ class _Parser:
 
     # -- token plumbing
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def peek(self) -> tuple:
+        return self.tok
 
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "EOF":
-            self.pos += 1
+    def advance(self) -> tuple:
+        tok = self.tok
+        if tok[0] != "EOF":
+            self.tok = self.pull()
         return tok
 
-    def error(self, message: str, token: _Token | None = None, code: str = "P001"):
+    def error(self, message: str, token: tuple | None = None, code: str = "P001"):
         raise _SyntaxProblem(code, message, token or self.peek())
 
-    def diag(self, severity: str, code: str, message: str, token: _Token) -> None:
-        self.diags.append(ParseDiagnostic(token.span(self.file), severity, code, message))
+    def diag(self, severity: str, code: str, message: str, token: tuple) -> None:
+        self.diags.append(ParseDiagnostic(_span(token, self.file), severity, code, message))
 
     def refused(self, text: str) -> bool:
         """Whether int() would refuse a run of digits in ``text``."""
@@ -241,61 +243,61 @@ class _Parser:
 
     def need_string(self, what: str) -> str:
         tok = self.peek()
-        if tok.kind != "STRING":
-            self.error(f"expected {what} (a quoted string), found {tok.text or 'end of input'!r}")
-        return self.advance().value
+        if tok[0] != "STRING":
+            self.error(f"expected {what} (a quoted string), found {tok[1] or 'end of input'!r}")
+        return self.advance()[2]
 
     def need_int(self, what: str) -> int:
         tok = self.peek()
-        if tok.kind != "INT":
-            self.error(f"expected {what} (an integer), found {tok.text or 'end of input'!r}")
-        if self.refused(tok.value):
-            self.error(f"{what} is out of range ({len(tok.value)} digits)", code="P021")
-        return int(self.advance().value)
+        if tok[0] != "INT":
+            self.error(f"expected {what} (an integer), found {tok[1] or 'end of input'!r}")
+        if self.refused(tok[2]):
+            self.error(f"{what} is out of range ({len(tok[2])} digits)", code="P021")
+        return int(self.advance()[2])
 
     def need_number(self, what: str) -> int:
         """A core value number: an integer without a leading zero."""
         tok = self.peek()
-        if tok.kind != "INT" or (len(tok.value) > 1 and tok.value.startswith("0")):
-            self.error(f"expected {what}, found {tok.text or 'end of input'!r}", code="P012")
-        if self.refused(tok.value):
-            self.error(f"expected {what}, found a {len(tok.value)}-digit number", code="P012")
-        return int(self.advance().value)
+        if tok[0] != "INT" or (len(tok[2]) > 1 and tok[2].startswith("0")):
+            self.error(f"expected {what}, found {tok[1] or 'end of input'!r}", code="P012")
+        if self.refused(tok[2]):
+            self.error(f"expected {what}, found a {len(tok[2])}-digit number", code="P012")
+        return int(self.advance()[2])
 
     def need_ident(self, what: str) -> str:
         tok = self.peek()
-        if tok.kind != "IDENT":
-            self.error(f"expected {what}, found {tok.text or 'end of input'!r}")
-        return self.advance().value
+        if tok[0] != "IDENT":
+            self.error(f"expected {what}, found {tok[1] or 'end of input'!r}")
+        return self.advance()[2]
 
     def need_name(self, what: str, dotted=None) -> str:
         """An identifier other than ``end``, or a dotted id that matches
         the pattern ``dotted``."""
         tok = self.peek()
-        if not (tok.kind == "IDENT" and tok.value != "end"
-                or dotted and tok.kind == "DOTTED" and dotted.match(tok.value)):
-            self.error(f"expected {what}, found {tok.text or 'end of input'!r}")
-        return self.advance().value
+        if not (tok[0] == "IDENT" and tok[2] != "end"
+                or dotted and tok[0] == "DOTTED" and dotted.match(tok[2])):
+            self.error(f"expected {what}, found {tok[1] or 'end of input'!r}")
+        return self.advance()[2]
 
-    def need_keyword(self, word: str) -> _Token:
+    def need_keyword(self, word: str) -> tuple:
         tok = self.peek()
-        if tok.kind != "IDENT" or tok.value != word:
-            self.error(f"expected keyword {word!r}, found {tok.text or 'end of input'!r}")
+        if tok[0] != "IDENT" or tok[2] != word:
+            self.error(f"expected keyword {word!r}, found {tok[1] or 'end of input'!r}")
         return self.advance()
 
     def need_bool(self, what: str) -> bool:
         tok = self.peek()
-        if tok.kind == "IDENT" and tok.value in ("true", "false"):
-            return self.advance().value == "true"
-        self.error(f"expected true or false for {what}, found {tok.text or 'end of input'!r}")
+        if tok[0] == "IDENT" and tok[2] in ("true", "false"):
+            return self.advance()[2] == "true"
+        self.error(f"expected true or false for {what}, found {tok[1] or 'end of input'!r}")
 
     def need_enum(self, enum_cls, what: str):
         tok = self.peek()
-        member = _enum_members(enum_cls).get(tok.value) if tok.kind == "IDENT" else None
+        member = _enum_members(enum_cls).get(tok[2]) if tok[0] == "IDENT" else None
         if member is None:
             self.error(
                 f"expected one of {', '.join(e.value for e in enum_cls)} for {what}, "
-                f"found {tok.text or 'end of input'!r}",
+                f"found {tok[1] or 'end of input'!r}",
                 code="P020",
             )
         self.advance()
@@ -303,23 +305,23 @@ class _Parser:
 
     def need_dotted(self, pattern, what: str) -> str:
         tok = self.peek()
-        if tok.kind not in ("DOTTED", "INT") or not pattern.match(tok.value):
-            self.error(f"expected {what}, found {tok.text or 'end of input'!r}", code="P012")
-        if self.refused(tok.value):
-            self.error(f"expected {what}, found a {len(tok.value)}-character id", code="P012")
-        return self.advance().value
+        if tok[0] not in ("DOTTED", "INT") or not pattern.match(tok[2]):
+            self.error(f"expected {what}, found {tok[1] or 'end of input'!r}", code="P012")
+        if self.refused(tok[2]):
+            self.error(f"expected {what}, found a {len(tok[2])}-character id", code="P012")
+        return self.advance()[2]
 
     def need_lens(self, what: str) -> m.Lens:
         kind = self.need_enum(m.LensKind, what)
-        if kind is m.LensKind.CULTURAL and self.peek().kind == "STRING":
-            return m.Lens(kind, self.advance().value)
+        if kind is m.LensKind.CULTURAL and self.peek()[0] == "STRING":
+            return m.Lens(kind, self.advance()[2])
         return m.Lens(kind)
 
     def need_subject(self, what: str) -> str:
         """A data subject: a stakeholder id, or any name as a string."""
         tok = self.peek()
-        if tok.kind == "IDENT" and tok.value != "end":
-            return self.advance().value
+        if tok[0] == "IDENT" and tok[2] != "end":
+            return self.advance()[2]
         return self.need_string(what)
 
     def need_attested(self, what: str) -> m.AttestationSubject:
@@ -330,66 +332,66 @@ class _Parser:
         kind, reader, ref_what = _ATTESTED[word]
         return m.AttestationSubject(kind, "" if reader is None else str(reader.read(self, ref_what)))
 
-    def record_span(self, entity_id: str, token: _Token) -> None:
-        self.spans.setdefault(entity_id, token.span(self.file))
+    def record_span(self, entity_id: str, token: tuple) -> None:
+        self.spans.setdefault(entity_id, _span(token, self.file))
 
     # -- top level
 
     def parse(self) -> None:
-        if self.peek().kind == "EOF":
+        if self.peek()[0] == "EOF":
             return
         try:
             self.parse_header()
         except _SyntaxProblem as problem:
             self.diag("error", problem.code, problem.message, problem.token)
             self.skip_to_block()
-        while self.peek().kind != "EOF":
+        while self.peek()[0] != "EOF":
             tok = self.peek()
-            if tok.kind == "IDENT" and tok.value in _BLOCKS:
+            if tok[0] == "IDENT" and tok[2] in _BLOCKS:
                 try:
                     self.parse_block(self.advance())
                 except _SyntaxProblem as problem:
                     self.diag("error", problem.code, problem.message, problem.token)
                     self.skip_past_end()
             else:
-                if tok.kind == "IDENT":
-                    self.diag("error", "P005", f"unknown block keyword {tok.value!r}", tok)
+                if tok[0] == "IDENT":
+                    self.diag("error", "P005", f"unknown block keyword {tok[2]!r}", tok)
                 else:
-                    self.diag("error", "P001", f"expected a block keyword, found {tok.text!r}", tok)
+                    self.diag("error", "P001", f"expected a block keyword, found {tok[1]!r}", tok)
                 self.advance()
                 self.skip_past_end()
 
     def skip_to_block(self) -> None:
-        while self.peek().kind != "EOF":
+        while self.peek()[0] != "EOF":
             tok = self.peek()
-            if tok.kind == "IDENT" and tok.value in _BLOCKS:
+            if tok[0] == "IDENT" and tok[2] in _BLOCKS:
                 return
             self.advance()
 
     def skip_past_end(self) -> None:
-        """Recovery: drop tokens until after the current block's end."""
-        while self.peek().kind != "EOF":
-            tok = self.advance()
-            if tok.kind == "IDENT" and tok.value == "end":
+        """Recovery: drop tokens until after the current block's end, or up
+        to the next block keyword, as a block that was never closed ends
+        there and the next block still parses."""
+        while self.peek()[0] != "EOF":
+            tok = self.peek()
+            if tok[0] == "IDENT" and tok[2] in _BLOCKS:
                 return
-            if tok.kind == "IDENT" and tok.value in _BLOCKS:
-                # The block was evidently never closed; rewind so the next
-                # block still parses.
-                self.pos -= 1
+            self.advance()
+            if tok[0] == "IDENT" and tok[2] == "end":
                 return
 
     def parse_header(self) -> None:
         head = self.need_keyword("register")
         self.record_span("register", head)
         self.project_name = self.need_string("project name")
-        if self.peek().kind == "IDENT" and self.peek().value == "version":
+        if self.peek()[0] == "IDENT" and self.peek()[2] == "version":
             self.advance()
             self.version = self.need_string("version tag")
         self.need_keyword("phase")
         self.phase = self.need_enum(m.Phase, "phase")
 
-    def parse_block(self, head: _Token) -> None:
-        block = _BLOCKS[head.value]
+    def parse_block(self, head: tuple) -> None:
+        block = _BLOCKS[head[2]]
         if block.single and block.slot in self.singles:
             self.diag("error", "P018", f"duplicate {block.keyword} block", head)
         values: dict = {}
@@ -420,20 +422,20 @@ class _Parser:
         attribute collects its values in a list."""
         while True:
             tok = self.peek()
-            if tok.kind == "EOF":
+            if tok[0] == "EOF":
                 self.error("unexpected end of input inside a block (missing 'end')", tok)
-            if tok.kind != "IDENT":
-                self.error(f"expected an attribute key or 'end', found {tok.text!r}")
-            if tok.value == "end":
+            if tok[0] != "IDENT":
+                self.error(f"expected an attribute key or 'end', found {tok[1]!r}")
+            if tok[2] == "end":
                 self.advance()
                 return
-            attr = keys.get(tok.value)
+            attr = keys.get(tok[2])
             if attr is None:
-                self.diag("warning", "P090", f"unknown attribute key {tok.value!r}", tok)
+                self.diag("warning", "P090", f"unknown attribute key {tok[2]!r}", tok)
                 self.advance()
                 nxt = self.peek()
-                if nxt.kind in ("STRING", "INT", "DOTTED") or (
-                    nxt.kind == "IDENT" and nxt.value != "end" and nxt.value not in keys
+                if nxt[0] in ("STRING", "INT", "DOTTED") or (
+                    nxt[0] == "IDENT" and nxt[2] != "end" and nxt[2] not in keys
                 ):
                     self.advance()
                 continue
@@ -473,10 +475,10 @@ def parse_register(source_text: str, file_name: str = "<register>") -> ParseResu
     The document is present exactly when no error-severity diagnostic was
     produced.  Empty (or comment-only) input parses to an empty register.
     """
-    tokens, diagnostics = _lex(source_text, file_name)
-    parser = _Parser(tokens, file_name)
+    diagnostics: list[ParseDiagnostic] = []
+    parser = _Parser(_lex(source_text, file_name, diagnostics), file_name)
     parser.parse()
-    diagnostics = diagnostics + parser.diags
+    diagnostics += parser.diags
 
     doc = parser.build_document()
     had_syntax_errors = any(d.severity == "error" for d in diagnostics)
@@ -538,7 +540,7 @@ def _commas(reader: _Reader) -> _Reader:
     """One or more values of ``reader``, separated by commas."""
     def read(p, what):
         items = [reader.read(p, what)]
-        while p.peek().kind == "COMMA":
+        while p.peek()[0] == "COMMA":
             p.advance()
             items.append(reader.read(p, what))
         return tuple(items)
@@ -724,7 +726,7 @@ class _Block:
                          _PROJECT if a.field == from_project else a.default)
                         for a in self.attrs]
 
-    def build(self, values: dict, parser: _Parser, head: _Token):
+    def build(self, values: dict, parser: _Parser, head: tuple):
         """The model object from the values read for one block."""
         for a in self.gathered:
             if a.name in values:

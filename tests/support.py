@@ -19,7 +19,7 @@ from enum import Enum
 
 from evrforge import model as m
 from evrforge import trace
-from evrforge.dsl import ParseDiagnostic, SourceSpan, _Token
+from evrforge.dsl import ParseDiagnostic, SourceSpan
 
 ALL_LENSES = (
     m.Lens(m.LensKind.UTILITARIAN),
@@ -791,9 +791,10 @@ _IDENT_CONT = _IDENT_START | set("0123456789")
 _DIGITS = set("0123456789")
 
 
-def reference_lex(source: str, file: str) -> tuple[list[_Token], list[ParseDiagnostic]]:
-    """The character-by-character lexer that ``dsl._lex`` replaced."""
-    tokens: list[_Token] = []
+def reference_lex(source: str, file: str) -> tuple[list[tuple], list[ParseDiagnostic]]:
+    """The character-by-character lexer that ``dsl._lex`` replaced, with its
+    tokens in the lexer's shape: ``(kind, text, value, line, col, end_col)``."""
+    tokens: list[tuple] = []
     diags: list[ParseDiagnostic] = []
     i = 0
     line = 1
@@ -820,7 +821,7 @@ def reference_lex(source: str, file: str) -> tuple[list[_Token], list[ParseDiagn
                 col += 1
             continue
         if ch == ",":
-            tokens.append(_Token("COMMA", ",", ",", line, col, col + 1))
+            tokens.append(("COMMA", ",", ",", line, col, col + 1))
             i += 1
             col += 1
             continue
@@ -862,8 +863,8 @@ def reference_lex(source: str, file: str) -> tuple[list[_Token], list[ParseDiagn
                     SourceSpan(file, line, start_col, line, max(start_col, col - 1)),
                     "error", "P002", "unterminated string",
                 ))
-            tokens.append(_Token("STRING", source[i - (col - start_col):i], "".join(buf),
-                                 line, start_col, col))
+            tokens.append(("STRING", source[i - (col - start_col):i], "".join(buf),
+                           line, start_col, col))
             continue
         if ch in _DIGITS:
             start_col = col
@@ -883,8 +884,8 @@ def reference_lex(source: str, file: str) -> tuple[list[_Token], list[ParseDiagn
             text = source[i:j]
             col += len(text)
             i = j
-            tokens.append(_Token("DOTTED" if dotted else "INT", text, text,
-                                 line, start_col, col))
+            tokens.append(("DOTTED" if dotted else "INT", text, text,
+                           line, start_col, col))
             continue
         if ch in _IDENT_START:
             start_col = col
@@ -894,14 +895,14 @@ def reference_lex(source: str, file: str) -> tuple[list[_Token], list[ParseDiagn
             text = source[i:j]
             col += len(text)
             i = j
-            tokens.append(_Token("IDENT", text, text, line, start_col, col))
+            tokens.append(("IDENT", text, text, line, start_col, col))
             continue
         diags.append(ParseDiagnostic(point(), "error", "P004",
                                      f"illegal character {ch!r}"))
         i += 1
         col += 1
 
-    tokens.append(_Token("EOF", "", "", line, col, col))
+    tokens.append(("EOF", "", "", line, col, col))
     return tokens, diags
 
 

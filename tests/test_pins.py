@@ -68,18 +68,19 @@ def _scaffold_mutants(text: str):
     for i, line in enumerate(lines):
         if line.strip() and not line.lstrip().startswith("#"):
             yield f"-{i + 1}", "\n".join(lines[:i] + lines[i + 1:])
-    tokens, _ = dsl._lex(text, SCAFFOLD.name)
-    first: dict[int, object] = {}
+    tokens = list(dsl._lex(text, SCAFFOLD.name, []))
+    first: dict[int, tuple] = {}
     for tok in tokens[:-1]:
-        first.setdefault(tok.line, tok)
-        kind = "END" if tok.kind == "IDENT" and tok.value == "end" else tok.kind
+        kind, _, value, line, col, end_col = tok
+        first.setdefault(line, tok)
+        kind = "END" if kind == "IDENT" and value == "end" else kind
         if kind == "END":
-            yield f"{tok.line}:{tok.col}", edit(tok.line, tok.col, tok.end_col, "")
-        elif first[tok.line] is not tok:
+            yield f"{line}:{col}", edit(line, col, end_col, "")
+        elif first[line] is not tok:
             for other, new in REPLACEMENTS.items():
                 if other != kind:
-                    yield (f"{tok.line}:{tok.col}={new}",
-                           edit(tok.line, tok.col, tok.end_col, new))
+                    yield (f"{line}:{col}={new}",
+                           edit(line, col, end_col, new))
 
 
 def _parse_pins() -> dict[str, str]:
