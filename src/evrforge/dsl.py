@@ -552,6 +552,8 @@ _STRING = _Reader(_Parser.need_string, lambda value, doc: _quote(value), _alone)
 _INT = _Reader(_Parser.need_int, lambda value, doc: str(value))
 _BOOL = _Reader(_Parser.need_bool, lambda value, doc: "true" if value else "false")
 _IDENT = _Reader(_Parser.need_ident, _same)
+# A reference to an entity by its id: ``end`` closes the block instead.
+_REF = _Reader(_Parser.need_name, _same)
 # Prose: one ``note`` line per line of text.
 _NOTE = _Reader(lambda p, what: p.need_string("note text"), lambda value, doc: _quote(value),
                 _alone)
@@ -810,14 +812,14 @@ _BLOCKS: dict[str, _Block] = {block.keyword: block for block in (
         ("id", _IDENT, "session id"),
     ), (
         ("date", "date", _STRING, "session date"),
-        ("participant", "participants", _IDENT, "stakeholder id"),
+        ("participant", "participants", _REF, "stakeholder id"),
         ("lens", "lenses_used", _LENS, "lens kind"),
     )),
     _Block("statement", m.ValueStatement, "statements", (
         ("id", _IDENT, "statement id"),
     ), (
-        ("session", "session", _IDENT, "session id"),
-        ("by", "stakeholder", _IDENT, "stakeholder id"),
+        ("session", "session", _REF, "session id"),
+        ("by", "stakeholder", _REF, "stakeholder id"),
         ("lens", "lens", _LENS, "lens kind"),
         ("polarity", "polarity", _ENUM),
         ("note", "text", _NOTE),
@@ -832,7 +834,7 @@ _BLOCKS: dict[str, _Block] = {block.keyword: block for block in (
         ("alias", "aliases", _STRING, "alias name"),
         ("intrinsic", "intrinsic", _BOOL),
         ("", "hierarchy_scores", _GROUP, "scores"),
-        ("support", "supporting_statements", _IDENT, "statement id"),
+        ("support", "supporting_statements", _REF, "statement id"),
     )),
     _Block("quality", m.ValueQuality, "qualities", (
         ("id", _dotted(m.QUALITY_ID_RE), "a quality id of the form N.M"),
@@ -871,7 +873,7 @@ _BLOCKS: dict[str, _Block] = {block.keyword: block for block in (
         ("rigor", "rigor", _INT),
         ("form", "form", _ENUM, "control form"),
         ("status", "status", _ENUM, "control status"),
-        ("disposition", "implementing_disposition", _IDENT, "disposition id"),
+        ("disposition", "implementing_disposition", _REF, "disposition id"),
         ("note", "description", _NOTE),
     )),
     _Block("disposition", m.ValueDisposition, "dispositions", (
@@ -892,12 +894,12 @@ _BLOCKS: dict[str, _Block] = {block.keyword: block for block in (
         ("ethical", "ethical_refs",
          _dotted(re.compile(f"{m.EVR_ID_RE.pattern}|{m.CONTROL_ID_RE.pattern}")),
          "an EVR or control id"),
-        ("functional", "functional_refs", _IDENT, "functional requirement id"),
+        ("functional", "functional_refs", _REF, "functional requirement id"),
     )),
     _Block("persona", m.Persona, "personas", (
         ("id", _IDENT, "persona id"), ("name", _STRING, "persona name"),
     ), (
-        ("stakeholder", "stakeholder", _IDENT, "stakeholder id"),
+        ("stakeholder", "stakeholder", _REF, "stakeholder id"),
         ("note", "narrative", _NOTE),
     ), derived=("kind",)),
     _Block("attestation", m.Attestation, "attestations", (
@@ -914,13 +916,13 @@ _BLOCKS: dict[str, _Block] = {block.keyword: block for block in (
     _Block("mission", m.ValueMission, "mission", (), (
         ("note", "text", _NOTE),
         ("feature", "featured", _INT, "core value number"),
-        ("signed", "signed_by", _IDENT, "attestation id"),
+        ("signed", "signed_by", _REF, "attestation id"),
     )),
     _Block("decision", m.InvestmentDecision, "investment_decision", (
         ("verdict", _ENUM, "verdict"),
     ), (
         ("note", "rationale", _NOTE),
-        ("signed", "attestations", _IDENT, "attestation id"),
+        ("signed", "attestations", _REF, "attestation id"),
     )),
     _Block("feedback", m.FeedbackEntry, "feedback", (
         ("id", _IDENT, "feedback id"),

@@ -80,6 +80,21 @@ class TestParse:
         assert [d.code for d in result.diagnostics] == ["P090"]
         assert result.diagnostics[0].severity == "warning"
 
+    def test_bare_reference_leaves_end_to_its_block(self):
+        # A reference whose id is missing must not take the block's end for
+        # an id, which swallowed the next block as unknown attributes.
+        text = (
+            'register "TM" phase exploration\n'
+            'soi\n  note "demo"\nend\n'
+            'stakeholder ST1 "patients"\n  kind direct\nend\n'
+            'session SES1\n  participant{}\nend\n'
+            'statement V1\n  session SES1\n  by ST1\n  lens utilitarian\nend\n'
+        )
+        result = dsl.parse_register(text.format(""), "ref.evr")
+        assert [d.render() for d in result.diagnostics] == [
+            "ERROR P001 ref.evr:10:1: expected stakeholder id, found 'end'"]
+        assert [s.id for s in parse_ok(text.format(" ST1")).statements] == ["V1"]
+
     def test_recovery_reports_multiple_block_errors(self):
         text = (
             'register "TM" phase concept\n'
