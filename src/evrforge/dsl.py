@@ -162,11 +162,11 @@ def _lex(source: str, file: str, diags: list[ParseDiagnostic]) -> Iterator[tuple
             value = lexeme[1:-1] if closed else lexeme[1:]
             if "\\" in value:
                 value = _unescape(value, line, col + 1, file, diags)
+            token = (kind, lexeme, value, line, col, end - line_start + 1)
             if not closed:
-                diags.append(ParseDiagnostic(
-                    SourceSpan(file, line, col, line, max(col, end - line_start)), "error",
-                    "P002", "unterminated string"))
-            yield (kind, lexeme, value, line, col, end - line_start + 1)
+                diags.append(ParseDiagnostic(_span(token, file), "error", "P002",
+                                             "unterminated string"))
+            yield token
         elif kind == "ILLEGAL":
             diags.append(ParseDiagnostic(
                 SourceSpan(file, line, col, line, col), "error", "P004",

@@ -79,8 +79,7 @@ def _scaffold_mutants(text: str):
         elif first[line] is not tok:
             for other, new in REPLACEMENTS.items():
                 if other != kind:
-                    yield (f"{line}:{col}={new}",
-                           edit(line, col, end_col, new))
+                    yield f"{line}:{col}={new}", edit(line, col, end_col, new)
 
 
 def _parse_pins() -> dict[str, str]:
