@@ -9,8 +9,10 @@ demoted to phase concept), and the bucket contents and key order of
 diagnostics, and whether a document came back, for mutants of the
 ``evrforge init demo`` scaffold (``fixtures/scaffold_demo.evr``), and the
 line-break violations (P037) for a line break injected into every string
-field of the model.  A refactor of any of these must leave every pin as it
-is.  Regenerate the file only for an intended change of output:
+field of the model.  The ``dangling`` section holds the raw violations
+after each reference of the model is broken once (``BREAKS``), on the
+first fixture or seed that holds it.  A refactor of any of these must leave
+every pin as it is.  Regenerate the file only for an intended change of output:
 ``PYTHONPATH=src python -m tests.test_pins``.
 """
 
@@ -163,6 +165,109 @@ def _line_break_pins(named) -> dict[str, list]:
     return pins
 
 
+def _first_item(new):
+    """A replacement for a reference field: its first id, or its only one,
+    becomes ``new(doc, old)``; None when ``new`` finds nothing to put."""
+    def replacement(doc, value):
+        if not isinstance(value, tuple):
+            return new(doc, value)
+        item = new(doc, value[0])
+        return None if item is None else (item,) + value[1:]
+    return replacement
+
+
+def _unknown(ref):
+    return _first_item(lambda doc, old: ref)
+
+
+def _other(kind):
+    """Another entity of ``kind`` than the one named: a known target whose
+    id has a different prefix."""
+    return _first_item(lambda doc, old: next(
+        (e.id for e in getattr(doc, kind) if str(e.id).split("-")[0] != str(old).split("-")[0]),
+        None))
+
+
+def _subject(kind, ref):
+    return lambda doc, s: m.AttestationSubject(kind, ref) if s.kind is kind else None
+
+
+def _set(slot, field, replacement):
+    """A break: the first entity of ``slot`` (or the singleton) with a value
+    in ``field`` for which ``replacement`` finds something gets it."""
+    def broken(doc):
+        held = getattr(doc, slot)
+        entities = held if isinstance(held, tuple) else () if held is None else (held,)
+        for i, entity in enumerate(entities):
+            value = getattr(entity, field)
+            new = None if value is None or value == () else replacement(doc, value)
+            if new is None:
+                continue
+            entity = replace(entity, **{field: new})
+            if entities is not held:
+                return replace(doc, **{slot: entity})
+            return replace(doc, **{slot: held[:i] + (entity,) + held[i + 1:]})
+        return None
+    return broken
+
+
+def _drop(slot, kind):
+    """A break: the singleton an attestation endorses is dropped."""
+    return lambda doc: (replace(doc, **{slot: None})
+                        if getattr(doc, slot) and doc.index.attestations_for(kind) else None)
+
+
+# Every reference the model declares, broken once.  The P011 breaks name an
+# unknown id or drop what is named; the P013/P014/P015/P024 breaks name a
+# known id under another parent.
+BREAKS = {
+    "core value support": _set("core_values", "supporting_statements", _unknown("nowhere")),
+    "quality core value": _set("qualities", "core_value", _unknown(99)),
+    "EVR quality": _set("evrs", "quality", _unknown("9.9")),
+    "threat EVR": _set("threats", "evr", _unknown("9.9.9")),
+    "control threats": _set("controls", "threats", _unknown("9.9.9-T9")),
+    "control without threats": _set("controls", "threats", lambda doc, value: ()),
+    "control disposition": _set("controls", "implementing_disposition", _unknown("nowhere")),
+    "disposition controls": _set("dispositions", "implements", _unknown("9.9.9-C9")),
+    "session participants": _set("sessions", "participants", _unknown("nowhere")),
+    "statement session": _set("statements", "session", _unknown("nowhere")),
+    "statement stakeholder": _set("statements", "stakeholder", _unknown("nowhere")),
+    "persona stakeholder": _set("personas", "stakeholder", _unknown("nowhere")),
+    "concept ethical refs": _set("design_concepts", "ethical_refs", _unknown("9.9.9")),
+    "concept functional refs": _set("design_concepts", "functional_refs", _unknown("nowhere")),
+    "priority attestation": _set("attestations", "subject",
+                                 _subject(m.SubjectKind.PRIORITY_DECISION, "99")),
+    "risk attestation": _set("attestations", "subject",
+                             _subject(m.SubjectKind.RISK_ACCEPTANCE, "9.9.9-C9")),
+    "mission attestation": _drop("mission", m.SubjectKind.MISSION),
+    "decision attestation": _drop("investment_decision", m.SubjectKind.INVESTMENT_DECISION),
+    "rule attestation": _set("attestations", "subject", _subject(m.SubjectKind.RULE, "")),
+    "mission featured": _set("mission", "featured", _unknown(99)),
+    "mission signatures": _set("mission", "signed_by", _unknown("nowhere")),
+    "decision attestations": _set("investment_decision", "attestations", _unknown("nowhere")),
+    "feedback source": _set("feedback", "source", _unknown("nowhere")),
+    "feedback results": _set("feedback", "resulted", _unknown("nowhere")),
+    "quality prefix": _set("qualities", "core_value", _other("core_values")),
+    "EVR prefix": _set("evrs", "quality", _other("qualities")),
+    "threat prefix": _set("threats", "evr", _other("evrs")),
+    "control threat prefix": _set("controls", "threats", _other("threats")),
+}
+
+
+def _dangling_pins(named) -> dict[str, list | None]:
+    """For every break: the first document it applies to, and the raw
+    violations of the broken document."""
+    pins: dict[str, list | None] = {}
+    for name, break_ in BREAKS.items():
+        pins[name] = None
+        for holder, doc in named:
+            broken = break_(doc)
+            if broken is not None:
+                pins[name] = [holder] + _violations(broken)
+                break
+    return pins
+
+
 @functools.cache
 def compute_pins() -> dict:
     seeds = [random_register(random.Random(s)) for s in SEEDS]
@@ -198,12 +303,13 @@ def compute_pins() -> dict:
                     for s in range(100)},
         "diff": diff,
         "line_breaks": _line_break_pins(holders),
+        "dangling": _dangling_pins(holders),
         "parse": _parse_pins(),
     }
 
 
 @pytest.mark.parametrize("section", ["writers", "duplicated", "bad_id", "demoted", "diff",
-                                     "line_breaks"])
+                                     "line_breaks", "dangling"])
 def test_pins_hold(section):
     pinned = json.loads(PINS.read_text(encoding="utf-8"))
     assert compute_pins()[section] == pinned[section]
@@ -223,6 +329,7 @@ def test_pins_cover_every_kind():
     assert {key.split(" in ")[0] for key in pinned["duplicated"]} == set(KINDS)
     assert {key.split(" in ")[0] for key in pinned["bad_id"]} == set(IDENT_KINDS)
     assert all(pinned["line_breaks"].values())
+    assert pinned["dangling"].keys() == BREAKS.keys() and all(pinned["dangling"].values())
     codes = {line.split()[1] for text in pinned["parse"].values() for line in text.split("\n")[1:]}
     assert {"P001", "P006", "P012", "P018", "P020", "P034", "P090"} <= codes
 
