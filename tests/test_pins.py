@@ -11,8 +11,10 @@ diagnostics, and whether a document came back, for mutants of the
 line-break violations (P037) for a line break injected into every string
 field of the model.  The ``dangling`` section holds the raw violations
 after each reference of the model is broken once (``BREAKS``), on the
-first fixture or seed that holds it.  A refactor of any of these must leave
-every pin as it is.  Regenerate the file only for an intended change of output:
+first fixture or seed that holds it, and the ``graph`` section the digests
+of ``trace.export_dot`` for every fixture and seeds 0..999.  A refactor of
+any of these must leave every pin as it is.  Regenerate the file only for
+an intended change of output:
 ``PYTHONPATH=src python -m tests.test_pins``.
 """
 
@@ -297,6 +299,7 @@ def compute_pins() -> dict:
     return {
         "writers": {name: [_sha(dsl.serialize_canonical(doc)), _sha(dsl.export_interchange(doc))]
                     for name, doc in named},
+        "graph": {name: _sha(trace.export_dot(doc)) for name, doc in holders},
         "duplicated": duplicated,
         "bad_id": bad_id,
         "demoted": {f"seed {s}": _sha(json.dumps(_violations(replace(seeds[s], phase=m.Phase.CONCEPT))))
@@ -309,7 +312,7 @@ def compute_pins() -> dict:
 
 
 @pytest.mark.parametrize("section", ["writers", "duplicated", "bad_id", "demoted", "diff",
-                                     "line_breaks", "dangling"])
+                                     "line_breaks", "dangling", "graph"])
 def test_pins_hold(section):
     pinned = json.loads(PINS.read_text(encoding="utf-8"))
     assert compute_pins()[section] == pinned[section]

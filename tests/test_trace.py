@@ -81,6 +81,45 @@ class TestBuildGraph:
         assert len(graph.nodes) == expected_nodes
 
 
+    def test_edge_order_with_linked_design_concepts(self):
+        chain = _chain_doc()
+        doc = replace(
+            chain,
+            controls=chain.controls + (m.Control(id="1.1.2-C2", threats=("1.1.2-T1",),
+                                                 form=m.ControlForm.PROCEDURAL),),
+            # D2 comes first and names its control from its side only; D1
+            # and 1.1.2-C1 name each other.
+            dispositions=(m.ValueDisposition(id="D2", soi_component="desk",
+                                             implements=("1.1.2-C2",)),)
+            + chain.dispositions,
+            functional_requirements=(m.FunctionalRequirement(id="F1"),
+                                     m.FunctionalRequirement(id="F2")),
+            design_concepts=(
+                m.DesignConcept(id="DC1", name="vault", ethical_refs=("1.1.1", "1.1.2-C1"),
+                                functional_refs=("F1",)),
+                m.DesignConcept(id="DC2", name="desk", ethical_refs=("1.1.2", "1.1.2-C2"),
+                                functional_refs=("F2", "F1")),
+            ),
+        )
+        assert m.validate_register(doc) == ()
+        graph = trace.build_graph(doc)
+        assert graph.edges == (
+            ("1", "1.1"), ("1.1", "1.1.1"), ("1.1", "1.1.2"), ("1.1.2", "1.1.2-T1"),
+            ("1.1.2-T1", "1.1.2-C1"), ("1.1.2-T1", "1.1.2-C2"),
+            ("1.1.2-C1", "D1"), ("1.1.2-C2", "D2"),
+            ("DC1", "1.1.1"), ("DC1", "1.1.2-C1"), ("DC1", "F1"),
+            ("DC2", "1.1.2"), ("DC2", "1.1.2-C2"), ("DC2", "F2"), ("DC2", "F1"),
+        )
+        assert list(graph.nodes) == ["1", "1.1", "1.1.1", "1.1.2", "1.1.2-T1", "1.1.2-C1",
+                                     "1.1.2-C2", "D2", "D1", "F1", "F2", "DC1", "DC2"]
+        assert [graph.nodes[i].kind for i in ("1.1.2-C2", "D2", "F1", "DC1")] == [
+            "control", "disposition", "functional_requirement", "design_concept"]
+        assert graph.parents == {
+            "1": None, "1.1": "1", "1.1.1": "1.1", "1.1.2": "1.1", "1.1.2-T1": "1.1.2",
+            "1.1.2-C1": "1.1.2-T1", "1.1.2-C2": "1.1.2-T1", "D2": "1.1.2-C2",
+            "D1": "1.1.2-C1", "F1": None, "F2": None, "DC1": None, "DC2": None}
+
+
 class TestTraceChain:
     def test_evr_chain(self, chain_doc):
         graph = trace.build_graph(chain_doc)
