@@ -19,6 +19,7 @@ import re
 from dataclasses import asdict, astuple, dataclass, field, replace
 from enum import Enum
 from functools import cached_property
+from operator import attrgetter
 
 
 class Phase(str, Enum):
@@ -133,23 +134,6 @@ QUALITY_ID_RE = re.compile(r"^([1-9][0-9]*)\.([1-9][0-9]*)$")
 EVR_ID_RE = re.compile(r"^([1-9][0-9]*)\.([1-9][0-9]*)\.([1-9][0-9]*)$")
 THREAT_ID_RE = re.compile(r"^([1-9][0-9]*\.[1-9][0-9]*\.[1-9][0-9]*)-T([1-9][0-9]*)$")
 CONTROL_ID_RE = re.compile(r"^([1-9][0-9]*\.[1-9][0-9]*\.[1-9][0-9]*)-C([1-9][0-9]*)$")
-
-
-def quality_parent(quality_id: str) -> int | None:
-    """Core value number encoded in a quality id, or None if malformed."""
-    m = QUALITY_ID_RE.match(quality_id)
-    return int(m.group(1)) if m else None
-
-
-def evr_parent(evr_id: str) -> str | None:
-    """Quality id encoded in an EVR id, or None if malformed."""
-    m = EVR_ID_RE.match(evr_id)
-    return f"{m.group(1)}.{m.group(2)}" if m else None
-
-
-def threat_parent(threat_id: str) -> str | None:
-    m = THREAT_ID_RE.match(threat_id)
-    return m.group(1) if m else None
 
 
 def control_parent(control_id: str) -> str | None:
@@ -472,6 +456,34 @@ ENTITY_KINDS: dict[str, tuple[str, Phase | None, bool]] = {
     "feedback": ("feedback entry", Phase.DESIGN, True),
 }
 
+# Every field that names other entities by id: the source collection (or the
+# ``mission`` / ``investment_decision`` singleton), the field, the collections
+# its ids may name, the P011 message for an id found in none of them (``{id}``
+# is the source's id, ``{ref}`` the id), and for a chain parent the name of
+# the DocIndex grouping of the source's entities by it.  Validation, the index
+# and the trace graph follow this table; attestation subjects, a feedback
+# entry's source (which may be ``market``) and a control without threats are
+# checked by hand in validate_register.
+REFERENCES: tuple[tuple[str, str, tuple[str, ...], str, str | None], ...] = (
+    ("core_values", "supporting_statements", ("statements",), "core value {id} cites unknown statement {ref!r}", None),
+    ("qualities", "core_value", ("core_values",), "quality {id} references unknown core value {ref}", "qualities_by_value"),
+    ("evrs", "quality", ("qualities",), "EVR {id} references unknown quality {ref!r}", "evrs_by_quality"),
+    ("threats", "evr", ("evrs",), "threat {id} references unknown EVR {ref!r}", "threats_by_evr"),
+    ("controls", "threats", ("threats",), "control {id} references unknown threat {ref!r}", "controls_by_threat"),
+    ("controls", "implementing_disposition", ("dispositions",), "control {id} references unknown disposition {ref!r}", None),
+    ("dispositions", "implements", ("controls",), "disposition {id} implements unknown control {ref!r}", "dispositions_by_control"),
+    ("sessions", "participants", ("stakeholders",), "session {id} names unknown stakeholder {ref!r}", None),
+    ("statements", "session", ("sessions",), "statement {id} references unknown session {ref!r}", None),
+    ("statements", "stakeholder", ("stakeholders",), "statement {id} references unknown stakeholder {ref!r}", None),
+    ("personas", "stakeholder", ("stakeholders",), "persona {id} references unknown stakeholder {ref!r}", None),
+    ("design_concepts", "ethical_refs", ("evrs", "controls"), "design concept {id} references unknown ethical requirement {ref!r}", None),
+    ("design_concepts", "functional_refs", ("functional_requirements",), "design concept {id} references unknown functional requirement {ref!r}", None),
+    ("mission", "featured", ("core_values",), "mission features unknown core value {ref}", None),
+    ("mission", "signed_by", ("attestations",), "mission cites unknown attestation {ref!r}", None),
+    ("investment_decision", "attestations", ("attestations",), "investment decision cites unknown attestation {ref!r}", None),
+    ("feedback", "resulted", ("statements", "qualities"), "feedback {id} resulted-ref {ref!r} is neither a statement nor a quality", None),
+)
+
 
 class RegisterError(ValueError):
     """Base error for register operations."""
@@ -510,8 +522,10 @@ class DocIndex:
     """Lookup tables over one document, built once per document through
     :attr:`RegisterDocument.index`: for each collection of
     :data:`ENTITY_KINDS` a dict from id to entity under the collection's
-    name (``idx.evrs``), plus the groupings below.  It holds no reference to
-    the document, so the cached index makes no reference cycle."""
+    name (``idx.evrs``), for each chain parent in :data:`REFERENCES` a dict
+    from parent id to its children (``idx.evrs_by_quality``), and
+    ``controls_by_evr`` by id prefix.  It holds no reference to the
+    document, so the cached index makes no reference cycle."""
 
     def __init__(self, doc: RegisterDocument) -> None:
         for kind in ENTITY_KINDS:
@@ -521,24 +535,22 @@ class DocIndex:
             self._attestations_by_subject.setdefault(
                 (a.subject.kind, a.subject.ref), []).append(a)
 
-        self.qualities_by_value: dict[int, list[ValueQuality]] = {}
-        for q in doc.qualities:
-            self.qualities_by_value.setdefault(q.core_value, []).append(q)
-        self.evrs_by_quality: dict[str, list[Evr]] = {}
-        for e in doc.evrs:
-            self.evrs_by_quality.setdefault(e.quality, []).append(e)
-        self.threats_by_evr: dict[str, list[Threat]] = {}
-        for t in doc.threats:
-            self.threats_by_evr.setdefault(t.evr, []).append(t)
+        for kind, field, _, _, grouping in REFERENCES:
+            if grouping is not None:
+                groups: dict = {}
+                entities = getattr(doc, kind)
+                for entity, refs in zip(entities, map(attrgetter(field), entities)):
+                    if refs.__class__ is not tuple:
+                        groups.setdefault(refs, []).append(entity)
+                        continue
+                    for ref in refs:
+                        groups.setdefault(ref, []).append(entity)
+                setattr(self, grouping, groups)
         self.controls_by_evr: dict[str, list[Control]] = {}
         for c in doc.controls:
             parent = control_parent(c.id)
             if parent is not None:
                 self.controls_by_evr.setdefault(parent, []).append(c)
-        self.controls_by_threat: dict[str, list[Control]] = {}
-        for c in doc.controls:
-            for tid in c.threats:
-                self.controls_by_threat.setdefault(tid, []).append(c)
 
     def evrs_under_value(self, value_id: int) -> list[Evr]:
         out: list[Evr] = []
@@ -613,36 +625,80 @@ def validate_register(doc: RegisterDocument) -> tuple[Violation, ...]:
             for crit, score in asdict(cv.hierarchy_scores).items():
                 if not 1 <= score <= 5:
                     bad("P021", str(cv.id), f"hierarchy score {crit} must be 1..5, got {score}")
-        for ref in cv.supporting_statements:
-            if ref not in idx.statements:
-                bad("P011", str(cv.id), f"core value {cv.id} cites unknown statement {ref!r}")
 
-    # Dotted-decimal coherence and contiguity.
+    # Dotted-decimal coherence: an id's prefix names its parent.
     for q in doc.qualities:
-        parent = quality_parent(q.id)
-        if parent is None:
+        m = QUALITY_ID_RE.match(q.id)
+        if m is None:
             bad("P012", q.id, f"quality id {q.id!r} is not of the form N.M")
+        elif int(m.group(1)) != q.core_value:
+            bad("P013", q.id, f"quality id prefix {m.group(1)} does not match parent core value {q.core_value}")
+
+    for e in doc.evrs:
+        if not EVR_ID_RE.match(e.id):
+            bad("P012", e.id, f"EVR id {e.id!r} is not of the form N.M.K")
+        elif e.id.rsplit(".", 1)[0] != e.quality:
+            bad("P014", e.id, "EVR id prefix does not match parent quality")
+
+    js: dict[str, list[int]] = {}
+    threat_evrs: dict[str, str] = {}
+    for t in doc.threats:
+        m = THREAT_ID_RE.match(t.id)
+        if m is None:
+            bad("P012", t.id, f"threat id {t.id!r} is not of the form N.M.K-Tj")
             continue
-        if parent != q.core_value:
-            bad("P013", q.id, f"quality id prefix {parent} does not match parent core value {q.core_value}")
-        if q.core_value not in idx.core_values:
-            bad("P011", q.id, f"quality {q.id} references unknown core value {q.core_value}")
+        js.setdefault(m.group(1), []).append(int(m.group(2)))
+        threat_evrs[t.id] = m.group(1)
+        if m.group(1) != t.evr:
+            bad("P015", t.id, "threat id prefix does not match its EVR")
+
+    cs: dict[str, list[int]] = {}
+    for c in doc.controls:
+        m = CONTROL_ID_RE.match(c.id)
+        if m is None:
+            bad("P012", c.id, f"control id {c.id!r} is not of the form N.M.K-Cj")
+            continue
+        own_evr = m.group(1)
+        cs.setdefault(own_evr, []).append(int(m.group(2)))
+        if not c.threats:
+            bad("P011", c.id, f"control {c.id} mitigates no threats")
+        for tid in c.threats:
+            if tid in idx.threats and threat_evrs.get(tid) != own_evr:
+                bad("P024", c.id, f"control {c.id} references threat {tid} outside its EVR {own_evr}")
+        if not 1 <= c.rigor <= 4:
+            bad("P021", c.id, f"control rigor must be 1..4, got {c.rigor}")
+        if c.status is ControlStatus.IMPLEMENTED and c.implementing_disposition is None:
+            bad("P025", c.id, f"implemented control {c.id} names no implementing disposition")
+
+    # References.  A numbered entity whose id is malformed has its P012 only.
+    numbered = {"qualities": QUALITY_ID_RE, "evrs": EVR_ID_RE,
+                "threats": THREAT_ID_RE, "controls": CONTROL_ID_RE}
+    for kind, field, targets, message, _ in REFERENCES:
+        known = getattr(idx, targets[0]) if len(targets) == 1 else {
+            key for target in targets for key in getattr(idx, target)}
+        held = getattr(doc, kind)
+        single = kind not in ENTITY_KINDS
+        pattern = numbered.get(kind)
+        entities = ((held,) if held is not None else ()) if single else held
+        for entity, refs in zip(entities, map(attrgetter(field), entities)):
+            if refs.__class__ is not tuple:
+                if refs is None or refs in known:
+                    continue
+                refs = (refs,)
+            for ref in refs:
+                if ref not in known and (pattern is None or pattern.match(entity.id)):
+                    subject = "register" if single else str(entity.id)
+                    bad("P011", subject, message.format(id=subject, ref=ref))
+
+    # Numbering runs 1..n under each parent.
     contiguous("quality numbering under core value", {
         value_id: [int(q.id.split(".")[1]) for q in quals if QUALITY_ID_RE.match(q.id)]
         for value_id, quals in idx.qualities_by_value.items()})
-
-    for e in doc.evrs:
-        parent = evr_parent(e.id)
-        if parent is None:
-            bad("P012", e.id, f"EVR id {e.id!r} is not of the form N.M.K")
-            continue
-        if parent != e.quality:
-            bad("P014", e.id, "EVR id prefix does not match parent quality")
-        if e.quality not in idx.qualities:
-            bad("P011", e.id, f"EVR {e.id} references unknown quality {e.quality!r}")
     contiguous("EVR numbering under quality", {
         quality_id: [int(e.id.split(".")[2]) for e in evrs if EVR_ID_RE.match(e.id)]
         for quality_id, evrs in idx.evrs_by_quality.items()})
+    contiguous("threat numbering under EVR", js)
+    contiguous("control numbering under EVR", cs)
 
     for e in doc.evrs:
         if e.threshold is not None and e.threshold.comparator not in THRESHOLD_COMPARATORS:
@@ -655,51 +711,9 @@ def validate_register(doc: RegisterDocument) -> tuple[Violation, ...]:
         if e.risk_path is RiskPath.HIGH and e.protection_demand is None:
             bad("P032", e.id, f"high-risk EVR {e.id} has no protection demand")
 
-    for t in doc.threats:
-        parent = threat_parent(t.id)
-        if parent is None:
-            bad("P012", t.id, f"threat id {t.id!r} is not of the form N.M.K-Tj")
-            continue
-        if parent != t.evr:
-            bad("P015", t.id, "threat id prefix does not match its EVR")
-        if t.evr not in idx.evrs:
-            bad("P011", t.id, f"threat {t.id} references unknown EVR {t.evr!r}")
-    js: dict[str, list[int]] = {}
-    for t in doc.threats:
-        m = THREAT_ID_RE.match(t.id)
-        if m:
-            js.setdefault(m.group(1), []).append(int(m.group(2)))
-    contiguous("threat numbering under EVR", js)
-
-    cs: dict[str, list[int]] = {}
-    for c in doc.controls:
-        m = CONTROL_ID_RE.match(c.id)
-        if m is None:
-            bad("P012", c.id, f"control id {c.id!r} is not of the form N.M.K-Cj")
-            continue
-        cs.setdefault(m.group(1), []).append(int(m.group(2)))
-        own_evr = m.group(1)
-        if not c.threats:
-            bad("P011", c.id, f"control {c.id} mitigates no threats")
-        for tid in c.threats:
-            if tid not in idx.threats:
-                bad("P011", c.id, f"control {c.id} references unknown threat {tid!r}")
-            elif threat_parent(tid) != own_evr:
-                bad("P024", c.id, f"control {c.id} references threat {tid} outside its EVR {own_evr}")
-        if not 1 <= c.rigor <= 4:
-            bad("P021", c.id, f"control rigor must be 1..4, got {c.rigor}")
-        if c.status is ControlStatus.IMPLEMENTED and c.implementing_disposition is None:
-            bad("P025", c.id, f"implemented control {c.id} names no implementing disposition")
-        if c.implementing_disposition is not None and c.implementing_disposition not in idx.dispositions:
-            bad("P011", c.id, f"control {c.id} references unknown disposition {c.implementing_disposition!r}")
-    contiguous("control numbering under EVR", cs)
-
     for d in doc.dispositions:
         if not d.implements:
             bad("P026", d.id, f"disposition {d.id} implements no controls")
-        for cid in d.implements:
-            if cid not in idx.controls:
-                bad("P011", d.id, f"disposition {d.id} implements unknown control {cid!r}")
 
     for s in doc.sos_elements:
         if s.tier < 1:
@@ -717,35 +731,18 @@ def validate_register(doc: RegisterDocument) -> tuple[Violation, ...]:
                 bad("P017", c.id, f"data flow type {flow.data_type!r} is not a declared data type")
 
     for session in doc.sessions:
-        for ref in session.participants:
-            if ref not in idx.stakeholders:
-                bad("P011", session.id, f"session {session.id} names unknown stakeholder {ref!r}")
         for lens in session.lenses_used:
             _check_lens(lens, session.id, bad)
         if session.date and not _well_formed_date(session.date):
             bad("P031", session.id, f"session date {session.date!r} is not an ISO date")
 
     for st in doc.statements:
-        if st.session not in idx.sessions:
-            bad("P011", st.id, f"statement {st.id} references unknown session {st.session!r}")
-        if st.stakeholder not in idx.stakeholders:
-            bad("P011", st.id, f"statement {st.id} references unknown stakeholder {st.stakeholder!r}")
         _check_lens(st.lens, st.id, bad)
 
     for p in doc.personas:
         holder = idx.stakeholders.get(p.stakeholder)
-        if holder is None:
-            bad("P011", p.id, f"persona {p.id} references unknown stakeholder {p.stakeholder!r}")
-        elif p.kind is not holder.kind:
+        if holder is not None and p.kind is not holder.kind:
             bad("P035", p.id, f"persona {p.id} kind {p.kind.value} differs from its stakeholder's kind {holder.kind.value}")
-
-    for dc in doc.design_concepts:
-        for ref in dc.ethical_refs:
-            if ref not in idx.evrs and ref not in idx.controls:
-                bad("P011", dc.id, f"design concept {dc.id} references unknown ethical requirement {ref!r}")
-        for ref in dc.functional_refs:
-            if ref not in idx.functional_requirements:
-                bad("P011", dc.id, f"design concept {dc.id} references unknown functional requirement {ref!r}")
 
     for a in doc.attestations:
         if not a.signatory_name.strip():
@@ -773,35 +770,20 @@ def validate_register(doc: RegisterDocument) -> tuple[Violation, ...]:
     if doc.mission is not None:
         by_rank = {c.priority_rank: c.id for c in doc.core_values}
         for i, ref in enumerate(doc.mission.featured, start=1):
-            if ref not in idx.core_values:
-                bad("P011", "register", f"mission features unknown core value {ref}")
-            elif by_rank.get(i) != ref:
+            if ref in idx.core_values and by_rank.get(i) != ref:
                 bad("P027", "register", "mission featured values are not a prefix of the priority order")
-        for ref in doc.mission.signed_by:
-            if ref not in idx.attestations:
-                bad("P011", "register", f"mission cites unknown attestation {ref!r}")
 
-    if doc.investment_decision is not None:
-        dec = doc.investment_decision
-        resolved: list[Attestation] = []
-        for ref in dec.attestations:
-            att = idx.attestations.get(ref)
-            if att is None:
-                bad("P011", "register", f"investment decision cites unknown attestation {ref!r}")
-            else:
-                resolved.append(att)
-        if dec.verdict is Verdict.NO_GO:
-            if not dec.rationale.strip():
-                bad("P028", "register", "no-go decision has no rationale")
-            if not any(a.signatory_role is SignatoryRole.EXECUTIVE for a in resolved):
-                bad("P028", "register", "no-go decision carries no executive attestation")
+    dec = doc.investment_decision
+    if dec is not None and dec.verdict is Verdict.NO_GO:
+        if not dec.rationale.strip():
+            bad("P028", "register", "no-go decision has no rationale")
+        if not any(idx.attestations[ref].signatory_role is SignatoryRole.EXECUTIVE
+                   for ref in dec.attestations if ref in idx.attestations):
+            bad("P028", "register", "no-go decision carries no executive attestation")
 
     for fb in doc.feedback:
         if fb.source != MARKET_SOURCE and fb.source not in idx.stakeholders:
             bad("P011", fb.id, f"feedback {fb.id} source {fb.source!r} is neither a stakeholder nor 'market'")
-        for ref in fb.resulted:
-            if ref not in idx.statements and ref not in idx.qualities:
-                bad("P011", fb.id, f"feedback {fb.id} resulted-ref {ref!r} is neither a statement nor a quality")
         if fb.date and not _well_formed_date(fb.date):
             bad("P031", fb.id, f"feedback date {fb.date!r} is not an ISO date")
 

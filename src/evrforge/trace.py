@@ -35,8 +35,39 @@ class TraceGraph:
     parents: dict[str, str | None]
 
 
-def _first_line(text: str) -> str:
-    return text.split("\n", 1)[0] if text else ""
+# The kinds the graph holds: collection -> (node kind, the field that names
+# a node, and whether only its first line does).
+_NODES = {
+    "core_values": ("core_value", "name", False),
+    "qualities": ("quality", "name", False),
+    "evrs": ("evr", "text", True),
+    "threats": ("threat", "description", True),
+    "controls": ("control", "description", True),
+    "dispositions": ("disposition", "description", True),
+    "functional_requirements": ("functional_requirement", "text", True),
+    "design_concepts": ("design_concept", "name", False),
+}
+
+
+def _graph_plan() -> list[tuple]:
+    """Per node kind, in ENTITY_KINDS order: (collection, node kind, name
+    field, first line only?, links, flush), with a link (field, chain
+    parent?, merged?) for each reference between node kinds.  An edge runs
+    from a parent to its child, else from an entity to what it names.  Two
+    kinds that name each other (a control its disposition, a disposition
+    its controls) give the same edges from both sides: those are merged and
+    come sorted after the later kind, the one marked ``flush``."""
+    kinds = [kind for kind in m.ENTITY_KINDS if kind in _NODES]
+    pairs = {(kind, targets) for kind, _, targets, _, _ in m.REFERENCES}
+    links = {kind: tuple((field, grouping is not None, (targets[0], (kind,)) in pairs)
+                         for source, field, targets, _, grouping in m.REFERENCES
+                         if source == kind and _NODES.keys() >= set(targets))
+             for kind in kinds}
+    last = max(i for i, kind in enumerate(kinds) if any(link[2] for link in links[kind]))
+    return [(kind, *_NODES[kind], links[kind], i == last) for i, kind in enumerate(kinds)]
+
+
+_GRAPH_PLAN = _graph_plan()
 
 
 def build_graph(doc: m.RegisterDocument) -> TraceGraph:
@@ -44,45 +75,27 @@ def build_graph(doc: m.RegisterDocument) -> TraceGraph:
     nodes: dict[str, TraceNode] = {}
     edges: list[tuple[str, str]] = []
     parents: dict[str, str | None] = {}
+    merged: set[tuple[str, str]] = set()
 
-    for cv in doc.core_values:
-        nodes[str(cv.id)] = TraceNode(str(cv.id), "core_value", cv.name)
-        parents[str(cv.id)] = None
-    for q in doc.qualities:
-        nodes[q.id] = TraceNode(q.id, "quality", q.name)
-        edges.append((str(q.core_value), q.id))
-        parents[q.id] = str(q.core_value)
-    for e in doc.evrs:
-        nodes[e.id] = TraceNode(e.id, "evr", _first_line(e.text))
-        edges.append((e.quality, e.id))
-        parents[e.id] = e.quality
-    for t in doc.threats:
-        nodes[t.id] = TraceNode(t.id, "threat", _first_line(t.description))
-        edges.append((t.evr, t.id))
-        parents[t.id] = t.evr
-    for c in doc.controls:
-        nodes[c.id] = TraceNode(c.id, "control", _first_line(c.description))
-        for tid in c.threats:
-            edges.append((tid, c.id))
-        parents[c.id] = c.threats[0] if c.threats else None
-    disposition_edges: set[tuple[str, str]] = set()
-    for c in doc.controls:
-        if c.implementing_disposition is not None:
-            disposition_edges.add((c.id, c.implementing_disposition))
-    for d in doc.dispositions:
-        nodes[d.id] = TraceNode(d.id, "disposition", _first_line(d.description))
-        for cid in d.implements:
-            disposition_edges.add((cid, d.id))
-        parents[d.id] = d.implements[0] if d.implements else None
-    edges.extend(sorted(disposition_edges))
-    for f in doc.functional_requirements:
-        nodes[f.id] = TraceNode(f.id, "functional_requirement", _first_line(f.text))
-        parents[f.id] = None
-    for dc in doc.design_concepts:
-        nodes[dc.id] = TraceNode(dc.id, "design_concept", dc.name)
-        parents[dc.id] = None
-        for ref in dc.ethical_refs + dc.functional_refs:
-            edges.append((dc.id, ref))
+    for kind, node_kind, name, first_line, links, flush in _GRAPH_PLAN:
+        for entity in getattr(doc, kind):
+            eid = str(entity.id)
+            label = getattr(entity, name)
+            nodes[eid] = TraceNode(eid, node_kind, label.split("\n", 1)[0] if first_line else label)
+            parent_id = None
+            for field, parent, both_sides in links:
+                refs = getattr(entity, field)
+                if refs is None:
+                    continue
+                refs = refs if refs.__class__ is tuple else (str(refs),)
+                if parent and refs:
+                    parent_id = refs[0]
+                put = merged.add if both_sides else edges.append
+                for ref in refs:
+                    put((ref, eid) if parent else (eid, ref))
+            parents[eid] = parent_id
+        if flush:
+            edges.extend(sorted(merged))
 
     return TraceGraph(nodes=nodes, edges=tuple(edges), parents=parents)
 

@@ -1,14 +1,15 @@
 from __future__ import annotations
 
 import random
+import typing
 from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from evrforge import dsl, rules
 from evrforge import model as m
-from evrforge import rules
 
 from .support import base_doc, random_register
 
@@ -104,6 +105,20 @@ class TestValidation:
     def test_every_collection_declares_its_kind(self):
         collections = [f.name for f in fields(m.RegisterDocument) if f.default == ()]
         assert list(m.ENTITY_KINDS) == collections
+
+    def test_every_reference_is_declared(self):
+        # A reference attribute of the text format cannot ship without the
+        # REFERENCES entry that checks it (P011), indexes and draws it.
+        declared = {(kind, field) for kind, field, *_ in m.REFERENCES}
+        read = {(block.slot, attr.field) for block in dsl._BLOCKS.values()
+                for attr in block.attrs if attr.reader is dsl._REF}
+        assert read and read <= declared
+        hints = typing.get_type_hints(m.RegisterDocument)
+        for kind, field, targets, message, _ in m.REFERENCES:
+            assert kind in m.ENTITY_KINDS or kind in ("mission", "investment_decision")
+            assert field in {f.name for f in fields(typing.get_args(hints[kind])[0])}
+            assert targets and set(targets) <= m.ENTITY_KINDS.keys()
+            assert "{ref" in message
 
     def test_duplicate_ids_rejected(self):
         doc = base_doc(m.Phase.EXPLORATION, stakeholders=(
