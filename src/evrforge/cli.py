@@ -196,7 +196,7 @@ def render_mission_report(doc: m.RegisterDocument) -> str:
         lines.extend(doc.mission.text.split("\n") if doc.mission.text else ["none"])
     lines.append("")
     lines.append("featured core values:")
-    by_id = {cv.id: cv for cv in doc.core_values}
+    by_id = doc.index.core_values
     if doc.mission is not None and doc.mission.featured:
         for i, ref in enumerate(doc.mission.featured, start=1):
             name = by_id[ref].name if ref in by_id else str(ref)
@@ -250,7 +250,7 @@ def render_audit_report(doc: m.RegisterDocument,
         lines.append("none")
     else:
         lines.extend(doc.mission.text.split("\n") if doc.mission.text else ["none"])
-        by_id = {cv.id: cv for cv in doc.core_values}
+        by_id = doc.index.core_values
         featured = "; ".join(
             f"{ref} {by_id[ref].name}" if ref in by_id else str(ref)
             for ref in doc.mission.featured
