@@ -129,7 +129,8 @@ class Verdict(str, Enum):
 
 THRESHOLD_COMPARATORS = ("<", "<=", "=", ">=", ">")
 
-IDENT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+# An identifier; ``end`` closes a block, so it is no id.
+IDENT_RE = re.compile(r"^(?!end$)[A-Za-z_][A-Za-z0-9_]*$")
 QUALITY_ID_RE = re.compile(r"^([1-9][0-9]*)\.([1-9][0-9]*)$")
 EVR_ID_RE = re.compile(r"^([1-9][0-9]*)\.([1-9][0-9]*)\.([1-9][0-9]*)$")
 THREAT_ID_RE = re.compile(r"^([1-9][0-9]*\.[1-9][0-9]*\.[1-9][0-9]*)-T([1-9][0-9]*)$")

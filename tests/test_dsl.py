@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from evrforge import dsl
 from evrforge import model as m
 
-from .support import import_interchange, random_register
+from .support import base_doc, import_interchange, random_register
 
 
 def parse_ok(text: str) -> m.RegisterDocument:
@@ -94,6 +94,16 @@ class TestParse:
         assert [d.render() for d in result.diagnostics] == [
             "ERROR P001 ref.evr:10:1: expected stakeholder id, found 'end'"]
         assert [s.id for s in parse_ok(text.format(" ST1")).statements] == ["V1"]
+
+    def test_an_id_named_end_is_refused(self):
+        # The writer would put the id where a reader takes ``end`` for the
+        # block's close, so the text would not parse back.
+        doc = base_doc(m.Phase.EXPLORATION,
+                       stakeholders=(m.Stakeholder("end", "patients", m.StakeholderKind.DIRECT),),
+                       sessions=(m.ElicitationSession("SES1", participants=("end",)),))
+        assert [(v.code, v.subject) for v in m.validate_register(doc)] == [("P012", "end")]
+        with pytest.raises(m.RegisterError):
+            dsl.serialize_canonical(doc)
 
     def test_recovery_reports_multiple_block_errors(self):
         text = (
