@@ -120,6 +120,17 @@ class TestValidation:
             assert targets and set(targets) <= m.ENTITY_KINDS.keys()
             assert "{ref" in message
 
+    @pytest.mark.parametrize("kind, entity", [
+        ("qualities", m.ValueQuality(id="Q1", core_value=9, name="q")),
+        ("evrs", m.Evr(id="E1", quality="9.9", text="t")),
+        ("threats", m.Threat(id="T1", evr="9.9.9")),
+        ("controls", m.Control(id="C1", threats=("9.9.9-T9",), form=m.ControlForm.STRUCTURAL,
+                               implementing_disposition="nowhere")),
+    ])
+    def test_malformed_numbered_id_reports_only_its_shape(self, kind, entity):
+        doc = base_doc(m.Phase.DESIGN, **{kind: (entity,)})
+        assert [(v.code, v.subject) for v in m.validate_register(doc)] == [("P012", entity.id)]
+
     def test_duplicate_ids_rejected(self):
         doc = base_doc(m.Phase.EXPLORATION, stakeholders=(
             m.Stakeholder(id="ST1", name="a", kind=m.StakeholderKind.DIRECT),
