@@ -460,11 +460,10 @@ ENTITY_KINDS: dict[str, tuple[str, Phase | None, bool]] = {
 # Every field that names other entities by id: the source collection (or the
 # ``mission`` / ``investment_decision`` singleton), the field, the collections
 # its ids may name, the P011 message for an id found in none of them (``{id}``
-# is the source's id, ``{ref}`` the id), and for a chain parent the name of
-# the DocIndex grouping of the source's entities by it.  Validation, the index
-# and the trace graph follow this table; attestation subjects, a feedback
-# entry's source (which may be ``market``) and a control without threats are
-# checked by hand in validate_register.
+# the source's id, ``{ref}`` the id), and for a chain parent the DocIndex
+# grouping of the source's entities by it.  Validation, the index and the
+# trace graph follow it; attestation subjects, a feedback entry's source (it
+# may be ``market``) and a control without threats are checked by hand.
 REFERENCES: tuple[tuple[str, str, tuple[str, ...], str, str | None], ...] = (
     ("core_values", "supporting_statements", ("statements",), "core value {id} cites unknown statement {ref!r}", None),
     ("qualities", "core_value", ("core_values",), "quality {id} references unknown core value {ref}", "qualities_by_value"),
@@ -523,10 +522,10 @@ class DocIndex:
     """Lookup tables over one document, built once per document through
     :attr:`RegisterDocument.index`: for each collection of
     :data:`ENTITY_KINDS` a dict from id to entity under the collection's
-    name (``idx.evrs``), for each chain parent in :data:`REFERENCES` a dict
-    from parent id to its children (``idx.evrs_by_quality``), and
-    ``controls_by_evr`` by id prefix.  It holds no reference to the
-    document, so the cached index makes no reference cycle."""
+    name (``idx.evrs``), the children of each parent under the grouping of
+    :data:`REFERENCES` (``idx.evrs_by_quality``), and ``controls_by_evr``.
+    It holds no reference to the document, so the cached index makes no
+    reference cycle."""
 
     def __init__(self, doc: RegisterDocument) -> None:
         for kind in ENTITY_KINDS:

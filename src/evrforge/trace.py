@@ -51,12 +51,10 @@ _NODES = {
 
 def _graph_plan() -> list[tuple]:
     """Per node kind, in ENTITY_KINDS order: (collection, node kind, name
-    field, first line only?, links, flush), with a link (field, chain
-    parent?, merged?) for each reference between node kinds.  An edge runs
-    from a parent to its child, else from an entity to what it names.  Two
-    kinds that name each other (a control its disposition, a disposition
-    its controls) give the same edges from both sides: those are merged and
-    come sorted after the later kind, the one marked ``flush``."""
+    field, first line only?, links, flush), with a link (field, parent?,
+    merged?) per reference between node kinds.  An edge runs from a parent
+    to its child, else from an entity to what it names.  Edges that two
+    kinds name from both sides are merged, sorted, after the later kind."""
     kinds = [kind for kind in m.ENTITY_KINDS if kind in _NODES]
     pairs = {(kind, targets) for kind, _, targets, _, _ in m.REFERENCES}
     links = {kind: tuple((field, grouping is not None, (targets[0], (kind,)) in pairs)
