@@ -674,8 +674,7 @@ def validate_register(doc: RegisterDocument) -> tuple[Violation, ...]:
     numbered = {"qualities": QUALITY_ID_RE, "evrs": EVR_ID_RE,
                 "threats": THREAT_ID_RE, "controls": CONTROL_ID_RE}
     for kind, field, targets, message, _ in REFERENCES:
-        known = getattr(idx, targets[0]) if len(targets) == 1 else {
-            key for target in targets for key in getattr(idx, target)}
+        known, *others = [getattr(idx, target) for target in targets]
         held = getattr(doc, kind)
         single = kind not in ENTITY_KINDS
         pattern = numbered.get(kind)
@@ -686,7 +685,8 @@ def validate_register(doc: RegisterDocument) -> tuple[Violation, ...]:
                     continue
                 refs = (refs,)
             for ref in refs:
-                if ref not in known and (pattern is None or pattern.match(entity.id)):
+                if (ref not in known and not any(ref in other for other in others)
+                        and (pattern is None or pattern.match(entity.id))):
                     subject = "register" if single else str(entity.id)
                     bad("P011", subject, message.format(id=subject, ref=ref))
 
