@@ -129,8 +129,7 @@ class Verdict(str, Enum):
 
 THRESHOLD_COMPARATORS = ("<", "<=", "=", ">=", ">")
 
-# An identifier; ``end`` closes a block, so it is no id.
-IDENT_RE = re.compile(r"^(?!end$)[A-Za-z_][A-Za-z0-9_]*$")
+IDENT_RE = re.compile(r"^(?!end$)[A-Za-z_][A-Za-z0-9_]*$")  # ``end`` closes a block
 QUALITY_ID_RE = re.compile(r"^([1-9][0-9]*)\.([1-9][0-9]*)$")
 EVR_ID_RE = re.compile(r"^([1-9][0-9]*)\.([1-9][0-9]*)\.([1-9][0-9]*)$")
 THREAT_ID_RE = re.compile(r"^([1-9][0-9]*\.[1-9][0-9]*\.[1-9][0-9]*)-T([1-9][0-9]*)$")
@@ -460,28 +459,28 @@ ENTITY_KINDS: dict[str, tuple[str, Phase | None, bool]] = {
 # Every field that names other entities by id: the source collection (or the
 # ``mission`` / ``investment_decision`` singleton), the field, the collections
 # its ids may name, the P011 message for an id found in none of them (``{id}``
-# the source's id, ``{ref}`` the id), and for a chain parent the DocIndex
-# grouping of the source's entities by it.  Validation, the index and the
-# trace graph follow it; attestation subjects, a feedback entry's source (it
-# may be ``market``) and a control without threats are checked by hand.
-REFERENCES: tuple[tuple[str, str, tuple[str, ...], str, str | None], ...] = (
-    ("core_values", "supporting_statements", ("statements",), "core value {id} cites unknown statement {ref!r}", None),
-    ("qualities", "core_value", ("core_values",), "quality {id} references unknown core value {ref}", "qualities_by_value"),
-    ("evrs", "quality", ("qualities",), "EVR {id} references unknown quality {ref!r}", "evrs_by_quality"),
-    ("threats", "evr", ("evrs",), "threat {id} references unknown EVR {ref!r}", "threats_by_evr"),
-    ("controls", "threats", ("threats",), "control {id} references unknown threat {ref!r}", "controls_by_threat"),
-    ("controls", "implementing_disposition", ("dispositions",), "control {id} references unknown disposition {ref!r}", None),
-    ("dispositions", "implements", ("controls",), "disposition {id} implements unknown control {ref!r}", "dispositions_by_control"),
-    ("sessions", "participants", ("stakeholders",), "session {id} names unknown stakeholder {ref!r}", None),
-    ("statements", "session", ("sessions",), "statement {id} references unknown session {ref!r}", None),
-    ("statements", "stakeholder", ("stakeholders",), "statement {id} references unknown stakeholder {ref!r}", None),
-    ("personas", "stakeholder", ("stakeholders",), "persona {id} references unknown stakeholder {ref!r}", None),
-    ("design_concepts", "ethical_refs", ("evrs", "controls"), "design concept {id} references unknown ethical requirement {ref!r}", None),
-    ("design_concepts", "functional_refs", ("functional_requirements",), "design concept {id} references unknown functional requirement {ref!r}", None),
-    ("mission", "featured", ("core_values",), "mission features unknown core value {ref}", None),
-    ("mission", "signed_by", ("attestations",), "mission cites unknown attestation {ref!r}", None),
-    ("investment_decision", "attestations", ("attestations",), "investment decision cites unknown attestation {ref!r}", None),
-    ("feedback", "resulted", ("statements", "qualities"), "feedback {id} resulted-ref {ref!r} is neither a statement nor a quality", None),
+# the source's id, ``{ref}`` the id), and whether the field is the source's
+# chain parent.  Validation, the index and the trace graph follow it;
+# attestation subjects, a feedback entry's source (it may be ``market``) and a
+# control without threats are checked by hand.
+REFERENCES: tuple[tuple[str, str, tuple[str, ...], str, bool], ...] = (
+    ("core_values", "supporting_statements", ("statements",), "core value {id} cites unknown statement {ref!r}", False),
+    ("qualities", "core_value", ("core_values",), "quality {id} references unknown core value {ref}", True),
+    ("evrs", "quality", ("qualities",), "EVR {id} references unknown quality {ref!r}", True),
+    ("threats", "evr", ("evrs",), "threat {id} references unknown EVR {ref!r}", True),
+    ("controls", "threats", ("threats",), "control {id} references unknown threat {ref!r}", True),
+    ("controls", "implementing_disposition", ("dispositions",), "control {id} references unknown disposition {ref!r}", False),
+    ("dispositions", "implements", ("controls",), "disposition {id} implements unknown control {ref!r}", True),
+    ("sessions", "participants", ("stakeholders",), "session {id} names unknown stakeholder {ref!r}", False),
+    ("statements", "session", ("sessions",), "statement {id} references unknown session {ref!r}", False),
+    ("statements", "stakeholder", ("stakeholders",), "statement {id} references unknown stakeholder {ref!r}", False),
+    ("personas", "stakeholder", ("stakeholders",), "persona {id} references unknown stakeholder {ref!r}", False),
+    ("design_concepts", "ethical_refs", ("evrs", "controls"), "design concept {id} references unknown ethical requirement {ref!r}", False),
+    ("design_concepts", "functional_refs", ("functional_requirements",), "design concept {id} references unknown functional requirement {ref!r}", False),
+    ("mission", "featured", ("core_values",), "mission features unknown core value {ref}", False),
+    ("mission", "signed_by", ("attestations",), "mission cites unknown attestation {ref!r}", False),
+    ("investment_decision", "attestations", ("attestations",), "investment decision cites unknown attestation {ref!r}", False),
+    ("feedback", "resulted", ("statements", "qualities"), "feedback {id} resulted-ref {ref!r} is neither a statement nor a quality", False),
 )
 
 
@@ -522,10 +521,13 @@ class DocIndex:
     """Lookup tables over one document, built once per document through
     :attr:`RegisterDocument.index`: for each collection of
     :data:`ENTITY_KINDS` a dict from id to entity under the collection's
-    name (``idx.evrs``), the children of each parent under the grouping of
-    :data:`REFERENCES` (``idx.evrs_by_quality``), and ``controls_by_evr``.
-    It holds no reference to the document, so the cached index makes no
-    reference cycle."""
+    name (``idx.evrs``), the numbered kinds' entities grouped by their
+    chain parent in :data:`REFERENCES` (``idx.evrs_by_quality``), and
+    ``controls_by_evr``.  It holds no reference to the document, so the
+    cached index makes no reference cycle."""
+
+    GROUPINGS = {"qualities": "qualities_by_value", "evrs": "evrs_by_quality",
+                 "threats": "threats_by_evr", "controls": "controls_by_threat"}
 
     def __init__(self, doc: RegisterDocument) -> None:
         for kind in ENTITY_KINDS:
@@ -535,8 +537,8 @@ class DocIndex:
             self._attestations_by_subject.setdefault(
                 (a.subject.kind, a.subject.ref), []).append(a)
 
-        for kind, field, _, _, grouping in REFERENCES:
-            if grouping is not None:
+        for kind, field, _, _, parent in REFERENCES:
+            if parent and kind in self.GROUPINGS:
                 groups: dict = {}
                 entities = getattr(doc, kind)
                 for entity, refs in zip(entities, map(attrgetter(field), entities)):
@@ -545,7 +547,7 @@ class DocIndex:
                         continue
                     for ref in refs:
                         groups.setdefault(ref, []).append(entity)
-                setattr(self, grouping, groups)
+                setattr(self, self.GROUPINGS[kind], groups)
         self.controls_by_evr: dict[str, list[Control]] = {}
         for c in doc.controls:
             parent = control_parent(c.id)

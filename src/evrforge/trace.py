@@ -51,14 +51,13 @@ _NODES = {
 
 def _graph_plan() -> list[tuple]:
     """Per node kind, in ENTITY_KINDS order: (collection, node kind, name
-    field, first line only?, links, flush), with a link (field, parent?,
-    merged?) per reference between node kinds.  An edge runs from a parent
-    to its child, else from an entity to what it names.  Edges that two
-    kinds name from both sides are merged, sorted, after the later kind."""
+    field, first line only?, links, flush); a link is (field, parent?,
+    merged?).  Edges run from a parent to its child, else to what is named;
+    edges two kinds name from both sides come merged, after the later kind."""
     kinds = [kind for kind in m.ENTITY_KINDS if kind in _NODES]
     pairs = {(kind, targets) for kind, _, targets, _, _ in m.REFERENCES}
-    links = {kind: tuple((field, grouping is not None, (targets[0], (kind,)) in pairs)
-                         for source, field, targets, _, grouping in m.REFERENCES
+    links = {kind: tuple((field, parent, (targets[0], (kind,)) in pairs)
+                         for source, field, targets, _, parent in m.REFERENCES
                          if source == kind and _NODES.keys() >= set(targets))
              for kind in kinds}
     last = max(i for i, kind in enumerate(kinds) if any(link[2] for link in links[kind]))
