@@ -642,6 +642,17 @@ def validate_register(doc: RegisterDocument) -> tuple[Violation, ...]:
         elif e.id.rsplit(".", 1)[0] != e.quality:
             bad("P014", e.id, "EVR id prefix does not match parent quality")
 
+    for e in doc.evrs:
+        if e.threshold is not None and e.threshold.comparator not in THRESHOLD_COMPARATORS:
+            bad("P020", e.id, f"threshold comparator {e.threshold.comparator!r} is not one of {'/'.join(THRESHOLD_COMPARATORS)}")
+        if e.protection_demand is not None:
+            if not 1 <= e.protection_demand.level <= 4:
+                bad("P021", e.id, f"protection demand must be 1..4, got {e.protection_demand.level}")
+            if not e.protection_demand.rationale.strip():
+                bad("P033", e.id, f"protection demand on EVR {e.id} has no rationale")
+        if e.risk_path is RiskPath.HIGH and e.protection_demand is None:
+            bad("P032", e.id, f"high-risk EVR {e.id} has no protection demand")
+
     js: dict[str, list[int]] = {}
     threat_evrs: dict[str, str] = {}
     for t in doc.threats:
@@ -701,17 +712,6 @@ def validate_register(doc: RegisterDocument) -> tuple[Violation, ...]:
         for quality_id, evrs in idx.evrs_by_quality.items()})
     contiguous("threat numbering under EVR", js)
     contiguous("control numbering under EVR", cs)
-
-    for e in doc.evrs:
-        if e.threshold is not None and e.threshold.comparator not in THRESHOLD_COMPARATORS:
-            bad("P020", e.id, f"threshold comparator {e.threshold.comparator!r} is not one of {'/'.join(THRESHOLD_COMPARATORS)}")
-        if e.protection_demand is not None:
-            if not 1 <= e.protection_demand.level <= 4:
-                bad("P021", e.id, f"protection demand must be 1..4, got {e.protection_demand.level}")
-            if not e.protection_demand.rationale.strip():
-                bad("P033", e.id, f"protection demand on EVR {e.id} has no rationale")
-        if e.risk_path is RiskPath.HIGH and e.protection_demand is None:
-            bad("P032", e.id, f"high-risk EVR {e.id} has no protection demand")
 
     for d in doc.dispositions:
         if not d.implements:
