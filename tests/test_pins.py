@@ -12,8 +12,11 @@ line-break violations (P037) for a line break injected into every string
 field of the model.  The ``dangling`` section holds the raw violations
 after each reference of the model is broken once (``BREAKS``), on the
 first fixture or seed that holds it, and the ``graph`` section the digests
-of ``trace.export_dot`` for every fixture and seeds 0..999.  A refactor of
-any of these must leave every pin as it is.  Regenerate the file only for
+of ``trace.export_dot`` for every fixture and seeds 0..999.  The ``rules``
+section holds the ``run_rules`` findings as (rule id, severity, subject,
+message): in full for every fixture and the scaffold, as one digest per
+seed for seeds 0..999.  A refactor of any of these must leave every pin as
+it is.  Regenerate the file only for
 an intended change of output:
 ``PYTHONPATH=src python -m tests.test_pins``.
 """
@@ -30,7 +33,7 @@ from dataclasses import fields, is_dataclass, replace
 
 import pytest
 
-from evrforge import dsl, trace
+from evrforge import dsl, rules, trace
 from evrforge import model as m
 
 from .conftest import FIXTURES, load_fixture
@@ -51,6 +54,10 @@ def _sha(text: str) -> str:
 
 def _violations(doc: m.RegisterDocument) -> list[list[str]]:
     return [[v.code, v.subject, v.message] for v in m.validate_register(doc)]
+
+
+def _findings(doc: m.RegisterDocument) -> list[list[str]]:
+    return [[d.rule_id, d.severity, d.subject, d.message] for d in rules.run_rules(doc)]
 
 
 # One token of each kind, put in place of every token of another kind.
@@ -307,12 +314,14 @@ def compute_pins() -> dict:
         "diff": diff,
         "line_breaks": _line_break_pins(holders),
         "dangling": _dangling_pins(holders),
+        "rules": {**{name: _findings(doc) for name, doc in holders[:6]},
+                  **{name: _sha(json.dumps(_findings(doc))) for name, doc in holders[6:]}},
         "parse": _parse_pins(),
     }
 
 
 @pytest.mark.parametrize("section", ["writers", "duplicated", "bad_id", "demoted", "diff",
-                                     "line_breaks", "dangling", "graph"])
+                                     "line_breaks", "dangling", "graph", "rules"])
 def test_pins_hold(section):
     pinned = json.loads(PINS.read_text(encoding="utf-8"))
     assert compute_pins()[section] == pinned[section]
