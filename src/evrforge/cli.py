@@ -3,8 +3,11 @@
 Subcommands: check, report, trace, score, diff, init, export.  Diagnostics
 go to standard error; reports and exported artifacts go to standard output
 or the path given with --out.  Exit codes: 0 clean, 1 warnings only,
-2 errors, 3 usage or I/O failure.  A register file without a ``register``
-header (empty, blank or comment-only) exits 2 with one line on stderr.
+2 errors, 3 usage or I/O failure.  Every usage or I/O failure is one line
+on stderr: argparse's ``invalid choice ... (choose from ...)`` for an
+unknown --format or --kind value, ``evrforge: ...`` otherwise.  A register
+file without a ``register`` header (empty, blank or comment-only) exits 2
+with one line on stderr.
 
 Output is byte-deterministic for fixed inputs: reports never include wall
 clock time, only dates recorded inside the register itself.
@@ -38,50 +41,58 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", help="parse a register and run the rule catalog")
+    p.set_defaults(handler=cmd_check)
     p.add_argument("path")
     p.add_argument("--rules", default=None,
                    help="comma-separated rule ids to run (default: all)")
-    p.add_argument("--format", dest="fmt", default="text",
-                   help="text or interchange")
+    p.add_argument("--format", dest="fmt", default="text", choices=("text", "interchange"))
     p.add_argument("--strict", action="store_true",
                    help="exit 2 when warnings are present")
 
     p = sub.add_parser("report", help="render an audit, mission or coverage report")
+    p.set_defaults(handler=cmd_report)
     p.add_argument("path")
-    p.add_argument("--kind", default="audit", help="audit, mission or coverage")
+    p.add_argument("--kind", default="audit", choices=("audit", "mission", "coverage"))
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("trace", help="print the chain from core value to an entity")
+    p.set_defaults(handler=cmd_trace)
     p.add_argument("path")
     p.add_argument("entity_id")
 
     p = sub.add_parser("score", help="print the ethical maturity score")
+    p.set_defaults(handler=cmd_score)
     p.add_argument("path")
 
     p = sub.add_parser("diff", help="compare two register versions")
+    p.set_defaults(handler=cmd_diff)
     p.add_argument("old_path")
     p.add_argument("new_path")
 
     p = sub.add_parser("init", help="write a commented scaffold register")
+    p.set_defaults(handler=cmd_init)
     p.add_argument("project_name")
     p.add_argument("--out", default=None)
     p.add_argument("--force", action="store_true")
 
     p = sub.add_parser("export", help="export interchange, dot or csv artifacts")
+    p.set_defaults(handler=cmd_export)
     p.add_argument("path")
     p.add_argument("--format", dest="fmt", default="interchange",
-                   help="interchange, dot or csv")
+                   choices=("interchange", "dot", "csv"))
     p.add_argument("--out", default=None)
 
     return parser
 
 
 class _Failure(Exception):
-    """Ends a subcommand with one line on standard error and an exit code."""
+    """Ends a subcommand with an exit code and, unless the message is None,
+    one ``evrforge: MESSAGE`` line on standard error."""
 
-    def __init__(self, code: int, message: str):
+    def __init__(self, code: int, message: str | None):
         super().__init__(message)
         self.code = code
+        self.message = message
 
 
 def _read_source(path: str) -> str:
@@ -115,23 +126,34 @@ def _print_parse_diagnostics(result: dsl.ParseResult) -> None:
         print(diagnostic.render(), file=sys.stderr)
 
 
-def _write_output(text: str, out: str | None) -> int:
+def _parsed(path: str) -> dsl.ParseResult:
+    """The parse of ``path``, which holds a document; on parse errors its
+    diagnostics go to standard error and the subcommand exits 2."""
+    result = _parse_file(path)
+    if result.document is None:
+        _print_parse_diagnostics(result)
+        raise _Failure(EXIT_ERRORS, None)
+    return result
+
+
+def _write_file(path: str, text: str, mode: str = "w") -> None:
+    try:
+        with open(path, mode, encoding="utf-8") as handle:
+            handle.write(text)
+    except FileExistsError as exc:
+        raise _Failure(EXIT_USAGE, f"{path} already exists (use --force to overwrite)") from exc
+    except OSError as exc:
+        raise _Failure(EXIT_USAGE, f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+def _write_output(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
-        return EXIT_CLEAN
-    try:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    except OSError as exc:
-        print(f"evrforge: cannot write {out}: {exc.strerror or exc}", file=sys.stderr)
-        return EXIT_USAGE
-    return EXIT_CLEAN
+    else:
+        _write_file(out, text)
 
 
 def cmd_check(args) -> int:
-    if args.fmt not in ("text", "interchange"):
-        print(f"evrforge: unknown format {args.fmt!r}", file=sys.stderr)
-        return EXIT_USAGE
     selection = None
     if args.rules:
         selection = {rid.strip() for rid in args.rules.split(",") if rid.strip()}
@@ -146,8 +168,7 @@ def cmd_check(args) -> int:
     try:
         diagnostics = rules.run_rules(result.document, selection)
     except m.RegisterError as exc:
-        print(f"evrforge: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise _Failure(EXIT_USAGE, str(exc)) from exc
 
     if args.fmt == "interchange":
         payload = {
@@ -294,13 +315,7 @@ def render_audit_report(doc: m.RegisterDocument,
 
 
 def cmd_report(args) -> int:
-    if args.kind not in ("audit", "mission", "coverage"):
-        print(f"evrforge: unknown report kind {args.kind!r}", file=sys.stderr)
-        return EXIT_USAGE
-    result = _parse_file(args.path)
-    if result.document is None:
-        _print_parse_diagnostics(result)
-        return EXIT_ERRORS
+    result = _parsed(args.path)
     doc = result.document
     diagnostics = rules.run_rules(doc)
 
@@ -311,9 +326,7 @@ def cmd_report(args) -> int:
     else:
         text = render_audit_report(doc, diagnostics)
 
-    status = _write_output(text, args.out)
-    if status != EXIT_CLEAN:
-        return status
+    _write_output(text, args.out)
     if any(d.severity == "error" for d in diagnostics):
         return EXIT_ERRORS
     if diagnostics or result.warnings:
@@ -322,27 +335,18 @@ def cmd_report(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    result = _parse_file(args.path)
-    if result.document is None:
-        _print_parse_diagnostics(result)
-        return EXIT_ERRORS
-    graph = trace.build_graph(result.document)
+    graph = trace.build_graph(_parsed(args.path).document)
     try:
         chain = trace.trace_chain(graph, args.entity_id)
     except m.UnknownEntityError as exc:
-        print(f"evrforge: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise _Failure(EXIT_USAGE, str(exc)) from exc
     for node in chain:
         print(f"{node.id}  {node.kind}  {node.name}")
     return EXIT_CLEAN
 
 
 def cmd_score(args) -> int:
-    result = _parse_file(args.path)
-    if result.document is None:
-        _print_parse_diagnostics(result)
-        return EXIT_ERRORS
-    print(trace.maturity_score(result.document).render())
+    print(trace.maturity_score(_parsed(args.path).document).render())
     return EXIT_CLEAN
 
 
@@ -564,50 +568,22 @@ def scaffold_text(project_name: str) -> str:
 
 def cmd_init(args) -> int:
     if not args.project_name.strip():
-        print("evrforge: project name must not be empty", file=sys.stderr)
-        return EXIT_USAGE
+        raise _Failure(EXIT_USAGE, "project name must not be empty")
     out = args.out if args.out is not None else f"{args.project_name}.evr"
-    try:
-        mode = "w" if args.force else "x"
-        with open(out, mode, encoding="utf-8") as handle:
-            handle.write(scaffold_text(args.project_name))
-    except FileExistsError:
-        print(f"evrforge: {out} already exists (use --force to overwrite)",
-              file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"evrforge: cannot write {out}: {exc.strerror or exc}", file=sys.stderr)
-        return EXIT_USAGE
+    _write_file(out, scaffold_text(args.project_name), "w" if args.force else "x")
     return EXIT_CLEAN
 
 
 def cmd_export(args) -> int:
-    if args.fmt not in ("interchange", "dot", "csv"):
-        print(f"evrforge: unknown format {args.fmt!r}", file=sys.stderr)
-        return EXIT_USAGE
-    result = _parse_file(args.path)
-    if result.document is None:
-        _print_parse_diagnostics(result)
-        return EXIT_ERRORS
-    doc = result.document
+    doc = _parsed(args.path).document
     if args.fmt == "interchange":
         text = dsl.export_interchange(doc)
     elif args.fmt == "dot":
         text = trace.export_dot(doc)
     else:
         text = trace.coverage_csv(doc)
-    return _write_output(text, args.out)
-
-
-_COMMANDS = {
-    "check": cmd_check,
-    "report": cmd_report,
-    "trace": cmd_trace,
-    "score": cmd_score,
-    "diff": cmd_diff,
-    "init": cmd_init,
-    "export": cmd_export,
-}
+    _write_output(text, args.out)
+    return EXIT_CLEAN
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -617,9 +593,10 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        return _COMMANDS[args.command](args)
+        return args.handler(args)
     except _Failure as failure:
-        print(f"evrforge: {failure}", file=sys.stderr)
+        if failure.message is not None:
+            print(f"evrforge: {failure.message}", file=sys.stderr)
         return failure.code
 
 
