@@ -64,16 +64,28 @@ def _rule(rule_id: str, severity: str, mode: str, title: str, anchor: str,
     return register
 
 
-def _has_rule_attestation(idx: m.DocIndex, rule_id: str,
-                          role: m.SignatoryRole | None = None,
-                          consent: bool = False) -> bool:
-    for att in idx.attestations_for(m.SubjectKind.RULE, rule_id):
-        if role is not None and att.signatory_role is not role:
-            continue
-        if consent and not att.consent:
-            continue
-        return True
-    return False
+def _signed(idx: m.DocIndex, kind: m.SubjectKind, ref: str,
+            role: m.SignatoryRole | None = None, consent: bool = False) -> bool:
+    """Whether an attestation on subject (kind, ref) is signed, by ``role``
+    when given, with consent when asked."""
+    return any((role is None or a.signatory_role is role) and (a.consent or not consent)
+               for a in idx.attestations_for(kind, ref))
+
+
+def _executive_among(idx: m.DocIndex, refs: tuple[str, ...]) -> bool:
+    """Whether an attestation named in ``refs`` is signed by an executive."""
+    return any(a is not None and a.signatory_role is m.SignatoryRole.EXECUTIVE
+               for a in map(idx.attestations.get, refs))
+
+
+def _attested(rule_id: str, role: m.SignatoryRole | None, gap: str,
+              consent: bool = False) -> CheckFn:
+    """The check of a rule met by an attestation on the rule itself."""
+    def check(doc, idx):
+        if _signed(idx, m.SubjectKind.RULE, rule_id, role, consent):
+            return []
+        return [("register", f"{gap} (rule {rule_id})")]
+    return check
 
 
 def _legally_flagged(idx: m.DocIndex, value_id: int) -> bool:
@@ -166,16 +178,11 @@ def _r06(doc, idx):
        "every core value has an executive-signed priority attestation",
        m.Phase.DESIGN)
 def _r07(doc, idx):
-    out = []
-    for cv in doc.core_values:
-        signed = any(
-            a.signatory_role is m.SignatoryRole.EXECUTIVE
-            for a in idx.attestations_for(m.SubjectKind.PRIORITY_DECISION, str(cv.id))
-        )
-        if not signed:
-            out.append((str(cv.id),
-                        f"priority of core value {cv.id} ({cv.name}) lacks an executive attestation"))
-    return out
+    return [
+        (str(cv.id), f"priority of core value {cv.id} ({cv.name}) lacks an executive attestation")
+        for cv in doc.core_values
+        if not _signed(idx, m.SubjectKind.PRIORITY_DECISION, str(cv.id), m.SignatoryRole.EXECUTIVE)
+    ]
 
 
 @_rule("VBE-R08", "error", "structural",
@@ -202,7 +209,7 @@ def _r09(doc, idx):
         outranked_by = [u for u in unflagged if u.priority_rank < cv.priority_rank]
         if not outranked_by:
             continue
-        if idx.attestations_for(m.SubjectKind.PRIORITY_DECISION, str(cv.id)):
+        if _signed(idx, m.SubjectKind.PRIORITY_DECISION, str(cv.id)):
             continue
         names = ", ".join(u.name for u in outranked_by)
         out.append((str(cv.id),
@@ -220,12 +227,7 @@ def _r10(doc, idx):
     dec = doc.investment_decision
     if dec is None:
         return [("register", "no investment decision is recorded")]
-    signed = any(
-        idx.attestations.get(ref) is not None
-        and idx.attestations[ref].signatory_role is m.SignatoryRole.EXECUTIVE
-        for ref in dec.attestations
-    )
-    if not signed:
+    if not _executive_among(idx, dec.attestations):
         return [("register", "the investment decision carries no executive attestation")]
     return []
 
@@ -389,51 +391,41 @@ def _c07(doc, idx):
     return []
 
 
-@_rule("VBE-C08", "warning", "attested",
+_rule("VBE-C08", "warning", "attested",
        "Value expert assigned",
        "a dedicated value expert with conceptual, legal and technical fluency supports the exploration",
        "an attestation for rule VBE-C08 signed by a value_expert exists",
-       m.Phase.EXPLORATION)
-def _c08(doc, idx):
-    if not _has_rule_attestation(idx, "VBE-C08", m.SignatoryRole.VALUE_EXPERT):
-        return [("register", "no value expert has attested to holding the role (rule VBE-C08)")]
-    return []
+       m.Phase.EXPLORATION)(
+    _attested("VBE-C08", m.SignatoryRole.VALUE_EXPERT,
+              "no value expert has attested to holding the role"))
 
 
-@_rule("VBE-C09", "warning", "attested",
+_rule("VBE-C09", "warning", "attested",
        "Clustering confirmed with stakeholders",
        "stakeholder representatives reconfirm that the distilled core values and their expected quality effects capture what was raised",
        "an attestation for rule VBE-C09 signed by a stakeholder_rep exists",
-       m.Phase.DESIGN)
-def _c09(doc, idx):
-    if not _has_rule_attestation(idx, "VBE-C09", m.SignatoryRole.STAKEHOLDER_REP):
-        return [("register",
-                 "no stakeholder representative confirmed the core value clustering (rule VBE-C09)")]
-    return []
+       m.Phase.DESIGN)(
+    _attested("VBE-C09", m.SignatoryRole.STAKEHOLDER_REP,
+              "no stakeholder representative confirmed the core value clustering"))
 
 
-@_rule("VBE-C11", "warning", "attested",
+_rule("VBE-C11", "warning", "attested",
        "Executives endorse universalizable values",
        "leaders support only core values they would publicly endorse as universal principles",
        "an attestation for rule VBE-C11 signed by an executive exists",
-       m.Phase.DESIGN)
-def _c11(doc, idx):
-    if not _has_rule_attestation(idx, "VBE-C11", m.SignatoryRole.EXECUTIVE):
-        return [("register", "no executive has publicly endorsed the core values (rule VBE-C11)")]
-    return []
+       m.Phase.DESIGN)(
+    _attested("VBE-C11", m.SignatoryRole.EXECUTIVE,
+              "no executive has publicly endorsed the core values"))
 
 
-@_rule("VBE-C12", "warning", "attested",
+_rule("VBE-C12", "warning", "attested",
        "Stakeholders consent to the priorities",
        "value priorities are not decided by force from the top, but with the true consent of stakeholder representatives",
        "an attestation for rule VBE-C12 signed by a stakeholder_rep with consent exists",
-       m.Phase.DESIGN)
-def _c12(doc, idx):
-    if not _has_rule_attestation(idx, "VBE-C12", m.SignatoryRole.STAKEHOLDER_REP,
-                                 consent=True):
-        return [("register",
-                 "no consenting stakeholder representative signed off on the priorities (rule VBE-C12)")]
-    return []
+       m.Phase.DESIGN)(
+    _attested("VBE-C12", m.SignatoryRole.STAKEHOLDER_REP,
+              "no consenting stakeholder representative signed off on the priorities",
+              consent=True))
 
 
 @_rule("VBE-C13", "warning", "attested",
@@ -444,12 +436,7 @@ def _c12(doc, idx):
 def _c13(doc, idx):
     if doc.mission is None:
         return [("register", "no value mission statement is recorded")]
-    signed = any(
-        idx.attestations.get(ref) is not None
-        and idx.attestations[ref].signatory_role is m.SignatoryRole.EXECUTIVE
-        for ref in doc.mission.signed_by
-    )
-    if not signed:
+    if not _executive_among(idx, doc.mission.signed_by):
         return [("register", "the value mission is not signed by an executive")]
     return []
 
@@ -531,15 +518,12 @@ def _c18(doc, idx):
     return out
 
 
-@_rule("VBE-C19", "warning", "attested",
+_rule("VBE-C19", "warning", "attested",
        "Audit register kept available",
        "the register lets management and auditors recap at any time what the goals were, who was involved and who signed",
        "an attestation for rule VBE-C19 exists",
-       m.Phase.DEPLOYMENT)
-def _c19(doc, idx):
-    if not _has_rule_attestation(idx, "VBE-C19"):
-        return [("register", "nobody attested that the audit register is published (rule VBE-C19)")]
-    return []
+       m.Phase.DEPLOYMENT)(
+    _attested("VBE-C19", None, "nobody attested that the audit register is published"))
 
 
 @_rule("VBE-C20", "warning", "attested",
@@ -556,11 +540,7 @@ def _c20(doc, idx):
         evr = idx.evrs.get(parent) if parent else None
         if evr is None or evr.risk_path is not m.RiskPath.HIGH:
             continue
-        signed = any(
-            a.signatory_role is m.SignatoryRole.ENGINEER
-            for a in idx.attestations_for(m.SubjectKind.RISK_ACCEPTANCE, control.id)
-        )
-        if not signed:
+        if not _signed(idx, m.SubjectKind.RISK_ACCEPTANCE, control.id, m.SignatoryRole.ENGINEER):
             out.append((control.id,
                         f"control {control.id} on high-risk EVR {parent} lacks an "
                         "engineer-signed risk acceptance"))
