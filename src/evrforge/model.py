@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import datetime
 import re
-from dataclasses import asdict, astuple, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
 from operator import attrgetter
@@ -246,7 +246,8 @@ class HierarchyScores:
     intrinsic_worth: int
 
     def as_tuple(self) -> tuple[int, int, int, int, int]:
-        return astuple(self)
+        return (self.endurance, self.depth, self.indivisibility,
+                self.bearer_independence, self.intrinsic_worth)
 
 
 @dataclass(frozen=True)
@@ -624,7 +625,7 @@ def validate_register(doc: RegisterDocument) -> tuple[Violation, ...]:
 
     for cv in doc.core_values:
         if cv.hierarchy_scores is not None:
-            for crit, score in asdict(cv.hierarchy_scores).items():
+            for crit, score in vars(cv.hierarchy_scores).items():
                 if not 1 <= score <= 5:
                     bad("P021", str(cv.id), f"hierarchy score {crit} must be 1..5, got {score}")
 
