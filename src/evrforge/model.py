@@ -606,7 +606,9 @@ def validate_register(doc: RegisterDocument) -> tuple[Violation, ...]:
     for kind, (label, _, identifier) in ENTITY_KINDS.items():
         if identifier:
             for entity in getattr(doc, kind):
-                if not IDENT_RE.match(entity.id):
+                if entity.id == "end":
+                    bad("P012", entity.id, f"{label} id 'end' is reserved: it closes a block")
+                elif not IDENT_RE.match(entity.id):
                     bad("P012", entity.id, f"{label} id {entity.id!r} is not identifier-shaped")
 
     evr_and_control_ids = set(idx.evrs) | set(idx.controls)

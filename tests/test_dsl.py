@@ -101,7 +101,8 @@ class TestParse:
         doc = base_doc(m.Phase.EXPLORATION,
                        stakeholders=(m.Stakeholder("end", "patients", m.StakeholderKind.DIRECT),),
                        sessions=(m.ElicitationSession("SES1", participants=("end",)),))
-        assert [(v.code, v.subject) for v in m.validate_register(doc)] == [("P012", "end")]
+        assert [(v.code, v.subject, v.message) for v in m.validate_register(doc)] == [
+            ("P012", "end", "stakeholder id 'end' is reserved: it closes a block")]
         with pytest.raises(m.RegisterError):
             dsl.serialize_canonical(doc)
 
