@@ -3,11 +3,10 @@
 Subcommands: check, report, trace, score, diff, init, export.  Diagnostics
 go to standard error; reports and exported artifacts go to standard output
 or the path given with --out.  Exit codes: 0 clean, 1 warnings only,
-2 errors, 3 usage or I/O failure.  Every usage or I/O failure is one line
-on stderr: argparse's ``invalid choice ... (choose from ...)`` for an
-unknown --format or --kind value, ``evrforge: ...`` otherwise.  A register
-file without a ``register`` header (empty, blank or comment-only) exits 2
-with one line on stderr.
+2 errors, 3 usage or I/O failure; each exit 3 prints one line on stderr,
+argparse's ``invalid choice`` line for an unknown --format or --kind and
+``evrforge: ...`` otherwise.  A file without a ``register`` header
+(empty, blank or comment-only) exits 2 with one line on stderr.
 
 Output is byte-deterministic for fixed inputs: reports never include wall
 clock time, only dates recorded inside the register itself.
@@ -587,9 +586,8 @@ def cmd_export(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:

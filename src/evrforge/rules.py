@@ -66,8 +66,7 @@ def _rule(rule_id: str, severity: str, mode: str, title: str, anchor: str,
 
 def _signed(idx: m.DocIndex, kind: m.SubjectKind, ref: str,
             role: m.SignatoryRole | None = None, consent: bool = False) -> bool:
-    """Whether an attestation on subject (kind, ref) is signed, by ``role``
-    when given, with consent when asked."""
+    """Whether an attestation on (kind, ref) is signed, by ``role`` if given."""
     return any((role is None or a.signatory_role is role) and (a.consent or not consent)
                for a in idx.attestations_for(kind, ref))
 
