@@ -627,7 +627,7 @@ def validate_register(doc: RegisterDocument) -> tuple[Violation, ...]:
 
     for cv in doc.core_values:
         if cv.hierarchy_scores is not None:
-            for crit, score in vars(cv.hierarchy_scores).items():
+            for crit, score in vars(cv.hierarchy_scores).items():  # no asdict deep copy
                 if not 1 <= score <= 5:
                     bad("P021", str(cv.id), f"hierarchy score {crit} must be 1..5, got {score}")
 

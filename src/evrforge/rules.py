@@ -391,37 +391,37 @@ def _c07(doc, idx):
 
 
 _rule("VBE-C08", "warning", "attested",
-       "Value expert assigned",
-       "a dedicated value expert with conceptual, legal and technical fluency supports the exploration",
-       "an attestation for rule VBE-C08 signed by a value_expert exists",
-       m.Phase.EXPLORATION)(
+      "Value expert assigned",
+      "a dedicated value expert with conceptual, legal and technical fluency supports the exploration",
+      "an attestation for rule VBE-C08 signed by a value_expert exists",
+      m.Phase.EXPLORATION)(
     _attested("VBE-C08", m.SignatoryRole.VALUE_EXPERT,
               "no value expert has attested to holding the role"))
 
 
 _rule("VBE-C09", "warning", "attested",
-       "Clustering confirmed with stakeholders",
-       "stakeholder representatives reconfirm that the distilled core values and their expected quality effects capture what was raised",
-       "an attestation for rule VBE-C09 signed by a stakeholder_rep exists",
-       m.Phase.DESIGN)(
+      "Clustering confirmed with stakeholders",
+      "stakeholder representatives reconfirm that the distilled core values and their expected quality effects capture what was raised",
+      "an attestation for rule VBE-C09 signed by a stakeholder_rep exists",
+      m.Phase.DESIGN)(
     _attested("VBE-C09", m.SignatoryRole.STAKEHOLDER_REP,
               "no stakeholder representative confirmed the core value clustering"))
 
 
 _rule("VBE-C11", "warning", "attested",
-       "Executives endorse universalizable values",
-       "leaders support only core values they would publicly endorse as universal principles",
-       "an attestation for rule VBE-C11 signed by an executive exists",
-       m.Phase.DESIGN)(
+      "Executives endorse universalizable values",
+      "leaders support only core values they would publicly endorse as universal principles",
+      "an attestation for rule VBE-C11 signed by an executive exists",
+      m.Phase.DESIGN)(
     _attested("VBE-C11", m.SignatoryRole.EXECUTIVE,
               "no executive has publicly endorsed the core values"))
 
 
 _rule("VBE-C12", "warning", "attested",
-       "Stakeholders consent to the priorities",
-       "value priorities are not decided by force from the top, but with the true consent of stakeholder representatives",
-       "an attestation for rule VBE-C12 signed by a stakeholder_rep with consent exists",
-       m.Phase.DESIGN)(
+      "Stakeholders consent to the priorities",
+      "value priorities are not decided by force from the top, but with the true consent of stakeholder representatives",
+      "an attestation for rule VBE-C12 signed by a stakeholder_rep with consent exists",
+      m.Phase.DESIGN)(
     _attested("VBE-C12", m.SignatoryRole.STAKEHOLDER_REP,
               "no consenting stakeholder representative signed off on the priorities",
               consent=True))
@@ -518,10 +518,10 @@ def _c18(doc, idx):
 
 
 _rule("VBE-C19", "warning", "attested",
-       "Audit register kept available",
-       "the register lets management and auditors recap at any time what the goals were, who was involved and who signed",
-       "an attestation for rule VBE-C19 exists",
-       m.Phase.DEPLOYMENT)(
+      "Audit register kept available",
+      "the register lets management and auditors recap at any time what the goals were, who was involved and who signed",
+      "an attestation for rule VBE-C19 exists",
+      m.Phase.DEPLOYMENT)(
     _attested("VBE-C19", None, "nobody attested that the audit register is published"))
 
 
