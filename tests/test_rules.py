@@ -133,6 +133,22 @@ class TestMonotoneRepair:
         after = rules.check_rule(good, rule_id)
         assert after == ()
 
+    @pytest.mark.parametrize("rule_id, change", [
+        ("VBE-R07", {"signatory_role": m.SignatoryRole.ENGINEER}),
+        ("VBE-R10", {"signatory_role": m.SignatoryRole.ENGINEER}),
+        ("VBE-C08", {"signatory_role": m.SignatoryRole.ENGINEER}),
+        ("VBE-C09", {"signatory_role": m.SignatoryRole.ENGINEER}),
+        ("VBE-C11", {"signatory_role": m.SignatoryRole.ENGINEER}),
+        ("VBE-C12", {"signatory_role": m.SignatoryRole.EXECUTIVE}),
+        ("VBE-C12", {"consent": False}),
+        ("VBE-C13", {"signatory_role": m.SignatoryRole.ENGINEER}),
+        ("VBE-C20", {"signatory_role": m.SignatoryRole.EXECUTIVE}),
+    ])
+    def test_repair_needs_the_demanded_signer(self, rule_id, change):
+        _, good, subject = violation_cases()[rule_id]
+        wrong = replace(good, attestations=tuple(replace(a, **change) for a in good.attestations))
+        assert [d.subject for d in rules.check_rule(wrong, rule_id)] == [subject]
+
     def test_all_rules_have_a_case(self):
         assert set(violation_cases()) == {r.rule_id for r in rules.rule_catalog()}
 
