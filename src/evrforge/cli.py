@@ -51,7 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="render an audit, mission or coverage report")
     p.set_defaults(handler=cmd_report)
     p.add_argument("path")
-    p.add_argument("--kind", default="audit", choices=("audit", "mission", "coverage"))
+    p.add_argument("--kind", default="audit", choices=_REPORTS)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("trace", help="print the chain from core value to an entity")
@@ -77,8 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("export", help="export interchange, dot or csv artifacts")
     p.set_defaults(handler=cmd_export)
     p.add_argument("path")
-    p.add_argument("--format", dest="fmt", default="interchange",
-                   choices=("interchange", "dot", "csv"))
+    p.add_argument("--format", dest="fmt", default="interchange", choices=_EXPORTS)
     p.add_argument("--out", default=None)
 
     return parser
@@ -152,24 +151,33 @@ def _write_output(text: str, out: str | None) -> None:
         _write_file(out, text)
 
 
+def _tally(*groups) -> tuple[int, int]:
+    """The error and warning counts over groups of parse or rule diagnostics."""
+    severities = [d.severity for group in groups for d in group]
+    return severities.count("error"), severities.count("warning")
+
+
+def _exit_code(errors: int, warnings: int, strict: bool = False) -> int:
+    """Errors exit 2, as warnings do under --strict; warnings alone exit 1."""
+    if errors or (warnings and strict):
+        return EXIT_ERRORS
+    return EXIT_WARNINGS if warnings else EXIT_CLEAN
+
+
 def cmd_check(args) -> int:
     selection = None
     if args.rules:
         selection = {rid.strip() for rid in args.rules.split(",") if rid.strip()}
+        try:
+            rules.require_known(selection)
+        except m.RegisterError as exc:
+            raise _Failure(EXIT_USAGE, str(exc)) from exc
 
     result = _parse_file(args.path)
-    if result.document is None:
-        _print_parse_diagnostics(result)
-        print(f"{len(result.errors)} errors, {len(result.warnings)} warnings",
-              file=sys.stderr)
-        return EXIT_ERRORS
-
-    try:
-        diagnostics = rules.run_rules(result.document, selection)
-    except m.RegisterError as exc:
-        raise _Failure(EXIT_USAGE, str(exc)) from exc
-
-    if args.fmt == "interchange":
+    doc = result.document
+    diagnostics = () if doc is None else rules.run_rules(doc, selection)
+    errors, warnings = _tally(result.diagnostics, diagnostics)
+    if doc is not None and args.fmt == "interchange":
         payload = {
             "parse_diagnostics": [
                 {"code": d.code, "severity": d.severity, "file": d.span.file,
@@ -188,17 +196,8 @@ def cmd_check(args) -> int:
         _print_parse_diagnostics(result)
         for diagnostic in diagnostics:
             print(diagnostic.render(), file=sys.stderr)
-
-    errors = sum(1 for d in diagnostics if d.severity == "error")
-    warnings = sum(1 for d in diagnostics if d.severity == "warning")
-    warnings += len(result.warnings)
-    if args.fmt == "text":
         print(f"{errors} errors, {warnings} warnings", file=sys.stderr)
-    if errors:
-        return EXIT_ERRORS
-    if warnings:
-        return EXIT_ERRORS if args.strict else EXIT_WARNINGS
-    return EXIT_CLEAN
+    return _exit_code(errors, warnings, args.strict)
 
 
 def _signature_line(doc: m.RegisterDocument, attestation_id: str) -> str:
@@ -237,15 +236,9 @@ def _coverage_table(doc: m.RegisterDocument) -> list[str]:
     rows = trace.coverage_report(doc)
     if not rows:
         return ["none"]
-    header = trace.COVERAGE_CSV_HEADER.split(",")
-    table = [header]
-    for row in rows:
-        table.append([
-            row.core_value, str(row.rank), str(row.qualities), str(row.evrs),
-            str(row.thresholds), str(row.threats), str(row.controls),
-            str(row.attestations), "yes" if row.addressed else "no",
-        ])
-    widths = [max(len(line[col]) for line in table) for col in range(len(header))]
+    table = [trace.COVERAGE_CSV_HEADER.split(",")]
+    table += [row.cells("yes", "no") for row in rows]
+    widths = [max(map(len, column)) for column in zip(*table)]
     return [
         "  ".join(cell.ljust(width) for cell, width in zip(line, widths)).rstrip()
         for line in table
@@ -290,9 +283,7 @@ def render_audit_report(doc: m.RegisterDocument,
     lines.extend(_coverage_table(doc))
 
     lines.extend(["", "DIAGNOSTICS", "-----------"])
-    errors = sum(1 for d in diagnostics if d.severity == "error")
-    warnings = sum(1 for d in diagnostics if d.severity == "warning")
-    lines.append(f"{errors} errors, {warnings} warnings")
+    lines.append("{} errors, {} warnings".format(*_tally(diagnostics)))
     for diagnostic in diagnostics:
         lines.append(diagnostic.render())
 
@@ -313,24 +304,20 @@ def render_audit_report(doc: m.RegisterDocument,
     return "\n".join(lines) + "\n"
 
 
+# Report kinds, in the order --help lists them.  A renderer is looked up when
+# called, so a replaced module attribute (a tracer's wrapper) is what runs.
+_REPORTS = {
+    "audit": lambda doc, diagnostics: render_audit_report(doc, diagnostics),
+    "mission": lambda doc, diagnostics: render_mission_report(doc),
+    "coverage": lambda doc, diagnostics: render_coverage_report(doc),
+}
+
+
 def cmd_report(args) -> int:
     result = _parsed(args.path)
-    doc = result.document
-    diagnostics = rules.run_rules(doc)
-
-    if args.kind == "mission":
-        text = render_mission_report(doc)
-    elif args.kind == "coverage":
-        text = render_coverage_report(doc)
-    else:
-        text = render_audit_report(doc, diagnostics)
-
-    _write_output(text, args.out)
-    if any(d.severity == "error" for d in diagnostics):
-        return EXIT_ERRORS
-    if diagnostics or result.warnings:
-        return EXIT_WARNINGS
-    return EXIT_CLEAN
+    diagnostics = rules.run_rules(result.document)
+    _write_output(_REPORTS[args.kind](result.document, diagnostics), args.out)
+    return _exit_code(*_tally(diagnostics, result.diagnostics))
 
 
 def cmd_trace(args) -> int:
@@ -573,15 +560,16 @@ def cmd_init(args) -> int:
     return EXIT_CLEAN
 
 
+# Export formats, in the same listed order and looked up the same way.
+_EXPORTS = {
+    "interchange": lambda doc: dsl.export_interchange(doc),
+    "dot": lambda doc: trace.export_dot(doc),
+    "csv": lambda doc: trace.coverage_csv(doc),
+}
+
+
 def cmd_export(args) -> int:
-    doc = _parsed(args.path).document
-    if args.fmt == "interchange":
-        text = dsl.export_interchange(doc)
-    elif args.fmt == "dot":
-        text = trace.export_dot(doc)
-    else:
-        text = trace.coverage_csv(doc)
-    _write_output(text, args.out)
+    _write_output(_EXPORTS[args.fmt](_parsed(args.path).document), args.out)
     return EXIT_CLEAN
 
 

@@ -195,15 +195,15 @@ class _SyntaxProblem(Exception):
 
 
 class _Parser:
-    """Reads blocks from a token iterator.  It holds only the current token
-    and pulls the next one as it advances, so no token is read twice and no
-    token list is ever kept."""
+    """Reads blocks from the tokens of a source into one list of problems,
+    ``diags``.  It holds only the current token, ``tok``, and pulls the next
+    as it advances, so no token is read twice and no token list is kept."""
 
-    def __init__(self, tokens: Iterator[tuple], file: str):
-        self.pull = tokens.__next__
+    def __init__(self, source: str, file: str):
+        self.diags: list[ParseDiagnostic] = []
+        self.pull = _lex(source, file, self.diags).__next__
         self.tok = self.pull()
         self.file = file
-        self.diags: list[ParseDiagnostic] = []
         self.spans: dict[str, SourceSpan] = {}
         # int() refuses numbers with more digits than this; 0 means no limit,
         # and Python before 3.10.7 has none.
@@ -218,9 +218,6 @@ class _Parser:
 
     # -- token plumbing
 
-    def peek(self) -> tuple:
-        return self.tok
-
     def advance(self) -> tuple:
         tok = self.tok
         if tok[0] != "EOF":
@@ -228,7 +225,7 @@ class _Parser:
         return tok
 
     def error(self, message: str, token: tuple | None = None, code: str = "P001"):
-        raise _SyntaxProblem(code, message, token or self.peek())
+        raise _SyntaxProblem(code, message, token or self.tok)
 
     def diag(self, severity: str, code: str, message: str, token: tuple) -> None:
         self.diags.append(ParseDiagnostic(_span(token, self.file), severity, code, message))
@@ -242,13 +239,13 @@ class _Parser:
     # -- token readers: each takes a description for its error message
 
     def need_string(self, what: str) -> str:
-        tok = self.peek()
+        tok = self.tok
         if tok[0] != "STRING":
             self.error(f"expected {what} (a quoted string), found {tok[1] or 'end of input'!r}")
         return self.advance()[2]
 
     def need_int(self, what: str) -> int:
-        tok = self.peek()
+        tok = self.tok
         if tok[0] != "INT":
             self.error(f"expected {what} (an integer), found {tok[1] or 'end of input'!r}")
         if self.refused(tok[2]):
@@ -257,7 +254,7 @@ class _Parser:
 
     def need_number(self, what: str) -> int:
         """A core value number: an integer without a leading zero."""
-        tok = self.peek()
+        tok = self.tok
         if tok[0] != "INT" or (len(tok[2]) > 1 and tok[2].startswith("0")):
             self.error(f"expected {what}, found {tok[1] or 'end of input'!r}", code="P012")
         if self.refused(tok[2]):
@@ -265,7 +262,7 @@ class _Parser:
         return int(self.advance()[2])
 
     def need_ident(self, what: str) -> str:
-        tok = self.peek()
+        tok = self.tok
         if tok[0] != "IDENT":
             self.error(f"expected {what}, found {tok[1] or 'end of input'!r}")
         return self.advance()[2]
@@ -273,26 +270,26 @@ class _Parser:
     def need_name(self, what: str, dotted=None) -> str:
         """An identifier other than ``end``, or a dotted id that matches
         the pattern ``dotted``."""
-        tok = self.peek()
+        tok = self.tok
         if not (tok[0] == "IDENT" and tok[2] != "end"
                 or dotted and tok[0] == "DOTTED" and dotted.match(tok[2])):
             self.error(f"expected {what}, found {tok[1] or 'end of input'!r}")
         return self.advance()[2]
 
     def need_keyword(self, word: str) -> tuple:
-        tok = self.peek()
+        tok = self.tok
         if tok[0] != "IDENT" or tok[2] != word:
             self.error(f"expected keyword {word!r}, found {tok[1] or 'end of input'!r}")
         return self.advance()
 
     def need_bool(self, what: str) -> bool:
-        tok = self.peek()
+        tok = self.tok
         if tok[0] == "IDENT" and tok[2] in ("true", "false"):
             return self.advance()[2] == "true"
         self.error(f"expected true or false for {what}, found {tok[1] or 'end of input'!r}")
 
     def need_enum(self, enum_cls, what: str):
-        tok = self.peek()
+        tok = self.tok
         member = _enum_members(enum_cls).get(tok[2]) if tok[0] == "IDENT" else None
         if member is None:
             self.error(
@@ -304,7 +301,7 @@ class _Parser:
         return member
 
     def need_dotted(self, pattern, what: str) -> str:
-        tok = self.peek()
+        tok = self.tok
         if tok[0] not in ("DOTTED", "INT") or not pattern.match(tok[2]):
             self.error(f"expected {what}, found {tok[1] or 'end of input'!r}", code="P012")
         if self.refused(tok[2]):
@@ -313,13 +310,13 @@ class _Parser:
 
     def need_lens(self, what: str) -> m.Lens:
         kind = self.need_enum(m.LensKind, what)
-        if kind is m.LensKind.CULTURAL and self.peek()[0] == "STRING":
+        if kind is m.LensKind.CULTURAL and self.tok[0] == "STRING":
             return m.Lens(kind, self.advance()[2])
         return m.Lens(kind)
 
     def need_subject(self, what: str) -> str:
         """A data subject: a stakeholder id, or any name as a string."""
-        tok = self.peek()
+        tok = self.tok
         if tok[0] == "IDENT" and tok[2] != "end":
             return self.advance()[2]
         return self.need_string(what)
@@ -338,15 +335,15 @@ class _Parser:
     # -- top level
 
     def parse(self) -> None:
-        if self.peek()[0] == "EOF":
+        if self.tok[0] == "EOF":
             return
         try:
             self.parse_header()
         except _SyntaxProblem as problem:
             self.diag("error", problem.code, problem.message, problem.token)
             self.skip_to_block()
-        while self.peek()[0] != "EOF":
-            tok = self.peek()
+        while self.tok[0] != "EOF":
+            tok = self.tok
             if tok[0] == "IDENT" and tok[2] in _BLOCKS:
                 try:
                     self.parse_block(self.advance())
@@ -362,8 +359,8 @@ class _Parser:
                 self.skip_past_end()
 
     def skip_to_block(self) -> None:
-        while self.peek()[0] != "EOF":
-            tok = self.peek()
+        while self.tok[0] != "EOF":
+            tok = self.tok
             if tok[0] == "IDENT" and tok[2] in _BLOCKS:
                 return
             self.advance()
@@ -372,8 +369,8 @@ class _Parser:
         """Recovery: drop tokens until after the current block's end, or up
         to the next block keyword, as a block that was never closed ends
         there and the next block still parses."""
-        while self.peek()[0] != "EOF":
-            tok = self.peek()
+        while self.tok[0] != "EOF":
+            tok = self.tok
             if tok[0] == "IDENT" and tok[2] in _BLOCKS:
                 return
             self.advance()
@@ -384,7 +381,7 @@ class _Parser:
         head = self.need_keyword("register")
         self.record_span("register", head)
         self.project_name = self.need_string("project name")
-        if self.peek()[0] == "IDENT" and self.peek()[2] == "version":
+        if self.tok[0] == "IDENT" and self.tok[2] == "version":
             self.advance()
             self.version = self.need_string("version tag")
         self.need_keyword("phase")
@@ -421,7 +418,7 @@ class _Parser:
         """Consume ``(KEY value*)*`` up to and including ``end``; a repeated
         attribute collects its values in a list."""
         while True:
-            tok = self.peek()
+            tok = self.tok
             if tok[0] == "EOF":
                 self.error("unexpected end of input inside a block (missing 'end')", tok)
             if tok[0] != "IDENT":
@@ -433,7 +430,7 @@ class _Parser:
             if attr is None:
                 self.diag("warning", "P090", f"unknown attribute key {tok[2]!r}", tok)
                 self.advance()
-                nxt = self.peek()
+                nxt = self.tok
                 if nxt[0] in ("STRING", "INT", "DOTTED") or (
                     nxt[0] == "IDENT" and nxt[2] != "end" and nxt[2] not in keys
                 ):
@@ -461,10 +458,8 @@ class _Parser:
         return m.RegisterDocument(
             project=m.ProjectMeta(name=self.project_name, version=self.version),
             phase=self.phase,
-            soi=self.singles.get("soi") or m.Soi(name=self.project_name),
-            mission=self.singles.get("mission"),
-            investment_decision=self.singles.get("investment_decision"),
             alias_map=dict(self.aliases),
+            **{"soi": m.Soi(name=self.project_name), **self.singles},
             **{kind: tuple(items) for kind, items in self.entities.items()},
         )
 
@@ -475,10 +470,9 @@ def parse_register(source_text: str, file_name: str = "<register>") -> ParseResu
     The document is present exactly when no error-severity diagnostic was
     produced.  Empty (or comment-only) input parses to an empty register.
     """
-    diagnostics: list[ParseDiagnostic] = []
-    parser = _Parser(_lex(source_text, file_name, diagnostics), file_name)
+    parser = _Parser(source_text, file_name)
     parser.parse()
-    diagnostics += parser.diags
+    diagnostics = parser.diags
 
     doc = parser.build_document()
     had_syntax_errors = any(d.severity == "error" for d in diagnostics)
@@ -540,7 +534,7 @@ def _commas(reader: _Reader) -> _Reader:
     """One or more values of ``reader``, separated by commas."""
     def read(p, what):
         items = [reader.read(p, what)]
-        while p.peek()[0] == "COMMA":
+        while p.tok[0] == "COMMA":
             p.advance()
             items.append(reader.read(p, what))
         return tuple(items)

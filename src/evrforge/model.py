@@ -564,6 +564,11 @@ class DocIndex:
     def attestations_for(self, kind: SubjectKind, ref: str = "") -> list[Attestation]:
         return list(self._attestations_by_subject.get((kind, ref), ()))
 
+    def signed_by_executive(self, attestation_ids) -> bool:
+        """Whether an attestation named in ``attestation_ids`` is executive-signed."""
+        return any(a is not None and a.signatory_role is SignatoryRole.EXECUTIVE
+                   for a in map(self.attestations.get, attestation_ids))
+
 
 def _well_formed_date(value: str) -> bool:
     try:
@@ -782,8 +787,7 @@ def validate_register(doc: RegisterDocument) -> tuple[Violation, ...]:
     if dec is not None and dec.verdict is Verdict.NO_GO:
         if not dec.rationale.strip():
             bad("P028", "register", "no-go decision has no rationale")
-        if not any(idx.attestations[ref].signatory_role is SignatoryRole.EXECUTIVE
-                   for ref in dec.attestations if ref in idx.attestations):
+        if not idx.signed_by_executive(dec.attestations):
             bad("P028", "register", "no-go decision carries no executive attestation")
 
     for fb in doc.feedback:

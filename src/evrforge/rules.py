@@ -71,12 +71,6 @@ def _signed(idx: m.DocIndex, kind: m.SubjectKind, ref: str,
                for a in idx.attestations_for(kind, ref))
 
 
-def _executive_among(idx: m.DocIndex, refs: tuple[str, ...]) -> bool:
-    """Whether an attestation named in ``refs`` is signed by an executive."""
-    return any(a is not None and a.signatory_role is m.SignatoryRole.EXECUTIVE
-               for a in map(idx.attestations.get, refs))
-
-
 def _attested(rule_id: str, role: m.SignatoryRole | None, gap: str,
               consent: bool = False) -> CheckFn:
     """The check of a rule met by an attestation on the rule itself."""
@@ -226,7 +220,7 @@ def _r10(doc, idx):
     dec = doc.investment_decision
     if dec is None:
         return [("register", "no investment decision is recorded")]
-    if not _executive_among(idx, dec.attestations):
+    if not idx.signed_by_executive(dec.attestations):
         return [("register", "the investment decision carries no executive attestation")]
     return []
 
@@ -435,7 +429,7 @@ _rule("VBE-C12", "warning", "attested",
 def _c13(doc, idx):
     if doc.mission is None:
         return [("register", "no value mission statement is recorded")]
-    if not _executive_among(idx, doc.mission.signed_by):
+    if not idx.signed_by_executive(doc.mission.signed_by):
         return [("register", "the value mission is not signed by an executive")]
     return []
 
@@ -554,6 +548,13 @@ def rule_catalog() -> tuple[Rule, ...]:
     return tuple(_RULES)
 
 
+def require_known(rule_ids: set[str]) -> None:
+    """Raise :class:`RegisterError` naming the ids no rule of the catalog has."""
+    unknown = sorted(set(rule_ids) - set(_CHECKS))
+    if unknown:
+        raise m.RegisterError(f"unknown rule ids: {', '.join(unknown)}")
+
+
 def run_rules(doc: m.RegisterDocument,
               selection: set[str] | None = None) -> tuple[Diagnostic, ...]:
     """Evaluate rules against a structurally valid document.
@@ -564,9 +565,7 @@ def run_rules(doc: m.RegisterDocument,
     documents always produce identical lists.
     """
     if selection is not None:
-        unknown = sorted(set(selection) - set(_CHECKS))
-        if unknown:
-            raise m.RegisterError(f"unknown rule ids: {', '.join(unknown)}")
+        require_known(selection)
         if not selection:
             selection = None
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from . import model as m
 
@@ -158,6 +158,8 @@ def maturity_score(doc: m.RegisterDocument) -> MaturityScore:
 
 @dataclass(frozen=True)
 class CoverageRow:
+    """One core value's coverage; the fields are the columns, in order."""
+
     core_value: str
     rank: int
     qualities: int
@@ -168,8 +170,13 @@ class CoverageRow:
     attestations: int
     addressed: bool
 
+    def cells(self, true: str, false: str) -> list[str]:
+        """The columns as text, a bool spelled ``true`` or ``false``."""
+        return [(true if value else false) if value.__class__ is bool else str(value)
+                for value in vars(self).values()]
 
-COVERAGE_CSV_HEADER = "core_value,rank,qualities,evrs,thresholds,threats,controls,attestations,addressed"
+
+COVERAGE_CSV_HEADER = ",".join(f.name for f in fields(CoverageRow))
 
 
 def coverage_report(doc: m.RegisterDocument) -> tuple[CoverageRow, ...]:
@@ -204,12 +211,7 @@ def coverage_csv(doc: m.RegisterDocument) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(COVERAGE_CSV_HEADER.split(","))
-    for row in coverage_report(doc):
-        writer.writerow([
-            row.core_value, row.rank, row.qualities, row.evrs, row.thresholds,
-            row.threats, row.controls, row.attestations,
-            "true" if row.addressed else "false",
-        ])
+    writer.writerows(row.cells("true", "false") for row in coverage_report(doc))
     return buffer.getvalue()
 
 
@@ -265,17 +267,9 @@ def diff_registers(old: m.RegisterDocument, new: m.RegisterDocument) -> ChangeSe
             if i in old_entities and new_entities[i] != old_entities[i]
         )
 
-    register_changes = []
-    if old.project != new.project or old.phase != new.phase:
-        register_changes.append("project")
-    if old.soi != new.soi:
-        register_changes.append("soi")
-    if old.mission != new.mission:
-        register_changes.append("mission")
-    if old.investment_decision != new.investment_decision:
-        register_changes.append("investment_decision")
-    if old.alias_map != new.alias_map:
-        register_changes.append("alias_map")
+    register_changes = ["project"] if (old.project, old.phase) != (new.project, new.phase) else []
+    register_changes += [name for name in ("soi", "mission", "investment_decision", "alias_map")
+                         if getattr(old, name) != getattr(new, name)]
     added["register"] = ()
     removed["register"] = ()
     modified["register"] = tuple(register_changes)

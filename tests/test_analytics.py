@@ -185,6 +185,14 @@ class TestRankValues:
             analytics.rank_values([_scored(1, 1, (3, 3, 3, 3, 3))],
                                   weights=(0, 0, 0, 0, 0))
 
+    @pytest.mark.parametrize("weights, message", [
+        ((1, 1, 1, 1), "expected 5 weights, got 4"),
+        ((1, 1, -1, 1, 1), "weights must be non-negative"),
+    ])
+    def test_malformed_weights_rejected(self, weights, message):
+        with pytest.raises(m.RegisterError, match=message):
+            analytics.rank_values([_scored(1, 1, (3, 3, 3, 3, 3))], weights=weights)
+
     def test_ties_break_by_priority_rank(self):
         first = _scored(1, 2, (3, 3, 3, 3, 3))
         second = _scored(2, 1, (3, 3, 3, 3, 3))
@@ -277,6 +285,12 @@ class TestControlRigor:
     def test_low_risk_without_demand_is_ok(self):
         control, evr = self._pair(rigor=1, demand=0)
         assert analytics.check_control_rigor(control, evr) is None
+
+    def test_high_risk_evr_without_demand_rejected(self):
+        control, evr = self._pair(rigor=2, demand=0)
+        evr = replace(evr, risk_path=m.RiskPath.HIGH)
+        with pytest.raises(m.RegisterError, match="high-risk EVR 1.1.1 has no protection demand"):
+            analytics.check_control_rigor(control, evr)
 
     def test_mismatched_pair_rejected(self):
         control, _ = self._pair(rigor=2, demand=0)

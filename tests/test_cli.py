@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from evrforge import cli, dsl
+from evrforge import cli, dsl, trace
 from evrforge import model as m
 
 from .conftest import FIXTURES
@@ -59,6 +62,12 @@ class TestCheck:
         assert cli.main(["check", CLEAN, "--rules", "VBE-R99"]) == 3
         assert "VBE-R99" in capsys.readouterr().err
 
+    def test_unknown_rule_id_is_refused_before_the_register_is_read(self, tmp_path, capsys):
+        path = tmp_path / "broken.evr"
+        path.write_text("register oops\n", encoding="utf-8")
+        assert cli.main(["check", str(path), "--rules", "VBE-R99"]) == 3
+        assert capsys.readouterr() == ("", "evrforge: unknown rule ids: VBE-R99\n")
+
     def test_interchange_format_emits_json(self, capsys):
         assert cli.main(["check", WARNINGS, "--format", "interchange"]) == 1
         payload = json.loads(capsys.readouterr().out)
@@ -66,6 +75,18 @@ class TestCheck:
 
     def test_unknown_format_exits_three(self):
         assert cli.main(["check", CLEAN, "--format", "yaml"]) == 3
+
+    def test_interchange_lists_parse_warnings_with_their_position(self, tmp_path, capsys):
+        path = tmp_path / "extra.evr"
+        path.write_text('register "X" phase concept\nsoi\n  name "X"\n  colour "blue"\nend\n',
+                        encoding="utf-8")
+        assert cli.main(["check", str(path), "--format", "interchange"]) == 1
+        assert json.loads(capsys.readouterr().out) == {
+            "parse_diagnostics": [{"code": "P090", "severity": "warning", "file": str(path),
+                                   "line": 4, "col": 3,
+                                   "message": "unknown attribute key 'colour'"}],
+            "diagnostics": [],
+        }
 
     def test_parse_errors_exit_two(self, tmp_path, capsys):
         path = tmp_path / "broken.evr"
@@ -277,6 +298,23 @@ class TestExport:
         assert cli.main(["export", CLEAN, "--format", "xml"]) == 3
 
 
+class TestDispatch:
+    @pytest.mark.parametrize("module, name, argv", [
+        (cli, "render_audit_report", ["report", CLEAN, "--kind", "audit"]),
+        (cli, "render_mission_report", ["report", CLEAN, "--kind", "mission"]),
+        (cli, "render_coverage_report", ["report", CLEAN, "--kind", "coverage"]),
+        (dsl, "export_interchange", ["export", CLEAN, "--format", "interchange"]),
+        (trace, "export_dot", ["export", CLEAN, "--format", "dot"]),
+        (trace, "coverage_csv", ["export", CLEAN, "--format", "csv"]),
+    ], ids=["audit", "mission", "coverage", "interchange", "dot", "csv"])
+    def test_renderer_is_looked_up_on_its_module_when_called(self, monkeypatch, capsys,
+                                                             module, name, argv):
+        # A tracer wraps functions by replacing module attributes.
+        monkeypatch.setattr(module, name, lambda *args: "replaced\n")
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == "replaced\n"
+
+
 class TestSourceEncoding:
     @pytest.mark.parametrize("argv", [
         ["check", "{}"], ["report", "{}"], ["trace", "{}", "1"], ["score", "{}"],
@@ -401,3 +439,16 @@ class TestExitCodeContract:
                 assert code == 1
             else:
                 assert code == 0
+
+
+class TestModuleEntryPoint:
+    @pytest.mark.parametrize("argv, code", [
+        (["check", CLEAN], 0),
+        (["check", "/nonexistent/register.evr"], 3),
+    ])
+    def test_python_dash_m_exits_with_the_code_of_main(self, argv, code):
+        src = Path(cli.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), str(src.parent)])}
+        done = subprocess.run([sys.executable, "-m", "evrforge.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == code, done.stderr

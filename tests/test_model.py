@@ -56,6 +56,24 @@ class TestResolveAlias:
         assert m.resolve_alias(doc, once) == once
 
 
+_CHAIN = dict(core_values=(m.CoreValue(id=1, name="privacy", priority_rank=1),),
+              qualities=(m.ValueQuality(id="1.1", core_value=1, name="q"),),
+              evrs=(m.Evr(id="1.1.1", quality="1.1", text="x"),))
+
+
+def _with_demand(demand: m.ProtectionDemand) -> dict:
+    return dict(_CHAIN, evrs=(replace(_CHAIN["evrs"][0], protection_demand=demand),))
+
+
+def _no_go_signed_by(role: m.SignatoryRole) -> dict:
+    """A no-go decision with a rationale, attested only by ``role``."""
+    return dict(
+        investment_decision=m.InvestmentDecision(m.Verdict.NO_GO, "harms outweigh gains", ("A1",)),
+        attestations=(m.Attestation(
+            id="A1", subject=m.AttestationSubject(m.SubjectKind.INVESTMENT_DECISION),
+            signatory_name="Jane Doe", signatory_role=role, date="2020-04-01"),))
+
+
 class TestAdvancePhase:
     def test_concept_to_exploration_needs_conop(self):
         doc = m.new_empty_register("TM")
@@ -78,6 +96,24 @@ class TestAdvancePhase:
         report = m.advance_phase(doc, m.Phase.DESIGN)
         assert isinstance(report, m.GateReport)
         assert "no EVRs defined" in report.failures
+
+    @pytest.mark.parametrize("overrides, failures", [
+        (dict(investment_decision=m.InvestmentDecision(m.Verdict.GO)),
+         ("no core values defined", "no EVRs defined",
+          "neither a value mission nor a no-go decision is recorded")),
+        (dict(_CHAIN, core_values=(m.CoreValue(id=1, name="privacy", priority_rank=2),),
+              mission=m.ValueMission(text="privacy first")),
+         ("priority ranks are not fully assigned",)),
+    ])
+    def test_exploration_to_design_names_each_failed_gate(self, overrides, failures):
+        report = m.advance_phase(base_doc(m.Phase.EXPLORATION, **overrides), m.Phase.DESIGN)
+        assert report == m.GateReport(target=m.Phase.DESIGN, failures=failures)
+
+    def test_invalid_document_raises_once_the_gate_holds(self):
+        doc = replace(m.new_empty_register("TM"), alias_map={"a": "a"},
+                      soi=m.Soi(name="TM", concept_of_operation="a help desk"))
+        with pytest.raises(m.RegisterError, match="invalid after transition: alias 'a' maps to itself"):
+            m.advance_phase(doc, m.Phase.EXPLORATION)
 
     def test_design_to_deployment_names_uncontrolled_evr(self, clean_doc):
         uncontrolled = m.Threat(id="2.1.1-T3", evr="2.1.1",
@@ -227,6 +263,50 @@ class TestValidation:
                            verdict=m.Verdict.NO_GO))
         codes = [v.code for v in m.validate_register(doc)]
         assert codes.count("P028") == 2
+
+    @pytest.mark.parametrize("phase, overrides, expected", [
+        (m.Phase.DESIGN, dict(_CHAIN, functional_requirements=(m.FunctionalRequirement(id="1.1.1"),)),
+         [("P012", "1.1.1", "functional requirement id '1.1.1' is not identifier-shaped"),
+          ("P010", "1.1.1", "functional requirement id collides with an ethical requirement id")]),
+        (m.Phase.EXPLORATION, dict(core_values=(m.CoreValue(
+            id=1, name="privacy", priority_rank=1, hierarchy_scores=m.HierarchyScores(5, 4, 6, 3, 0)),)),
+         [("P021", "1", "hierarchy score indivisibility must be 1..5, got 6"),
+          ("P021", "1", "hierarchy score intrinsic_worth must be 1..5, got 0")]),
+        (m.Phase.EXPLORATION, _with_demand(m.ProtectionDemand(5, "breach exposes data")),
+         [("P021", "1.1.1", "protection demand must be 1..4, got 5")]),
+        (m.Phase.DESIGN, dict(_CHAIN, threats=(m.Threat(id="1.1.1-T1", evr="1.1.1"),),
+                              controls=(m.Control(id="1.1.1-C1", threats=("1.1.1-T1",),
+                                                  form=m.ControlForm.PROCEDURAL, rigor=5),)),
+         [("P021", "1.1.1-C1", "control rigor must be 1..4, got 5")]),
+        (m.Phase.CONCEPT, dict(sos_elements=(m.SosElement(
+            id="S1", name="cloud", cooperation_type=m.CooperationType.VIRTUAL, tier=0),)),
+         [("P021", "S1", "SOS element tier must be >= 1, got 0")]),
+        (m.Phase.EXPLORATION, _with_demand(m.ProtectionDemand(2, "  ")),
+         [("P033", "1.1.1", "protection demand on EVR 1.1.1 has no rationale")]),
+        (m.Phase.DESIGN, dict(
+            stakeholders=(m.Stakeholder(id="ST1", name="users", kind=m.StakeholderKind.DIRECT),),
+            personas=(m.Persona(id="P1", name="a neighbour", stakeholder="ST1",
+                                kind=m.StakeholderKind.INDIRECT),)),
+         [("P035", "P1", "persona P1 kind indirect differs from its stakeholder's kind direct")]),
+        (m.Phase.EXPLORATION, dict(attestations=(m.Attestation(
+            id="A1", subject=m.AttestationSubject(m.SubjectKind.RULE, "VBE-C08"), signatory_name=" ",
+            signatory_role=m.SignatoryRole.VALUE_EXPERT, date="2020-04-01"),)),
+         [("P031", "A1", "attestation A1 has an empty signatory name")]),
+        (m.Phase.CONCEPT, dict(alias_map={"privacy": "privacy"}),
+         [("P019", "privacy", "alias 'privacy' maps to itself")]),
+        (m.Phase.EXPLORATION, dict(sessions=(m.ElicitationSession(
+            id="SES1", lenses_used=(m.Lens(m.LensKind.UTILITARIAN, "kantian ethics"),)),)),
+         [("P030", "SES1", "utilitarian lens must not carry a framework name")]),
+        (m.Phase.EXPLORATION, _no_go_signed_by(m.SignatoryRole.ENGINEER),
+         [("P028", "register", "no-go decision carries no executive attestation")]),
+        (m.Phase.EXPLORATION, _no_go_signed_by(m.SignatoryRole.EXECUTIVE), []),
+    ], ids=["P010-funcreq-evr-id", "P021-hierarchy-score", "P021-protection-demand",
+            "P021-control-rigor", "P021-sos-tier", "P033-blank-rationale", "P035-persona-kind",
+            "P031-blank-signatory", "P019-self-alias", "P030-utilitarian-framework",
+            "P028-no-go-engineer", "P028-no-go-executive"])
+    def test_field_checks_report_exactly(self, phase, overrides, expected):
+        violations = m.validate_register(base_doc(phase, **overrides))
+        assert [(v.code, v.subject, v.message) for v in violations] == expected
 
     def test_generated_registers_are_valid(self):
         rng = random.Random(7)
