@@ -526,7 +526,7 @@ attestation A5 rule "VBE-C12"
 end
 
 mission
-  note "We build {name} so that people keep control over their personal data."
+  note {mission}
   feature 1
   signed A3
 end
@@ -549,12 +549,16 @@ alias "secrecy" "privacy"
 
 
 def scaffold_text(project_name: str) -> str:
-    return _TEMPLATE.format(name=project_name, qname=dsl._quote(project_name))
+    mission = f"We build {project_name} so that people keep control over their personal data."
+    return _TEMPLATE.format(name=project_name, qname=dsl._quote(project_name),
+                            mission=dsl._quote(mission))
 
 
 def cmd_init(args) -> int:
     if not args.project_name.strip():
         raise _Failure(EXIT_USAGE, "project name must not be empty")
+    if "\n" in args.project_name or "\r" in args.project_name:
+        raise _Failure(EXIT_USAGE, "project name must not contain line breaks")
     out = args.out if args.out is not None else f"{args.project_name}.evr"
     _write_file(out, scaffold_text(args.project_name), "w" if args.force else "x")
     return EXIT_CLEAN

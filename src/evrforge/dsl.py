@@ -302,7 +302,7 @@ class _Parser:
 
     def need_dotted(self, pattern, what: str) -> str:
         tok = self.tok
-        if tok[0] not in ("DOTTED", "INT") or not pattern.match(tok[2]):
+        if tok[0] != "DOTTED" or not pattern.match(tok[2]):
             self.error(f"expected {what}, found {tok[1] or 'end of input'!r}", code="P012")
         if self.refused(tok[2]):
             self.error(f"expected {what}, found a {len(tok[2])}-character id", code="P012")
@@ -610,6 +610,7 @@ def _default(f):
 
 
 _PROJECT = object()  # the default of a field that defaults to the project name
+_DOCUMENT_HINTS = typing.get_type_hints(m.RegisterDocument)
 
 
 @dataclass(frozen=True)
@@ -664,18 +665,19 @@ class _Block:
     by prefix and field name.  ``attrs`` is None for a block without
     attributes and ``end``.
 
-    The rest comes from the model: a field starts at its dataclass default
-    (a repeated attribute or a note at empty), a field without one that
-    nothing filled is reported as P006, and the writer leaves out a value
-    equal to its default.
+    The rest comes from the model: the block's class is the one its slot,
+    a field of the document, holds (``_Alias`` for ``alias_map``), a field
+    starts at its dataclass default (a repeated attribute or a note at
+    empty), a field without one that nothing filled is reported as P006,
+    and the writer leaves out a value equal to its default.
     """
 
-    def __init__(self, keyword: str, cls: type, slot: str, head: tuple = (),
+    def __init__(self, keyword: str, slot: str, head: tuple = (),
                  attrs: tuple | None = (), *, noun: str | None = None,
                  from_project: str | None = None, derived: tuple = ()):
         self.keyword = keyword
-        self.cls = cls
         self.slot = slot  # the document field holding blocks of this kind
+        self.cls = cls = _Alias if slot == "alias_map" else _held_class(_DOCUMENT_HINTS[slot])[0]
         self.single = slot not in m.ENTITY_KINDS and cls is not _Alias
         self.noun = noun or m.ENTITY_KINDS.get(slot, (keyword,))[0]
         self.from_project = from_project  # a field that defaults to the project name
@@ -769,12 +771,12 @@ class _Block:
 
 
 _BLOCKS: dict[str, _Block] = {block.keyword: block for block in (
-    _Block("soi", m.Soi, "soi", (), (
+    _Block("soi", "soi", (), (
         ("name", "name", _STRING, "system name"),
         ("note", "concept_of_operation", _NOTE),
         ("region", "deployment_regions", _STRING, "region code"),
     ), from_project="name"),
-    _Block("sos", m.SosElement, "sos_elements", (
+    _Block("sos", "sos_elements", (
         ("id", _IDENT, "sos element id"), ("name", _STRING, "sos element name"),
     ), (
         ("cooperation", "cooperation_type", _ENUM, "cooperation type", "cooperation type"),
@@ -783,7 +785,7 @@ _BLOCKS: dict[str, _Block] = {block.keyword: block for block in (
         ("ethical_scope", "in_ethical_scope", _BOOL),
         ("enabling_access", "access_to_enabling_elements", _BOOL),
     )),
-    _Block("stakeholder", m.Stakeholder, "stakeholders", (
+    _Block("stakeholder", "stakeholders", (
         ("id", _IDENT, "stakeholder id"), ("name", _STRING, "stakeholder name"),
     ), (
         ("kind", "kind", _ENUM, "stakeholder kind"),
@@ -791,7 +793,7 @@ _BLOCKS: dict[str, _Block] = {block.keyword: block for block in (
         ("region", "region", _STRING, "region code"),
         ("", "selection_profile", _GROUP),
     )),
-    _Block("context", m.ContextOfUse, "contexts", (
+    _Block("context", "contexts", (
         ("id", _IDENT, "context id"), ("name", _STRING, "context name"),
     ), (
         ("captured", "captured", _ENUM, "capture stage"),
@@ -802,14 +804,14 @@ _BLOCKS: dict[str, _Block] = {block.keyword: block for block in (
         ("subject", "data_subjects", _SUBJECT, "data subject"),
         ("expect", "integrity_expectations", _STRING, "integrity expectation"),
     )),
-    _Block("session", m.ElicitationSession, "sessions", (
+    _Block("session", "sessions", (
         ("id", _IDENT, "session id"),
     ), (
         ("date", "date", _STRING, "session date"),
         ("participant", "participants", _REF, "stakeholder id"),
         ("lens", "lenses_used", _LENS, "lens kind"),
     )),
-    _Block("statement", m.ValueStatement, "statements", (
+    _Block("statement", "statements", (
         ("id", _IDENT, "statement id"),
     ), (
         ("session", "session", _REF, "session id"),
@@ -820,7 +822,7 @@ _BLOCKS: dict[str, _Block] = {block.keyword: block for block in (
         ("value", "named_values", _STRING, "value name"),
         ("extracted", "extracted_values", _STRING, "value name"),
     )),
-    _Block("corevalue", m.CoreValue, "core_values", (
+    _Block("corevalue", "core_values", (
         ("id", _Reader(_Parser.need_number, lambda value, doc: str(value)),
          "a core value number"),
         ("name", _STRING, "core value name"), "rank", ("priority_rank", _INT, "priority rank"),
@@ -830,7 +832,7 @@ _BLOCKS: dict[str, _Block] = {block.keyword: block for block in (
         ("", "hierarchy_scores", _GROUP, "scores"),
         ("support", "supporting_statements", _REF, "statement id"),
     )),
-    _Block("quality", m.ValueQuality, "qualities", (
+    _Block("quality", "qualities", (
         ("id", _dotted(m.QUALITY_ID_RE), "a quality id of the form N.M"),
         ("name", _STRING, "quality name"),
         "of", ("core_value", _INT, "parent core value number"),
@@ -838,7 +840,7 @@ _BLOCKS: dict[str, _Block] = {block.keyword: block for block in (
     ), (
         ("source", "source", _ENUM, "quality source"),
     )),
-    _Block("evr", m.Evr, "evrs", (
+    _Block("evr", "evrs", (
         ("id", _dotted(m.EVR_ID_RE), "an EVR id of the form N.M.K"),
         ("text", _STRING, "requirement text"),
         "of", ("quality", _dotted(m.QUALITY_ID_RE), "the parent quality id"),
@@ -853,14 +855,14 @@ _BLOCKS: dict[str, _Block] = {block.keyword: block for block in (
         ("demand", "protection_demand", _NESTED,
          ("protection demand level", "protection demand rationale")),
     )),
-    _Block("threat", m.Threat, "threats", (
+    _Block("threat", "threats", (
         ("id", _dotted(m.THREAT_ID_RE), "a threat id of the form N.M.K-Tj"),
         "of", ("evr", _dotted(m.EVR_ID_RE), "the parent EVR id"),
     ), (
         ("realistic", "realistic", _BOOL),
         ("note", "description", _NOTE),
     )),
-    _Block("control", m.Control, "controls", (
+    _Block("control", "controls", (
         ("id", _dotted(m.CONTROL_ID_RE), "a control id of the form N.M.K-Cj"),
         "for", ("threats", _commas(_dotted(m.THREAT_ID_RE)), "a threat id"),
     ), (
@@ -870,19 +872,19 @@ _BLOCKS: dict[str, _Block] = {block.keyword: block for block in (
         ("disposition", "implementing_disposition", _REF, "disposition id"),
         ("note", "description", _NOTE),
     )),
-    _Block("disposition", m.ValueDisposition, "dispositions", (
+    _Block("disposition", "dispositions", (
         ("id", _IDENT, "disposition id"),
     ), (
         ("component", "soi_component", _STRING, "soi component", "soi component"),
         ("implements", "implements", _dotted(m.CONTROL_ID_RE), "a control id"),
         ("note", "description", _NOTE),
     )),
-    _Block("funcreq", m.FunctionalRequirement, "functional_requirements", (
+    _Block("funcreq", "functional_requirements", (
         ("id", _IDENT, "functional requirement id"),
     ), (
         ("note", "text", _NOTE),
     )),
-    _Block("concept", m.DesignConcept, "design_concepts", (
+    _Block("concept", "design_concepts", (
         ("id", _IDENT, "design concept id"), ("name", _STRING, "design concept name"),
     ), (
         ("ethical", "ethical_refs",
@@ -890,13 +892,13 @@ _BLOCKS: dict[str, _Block] = {block.keyword: block for block in (
          "an EVR or control id"),
         ("functional", "functional_refs", _REF, "functional requirement id"),
     )),
-    _Block("persona", m.Persona, "personas", (
+    _Block("persona", "personas", (
         ("id", _IDENT, "persona id"), ("name", _STRING, "persona name"),
     ), (
         ("stakeholder", "stakeholder", _REF, "stakeholder id"),
         ("note", "narrative", _NOTE),
     ), derived=("kind",)),
-    _Block("attestation", m.Attestation, "attestations", (
+    _Block("attestation", "attestations", (
         ("id", _IDENT, "attestation id"),
         ("subject", _Reader(_Parser.need_attested, _attested_text, lambda s: (s.ref,)),
          "attestation subject"),
@@ -907,18 +909,18 @@ _BLOCKS: dict[str, _Block] = {block.keyword: block for block in (
         ("consent", "consent", _BOOL),
         ("note", "statement", _NOTE),
     )),
-    _Block("mission", m.ValueMission, "mission", (), (
+    _Block("mission", "mission", (), (
         ("note", "text", _NOTE),
         ("feature", "featured", _INT, "core value number"),
         ("signed", "signed_by", _REF, "attestation id"),
     )),
-    _Block("decision", m.InvestmentDecision, "investment_decision", (
+    _Block("decision", "investment_decision", (
         ("verdict", _ENUM, "verdict"),
     ), (
         ("note", "rationale", _NOTE),
         ("signed", "attestations", _REF, "attestation id"),
     )),
-    _Block("feedback", m.FeedbackEntry, "feedback", (
+    _Block("feedback", "feedback", (
         ("id", _IDENT, "feedback id"),
     ), (
         ("date", "date", _STRING),
@@ -929,7 +931,7 @@ _BLOCKS: dict[str, _Block] = {block.keyword: block for block in (
                                          _same, _alone), "a statement or quality id"),
         ("reprioritize", "reprioritization_required", _BOOL),
     ), noun="feedback"),
-    _Block("alias", _Alias, "alias_map", (
+    _Block("alias", "alias_map", (
         ("name", _STRING, "alias name"), ("target", _STRING, "canonical name"),
     ), None),
 )}
@@ -1013,8 +1015,9 @@ _ENCODERS: dict[type, Callable | None] = {}
 
 
 def _plain(value):
-    """The JSON form of a model value: dataclasses become objects, enums
-    their values, tuples and lists arrays; anything else is kept."""
+    """The JSON form of a model value: dataclasses become objects, tuples
+    and lists arrays; anything else is kept, enums too, as every model enum
+    is a ``str`` that ``json`` writes as its value."""
     cls = type(value)
     try:
         encode = _ENCODERS[cls]
@@ -1026,8 +1029,6 @@ def _plain(value):
 def _encoder(cls: type) -> Callable | None:
     """How ``_plain`` converts a value of ``cls``; None keeps it as it is.
     A dataclass's key plan is worked out here, once per class."""
-    if issubclass(cls, Enum):
-        return attrgetter("value")
     if cls is tuple or cls is list:
         return lambda items: [_plain(item) for item in items]
     if not is_dataclass(cls):

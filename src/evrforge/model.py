@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import datetime
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from functools import cached_property
 from operator import attrgetter
@@ -401,29 +401,38 @@ class FeedbackEntry:
 MARKET_SOURCE = "market"
 
 
+def _kind(label: str, floor: Phase | None, id_shape: re.Pattern | None = IDENT_RE):
+    """A document field that holds one id-keyed entity kind, and so declares
+    it: the label for messages, the earliest phase at which the collection
+    may be non-empty (None for any phase), and the pattern its ids must
+    match so that the text format can always re-emit them (None for the
+    core values' integers)."""
+    return field(default=(), metadata={"kind": (label, floor, id_shape)})
+
+
 @dataclass(frozen=True)
 class RegisterDocument:
     project: ProjectMeta
     phase: Phase = Phase.CONCEPT
     soi: Soi = field(default_factory=lambda: Soi(name=""))
-    sos_elements: tuple[SosElement, ...] = ()
-    stakeholders: tuple[Stakeholder, ...] = ()
-    contexts: tuple[ContextOfUse, ...] = ()
-    sessions: tuple[ElicitationSession, ...] = ()
-    statements: tuple[ValueStatement, ...] = ()
-    core_values: tuple[CoreValue, ...] = ()
-    qualities: tuple[ValueQuality, ...] = ()
-    evrs: tuple[Evr, ...] = ()
-    threats: tuple[Threat, ...] = ()
-    controls: tuple[Control, ...] = ()
-    dispositions: tuple[ValueDisposition, ...] = ()
-    functional_requirements: tuple[FunctionalRequirement, ...] = ()
-    design_concepts: tuple[DesignConcept, ...] = ()
-    personas: tuple[Persona, ...] = ()
-    attestations: tuple[Attestation, ...] = ()
+    sos_elements: tuple[SosElement, ...] = _kind("sos element", None)
+    stakeholders: tuple[Stakeholder, ...] = _kind("stakeholder", None)
+    contexts: tuple[ContextOfUse, ...] = _kind("context", None)
+    sessions: tuple[ElicitationSession, ...] = _kind("session", Phase.EXPLORATION)
+    statements: tuple[ValueStatement, ...] = _kind("statement", Phase.EXPLORATION)
+    core_values: tuple[CoreValue, ...] = _kind("core value", Phase.EXPLORATION, None)
+    qualities: tuple[ValueQuality, ...] = _kind("quality", Phase.EXPLORATION, QUALITY_ID_RE)
+    evrs: tuple[Evr, ...] = _kind("evr", Phase.EXPLORATION, EVR_ID_RE)
+    threats: tuple[Threat, ...] = _kind("threat", Phase.DESIGN, THREAT_ID_RE)
+    controls: tuple[Control, ...] = _kind("control", Phase.DESIGN, CONTROL_ID_RE)
+    dispositions: tuple[ValueDisposition, ...] = _kind("disposition", Phase.DESIGN)
+    functional_requirements: tuple[FunctionalRequirement, ...] = _kind("functional requirement", Phase.DESIGN)
+    design_concepts: tuple[DesignConcept, ...] = _kind("design concept", Phase.DESIGN)
+    personas: tuple[Persona, ...] = _kind("persona", Phase.DESIGN)
+    attestations: tuple[Attestation, ...] = _kind("attestation", Phase.EXPLORATION)
     mission: ValueMission | None = None
     investment_decision: InvestmentDecision | None = None
-    feedback: tuple[FeedbackEntry, ...] = ()
+    feedback: tuple[FeedbackEntry, ...] = _kind("feedback entry", Phase.DESIGN)
     alias_map: dict[str, str] = field(default_factory=dict)
 
     @cached_property
@@ -433,29 +442,11 @@ class RegisterDocument:
         return DocIndex(self)
 
 
-# The id-keyed collections of a document, in field order: the label for
-# messages, the earliest phase at which the collection may be non-empty
-# (None for any phase), and whether its ids must be identifier-shaped so
-# that the text format can always re-emit them.  Validation, the parser and
-# the diff are driven by this table.
-ENTITY_KINDS: dict[str, tuple[str, Phase | None, bool]] = {
-    "sos_elements": ("sos element", None, True),
-    "stakeholders": ("stakeholder", None, True),
-    "contexts": ("context", None, True),
-    "sessions": ("session", Phase.EXPLORATION, True),
-    "statements": ("statement", Phase.EXPLORATION, True),
-    "core_values": ("core value", Phase.EXPLORATION, False),
-    "qualities": ("quality", Phase.EXPLORATION, False),
-    "evrs": ("evr", Phase.EXPLORATION, False),
-    "threats": ("threat", Phase.DESIGN, False),
-    "controls": ("control", Phase.DESIGN, False),
-    "dispositions": ("disposition", Phase.DESIGN, True),
-    "functional_requirements": ("functional requirement", Phase.DESIGN, True),
-    "design_concepts": ("design concept", Phase.DESIGN, True),
-    "personas": ("persona", Phase.DESIGN, True),
-    "attestations": ("attestation", Phase.EXPLORATION, True),
-    "feedback": ("feedback entry", Phase.DESIGN, True),
-}
+# The id-keyed collections of a document, in field order, as their fields
+# declare them: field name -> (label, phase floor, id shape).  Validation,
+# the parser, the index, the trace graph and the diff are driven by it.
+ENTITY_KINDS: dict[str, tuple[str, Phase | None, re.Pattern | None]] = {
+    f.name: f.metadata["kind"] for f in fields(RegisterDocument) if "kind" in f.metadata}
 
 # Every field that names other entities by id: the source collection (or the
 # ``mission`` / ``investment_decision`` singleton), the field, the collections
@@ -608,8 +599,8 @@ def validate_register(doc: RegisterDocument) -> tuple[Violation, ...]:
     idx = doc.index
 
     # Id shape.  Numbered kinds are checked against their patterns below.
-    for kind, (label, _, identifier) in ENTITY_KINDS.items():
-        if identifier:
+    for kind, (label, _, shape) in ENTITY_KINDS.items():
+        if shape is IDENT_RE:
             for entity in getattr(doc, kind):
                 if entity.id == "end":
                     bad("P012", entity.id, f"{label} id 'end' is reserved: it closes a block")
@@ -692,8 +683,8 @@ def validate_register(doc: RegisterDocument) -> tuple[Violation, ...]:
             bad("P025", c.id, f"implemented control {c.id} names no implementing disposition")
 
     # References.  A numbered entity whose id is malformed has its P012 only.
-    numbered = {"qualities": QUALITY_ID_RE, "evrs": EVR_ID_RE,
-                "threats": THREAT_ID_RE, "controls": CONTROL_ID_RE}
+    numbered = {kind: shape for kind, (_, _, shape) in ENTITY_KINDS.items()
+                if shape not in (IDENT_RE, None)}
     for kind, field, targets, message, _ in REFERENCES:
         known, *others = [getattr(idx, target) for target in targets]
         held = getattr(doc, kind)

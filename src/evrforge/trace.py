@@ -35,25 +35,25 @@ class TraceGraph:
     parents: dict[str, str | None]
 
 
-# The kinds the graph holds: collection -> (node kind, the field that names
-# a node, and whether only its first line does).
+# The kinds the graph holds: collection -> the field whose first line names
+# a node.  A node's kind is the ENTITY_KINDS label, ``_`` for spaces.
 _NODES = {
-    "core_values": ("core_value", "name", False),
-    "qualities": ("quality", "name", False),
-    "evrs": ("evr", "text", True),
-    "threats": ("threat", "description", True),
-    "controls": ("control", "description", True),
-    "dispositions": ("disposition", "description", True),
-    "functional_requirements": ("functional_requirement", "text", True),
-    "design_concepts": ("design_concept", "name", False),
+    "core_values": "name",
+    "qualities": "name",
+    "evrs": "text",
+    "threats": "description",
+    "controls": "description",
+    "dispositions": "description",
+    "functional_requirements": "text",
+    "design_concepts": "name",
 }
 
 
 def _graph_plan() -> list[tuple]:
     """Per node kind, in ENTITY_KINDS order: (collection, node kind, name
-    field, first line only?, links, flush); a link is (field, parent?,
-    merged?).  Edges run from a parent to its child, else to what is named;
-    edges two kinds name from both sides come merged, after the later kind."""
+    field, links, flush); a link is (field, parent?, merged?).  Edges run
+    from a parent to its child, else to what is named; edges two kinds name
+    from both sides come merged, after the later kind."""
     kinds = [kind for kind in m.ENTITY_KINDS if kind in _NODES]
     pairs = {(kind, targets) for kind, _, targets, _, _ in m.REFERENCES}
     links = {kind: tuple((field, parent, (targets[0], (kind,)) in pairs)
@@ -61,7 +61,8 @@ def _graph_plan() -> list[tuple]:
                          if source == kind and _NODES.keys() >= set(targets))
              for kind in kinds}
     last = max(i for i, kind in enumerate(kinds) if any(link[2] for link in links[kind]))
-    return [(kind, *_NODES[kind], links[kind], i == last) for i, kind in enumerate(kinds)]
+    return [(kind, m.ENTITY_KINDS[kind][0].replace(" ", "_"), _NODES[kind], links[kind],
+             i == last) for i, kind in enumerate(kinds)]
 
 
 _GRAPH_PLAN = _graph_plan()
@@ -74,11 +75,10 @@ def build_graph(doc: m.RegisterDocument) -> TraceGraph:
     parents: dict[str, str | None] = {}
     merged: set[tuple[str, str]] = set()
 
-    for kind, node_kind, name, first_line, links, flush in _GRAPH_PLAN:
+    for kind, node_kind, name, links, flush in _GRAPH_PLAN:
         for entity in getattr(doc, kind):
             eid = str(entity.id)
-            label = getattr(entity, name)
-            nodes[eid] = TraceNode(eid, node_kind, label.split("\n", 1)[0] if first_line else label)
+            nodes[eid] = TraceNode(eid, node_kind, getattr(entity, name).split("\n", 1)[0])
             parent_id = None
             for field, parent, both_sides in links:
                 refs = getattr(entity, field)
@@ -249,7 +249,7 @@ def diff_registers(old: m.RegisterDocument, new: m.RegisterDocument) -> ChangeSe
     """Entity-level diff keyed by explicit ids.
 
     Renamed entities keep their id and therefore show up as modified, not as
-    a remove plus add.  Register-level singletons (project header, soi,
+    a remove plus add.  Entities are looked up in each document's index.  Register-level singletons (project header, soi,
     mission, investment decision, alias map) are reported as modified
     pseudo-entities under the ``register`` kind.
     """
@@ -258,12 +258,12 @@ def diff_registers(old: m.RegisterDocument, new: m.RegisterDocument) -> ChangeSe
     modified: dict[str, tuple[str, ...]] = {}
 
     for kind in m.ENTITY_KINDS:
-        old_entities = {str(e.id): e for e in getattr(old, kind)}
-        new_entities = {str(e.id): e for e in getattr(new, kind)}
-        added[kind] = tuple(i for i in new_entities if i not in old_entities)
-        removed[kind] = tuple(i for i in old_entities if i not in new_entities)
+        old_entities = getattr(old.index, kind)
+        new_entities = getattr(new.index, kind)
+        added[kind] = tuple(str(i) for i in new_entities if i not in old_entities)
+        removed[kind] = tuple(str(i) for i in old_entities if i not in new_entities)
         modified[kind] = tuple(
-            i for i in new_entities
+            str(i) for i in new_entities
             if i in old_entities and new_entities[i] != old_entities[i]
         )
 

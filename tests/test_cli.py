@@ -276,6 +276,26 @@ class TestInit:
         assert cli.main(["init", "demo", "--out",
                          "/nonexistent/dir/demo.evr"]) == 3
 
+    @pytest.mark.parametrize("name", ['a"b', "a\\b", "a\tb"])
+    def test_scaffold_of_any_one_line_name_checks_without_parse_diagnostics(
+            self, tmp_path, capsys, name):
+        target = tmp_path / "demo.evr"
+        assert cli.main(["init", name, "--out", str(target)]) == 0
+        assert cli.main(["check", str(target)]) <= 1
+        assert not [line for line in capsys.readouterr().err.splitlines()
+                    if line.split()[1:2] and line.split()[1].startswith("P")]
+        doc = dsl.parse_register(target.read_text(encoding="utf-8")).document
+        assert doc.mission.text == (
+            f"We build {name} so that people keep control over their personal data.")
+
+    @pytest.mark.parametrize("name", ["a\nb", "a\rb"])
+    def test_name_with_a_line_break_is_refused(self, tmp_path, monkeypatch, capsys, name):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["init", name]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "evrforge: project name must not contain line breaks"]
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestExport:
     def test_csv_header_is_exact(self, capsys):

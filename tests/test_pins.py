@@ -25,11 +25,13 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import importlib.util
 import json
 import random
 import types
 import typing
 from dataclasses import fields, is_dataclass, replace
+from pathlib import Path
 
 import pytest
 
@@ -344,6 +346,20 @@ def test_pins_cover_every_kind():
     assert pinned["dangling"].keys() == BREAKS.keys() and all(pinned["dangling"].values())
     codes = {line.split()[1] for text in pinned["parse"].values() for line in text.split("\n")[1:]}
     assert {"P001", "P006", "P012", "P018", "P020", "P034", "P090"} <= codes
+
+
+def test_committed_fixtures_are_what_the_builder_builds():
+    # perfbench reads these files as pinned inputs, so the builder must
+    # still make them byte for byte; its main() would overwrite them.
+    path = Path(__file__).resolve().parents[1] / "scripts" / "build_fixtures.py"
+    spec = importlib.util.spec_from_file_location("build_fixtures", path)
+    build = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(build)
+    clean = load_fixture("tm_clean.evr")
+    for name, doc in (("tm_full.evr", build.build_tm_full()),
+                      ("tm_warnings.evr", build.derive_warnings_fixture(clean)),
+                      ("tm_error.evr", build.derive_error_fixture(clean))):
+        assert dsl.serialize_canonical(doc) == (FIXTURES / name).read_text(encoding="utf-8"), name
 
 
 if __name__ == "__main__":
