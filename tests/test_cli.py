@@ -472,3 +472,17 @@ class TestModuleEntryPoint:
         done = subprocess.run([sys.executable, "-m", "evrforge.cli", *argv], env=env,
                               capture_output=True, text=True, timeout=60)
         assert done.returncode == code, done.stderr
+
+    def test_importing_the_cli_loads_every_layer(self):
+        """``perfbench/run.py --trace 1`` reports ``X.import_self_ms`` for the
+        evrforge modules that ``import evrforge.cli`` loads, and exits 3 when
+        a declared per-layer metric is missing; so that import must load all
+        six modules, and none of them may be deferred."""
+        names = ("cli", "dsl", "model", "rules", "analytics", "trace")
+        probe = ("import sys, evrforge.cli; "
+                 f"print(*(n for n in {names!r} if 'evrforge.' + n in sys.modules))")
+        src = Path(cli.__file__).resolve().parents[1]
+        done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == list(names)
