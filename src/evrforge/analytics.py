@@ -11,23 +11,28 @@ nothing here writes back into a document.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import fields
 
 from . import model as m
+from .model import record
 
 MANDATORY_LENSES = (m.LensKind.UTILITARIAN, m.LensKind.VIRTUE, m.LensKind.DUTY)
 
 CRITERIA = tuple(f.name for f in fields(m.HierarchyScores))
 
 
-@dataclass(frozen=True)
+@record
 class SessionLensGap:
+    """The standing lenses one session did not use."""
+
     session_id: str
     missing: tuple[m.LensKind, ...]
 
 
-@dataclass(frozen=True)
+@record
 class LensCoverage:
+    """The lens gaps of every session, and the register-level cultural flag."""
+
     sessions: tuple[SessionLensGap, ...]
     cultural_lens_missing: bool
 
@@ -48,8 +53,10 @@ def lens_coverage(doc: m.RegisterDocument) -> LensCoverage:
     return LensCoverage(sessions=tuple(gaps), cultural_lens_missing=flag)
 
 
-@dataclass(frozen=True)
+@record
 class TallyEntry:
+    """How many statements name one value, by polarity, and which ones."""
+
     positive: int
     negative: int
     statements: tuple[str, ...]
@@ -108,8 +115,10 @@ def propose_core_values(tally: ValueTally, min_count: int) -> tuple[str, ...]:
     return tuple(name for name, _ in qualified)
 
 
-@dataclass(frozen=True)
+@record
 class PairComparison:
+    """The criteria scores and totals of two core values, in ranked order."""
+
     first: int
     second: int
     first_scores: tuple[int, int, int, int, int]
@@ -118,8 +127,10 @@ class PairComparison:
     second_total: float
 
 
-@dataclass(frozen=True)
+@record
 class RankingExplanation:
+    """An advisory order of core values, with the totals and comparisons behind it."""
+
     order: tuple[int, ...]
     totals: dict[int, float]
     comparisons: tuple[PairComparison, ...]
@@ -183,8 +194,10 @@ def classify_risk_path(evr: m.Evr) -> m.RiskPath:
     return m.RiskPath.LOW
 
 
-@dataclass(frozen=True)
+@record
 class RigorViolation:
+    """A control whose rigor is below its EVR's protection demand."""
+
     control_id: str
     evr_id: str
     rigor: int

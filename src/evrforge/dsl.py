@@ -38,14 +38,15 @@ import re
 import sys
 import typing
 from collections.abc import Callable, Iterator
-from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
+from dataclasses import MISSING, fields, is_dataclass, replace
 from enum import Enum
 from operator import attrgetter, methodcaller
 
 from . import model as m
+from .model import record
 
 
-@dataclass(frozen=True)
+@record
 class SourceSpan:
     """Inclusive character span, 1-based lines and columns."""
 
@@ -56,8 +57,10 @@ class SourceSpan:
     end_col: int
 
 
-@dataclass(frozen=True)
+@record
 class ParseDiagnostic:
+    """One problem found in the source, at its span."""
+
     span: SourceSpan
     severity: str  # "error" or "warning"
     code: str
@@ -69,8 +72,10 @@ class ParseDiagnostic:
         return f"{self.severity.upper()} {self.code} {where}: {self.message}"
 
 
-@dataclass(frozen=True)
+@record
 class ParseResult:
+    """The document read from a source, and every diagnostic on the way."""
+
     document: m.RegisterDocument | None
     diagnostics: tuple[ParseDiagnostic, ...]
     # The ``register`` keyword; None when the source has none, as an empty,
@@ -613,8 +618,10 @@ _PROJECT = object()  # the default of a field that defaults to the project name
 _DOCUMENT_HINTS = typing.get_type_hints(m.RegisterDocument)
 
 
-@dataclass(frozen=True)
+@record
 class _Alias:
+    """One ``alias`` line: a value name and the name it stands for."""
+
     name: str
     target: str
 

@@ -20,6 +20,36 @@ from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from functools import cached_property
 from operator import attrgetter
+from reprlib import recursive_repr
+
+
+def record(cls):
+    """``@dataclass(frozen=True)`` with the same ``==``, ``hash`` and ``repr``
+    built from closures over the field names instead of generated source,
+    which takes about half the time to build a class: every CLI start
+    builds all of the package's records.  ``==`` and ``hash`` read the
+    fields, never the instance ``__dict__``, which holds a cached index on
+    a document (and, once read, costs one dict per instance)."""
+    cls = dataclass(cls, frozen=True, eq=False, repr=False)
+    names = tuple(f.name for f in fields(cls))
+    values = attrgetter(*names) if len(names) > 1 else (
+        lambda obj: tuple(getattr(obj, name) for name in names))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return values(self) == values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(values(self))
+
+    @recursive_repr()
+    def __repr__(self):
+        inner = ", ".join(f"{name}={getattr(self, name)!r}" for name in names)
+        return f"{self.__class__.__qualname__}({inner})"
+
+    cls.__eq__, cls.__hash__, cls.__repr__ = __eq__, __hash__, __repr__
+    return cls
 
 
 class Phase(str, Enum):
@@ -141,13 +171,15 @@ def control_parent(control_id: str) -> str | None:
     return m.group(1) if m else None
 
 
-@dataclass(frozen=True)
+@record
 class ProjectMeta:
+    """The project's name and the register's version label."""
+
     name: str
     version: str = ""
 
 
-@dataclass(frozen=True)
+@record
 class Soi:
     """System of interest: the socio-technical system under design."""
 
@@ -156,7 +188,7 @@ class Soi:
     deployment_regions: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
+@record
 class SosElement:
     """A partner system in the surrounding system-of-systems."""
 
@@ -169,16 +201,20 @@ class SosElement:
     access_to_enabling_elements: bool = False
 
 
-@dataclass(frozen=True)
+@record
 class SelectionProfile:
+    """Why a stakeholder was selected: motivation, power, knowledge and legitimization."""
+
     motivation: str = ""
     power: str = ""
     knowledge: str = ""
     legitimization: str = ""
 
 
-@dataclass(frozen=True)
+@record
 class Stakeholder:
+    """A person or group whose values the system affects, directly or indirectly."""
+
     id: str
     name: str
     kind: StakeholderKind
@@ -187,15 +223,19 @@ class Stakeholder:
     selection_profile: SelectionProfile | None = None
 
 
-@dataclass(frozen=True)
+@record
 class DataFlow:
+    """One flow of a data type from a source to a sink in a context of use."""
+
     source: str
     sink: str
     data_type: str
 
 
-@dataclass(frozen=True)
+@record
 class ContextOfUse:
+    """A situation the system is used in, with the data it touches."""
+
     id: str
     name: str
     captured: CaptureStage = CaptureStage.PRE_DESIGN
@@ -206,7 +246,7 @@ class ContextOfUse:
     integrity_expectations: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
+@record
 class Lens:
     """An elicitation lens: one of the three standing ethical lenses, or a
     named culture-specific framework."""
@@ -215,16 +255,20 @@ class Lens:
     framework: str = ""
 
 
-@dataclass(frozen=True)
+@record
 class ElicitationSession:
+    """A value elicitation meeting: its stakeholders and the lenses it used."""
+
     id: str
     date: str = ""
     participants: tuple[str, ...] = ()
     lenses_used: tuple[Lens, ...] = ()
 
 
-@dataclass(frozen=True)
+@record
 class ValueStatement:
+    """One stakeholder's statement from a session, seen through one lens."""
+
     id: str
     session: str
     stakeholder: str
@@ -235,7 +279,7 @@ class ValueStatement:
     extracted_values: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
+@record
 class HierarchyScores:
     """Superiority criteria scored 1..5 each."""
 
@@ -250,8 +294,10 @@ class HierarchyScores:
                 self.bearer_independence, self.intrinsic_worth)
 
 
-@dataclass(frozen=True)
+@record
 class CoreValue:
+    """A value the project commits to, with its human-set priority rank."""
+
     id: int
     name: str
     priority_rank: int
@@ -261,8 +307,10 @@ class CoreValue:
     supporting_statements: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
+@record
 class ValueQuality:
+    """A quality that supports or undermines one core value."""
+
     id: str
     core_value: int
     name: str
@@ -270,28 +318,34 @@ class ValueQuality:
     source: QualitySource = QualitySource.STAKEHOLDER
 
 
-@dataclass(frozen=True)
+@record
 class Threshold:
+    """A measurable acceptance level for an EVR: metric, comparator and level."""
+
     metric: str
     comparator: str
     level: str
     rationale: str = ""
 
 
-@dataclass(frozen=True)
+@record
 class HarmFlags:
+    """The kinds of harm an EVR's breach could cause."""
+
     life: bool = False
     health: bool = False
     legal_breach: bool = False
 
 
-@dataclass(frozen=True)
+@record
 class ProtectionDemand:
+    """The control rigor an EVR demands, 1 to 4, and why."""
+
     level: int
     rationale: str
 
 
-@dataclass(frozen=True)
+@record
 class Evr:
     """Ethical value quality requirement."""
 
@@ -307,16 +361,20 @@ class Evr:
     protection_demand: ProtectionDemand | None = None
 
 
-@dataclass(frozen=True)
+@record
 class Threat:
+    """A way an EVR could fail; only realistic threats need controls."""
+
     id: str
     evr: str
     description: str = ""
     realistic: bool = True
 
 
-@dataclass(frozen=True)
+@record
 class Control:
+    """A measure against one or more threats, with its form, rigor and status."""
+
     id: str
     threats: tuple[str, ...]
     form: ControlForm
@@ -326,30 +384,38 @@ class Control:
     implementing_disposition: str | None = None
 
 
-@dataclass(frozen=True)
+@record
 class ValueDisposition:
+    """A system component that implements one or more controls."""
+
     id: str
     soi_component: str
     implements: tuple[str, ...]
     description: str = ""
 
 
-@dataclass(frozen=True)
+@record
 class FunctionalRequirement:
+    """A functional requirement that design concepts may integrate."""
+
     id: str
     text: str = ""
 
 
-@dataclass(frozen=True)
+@record
 class DesignConcept:
+    """A design idea and the ethical and functional requirements it integrates."""
+
     id: str
     name: str
     ethical_refs: tuple[str, ...] = ()
     functional_refs: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
+@record
 class Persona:
+    """A narrative stand-in for one stakeholder."""
+
     id: str
     name: str
     stakeholder: str
@@ -357,14 +423,18 @@ class Persona:
     narrative: str = ""
 
 
-@dataclass(frozen=True)
+@record
 class AttestationSubject:
+    """What an attestation signs: a decision kind and, for most kinds, an id."""
+
     kind: SubjectKind
     ref: str = ""
 
 
-@dataclass(frozen=True)
+@record
 class Attestation:
+    """A named person's signed statement on one subject."""
+
     id: str
     subject: AttestationSubject
     signatory_name: str
@@ -374,22 +444,28 @@ class Attestation:
     consent: bool = False
 
 
-@dataclass(frozen=True)
+@record
 class ValueMission:
+    """The value mission statement, the core values it features and its signatures."""
+
     text: str
     featured: tuple[int, ...] = ()
     signed_by: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
+@record
 class InvestmentDecision:
+    """The go or no-go decision on the project, with its signatures."""
+
     verdict: Verdict
     rationale: str = ""
     attestations: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
+@record
 class FeedbackEntry:
+    """Feedback after deployment, and the statements or qualities it resulted in."""
+
     id: str
     source: str
     date: str = ""
@@ -410,8 +486,10 @@ def _kind(label: str, floor: Phase | None, id_shape: re.Pattern | None = IDENT_R
     return field(default=(), metadata={"kind": (label, floor, id_shape)})
 
 
-@dataclass(frozen=True)
+@record
 class RegisterDocument:
+    """One project's full value register."""
+
     project: ProjectMeta
     phase: Phase = Phase.CONCEPT
     soi: Soi = field(default_factory=lambda: Soi(name=""))
@@ -488,7 +566,7 @@ class UnknownEntityError(RegisterError):
     """Raised when an entity id does not exist in a document or graph."""
 
 
-@dataclass(frozen=True)
+@record
 class Violation:
     """One structural invariant breach.
 
@@ -501,7 +579,7 @@ class Violation:
     message: str
 
 
-@dataclass(frozen=True)
+@record
 class GateReport:
     """Failed phase transition: the gate conditions that did not hold."""
 

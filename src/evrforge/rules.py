@@ -14,15 +14,17 @@ complaints about artifacts it cannot have yet.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 from . import analytics
 from . import model as m
+from .model import record
 
 
-@dataclass(frozen=True)
+@record
 class Rule:
+    """One catalog entry: what it demands and why, and the phase it starts at."""
+
     rule_id: str
     severity: str  # "error" or "warning"
     mode: str  # "structural" or "attested"
@@ -32,8 +34,10 @@ class Rule:
     phase: m.Phase
 
 
-@dataclass(frozen=True)
+@record
 class Diagnostic:
+    """One rule finding on one subject."""
+
     rule_id: str
     severity: str
     subject: str

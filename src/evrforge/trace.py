@@ -12,20 +12,25 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, fields
+from dataclasses import fields
 
 from . import model as m
+from .model import record
 
 
-@dataclass(frozen=True)
+@record
 class TraceNode:
+    """One entity in the traceability graph."""
+
     id: str
     kind: str
     name: str
 
 
-@dataclass(frozen=True)
+@record
 class TraceGraph:
+    """The traceability graph: nodes by id, edges and each node's chain parent."""
+
     nodes: dict[str, TraceNode]
     edges: tuple[tuple[str, str], ...]
     # Chain parent per node: the unique upward step toward the core value.
@@ -110,8 +115,10 @@ def trace_chain(graph: TraceGraph, entity_id: str) -> tuple[TraceNode, ...]:
     return tuple(chain)
 
 
-@dataclass(frozen=True)
+@record
 class MaturityScore:
+    """How many core values the current design addresses, out of all."""
+
     addressed: int
     total: int
     ratio: float
@@ -156,7 +163,7 @@ def maturity_score(doc: m.RegisterDocument) -> MaturityScore:
                          ratio=addressed / total, empty=False)
 
 
-@dataclass(frozen=True)
+@record
 class CoverageRow:
     """One core value's coverage; the fields are the columns, in order."""
 
@@ -232,8 +239,10 @@ def export_dot(doc: m.RegisterDocument) -> str:
 # ---------------------------------------------------------------------------
 # Register diffing
 
-@dataclass(frozen=True)
+@record
 class ChangeSet:
+    """The ids added, removed and modified per kind between two register versions."""
+
     added: dict[str, tuple[str, ...]]
     removed: dict[str, tuple[str, ...]]
     modified: dict[str, tuple[str, ...]]
