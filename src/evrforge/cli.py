@@ -3,10 +3,13 @@
 Subcommands: check, report, trace, score, diff, init, export.  Diagnostics
 go to standard error; reports and exported artifacts go to standard output
 or the path given with --out.  Exit codes: 0 clean, 1 warnings only,
-2 errors, 3 usage or I/O failure; each exit 3 prints one line on stderr,
-argparse's ``invalid choice`` line for an unknown --format or --kind and
-``evrforge: ...`` otherwise.  A file without a ``register`` header
-(empty, blank or comment-only) exits 2 with one line on stderr.
+2 errors, 3 usage or I/O failure, 4 internal error; each exit 3 prints one
+line on stderr, argparse's ``invalid choice`` line for an unknown --format
+or --kind and ``evrforge: ...`` otherwise.  A file without a ``register``
+header (empty, blank or comment-only) exits 2 with one line on stderr.  An
+exception that escapes ``main`` is a defect of this tool: it prints one
+line, ``evrforge: internal error: TYPE: MESSAGE``, and exits 4, or, under
+``python -X dev``, propagates with its traceback.
 
 Output is byte-deterministic for fixed inputs: reports never include wall
 clock time, only dates recorded inside the register itself.
@@ -25,6 +28,7 @@ EXIT_CLEAN = 0
 EXIT_WARNINGS = 1
 EXIT_ERRORS = 2
 EXIT_USAGE = 3
+EXIT_INTERNAL = 4
 
 
 class _Parser(argparse.ArgumentParser):
@@ -579,15 +583,21 @@ def cmd_export(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    try:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return exc.code if isinstance(exc.code, int) else EXIT_USAGE
         return args.handler(args)
     except _Failure as failure:
         if failure.message is not None:
             print(f"evrforge: {failure.message}", file=sys.stderr)
         return failure.code
+    except Exception as exc:
+        if sys.flags.dev_mode:
+            raise
+        message = " ".join(str(exc).splitlines())
+        print(f"evrforge: internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def run() -> None:

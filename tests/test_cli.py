@@ -460,6 +460,31 @@ class TestExitCodeContract:
             else:
                 assert code == 0
 
+    @pytest.mark.parametrize("argv", [["check", CLEAN], ["report", CLEAN, "--kind=audit"]])
+    def test_an_unexpected_exception_exits_four_with_one_line(self, monkeypatch, capsys, argv):
+        from evrforge import rules
+
+        def broken(doc, idx):
+            raise RuntimeError("rule crashed\non two lines")
+
+        monkeypatch.setitem(rules._CHECKS, "VBE-R01", broken)
+        assert cli.main(argv) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "evrforge: internal error: RuntimeError: rule crashed on two lines\n"
+
+    def test_under_python_dev_mode_the_exception_propagates(self):
+        script = ("import sys\nfrom evrforge import cli, rules\n"
+                  "def broken(doc, idx): raise RuntimeError('rule crashed')\n"
+                  "rules._CHECKS['VBE-R01'] = broken\n"
+                  f"sys.exit(cli.main(['check', {CLEAN!r}]))\n")
+        src = Path(cli.__file__).resolve().parents[1]
+        done = subprocess.run([sys.executable, "-X", "dev", "-c", script], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+        assert done.returncode == 1
+        assert "Traceback" in done.stderr and "RuntimeError: rule crashed" in done.stderr
+        assert "internal error" not in done.stderr
+
 
 class TestModuleEntryPoint:
     @pytest.mark.parametrize("argv, code", [
