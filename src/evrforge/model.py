@@ -25,26 +25,22 @@ from reprlib import recursive_repr
 
 def record(cls):
     """``@dataclass(frozen=True)`` with the same ``==``, ``hash`` and ``repr``,
-    but none of them compiled when the class is built: every CLI start
-    builds all of the package's records, and dataclass compiles six methods
-    for each.  ``hash`` and ``repr`` are closures over the field names.
-    ``==`` compiles the field-tuple comparison dataclass would have written
-    the first time the class's instances are compared, because it runs on
-    hot paths (a canonical fixed-point check, a diff), where a closure
-    compares about 1.7 times slower; the CLI compares records only in
-    ``diff``.  It never reads the instance ``__dict__``, which holds a
-    document's cached index."""
+    none of them compiled when the class is built: every CLI start builds
+    all of the package's records, and dataclass compiles six methods for
+    each.  ``hash`` and ``repr`` are closures over the field names.  ``==``
+    compiles dataclass's field-tuple comparison on its first call, because
+    it runs on hot paths (the canonical fixed-point check, a diff), where a
+    closure compares about 1.7 times slower.  None of them reads the
+    instance ``__dict__``, which holds a document's cached index."""
     cls = dataclass(cls, frozen=True, eq=False, repr=False)
     names = tuple(f.name for f in fields(cls))
-    values = attrgetter(*names) if len(names) > 1 else (
-        lambda obj: tuple(getattr(obj, name) for name in names))
 
     def __eq__(self, other):
         cls.__eq__ = _field_equality(names)
         return cls.__eq__(self, other)
 
     def __hash__(self):
-        return hash(values(self))
+        return hash(tuple(getattr(self, name) for name in names))
 
     @recursive_repr()
     def __repr__(self):
