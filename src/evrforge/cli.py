@@ -6,9 +6,9 @@ or the path given with --out.  Exit codes: 0 clean, 1 warnings only,
 2 errors, 3 usage or I/O failure, 4 internal error; each exit 3 prints one
 line on stderr, argparse's ``invalid choice`` line for an unknown --format
 or --kind and ``evrforge: ...`` otherwise.  A file without a ``register``
-header (empty, blank or comment-only) exits 2 with one line on stderr.  An
-exception that escapes ``main`` is a defect of this tool: it prints one
-line, ``evrforge: internal error: TYPE: MESSAGE``, and exits 4, or, under
+header (empty, blank or comment-only) exits 2 with one line on stderr.  Any
+other exception in ``main`` is a defect of this tool: it prints one line,
+``evrforge: internal error: TYPE: MESSAGE``, and exits 4, or, under
 ``python -X dev``, propagates with its traceback.
 
 Output is byte-deterministic for fixed inputs: reports never include wall
