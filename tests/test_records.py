@@ -9,17 +9,15 @@ from dataclasses import FrozenInstanceError, asdict, fields, is_dataclass, repla
 
 import pytest
 
-from evrforge import analytics, dsl, rules, trace
+from evrforge import analytics, cli, dsl, rules, trace
 from evrforge import model as m
 
 from .conftest import FIXTURES, load_fixture
 
-MODULES = (m, dsl, rules, analytics, trace)
-
 
 def _record_classes() -> list[type]:
-    from evrforge import cli
-    return [value for module in (*MODULES, cli) for value in vars(module).values()
+    return [value for module in (m, dsl, rules, analytics, trace, cli)
+            for value in vars(module).values()
             if isinstance(value, type) and is_dataclass(value)
             and value.__module__ == module.__name__]
 
