@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from evrforge import dsl
 from evrforge import model as m
 
-from .support import base_doc, import_interchange, random_register
+from .conftest import FIXTURES
+from .support import base_doc, import_interchange, random_register, unvalidated_analysis_doc
 
 
 def parse_ok(text: str) -> m.RegisterDocument:
@@ -273,6 +274,65 @@ class TestInterchange:
     @given(registers)
     def test_reimport_round_trip(self, doc):
         assert import_interchange(dsl.export_interchange(doc)) == doc
+
+
+def _assert_indent_2_json(text: str) -> None:
+    """``text`` is exactly what ``json.dumps(indent=2)`` writes for its own
+    payload: the same key order, spacing, escapes and numbers."""
+    assert json.dumps(json.loads(text), indent=2, ensure_ascii=False) + "\n" == text
+
+
+# Characters a JSON string writer must escape, or must pass through as they are.
+_AWKWARD = st.sampled_from(['"', "\\", "\x00", "\x08", "\x1f", "\x7f", "\n", "\r", "\t",
+                            "\u2028", "\u2029", "\ufeff", "\U0001f600", "\U00010348", "é"])
+
+
+def _holding(text: str) -> m.RegisterDocument:
+    """An unvalidated document with ``text`` in strings at every depth: the
+    project, a tuple item, a nested group, an enum's neighbours, alias keys."""
+    doc = unvalidated_analysis_doc()
+    signed = replace(doc.attestations[0], signatory_name=text, statement=text)
+    return replace(
+        doc, project=m.ProjectMeta(name=text, version=text),
+        stakeholders=(m.Stakeholder(id=text, name=text, kind=m.StakeholderKind.DIRECT,
+                                    description=text),),
+        controls=(replace(doc.controls[0], threats=(text, text)), *doc.controls[1:]),
+        attestations=(signed, *doc.attestations[1:]),
+        alias_map={text: text, "b": text},
+    )
+
+
+class TestInterchangeText:
+    """The interchange text, byte for byte, against ``json.dumps`` itself."""
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("*.evr")))
+    def test_fixtures_export_as_json_dumps_writes(self, name):
+        doc = parse_ok((FIXTURES / name).read_text(encoding="utf-8"))
+        _assert_indent_2_json(dsl.export_interchange(doc))
+
+    def test_generated_registers_export_as_json_dumps_writes(self):
+        for seed in range(150):
+            _assert_indent_2_json(dsl.export_interchange(random_register(random.Random(seed))))
+
+    def test_unvalidated_and_empty_documents_export_as_json_dumps_writes(self):
+        for doc in (unvalidated_analysis_doc(), m.new_empty_register("X")):
+            _assert_indent_2_json(dsl.export_interchange(doc))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.text(st.one_of(_AWKWARD, st.characters()), max_size=12))
+    def test_any_string_exports_as_json_dumps_writes(self, text):
+        _assert_indent_2_json(dsl.export_interchange(_holding(text)))
+
+    def test_numbers_outside_the_model_export_as_json_dumps_writes(self):
+        doc = unvalidated_analysis_doc()
+        odd = replace(doc.controls[0], rigor=1.5, description=None)
+        _assert_indent_2_json(dsl.export_interchange(replace(doc, controls=(odd,))))
+
+    def test_a_value_json_cannot_write_raises_type_error(self):
+        doc = unvalidated_analysis_doc()
+        odd = replace(doc.controls[0], threats={"1.1.1-T1"})
+        with pytest.raises(TypeError, match="Object of type set is not JSON serializable"):
+            dsl.export_interchange(replace(doc, controls=(odd,)))
 
 
 class TestSpanBounds:
