@@ -26,7 +26,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 from evrforge import dsl  # noqa: E402
 from evrforge.cli import scaffold_text  # noqa: E402
-from tests.support import reference_lex  # noqa: E402
+from tests.support import located_lex, reference_lex  # noqa: E402
 
 PIECES = [
     "register", "phase", "end", "corevalue", "quality", "evr", "threat",
@@ -51,12 +51,6 @@ def fuzz_source(rng: random.Random) -> str:
     return "".join(out)
 
 
-def lexed(text: str) -> tuple[list[tuple], list]:
-    """The lexer's tokens and diagnostics, in the reference lexer's form."""
-    diags: list = []
-    return list(dsl._lex(text, "fuzz.evr", diags)), diags
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--count", type=int, default=100_000)
@@ -68,7 +62,7 @@ def main(argv: list[str] | None = None) -> int:
     with_errors = 0
     for i in range(args.count):
         text = fuzz_source(rng)
-        if lexed(text) != reference_lex(text, "fuzz.evr"):
+        if located_lex(text, "fuzz.evr") != reference_lex(text, "fuzz.evr"):
             print(f"lexer differs from the reference at input {i}: {text!r}")
             return 1
         result = dsl.parse_register(text, "fuzz.evr")

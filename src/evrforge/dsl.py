@@ -94,54 +94,57 @@ class ParseResult:
 # ---------------------------------------------------------------------------
 # Lexer
 
-# A token is a plain tuple ``(kind, text, value, line, col, end_col)`` of
-# strings and ints: kind is IDENT STRING INT DOTTED COMMA or EOF, value is
-# the text with a string's quotes and escapes resolved, lines and columns
-# are 1-based and ``end_col`` is exclusive.  Such tuples cost little to build
-# and the cyclic collector untracks them, so a large register's tokens do
-# not slow collections down.
+# A token is a plain tuple ``(kind, text, value, start, end)``: kind is
+# IDENT STRING INT DOTTED COMMA or EOF, value is the text with a string's
+# quotes and escapes resolved, and start and end are offsets.  Such tuples
+# cost little to build and the cyclic collector untracks them, so a large
+# register's tokens do not slow collections down; ``_locator`` works out a
+# line and column only for the tokens a span is made of.
 #
-# One match per lexeme, blanks before it included, in one scan of the whole
-# source: a newline is a match of its own, which counts lines, and columns
-# are measured from the offset just after the last newline.  Neither strings
-# nor comments span lines.  A string matches up to its closing quote or the
-# end of the line, whatever its escapes, so malformed strings need no second
-# pass.  Character classes are spelled out because the format is ASCII-only
-# (no \d, \w).
+# One match per lexeme, blanks and line ends before it included, in one scan
+# that ends with the EOF match.  Neither strings nor comments span lines.  A
+# string matches up to its closing quote or the end of the line, whatever its
+# escapes, so malformed strings need no second pass.  Character classes are
+# spelled out because the format is ASCII-only (no \d, \w).
 _TOKEN_RE = re.compile(
-    r'[ \t\r]*(?:'
+    r'[ \t\r\n]*(?:'
     r'(?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)'
-    r'|(?P<NEWLINE>\n)'
     r'|(?P<STRING>"[^"\\\n]*(?:\\.?[^"\\\n]*)*(?P<close>"?))'
     r'|(?P<DOTTED>[0-9]+(?:\.[0-9]+)+(?:-[TC][0-9]+)?)'
     r'|(?P<INT>[0-9]+)'
     r'|(?P<COMMA>,)'
     r'|(?P<COMMENT>#.*)'
+    r'|(?P<EOF>\Z)'
     r'|(?P<ILLEGAL>[^ \t\r\n]))'
 )
 _ESCAPE_RE = re.compile(r'\\(.?)')
 
 
-def _span(tok: tuple, file: str) -> SourceSpan:
-    line, col = tok[3], tok[4]
-    return SourceSpan(file, line, col, line, max(col, tok[5] - 1))
+def _locator(source: str, file: str) -> Callable[[int, int], SourceSpan]:
+    """``locate(start, end)``, the span of ``source[start:end]`` on one line.  It
+    counts line ends from the offset asked for last, so no line table is kept."""
+    line, last = 1, 0
+
+    def locate(start: int, end: int) -> SourceSpan:
+        nonlocal line, last
+        line += (source.count("\n", last, start) if start >= last
+                 else -source.count("\n", start, last))
+        last = start
+        col = start - source.rfind("\n", 0, start)
+        return SourceSpan(file, line, col, line, col + max(end - start - 1, 0))
+
+    return locate
 
 
-def _unescape(body: str, line: int, col: int, file: str,
-              diags: list[ParseDiagnostic]) -> str:
-    """Resolve the escapes in a string body that starts at column ``col``.
-
-    A backslash before anything but a quote or a backslash is kept as it is
-    and reported.
-    """
+def _unescape(body: str, start: int, locate: Callable, diags: list[ParseDiagnostic]) -> str:
+    """Resolve the escapes in a string body that starts at offset ``start``;
+    a backslash before anything but a quote or a backslash is kept and reported."""
     def resolve(escape: re.Match) -> str:
         if escape[1] in ('"', "\\"):
             return escape[1]
-        at = col + escape.start()
-        diags.append(ParseDiagnostic(
-            SourceSpan(file, line, at, line, at), "error", "P003",
-            "unsupported escape sequence; only \\\" and \\\\ are recognized",
-        ))
+        at = start + escape.start()
+        diags.append(ParseDiagnostic(locate(at, at), "error", "P003", "unsupported escape "
+                                     "sequence; only \\\" and \\\\ are recognized"))
         return escape[0]
 
     return _ESCAPE_RE.sub(resolve, body)
@@ -150,37 +153,29 @@ def _unescape(body: str, line: int, col: int, file: str,
 def _lex(source: str, file: str, diags: list[ParseDiagnostic]) -> Iterator[tuple]:
     """The tokens of ``source``, ending with one EOF token, made as they are
     pulled; lexical problems are appended to ``diags`` in source order."""
-    line = 1
-    line_start = 0  # the offset of the current line's first character
+    locate = _locator(source, file)
     for match in _TOKEN_RE.finditer(source):
         kind = match.lastgroup
-        if kind == "NEWLINE":
-            line += 1
-            line_start = match.end()
-            continue
-        start = match.start(kind)
-        end = match.end()
-        lexeme = source[start:end]
-        col = start - line_start + 1
+        start, end = match.span(kind)
         if kind == "STRING":
+            lexeme = source[start:end]
             closed = match["close"]
             value = lexeme[1:-1] if closed else lexeme[1:]
             if "\\" in value:
-                value = _unescape(value, line, col + 1, file, diags)
-            token = (kind, lexeme, value, line, col, end - line_start + 1)
+                value = _unescape(value, start + 1, locate, diags)
             if not closed:
-                diags.append(ParseDiagnostic(_span(token, file), "error", "P002",
+                diags.append(ParseDiagnostic(locate(start, end), "error", "P002",
                                              "unterminated string"))
-            yield token
+            yield (kind, lexeme, value, start, end)
         elif kind == "ILLEGAL":
-            diags.append(ParseDiagnostic(
-                SourceSpan(file, line, col, line, col), "error", "P004",
-                f"illegal character {lexeme!r}",
-            ))
+            diags.append(ParseDiagnostic(locate(start, start), "error", "P004",
+                                         f"illegal character {source[start]!r}"))
+        elif kind == "EOF":
+            yield (kind, "", "", start, end)
+            return
         elif kind != "COMMENT":
-            yield (kind, lexeme, lexeme, line, col, end - line_start + 1)
-    end = len(source) - line_start + 1
-    yield ("EOF", "", "", line, end, end)
+            lexeme = source[start:end]
+            yield (kind, lexeme, lexeme, start, end)
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +203,7 @@ class _Parser:
         self.diags: list[ParseDiagnostic] = []
         self.pull = _lex(source, file, self.diags).__next__
         self.tok = self.pull()
-        self.file = file
+        self.locate = _locator(source, file)
         self.spans: dict[str, SourceSpan] = {}
         # int() refuses numbers with more digits than this; 0 means no limit,
         # and Python before 3.10.7 has none.
@@ -233,7 +228,7 @@ class _Parser:
         raise _SyntaxProblem(code, message, token or self.tok)
 
     def diag(self, severity: str, code: str, message: str, token: tuple) -> None:
-        self.diags.append(ParseDiagnostic(_span(token, self.file), severity, code, message))
+        self.diags.append(ParseDiagnostic(self.locate(token[3], token[4]), severity, code, message))
 
     def refused(self, text: str) -> bool:
         """Whether int() would refuse a run of digits in ``text``."""
@@ -334,9 +329,6 @@ class _Parser:
         kind, reader, ref_what = _ATTESTED[word]
         return m.AttestationSubject(kind, "" if reader is None else str(reader.read(self, ref_what)))
 
-    def record_span(self, entity_id: str, token: tuple) -> None:
-        self.spans.setdefault(entity_id, _span(token, self.file))
-
     # -- top level
 
     def parse(self) -> None:
@@ -346,7 +338,7 @@ class _Parser:
             self.parse_header()
         except _SyntaxProblem as problem:
             self.diag("error", problem.code, problem.message, problem.token)
-            self.skip_to_block()
+            self.skip_past_end(at_end=False)
         while self.tok[0] != "EOF":
             tok = self.tok
             if tok[0] == "IDENT" and tok[2] in _BLOCKS:
@@ -363,28 +355,21 @@ class _Parser:
                 self.advance()
                 self.skip_past_end()
 
-    def skip_to_block(self) -> None:
+    def skip_past_end(self, at_end: bool = True) -> None:
+        """Recovery: drop tokens until after the current block's end (or, not
+        ``at_end``, past any end), or up to the next block keyword, as a block
+        that was never closed ends there and the next block still parses."""
         while self.tok[0] != "EOF":
             tok = self.tok
             if tok[0] == "IDENT" and tok[2] in _BLOCKS:
                 return
             self.advance()
-
-    def skip_past_end(self) -> None:
-        """Recovery: drop tokens until after the current block's end, or up
-        to the next block keyword, as a block that was never closed ends
-        there and the next block still parses."""
-        while self.tok[0] != "EOF":
-            tok = self.tok
-            if tok[0] == "IDENT" and tok[2] in _BLOCKS:
-                return
-            self.advance()
-            if tok[0] == "IDENT" and tok[2] == "end":
+            if at_end and tok[0] == "IDENT" and tok[2] == "end":
                 return
 
     def parse_header(self) -> None:
         head = self.need_keyword("register")
-        self.record_span("register", head)
+        self.spans.setdefault("register", self.locate(head[3], head[4]))
         self.project_name = self.need_string("project name")
         if self.tok[0] == "IDENT" and self.tok[2] == "version":
             self.advance()
@@ -403,7 +388,7 @@ class _Parser:
                 continue
             values[slot.field] = slot.reader.read(self, slot.what)
             if slot.field == block.id_field:
-                self.record_span(str(values[slot.field]), head)
+                self.spans.setdefault(str(values[slot.field]), self.locate(head[3], head[4]))
         if block.keys is not None:
             self.parse_attrs(block.keys, values)
         if block.from_project:
@@ -1016,46 +1001,83 @@ _INTERCHANGE_QUIRKS: dict[type, tuple] = {
 }
 
 
-# _encoder's result per class.  A plain dict, not functools.cache: it is
-# looked up once per exported value, and the dict is the cheaper lookup.
-_ENCODERS: dict[type, Callable | None] = {}
+_WRITERS: dict[type, Callable] = {}  # _writer's result per class
+_ENCODE = json.encoder.encode_basestring  # json.dumps's own string encoder, in C
+# How json spells a scalar, by the first of these classes it is an instance of.
+_SCALARS = ((str, _ENCODE), (bool, {True: "true", False: "false"}.get), (int, int.__repr__),
+            (type(None), lambda value: "null"))
 
 
-def _plain(value):
-    """The JSON form of a model value: dataclasses become objects, tuples
-    and lists arrays; anything else is kept, enums too, as every model enum
-    is a ``str`` that ``json`` writes as its value."""
+def _write(value, out: list, pad: str) -> None:
+    """Append to ``out`` what ``json.dumps(indent=2, ensure_ascii=False)`` writes
+    for a model value at indentation ``pad``: dataclasses as objects."""
     cls = type(value)
-    try:
-        encode = _ENCODERS[cls]
-    except KeyError:
-        encode = _ENCODERS[cls] = _encoder(cls)
-    return value if encode is None else encode(value)
+    if cls is str:
+        out.append(_ENCODE(value))
+    else:
+        (_WRITERS.get(cls) or _WRITERS.setdefault(cls, _writer(cls)))(value, out, pad)
 
 
-def _encoder(cls: type) -> Callable | None:
-    """How ``_plain`` converts a value of ``cls``; None keeps it as it is.
-    A dataclass's key plan is worked out here, once per class."""
+def _json(value, out: list, pad: str) -> None:
+    """A value outside the model's types, written or refused by ``json``."""
+    out.append(json.dumps(value, indent=2, ensure_ascii=False).replace("\n", "\n" + pad))
+
+
+def _array(items, out: list, pad: str) -> None:
+    if not items:
+        out.append("[]")
+        return
+    inner = pad + "  "
+    comma = ",\n" + inner
+    out.append("[\n" + inner)
+    for item in items:
+        _write(item, out, inner)
+        out.append(comma)
+    out[-1] = "\n" + pad + "]"  # in place of the last comma
+
+
+def _writer(cls: type) -> Callable:
+    """How ``_write`` writes a value of ``cls``; a dataclass's key plan is made once."""
     if cls is tuple or cls is list:
-        return lambda items: [_plain(item) for item in items]
-    if not is_dataclass(cls):
-        return None
+        return _array
+    if is_dataclass(cls):
+        return _object(cls)
+    for base, spell in _SCALARS:
+        if issubclass(cls, base):
+            return lambda value, out, pad: out.append(spell(value))
+    return _json
+
+
+def _object(cls: type) -> Callable:
     plan = [(entry, entry) if isinstance(entry, str) else entry
             for entry in _INTERCHANGE_QUIRKS.get(cls, ())]
     taken = {name for _, held in plan
              for name in ((held,) if isinstance(held, str) else held.values())}
     plan += [(f.name, f.name) for f in fields(cls) if f.name not in taken]
-    return _object(plan)
-
-
-def _object(plan) -> Callable:
-    """Encoder of an object from its (key, field or {key: field}) pairs."""
-    getters = [(key, attrgetter(held) if isinstance(held, str) else _object(held.items()))
+    # A {key: field} object is handed to json as it is, its fields unconverted.
+    entries = [(_ENCODE(key) + ": ", attrgetter(held), _write) if isinstance(held, str) else
+               (_ENCODE(key) + ": ", lambda obj, held=held: {k: getattr(obj, name)
+                                                            for k, name in held.items()}, _json)
                for key, held in plan]
-    return lambda obj: {key: _plain(get(obj)) for key, get in getters}
+    if not entries:
+        return lambda obj, out, pad: out.append("{}")
+
+    def write_object(obj, out: list, pad: str) -> None:
+        inner = pad + "  "
+        comma = ",\n" + inner
+        out.append("{\n" + inner)
+        for key, get, write in entries:
+            out.append(key)
+            write(get(obj), out, inner)
+            out.append(comma)
+        out[-1] = "\n" + pad + "}"  # in place of the last comma
+
+    return write_object
 
 
 def export_interchange(doc: m.RegisterDocument) -> str:
     """Loss-free JSON rendering.  Keys follow the model's field order, apart
     from the quirks listed in ``_INTERCHANGE_QUIRKS``."""
-    return json.dumps(_plain(doc), indent=2, ensure_ascii=False) + "\n"
+    out: list[str] = []
+    _write(doc, out, "")
+    return "".join(out) + "\n"

@@ -4,7 +4,8 @@ Six things live here: a seeded generator of structurally valid registers
 used by the bulk round-trip and monotonicity runs, the table of
 violation/repair document pairs behind the monotone-repair checks, scanning
 oracles for the indexed analysis layer, the reference lexer that the
-master-regex lexer is checked against, a strict reader of the interchange
+master-regex lexer is checked against (with the lexer's tokens put in its
+shape), a strict reader of the interchange
 export, and the inverse of a register diff.
 """
 
@@ -17,8 +18,8 @@ import typing
 from dataclasses import fields, is_dataclass, replace
 from enum import Enum
 
+from evrforge import dsl, trace
 from evrforge import model as m
-from evrforge import trace
 from evrforge.dsl import ParseDiagnostic, SourceSpan
 
 ALL_LENSES = (
@@ -903,6 +904,20 @@ def reference_lex(source: str, file: str) -> tuple[list[tuple], list[ParseDiagno
         col += 1
 
     tokens.append(("EOF", "", "", line, col, col))
+    return tokens, diags
+
+
+def located_lex(source: str, file: str) -> tuple[list[tuple], list[ParseDiagnostic]]:
+    """``dsl._lex``'s tokens and diagnostics, each token's offsets turned
+    into ``line, col, end_col`` by the parser's own ``dsl._locator``: the
+    reference lexer's shape."""
+    diags: list[ParseDiagnostic] = []
+    locate = dsl._locator(source, file)
+    tokens = []
+    for kind, text, value, start, end in dsl._lex(source, file, diags):
+        span = locate(start, end)
+        tokens.append((kind, text, value, span.start_line, span.start_col,
+                       span.start_col + end - start))
     return tokens, diags
 
 
