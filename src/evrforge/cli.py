@@ -2,14 +2,15 @@
 
 Subcommands: check, report, trace, score, diff, init, export.  Diagnostics
 go to standard error; reports and exported artifacts go to standard output
-or the path given with --out.  Exit codes: 0 clean, 1 warnings only,
-2 errors, 3 usage or I/O failure, 4 internal error; each exit 3 prints one
-line on stderr, argparse's ``invalid choice`` line for an unknown --format
-or --kind and ``evrforge: ...`` otherwise.  A file without a ``register``
-header (empty, blank or comment-only) exits 2 with one line on stderr.  Any
-other exception in ``main`` is a defect of this tool: it prints one line,
-``evrforge: internal error: TYPE: MESSAGE``, and exits 4, or, under
-``python -X dev``, propagates with its traceback.
+or the path given with --out.  Exit codes: 0 clean, 1 warnings only, 2
+errors, 3 usage or I/O failure (a standard output closed early too), 4
+internal error; each exit 3 prints one line on stderr, argparse's ``invalid
+choice`` line for an unknown --format or --kind and ``evrforge: ...``
+otherwise.  A file without a ``register`` header (empty, blank or
+comment-only) exits 2 with one line on stderr.  Any other exception in
+``main`` is a defect of this tool: it prints one line, ``evrforge: internal
+error: TYPE: MESSAGE``, and exits 4, or, under ``python -X dev``,
+propagates with its traceback.
 
 Output is byte-deterministic for fixed inputs: reports never include wall
 clock time, only dates recorded inside the register itself.
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import dsl, rules, trace
@@ -587,11 +589,17 @@ def main(argv: list[str] | None = None) -> int:
             args = build_parser().parse_args(argv)
         except SystemExit as exc:
             return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # so that a closed pipe shows here, not at exit
+        return code
     except _Failure as failure:
         if failure.message is not None:
             print(f"evrforge: {failure.message}", file=sys.stderr)
         return failure.code
+    except BrokenPipeError:  # devnull takes the flush at exit, as the signal docs advise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("evrforge: cannot write standard output: Broken pipe", file=sys.stderr)
+        return EXIT_USAGE
     except Exception as exc:
         if sys.flags.dev_mode:
             raise

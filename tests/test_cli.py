@@ -498,6 +498,23 @@ class TestModuleEntryPoint:
                               capture_output=True, text=True, timeout=60)
         assert done.returncode == code, done.stderr
 
+    @pytest.mark.parametrize("command", ["score", "export"])
+    def test_a_closed_standard_output_is_an_io_failure(self, command):
+        """A reader that stopped early gets one line and exit 3, and the
+        flush at exit adds no ``Exception ignored`` report."""
+        src = Path(cli.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), str(src.parent)])}
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "evrforge.cli", command, str(FIXTURES / "tm_full.evr")],
+                env=env, stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60)
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (
+            3, "evrforge: cannot write standard output: Broken pipe\n")
+
     def test_importing_the_cli_loads_every_layer(self):
         """``perfbench/run.py --trace 1`` reports ``X.import_self_ms`` for the
         evrforge modules that ``import evrforge.cli`` loads, and exits 3 when
