@@ -356,9 +356,9 @@ class _Parser:
                 self.skip_past_end()
 
     def skip_past_end(self, at_end: bool = True) -> None:
-        """Recovery: drop tokens until after the current block's end (or, not
-        ``at_end``, past any end), or up to the next block keyword, as a block
-        that was never closed ends there and the next block still parses."""
+        """Recovery: drop tokens up to the next block keyword or, when ``at_end``,
+        until after an ``end``, as a block that was never closed ends at the
+        next keyword and the next block still parses."""
         while self.tok[0] != "EOF":
             tok = self.tok
             if tok[0] == "IDENT" and tok[2] in _BLOCKS:
@@ -1010,7 +1010,7 @@ _SCALARS = ((str, _ENCODE), (bool, {True: "true", False: "false"}.get), (int, in
 
 def _write(value, out: list, pad: str) -> None:
     """Append to ``out`` what ``json.dumps(indent=2, ensure_ascii=False)`` writes
-    for a model value at indentation ``pad``: dataclasses as objects."""
+    for a model value at indentation ``pad``, dataclasses as objects, tuples as arrays."""
     cls = type(value)
     if cls is str:
         out.append(_ENCODE(value))
