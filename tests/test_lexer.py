@@ -71,6 +71,27 @@ def test_edge_cases_lex_like_the_reference(source):
     _assert_same(source)
 
 
+def test_locator_counts_lines_from_either_side_of_the_last_offset():
+    rng = random.Random(2024)
+    for _ in range(300):
+        source = _soup(rng) + "\n" + _soup(rng)
+        locate = dsl._locator(source, "s.evr")
+        for start in rng.choices(range(len(source) + 1), k=12):
+            span = locate(start, start)
+            assert (span.start_line, span.start_col) == (
+                source.count("\n", 0, start) + 1, start - source.rfind("\n", 0, start)), source
+
+
+def test_a_header_span_after_a_later_warning_keeps_its_line():
+    """P006 points back at the block's header, behind the P090 just made."""
+    source = ('register "x" phase concept\nstakeholder S1 "n"\n  bogus 1\nend\n'
+              'stakeholder S2 "m"\n  kind direct\n  bogus 2\nend\n')
+    assert [d.render() for d in dsl.parse_register(source, "b.evr").diagnostics] == [
+        "ERROR P006 b.evr:2:1: stakeholder S1 declares no kind",
+        "WARNING P090 b.evr:3:3: unknown attribute key 'bogus'",
+        "WARNING P090 b.evr:7:3: unknown attribute key 'bogus'"]
+
+
 @pytest.mark.parametrize("tail", [" " * 100_000, "\t" * 100_000, "\r" * 100_000,
                                   " \t\r" * 33_333 + "\n"], ids=["sp", "tab", "cr", "mix-lf"])
 def test_trailing_blanks_parse_in_linear_time(tail):
