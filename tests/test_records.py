@@ -5,7 +5,9 @@
 from __future__ import annotations
 
 import hashlib
-from dataclasses import FrozenInstanceError, asdict, fields, is_dataclass, replace
+import inspect
+from dataclasses import (MISSING, FrozenInstanceError, asdict, dataclass, field, fields,
+                         is_dataclass, make_dataclass, replace)
 
 import pytest
 
@@ -80,6 +82,12 @@ def _digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def _required(obj) -> dict:
+    """The values of ``obj``'s fields that have no default."""
+    return {f.name: getattr(obj, f.name) for f in fields(obj)
+            if f.default is MISSING and f.default_factory is MISSING}
+
+
 def test_the_package_declares_48_records():
     assert len(RECORDS) == 48
     assert sorted(map(_id, RECORDS)) == sorted(map(_id, INSTANCES))
@@ -93,10 +101,60 @@ def record(request):
 class TestFrozen:
     def test_setting_or_deleting_any_attribute_raises(self, record):
         for name in [f.name for f in fields(record)] + ["not_a_field"]:
-            with pytest.raises(FrozenInstanceError):
+            with pytest.raises(FrozenInstanceError) as raised:
                 setattr(record, name, None)
-            with pytest.raises(FrozenInstanceError):
+            assert str(raised.value) == f"cannot assign to field {name!r}"
+            with pytest.raises(FrozenInstanceError) as raised:
                 delattr(record, name)
+            assert str(raised.value) == f"cannot delete field {name!r}"
+
+    def test_a_plain_subclass_refuses_only_the_fields(self, record):
+        sub = type("Sub", (type(record),), {})(*_field_values(record))
+        sub.not_a_field = 1
+        del sub.not_a_field
+        for f in fields(record):
+            with pytest.raises(FrozenInstanceError):
+                setattr(sub, f.name, None)
+            with pytest.raises(FrozenInstanceError):
+                delattr(sub, f.name)
+
+    def test_a_frozen_dataclass_subclass_can_be_declared(self, record):
+        cls = type(record)
+        assert cls.__dataclass_params__.frozen
+        sub = dataclass(frozen=True)(type("Sub", (cls,), {"__annotations__": {"extra": int},
+                                                          "extra": 0}))
+        obj = sub(**_required(record), extra=7)
+        assert obj.extra == 7 and _required(obj) == _required(record)
+        with pytest.raises(FrozenInstanceError):
+            obj.extra = 1
+
+
+class TestConstruction:
+    def test_signature_is_that_of_a_frozen_dataclass(self, record):
+        cls = type(record)
+        twin = make_dataclass(cls.__name__, [
+            (f.name, f.type, field(default=f.default, default_factory=f.default_factory))
+            for f in fields(cls)], frozen=True)
+        assert str(inspect.signature(cls)) == str(inspect.signature(twin))
+
+    def test_each_instance_gets_a_fresh_factory_default(self):
+        made = []
+        for cls in RECORDS:
+            for f in fields(cls):
+                if f.default_factory is not MISSING:
+                    first, second = (cls(**_required(INSTANCES[cls])) for _ in range(2))
+                    assert getattr(first, f.name) == f.default_factory()
+                    assert getattr(first, f.name) is not getattr(second, f.name)
+                    made.append(f"{cls.__name__}.{f.name}")
+        assert sorted(made) == ["Evr.harm_flags", "RegisterDocument.alias_map",
+                                "RegisterDocument.soi"]
+
+    def test_positional_and_keyword_arguments_fill_the_same_fields(self, record):
+        values = _field_values(record)
+        by_position = type(record)(*values)
+        by_keyword = type(record)(**{f.name: getattr(record, f.name) for f in fields(record)})
+        assert _field_values(by_position) == _field_values(by_keyword) == values
+        assert by_position == record
 
 
 class TestEquality:
