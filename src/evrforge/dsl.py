@@ -464,9 +464,9 @@ def parse_register(source_text: str, file_name: str = "<register>") -> ParseResu
     parser.parse()
     diagnostics = parser.diags
 
-    doc = parser.build_document()
-    had_syntax_errors = any(d.severity == "error" for d in diagnostics)
-    if not had_syntax_errors:
+    doc = None
+    if not any(d.severity == "error" for d in diagnostics):
+        doc = parser.build_document()
         fallback = parser.spans.get("register", SourceSpan(file_name, 1, 1, 1, 1))
         for violation in m.validate_register(doc):
             span = parser.spans.get(violation.subject, fallback)

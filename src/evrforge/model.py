@@ -12,11 +12,9 @@ complete list of violations instead of raising on the first one, so that the
 text front end can report many problems per run.
 """
 
-from __future__ import annotations
-
 import datetime
 import re
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, FrozenInstanceError, dataclass, field, fields, replace
 from enum import Enum
 from functools import cached_property
 from operator import attrgetter
@@ -24,16 +22,33 @@ from reprlib import recursive_repr
 
 
 def record(cls):
-    """``@dataclass(frozen=True)`` with the same ``==``, ``hash`` and ``repr``,
-    none of them compiled when the class is built: every CLI start builds
-    all of the package's records, and dataclass compiles six methods for
-    each.  ``hash`` and ``repr`` are closures over the field names.  ``==``
+    """``@dataclass(frozen=True)`` with the same ``__init__``, frozen
+    attributes, ``==``, ``hash`` and ``repr``, and the same ``fields``,
+    ``replace``, ``asdict`` and ``__match_args__``, for less work when the
+    class is built: every CLI start builds all of the package's records,
+    and dataclass compiles an ``__init__``, a ``__setattr__`` and a
+    ``__delattr__`` for each.  Here only ``__init__`` is compiled, once per
+    class (see :func:`_initializer`).  ``__setattr__``, ``__delattr__``,
+    ``hash`` and ``repr`` are closures over the field names.  ``==``
     compiles dataclass's field-tuple comparison on its first call, because
     it runs on hot paths (the canonical fixed-point check, a diff), where a
     closure compares about 1.7 times slower.  None of them reads the
-    instance ``__dict__``, which holds a document's cached index."""
-    cls = dataclass(cls, frozen=True, eq=False, repr=False)
+    instance ``__dict__``, which holds a document's cached index.  The
+    class is marked frozen, so a ``@dataclass(frozen=True)`` may subclass
+    it."""
+    cls = dataclass(cls, init=False, eq=False, repr=False)
+    cls.__dataclass_params__.frozen = True
     names = tuple(f.name for f in fields(cls))
+
+    def __setattr__(self, name, value):
+        if type(self) is cls or name in names:
+            raise FrozenInstanceError(f"cannot assign to field {name!r}")
+        super(cls, self).__setattr__(name, value)
+
+    def __delattr__(self, name):
+        if type(self) is cls or name in names:
+            raise FrozenInstanceError(f"cannot delete field {name!r}")
+        super(cls, self).__delattr__(name)
 
     def __eq__(self, other):
         cls.__eq__ = _field_equality(names)
@@ -47,8 +62,45 @@ def record(cls):
         inner = ", ".join(f"{name}={getattr(self, name)!r}" for name in names)
         return f"{self.__class__.__qualname__}({inner})"
 
+    cls.__setattr__, cls.__delattr__ = __setattr__, __delattr__
     cls.__eq__, cls.__hash__, cls.__repr__ = __eq__, __hash__, __repr__
+    cls.__init__ = _initializer(cls)
     return cls
+
+
+class _Factory:
+    def __repr__(self):
+        return "<factory>"
+
+
+_FACTORY = _Factory()  # the default of a ``default_factory`` field, as signatures show it
+
+
+def _initializer(cls):
+    """The ``__init__`` dataclass would write for a frozen ``cls``: one
+    ``object.__setattr__`` per field, a ``default_factory`` called when its
+    argument is left out, and the fields' annotations, so that
+    ``inspect.signature(cls)`` reads as dataclass's would."""
+    namespace = {"__name__": cls.__module__, "__set": object.__setattr__,
+                 "__factory": _FACTORY}
+    params, body = [], []
+    for f in fields(cls):
+        value = f.name
+        if f.default is not MISSING:
+            namespace[f"__default_{f.name}"] = f.default
+            params.append(f"{f.name}=__default_{f.name}")
+        elif f.default_factory is not MISSING:
+            namespace[f"__make_{f.name}"] = f.default_factory
+            params.append(f"{f.name}=__factory")
+            value = f"__make_{f.name}() if {f.name} is __factory else {f.name}"
+        else:
+            params.append(f.name)
+        body.append(f"    __set(self, {f.name!r}, {value})\n")
+    exec(f"def __init__(self, {', '.join(params)}):\n{''.join(body)}", namespace)
+    init = namespace["__init__"]
+    init.__annotations__ = {**{f.name: f.type for f in fields(cls)}, "return": None}
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    return init
 
 
 def _field_equality(names: tuple[str, ...]):
@@ -524,7 +576,7 @@ class RegisterDocument:
     alias_map: dict[str, str] = field(default_factory=dict)
 
     @cached_property
-    def index(self) -> DocIndex:
+    def index(self) -> "DocIndex":
         """Lookup tables over this document, built on first use and cached
         outside the dataclass fields, so ``==`` and ``replace`` ignore it."""
         return DocIndex(self)

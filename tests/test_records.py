@@ -4,8 +4,15 @@
 
 from __future__ import annotations
 
+import ast
 import hashlib
 import inspect
+import json
+import os
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
 from dataclasses import (MISSING, FrozenInstanceError, asdict, dataclass, field, fields,
                          is_dataclass, make_dataclass, replace)
 
@@ -15,6 +22,31 @@ from evrforge import analytics, cli, dsl, rules, trace
 from evrforge import model as m
 
 from .conftest import FIXTURES, load_fixture
+
+# Run in a fresh interpreter: every ``<string>`` source compiled while
+# ``evrforge.cli`` is imported, with the module of the class whose type hints
+# were being resolved when ``typing.get_type_hints`` compiled it.
+_COMPILES = """
+import json, sys
+
+compiled = []
+
+def hook(event, args):
+    if event != "compile" or args[1] != "<string>":
+        return
+    frame, owner = sys._getframe(1), None
+    while frame is not None:
+        if frame.f_code.co_name == "get_type_hints" and frame.f_globals["__name__"] == "typing":
+            owner = getattr(frame.f_locals["obj"], "__module__", None)
+            break
+        frame = frame.f_back
+    source = args[0]
+    compiled.append((source.decode() if isinstance(source, bytes) else str(source), owner))
+
+sys.addaudithook(hook)
+import evrforge.cli
+print(json.dumps(compiled))
+"""
 
 
 def _record_classes() -> list[type]:
@@ -155,6 +187,24 @@ class TestConstruction:
         by_keyword = type(record)(**{f.name: getattr(record, f.name) for f in fields(record)})
         assert _field_values(by_position) == _field_values(by_keyword) == values
         assert by_position == record
+
+
+def test_building_the_records_compiles_only_their_initializers():
+    """Records are built at every CLI start, so building one compiles no
+    ``__setattr__`` or ``__delattr__``, one ``__init__`` per class, and no
+    annotation of ``model``, whose annotations are evaluated objects."""
+    src = Path(m.__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "-c", _COMPILES], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+    assert done.returncode == 0, done.stderr
+    compiled = json.loads(done.stdout)
+    defined = [node for source, _ in compiled for node in ast.walk(ast.parse(source))
+               if isinstance(node, ast.FunctionDef)]
+    assert not [node.name for node in defined if node.name in ("__setattr__", "__delattr__")]
+    inits = Counter(tuple(arg.arg for arg in node.args.args[1:])
+                    for node in defined if node.name == "__init__")
+    assert inits == Counter(tuple(f.name for f in fields(cls)) for cls in RECORDS)
+    assert not [source for source, owner in compiled if owner == m.__name__]
 
 
 class TestEquality:
