@@ -22,20 +22,19 @@ from reprlib import recursive_repr
 
 
 def record(cls):
-    """``@dataclass(frozen=True)`` with the same ``__init__``, frozen
-    attributes, ``==``, ``hash`` and ``repr``, and the same ``fields``,
-    ``replace``, ``asdict`` and ``__match_args__``, for less work when the
-    class is built: every CLI start builds all of the package's records,
-    and dataclass compiles an ``__init__``, a ``__setattr__`` and a
-    ``__delattr__`` for each.  Here only ``__init__`` is compiled, once per
-    class (see :func:`_initializer`).  ``__setattr__``, ``__delattr__``,
-    ``hash`` and ``repr`` are closures over the field names.  ``==``
-    compiles dataclass's field-tuple comparison on its first call, because
-    it runs on hot paths (the canonical fixed-point check, a diff), where a
-    closure compares about 1.7 times slower.  None of them reads the
-    instance ``__dict__``, which holds a document's cached index.  The
-    class is marked frozen, so a ``@dataclass(frozen=True)`` may subclass
-    it."""
+    """``@dataclass(frozen=True)``, built for less: every CLI start builds
+    all of the package's records, and dataclass compiles an ``__init__``, a
+    ``__setattr__`` and a ``__delattr__`` for each.  Here dataclass only
+    collects the fields, so ``fields``, ``replace``, ``asdict`` and
+    ``__match_args__`` work as before, and the class is marked frozen, so a
+    ``@dataclass(frozen=True)`` may subclass it.  ``__init__`` is compiled
+    once per class (:func:`_initializer`).  ``__setattr__``, ``__delattr__``,
+    ``hash`` and ``repr`` are closures over the field names that keep
+    dataclass's behaviour and messages.  ``==`` compiles dataclass's
+    field-tuple comparison on its first call, because it runs on hot paths
+    (the canonical fixed-point check, a diff), where a closure compares
+    about 1.7 times slower.  None of them reads the instance ``__dict__``,
+    which holds a document's cached index."""
     cls = dataclass(cls, init=False, eq=False, repr=False)
     cls.__dataclass_params__.frozen = True
     names = tuple(f.name for f in fields(cls))
@@ -98,7 +97,7 @@ def _initializer(cls):
         body.append(f"    __set(self, {f.name!r}, {value})\n")
     exec(f"def __init__(self, {', '.join(params)}):\n{''.join(body)}", namespace)
     init = namespace["__init__"]
-    init.__annotations__ = {**{f.name: f.type for f in fields(cls)}, "return": None}
+    init.__annotations__ = {f.name: f.type for f in fields(cls)} | {"return": None}
     init.__qualname__ = f"{cls.__qualname__}.__init__"
     return init
 
