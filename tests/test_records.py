@@ -12,9 +12,9 @@ import os
 import subprocess
 import sys
 from collections import Counter
-from pathlib import Path
 from dataclasses import (MISSING, FrozenInstanceError, asdict, dataclass, field, fields,
                          is_dataclass, make_dataclass, replace)
+from pathlib import Path
 
 import pytest
 
