@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import gc
 import json
 import random
+import weakref
 from dataclasses import fields, is_dataclass, replace
 
 import pytest
@@ -144,6 +146,30 @@ class TestParse:
         result = dsl.parse_register(text, "lens.evr")
         assert result.document is None
         assert any(d.code == "P030" for d in result.diagnostics)
+
+    def test_lexer_and_parser_problems_report_together(self):
+        text = ('register "x" phase concept\nstakeholder S1 "a\\qb\n  kind direct @\nend\n'
+                'stakeholder S2 "b"\n  kind nope\nend\n')
+        result = dsl.parse_register(text, "mix.evr")
+        assert [d.render() for d in result.diagnostics] == [
+            "ERROR P002 mix.evr:2:16: unterminated string",
+            "ERROR P003 mix.evr:2:18: unsupported escape sequence; "
+            "only \\\" and \\\\ are recognized",
+            "ERROR P004 mix.evr:3:15: illegal character '@'",
+            "ERROR P020 mix.evr:6:8: expected one of direct, indirect for stakeholder kind, "
+            "found 'nope'",
+        ]
+
+    def test_a_parser_is_freed_without_the_cyclic_collector(self):
+        parser = dsl._Parser((FIXTURES / "tm_full.evr").read_text(encoding="utf-8"), "f.evr")
+        parser.parse()
+        freed = weakref.ref(parser)
+        gc.disable()
+        try:
+            del parser
+            assert freed() is None
+        finally:
+            gc.enable()
 
 
 class TestSerialize:
