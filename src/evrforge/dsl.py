@@ -136,24 +136,23 @@ def _locator(source: str, file: str) -> Callable[[int, int], SourceSpan]:
     return locate
 
 
-def _unescape(body: str, start: int, locate: Callable, diags: list[ParseDiagnostic]) -> str:
+def _unescape(body: str, start: int, report: Callable) -> str:
     """Resolve the escapes in a string body that starts at offset ``start``;
     a backslash before anything but a quote or a backslash is kept and reported."""
     def resolve(escape: re.Match) -> str:
         if escape[1] in ('"', "\\"):
             return escape[1]
         at = start + escape.start()
-        diags.append(ParseDiagnostic(locate(at, at), "error", "P003", "unsupported escape "
-                                     "sequence; only \\\" and \\\\ are recognized"))
+        report("P003", "unsupported escape sequence; only \\\" and \\\\ are recognized", at, at)
         return escape[0]
 
     return _ESCAPE_RE.sub(resolve, body)
 
 
-def _lex(source: str, file: str, diags: list[ParseDiagnostic]) -> Iterator[tuple]:
+def _lex(source: str, report: Callable) -> Iterator[tuple]:
     """The tokens of ``source``, ending with one EOF token, made as they are
-    pulled; lexical problems are appended to ``diags`` in source order."""
-    locate = _locator(source, file)
+    pulled; lexical problems go to ``report(code, message, start, end)`` in
+    source order."""
     for match in _TOKEN_RE.finditer(source):
         kind = match.lastgroup
         start, end = match.span(kind)
@@ -162,14 +161,12 @@ def _lex(source: str, file: str, diags: list[ParseDiagnostic]) -> Iterator[tuple
             closed = match["close"]
             value = lexeme[1:-1] if closed else lexeme[1:]
             if "\\" in value:
-                value = _unescape(value, start + 1, locate, diags)
+                value = _unescape(value, start + 1, report)
             if not closed:
-                diags.append(ParseDiagnostic(locate(start, end), "error", "P002",
-                                             "unterminated string"))
+                report("P002", "unterminated string", start, end)
             yield (kind, lexeme, value, start, end)
         elif kind == "ILLEGAL":
-            diags.append(ParseDiagnostic(locate(start, start), "error", "P004",
-                                         f"illegal character {source[start]!r}"))
+            report("P004", f"illegal character {source[start]!r}", start, start)
         elif kind == "EOF":
             yield (kind, "", "", start, end)
             return
@@ -187,11 +184,7 @@ def _enum_members(enum_cls: type[Enum]) -> dict[str, Enum]:
 
 
 class _SyntaxProblem(Exception):
-    def __init__(self, code: str, message: str, token: tuple):
-        super().__init__(message)
-        self.code = code
-        self.message = message
-        self.token = token
+    """A problem that ends a block, raised with ``(code, message, start, end)``."""
 
 
 class _Parser:
@@ -201,9 +194,18 @@ class _Parser:
 
     def __init__(self, source: str, file: str):
         self.diags: list[ParseDiagnostic] = []
-        self.pull = _lex(source, file, self.diags).__next__
+        self.locate = locate = _locator(source, file)
+        diags = self.diags  # the one locator and list every problem goes through
+
+        # The lexer holds this closure, not a bound method: a lexer that held
+        # the parser would make a cycle, so every parser would wait for the
+        # cyclic collector to be freed.
+        def report(code: str, message: str, start: int, end: int, severity: str = "error"):
+            diags.append(ParseDiagnostic(locate(start, end), severity, code, message))
+
+        self.report = report
+        self.pull = _lex(source, report).__next__
         self.tok = self.pull()
-        self.locate = _locator(source, file)
         self.spans: dict[str, SourceSpan] = {}
         # int() refuses numbers with more digits than this; 0 means no limit,
         # and Python before 3.10.7 has none.
@@ -225,10 +227,12 @@ class _Parser:
         return tok
 
     def error(self, message: str, token: tuple | None = None, code: str = "P001"):
-        raise _SyntaxProblem(code, message, token or self.tok)
+        token = token or self.tok
+        raise _SyntaxProblem(code, message, token[3], token[4])
 
-    def diag(self, severity: str, code: str, message: str, token: tuple) -> None:
-        self.diags.append(ParseDiagnostic(self.locate(token[3], token[4]), severity, code, message))
+    def expected(self, what: str, code: str = "P001"):
+        found = self.tok[1] or "end of input"
+        self.error(f"expected {what}, found {found!r}", code=code)
 
     def refused(self, text: str) -> bool:
         """Whether int() would refuse a run of digits in ``text``."""
@@ -239,15 +243,14 @@ class _Parser:
     # -- token readers: each takes a description for its error message
 
     def need_string(self, what: str) -> str:
-        tok = self.tok
-        if tok[0] != "STRING":
-            self.error(f"expected {what} (a quoted string), found {tok[1] or 'end of input'!r}")
+        if self.tok[0] != "STRING":
+            self.expected(f"{what} (a quoted string)")
         return self.advance()[2]
 
     def need_int(self, what: str) -> int:
         tok = self.tok
         if tok[0] != "INT":
-            self.error(f"expected {what} (an integer), found {tok[1] or 'end of input'!r}")
+            self.expected(f"{what} (an integer)")
         if self.refused(tok[2]):
             self.error(f"{what} is out of range ({len(tok[2])} digits)", code="P021")
         return int(self.advance()[2])
@@ -256,15 +259,14 @@ class _Parser:
         """A core value number: an integer without a leading zero."""
         tok = self.tok
         if tok[0] != "INT" or (len(tok[2]) > 1 and tok[2].startswith("0")):
-            self.error(f"expected {what}, found {tok[1] or 'end of input'!r}", code="P012")
+            self.expected(what, "P012")
         if self.refused(tok[2]):
             self.error(f"expected {what}, found a {len(tok[2])}-digit number", code="P012")
         return int(self.advance()[2])
 
     def need_ident(self, what: str) -> str:
-        tok = self.tok
-        if tok[0] != "IDENT":
-            self.error(f"expected {what}, found {tok[1] or 'end of input'!r}")
+        if self.tok[0] != "IDENT":
+            self.expected(what)
         return self.advance()[2]
 
     def need_name(self, what: str, dotted=None) -> str:
@@ -273,37 +275,33 @@ class _Parser:
         tok = self.tok
         if not (tok[0] == "IDENT" and tok[2] != "end"
                 or dotted and tok[0] == "DOTTED" and dotted.match(tok[2])):
-            self.error(f"expected {what}, found {tok[1] or 'end of input'!r}")
+            self.expected(what)
         return self.advance()[2]
 
     def need_keyword(self, word: str) -> tuple:
         tok = self.tok
         if tok[0] != "IDENT" or tok[2] != word:
-            self.error(f"expected keyword {word!r}, found {tok[1] or 'end of input'!r}")
+            self.expected(f"keyword {word!r}")
         return self.advance()
 
     def need_bool(self, what: str) -> bool:
         tok = self.tok
         if tok[0] == "IDENT" and tok[2] in ("true", "false"):
             return self.advance()[2] == "true"
-        self.error(f"expected true or false for {what}, found {tok[1] or 'end of input'!r}")
+        self.expected(f"true or false for {what}")
 
     def need_enum(self, enum_cls, what: str):
         tok = self.tok
         member = _enum_members(enum_cls).get(tok[2]) if tok[0] == "IDENT" else None
         if member is None:
-            self.error(
-                f"expected one of {', '.join(e.value for e in enum_cls)} for {what}, "
-                f"found {tok[1] or 'end of input'!r}",
-                code="P020",
-            )
+            self.expected(f"one of {', '.join(e.value for e in enum_cls)} for {what}", "P020")
         self.advance()
         return member
 
     def need_dotted(self, pattern, what: str) -> str:
         tok = self.tok
         if tok[0] != "DOTTED" or not pattern.match(tok[2]):
-            self.error(f"expected {what}, found {tok[1] or 'end of input'!r}", code="P012")
+            self.expected(what, "P012")
         if self.refused(tok[2]):
             self.error(f"expected {what}, found a {len(tok[2])}-character id", code="P012")
         return self.advance()[2]
@@ -337,7 +335,7 @@ class _Parser:
         try:
             self.parse_header()
         except _SyntaxProblem as problem:
-            self.diag("error", problem.code, problem.message, problem.token)
+            self.report(*problem.args)
             self.skip_past_end(at_end=False)
         while self.tok[0] != "EOF":
             tok = self.tok
@@ -345,13 +343,14 @@ class _Parser:
                 try:
                     self.parse_block(self.advance())
                 except _SyntaxProblem as problem:
-                    self.diag("error", problem.code, problem.message, problem.token)
+                    self.report(*problem.args)
                     self.skip_past_end()
             else:
                 if tok[0] == "IDENT":
-                    self.diag("error", "P005", f"unknown block keyword {tok[2]!r}", tok)
+                    self.report("P005", f"unknown block keyword {tok[2]!r}", tok[3], tok[4])
                 else:
-                    self.diag("error", "P001", f"expected a block keyword, found {tok[1]!r}", tok)
+                    self.report("P001", f"expected a block keyword, found {tok[1]!r}",
+                                tok[3], tok[4])
                 self.advance()
                 self.skip_past_end()
 
@@ -380,7 +379,7 @@ class _Parser:
     def parse_block(self, head: tuple) -> None:
         block = _BLOCKS[head[2]]
         if block.single and block.slot in self.singles:
-            self.diag("error", "P018", f"duplicate {block.keyword} block", head)
+            self.report("P018", f"duplicate {block.keyword} block", head[3], head[4])
         values: dict = {}
         for slot in block.head:
             if slot.__class__ is str:
@@ -400,7 +399,7 @@ class _Parser:
         elif block.cls is not _Alias:
             self.entities[block.slot].append(obj)
         elif obj.name in self.aliases:
-            self.diag("error", "P010", f"duplicate alias {obj.name!r}", head)
+            self.report("P010", f"duplicate alias {obj.name!r}", head[3], head[4])
         else:
             self.aliases[obj.name] = obj.target
 
@@ -418,7 +417,7 @@ class _Parser:
                 return
             attr = keys.get(tok[2])
             if attr is None:
-                self.diag("warning", "P090", f"unknown attribute key {tok[2]!r}", tok)
+                self.report("P090", f"unknown attribute key {tok[2]!r}", tok[3], tok[4], "warning")
                 self.advance()
                 nxt = self.tok
                 if nxt[0] in ("STRING", "INT", "DOTTED") or (
@@ -497,23 +496,18 @@ def _lens_text(lens: m.Lens, doc) -> str:
 
 class _Reader:
     """One kind of value in the text format: how the parser reads it, how
-    the writer spells it, and which of its strings must stay on one line
-    (none when ``strings`` is None)."""
+    the writer spells it, and whether its strings must stay on one line."""
 
-    __slots__ = ("read", "text", "strings")
+    __slots__ = ("read", "text", "checked")
 
-    def __init__(self, read: Callable, text: Callable, strings: Callable | None = None):
+    def __init__(self, read: Callable, text: Callable, checked: bool = False):
         self.read = read        # (parser, what) -> value
         self.text = text        # (value, doc) -> text
-        self.strings = strings  # value -> strings
+        self.checked = checked  # a string, or a record whose str fields P037 checks
 
 
 def _same(value, doc):
     return value
-
-
-def _alone(value) -> tuple:
-    return (value,)
 
 
 def _dotted(pattern) -> _Reader:
@@ -532,7 +526,7 @@ def _commas(reader: _Reader) -> _Reader:
     return _Reader(read, lambda items, doc: ", ".join(reader.text(i, doc) for i in items))
 
 
-_STRING = _Reader(_Parser.need_string, lambda value, doc: _quote(value), _alone)
+_STRING = _Reader(_Parser.need_string, lambda value, doc: _quote(value), True)
 _INT = _Reader(_Parser.need_int, lambda value, doc: str(value))
 _BOOL = _Reader(_Parser.need_bool, lambda value, doc: "true" if value else "false")
 _IDENT = _Reader(_Parser.need_ident, _same)
@@ -540,12 +534,12 @@ _IDENT = _Reader(_Parser.need_ident, _same)
 _REF = _Reader(_Parser.need_name, _same)
 # Prose: one ``note`` line per line of text.
 _NOTE = _Reader(lambda p, what: p.need_string("note text"), lambda value, doc: _quote(value),
-                _alone)
-_LENS = _Reader(_Parser.need_lens, _lens_text, lambda lens: (lens.framework,))
+                True)
+_LENS = _Reader(_Parser.need_lens, _lens_text, True)
 # A data subject is written bare when it names a stakeholder.
 _SUBJECT = _Reader(_Parser.need_subject, lambda value, doc: (
     value if value in doc.index.stakeholders and m.IDENT_RE.match(value) else _quote(value)),
-    _alone)
+    True)
 _ATTESTED = {  # subject word: (kind, reader of the ref or None, what)
     "priority": (m.SubjectKind.PRIORITY_DECISION, _INT, "core value number"),
     "risk": (m.SubjectKind.RISK_ACCEPTANCE, _dotted(m.CONTROL_ID_RE), "a control id"),
@@ -579,8 +573,7 @@ def _nested(cls: type) -> _Reader:
         read,
         lambda value, doc: " ".join(reader.text(getattr(value, name), doc)
                                     for name, reader in parts),
-        lambda value: tuple(getattr(value, name) for name, reader in parts
-                            if reader.strings is not None),
+        True,
     )
 
 
@@ -708,9 +701,7 @@ class _Block:
         self.defaults = {field: value for field, value in defaults.items() if value is not MISSING}
         # For the line-break check: the slots and attributes that hold strings.
         self.texts = [(f"{keyword} {a.key or a.field}", a.get, a.gather is tuple,
-                       None if a.reader.strings is _alone else a.reader.strings,
-                       a.reader is _NOTE) for a in slots + self.attrs
-                      if a.reader.strings is not None]
+                       a.reader is _NOTE) for a in slots + self.attrs if a.reader.checked]
         # For the writer, which leaves out a value equal to its default.
         self.written = [(a.key, a.get, a.reader.text, a.split,
                          _PROJECT if a.field == from_project else a.default)
@@ -892,7 +883,7 @@ _BLOCKS: dict[str, _Block] = {block.keyword: block for block in (
     ), derived=("kind",)),
     _Block("attestation", "attestations", (
         ("id", _IDENT, "attestation id"),
-        ("subject", _Reader(_Parser.need_attested, _attested_text, lambda s: (s.ref,)),
+        ("subject", _Reader(_Parser.need_attested, _attested_text, True),
          "attestation subject"),
     ), (
         ("by", "signatory_name", _STRING, "signatory name"),
@@ -916,11 +907,11 @@ _BLOCKS: dict[str, _Block] = {block.keyword: block for block in (
         ("id", _IDENT, "feedback id"),
     ), (
         ("date", "date", _STRING),
-        ("from", "source", _Reader(_Parser.need_name, _same, _alone),
+        ("from", "source", _Reader(_Parser.need_name, _same, True),
          "a stakeholder id or market", "source"),
         ("note", "text", _NOTE),
         ("resulted", "resulted", _Reader(lambda p, what: p.need_name(what, m.QUALITY_ID_RE),
-                                         _same, _alone), "a statement or quality id"),
+                                         _same, True), "a statement or quality id"),
         ("reprioritize", "reprioritization_required", _BOOL),
     ), noun="feedback"),
     _Block("alias", "alias_map", (
@@ -961,7 +952,9 @@ def serialize_canonical(doc: m.RegisterDocument) -> str:
 def _check_line_breaks(doc: m.RegisterDocument, bad: Callable) -> None:
     """Report P037 through ``bad(code, subject, message)`` for a string the
     text format cannot carry: a line break in a single-line string, or a
-    carriage return in prose (notes), which may hold line feeds."""
+    carriage return in prose (notes), which may hold line feeds.  A value
+    that is not a string is a record, such as a lens or a threshold, whose
+    fields of type ``str`` are checked; its enum fields are not."""
 
     def report(subject: str, label: str, prose: bool) -> None:
         bad("P037", subject, f"{label} must not contain "
@@ -972,12 +965,14 @@ def _check_line_breaks(doc: m.RegisterDocument, bad: Callable) -> None:
             report("register", f"register {field}", False)
     for block in _BLOCKS.values():
         for obj in block.held(doc) if block.texts else ():
-            for label, get, repeated, strings, prose in block.texts:
+            for label, get, repeated, prose in block.texts:
                 value = get(obj)
                 if not value:
                     continue
                 for item in value if repeated else (value,):
-                    for text in strings(item) if strings else (item,):
+                    texts = (item,) if isinstance(item, str) else [
+                        text for f in fields(item) if type(text := getattr(item, f.name)) is str]
+                    for text in texts:
                         if "\r" in text or (not prose and "\n" in text):
                             report("register" if block.single
                                    else str(getattr(obj, block.id_field)), label, prose)

@@ -15,6 +15,7 @@ import json
 import random
 import types
 import typing
+from collections.abc import Callable
 from dataclasses import fields, is_dataclass, replace
 from enum import Enum
 
@@ -907,14 +908,26 @@ def reference_lex(source: str, file: str) -> tuple[list[tuple], list[ParseDiagno
     return tokens, diags
 
 
+def reporter(source: str, file: str) -> tuple[Callable, list[ParseDiagnostic]]:
+    """A ``report`` for ``dsl._lex`` that places each problem with a
+    ``dsl._locator`` over ``source``, and the list it appends to."""
+    diags: list[ParseDiagnostic] = []
+    locate = dsl._locator(source, file)
+
+    def report(code: str, message: str, start: int, end: int, severity: str = "error"):
+        diags.append(ParseDiagnostic(locate(start, end), severity, code, message))
+
+    return report, diags
+
+
 def located_lex(source: str, file: str) -> tuple[list[tuple], list[ParseDiagnostic]]:
     """``dsl._lex``'s tokens and diagnostics, each token's offsets turned
     into ``line, col, end_col`` by the parser's own ``dsl._locator``: the
     reference lexer's shape."""
-    diags: list[ParseDiagnostic] = []
+    report, diags = reporter(source, file)
     locate = dsl._locator(source, file)
     tokens = []
-    for kind, text, value, start, end in dsl._lex(source, file, diags):
+    for kind, text, value, start, end in dsl._lex(source, report):
         span = locate(start, end)
         tokens.append((kind, text, value, span.start_line, span.start_col,
                        span.start_col + end - start))

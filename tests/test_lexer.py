@@ -22,7 +22,7 @@ import pytest
 from evrforge import dsl
 
 from .conftest import FIXTURES
-from .support import located_lex, random_register, reference_lex
+from .support import located_lex, random_register, reference_lex, reporter
 
 SOUP = ['"', "\\", "\n", "\r", "\t", "\x0b", "\x0c", "#", ",", ".", "-", "T", "C",
         "0", "1", "7", "é", "記", "٣", "ſ", " ", "x", "_", '"ab"', "1.2", "1.1.1-T"]
@@ -113,8 +113,8 @@ def test_malformed_strings_report_every_problem_in_order():
 
 
 def test_lexer_yields_tokens_as_they_are_pulled():
-    diags: list = []
-    tokens = dsl._lex('x @ "y', "p.evr", diags)
+    report, diags = reporter('x @ "y', "p.evr")
+    tokens = dsl._lex('x @ "y', report)
     assert isinstance(tokens, Iterator) and not isinstance(tokens, list)
     assert next(tokens) == ("IDENT", "x", "x", 0, 1) and diags == []
     assert next(tokens)[0] == "STRING" and [d.code for d in diags] == ["P004", "P002"]
@@ -123,7 +123,8 @@ def test_lexer_yields_tokens_as_they_are_pulled():
 
 @pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("*.evr")))
 def test_tokens_are_plain_tuples_the_collector_untracks(name):
-    tokens = list(dsl._lex((FIXTURES / name).read_text(encoding="utf-8"), name, []))
+    source = (FIXTURES / name).read_text(encoding="utf-8")
+    tokens = list(dsl._lex(source, reporter(source, name)[0]))
     shape = (str, str, str, int, int)
     assert all(type(tok) is tuple and tuple(map(type, tok)) == shape for tok in tokens)
     gc.collect()
