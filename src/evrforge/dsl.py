@@ -86,10 +86,6 @@ class ParseResult:
     def errors(self) -> tuple[ParseDiagnostic, ...]:
         return tuple(d for d in self.diagnostics if d.severity == "error")
 
-    @property
-    def warnings(self) -> tuple[ParseDiagnostic, ...]:
-        return tuple(d for d in self.diagnostics if d.severity == "warning")
-
 
 # ---------------------------------------------------------------------------
 # Lexer
@@ -1054,8 +1050,6 @@ def _object(cls: type) -> Callable:
                (_ENCODE(key) + ": ", lambda obj, held=held: {k: getattr(obj, name)
                                                             for k, name in held.items()}, _json)
                for key, held in plan]
-    if not entries:
-        return lambda obj, out, pad: out.append("{}")
 
     def write_object(obj, out: list, pad: str) -> None:
         inner = pad + "  "
