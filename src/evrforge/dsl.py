@@ -65,7 +65,6 @@ class ParseDiagnostic:
     severity: str  # "error" or "warning"
     code: str
     message: str
-    hint: str | None = None
 
     def render(self) -> str:
         where = f"{self.span.file}:{self.span.start_line}:{self.span.start_col}"

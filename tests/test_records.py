@@ -277,7 +277,7 @@ class TestDataclassHelpers:
     def test_fields_and_match_args_are_the_declared_fields(self):
         plan = "\n".join(f"{_id(cls)}: {' '.join(f.name for f in fields(cls))}"
                          for cls in sorted(RECORDS, key=_id))
-        assert _digest(plan) == "7636c5ca6a71534ed6ef5de3f0ef637069c95f5b61e8cee6b65825a3a617a671"
+        assert _digest(plan) == "07897667ae11ee94c5c7fde9f0fae5cbc4814c3ce9ed07c0be2d0876eee86b45"
         for cls in RECORDS:
             assert cls.__match_args__ == tuple(f.name for f in fields(cls))
 
