@@ -222,12 +222,10 @@ class _Parser:
         return tok
 
     def error(self, message: str, token: tuple | None = None, code: str = "P001"):
-        token = token or self.tok
-        raise _SyntaxProblem(code, message, token[3], token[4])
+        raise _SyntaxProblem(code, message, *(token or self.tok)[3:])  # at its start, end
 
     def expected(self, what: str, code: str = "P001"):
-        found = self.tok[1] or "end of input"
-        self.error(f"expected {what}, found {found!r}", code=code)
+        self.error(f"expected {what}, found {self.tok[1] or 'end of input'!r}", code=code)
 
     def refused(self, text: str) -> bool:
         """Whether int() would refuse a run of digits in ``text``."""
@@ -342,10 +340,9 @@ class _Parser:
                     self.skip_past_end()
             else:
                 if tok[0] == "IDENT":
-                    self.report("P005", f"unknown block keyword {tok[2]!r}", tok[3], tok[4])
+                    self.report("P005", f"unknown block keyword {tok[2]!r}", *tok[3:])
                 else:
-                    self.report("P001", f"expected a block keyword, found {tok[1]!r}",
-                                tok[3], tok[4])
+                    self.report("P001", f"expected a block keyword, found {tok[1]!r}", *tok[3:])
                 self.advance()
                 self.skip_past_end()
 
@@ -374,7 +371,7 @@ class _Parser:
     def parse_block(self, head: tuple) -> None:
         block = _BLOCKS[head[2]]
         if block.single and block.slot in self.singles:
-            self.report("P018", f"duplicate {block.keyword} block", head[3], head[4])
+            self.report("P018", f"duplicate {block.keyword} block", *head[3:])
         values: dict = {}
         for slot in block.head:
             if slot.__class__ is str:
@@ -394,7 +391,7 @@ class _Parser:
         elif block.cls is not _Alias:
             self.entities[block.slot].append(obj)
         elif obj.name in self.aliases:
-            self.report("P010", f"duplicate alias {obj.name!r}", head[3], head[4])
+            self.report("P010", f"duplicate alias {obj.name!r}", *head[3:])
         else:
             self.aliases[obj.name] = obj.target
 
@@ -412,7 +409,7 @@ class _Parser:
                 return
             attr = keys.get(tok[2])
             if attr is None:
-                self.report("P090", f"unknown attribute key {tok[2]!r}", tok[3], tok[4], "warning")
+                self.report("P090", f"unknown attribute key {tok[2]!r}", *tok[3:], "warning")
                 self.advance()
                 nxt = self.tok
                 if nxt[0] in ("STRING", "INT", "DOTTED") or (
@@ -528,13 +525,11 @@ _IDENT = _Reader(_Parser.need_ident, _same)
 # A reference to an entity by its id: ``end`` closes the block instead.
 _REF = _Reader(_Parser.need_name, _same)
 # Prose: one ``note`` line per line of text.
-_NOTE = _Reader(lambda p, what: p.need_string("note text"), lambda value, doc: _quote(value),
-                True)
+_NOTE = _Reader(lambda p, what: p.need_string("note text"), _STRING.text, True)
 _LENS = _Reader(_Parser.need_lens, _lens_text, True)
 # A data subject is written bare when it names a stakeholder.
-_SUBJECT = _Reader(_Parser.need_subject, lambda value, doc: (
-    value if value in doc.index.stakeholders and m.IDENT_RE.match(value) else _quote(value)),
-    True)
+_SUBJECT = _Reader(_Parser.need_subject, lambda value, doc: value if (
+    value in doc.index.stakeholders and m.IDENT_RE.match(value)) else _quote(value), True)
 _ATTESTED = {  # subject word: (kind, reader of the ref or None, what)
     "priority": (m.SubjectKind.PRIORITY_DECISION, _INT, "core value number"),
     "risk": (m.SubjectKind.RISK_ACCEPTANCE, _dotted(m.CONTROL_ID_RE), "a control id"),
@@ -564,12 +559,8 @@ def _nested(cls: type) -> _Reader:
     def read(p, whats):
         return cls(*[reader.read(p, what) for (_, reader), what in zip(parts, whats)])
 
-    return _Reader(
-        read,
-        lambda value, doc: " ".join(reader.text(getattr(value, name), doc)
-                                    for name, reader in parts),
-        True,
-    )
+    return _Reader(read, lambda value, doc: " ".join(reader.text(getattr(value, name), doc)
+                                                     for name, reader in parts), True)
 
 
 def _held_class(hint) -> tuple[type, bool]:
@@ -947,9 +938,8 @@ def serialize_canonical(doc: m.RegisterDocument) -> str:
 def _check_line_breaks(doc: m.RegisterDocument, bad: Callable) -> None:
     """Report P037 through ``bad(code, subject, message)`` for a string the
     text format cannot carry: a line break in a single-line string, or a
-    carriage return in prose (notes), which may hold line feeds.  A value
-    that is not a string is a record, such as a lens or a threshold, whose
-    fields of type ``str`` are checked; its enum fields are not."""
+    carriage return in prose (notes), which may hold line feeds.  Of a value
+    that is a record, as a lens or a threshold, its ``str`` fields are checked."""
 
     def report(subject: str, label: str, prose: bool) -> None:
         bad("P037", subject, f"{label} must not contain "
@@ -965,9 +955,8 @@ def _check_line_breaks(doc: m.RegisterDocument, bad: Callable) -> None:
                 if not value:
                     continue
                 for item in value if repeated else (value,):
-                    texts = (item,) if isinstance(item, str) else [
-                        text for f in fields(item) if type(text := getattr(item, f.name)) is str]
-                    for text in texts:
+                    for text in (item,) if isinstance(item, str) else (
+                            getattr(item, f.name) for f in fields(item) if f.type is str):
                         if "\r" in text or (not prose and "\n" in text):
                             report("register" if block.single
                                    else str(getattr(obj, block.id_field)), label, prose)
