@@ -220,11 +220,11 @@ class Verdict(str, Enum):
 
 THRESHOLD_COMPARATORS = ("<", "<=", "=", ">=", ">")
 
-IDENT_RE = re.compile(r"^(?!end$)[A-Za-z_][A-Za-z0-9_]*$")  # ``end`` closes a block
-QUALITY_ID_RE = re.compile(r"^([1-9][0-9]*)\.([1-9][0-9]*)$")
-EVR_ID_RE = re.compile(r"^([1-9][0-9]*)\.([1-9][0-9]*)\.([1-9][0-9]*)$")
-THREAT_ID_RE = re.compile(r"^([1-9][0-9]*\.[1-9][0-9]*\.[1-9][0-9]*)-T([1-9][0-9]*)$")
-CONTROL_ID_RE = re.compile(r"^([1-9][0-9]*\.[1-9][0-9]*\.[1-9][0-9]*)-C([1-9][0-9]*)$")
+IDENT_RE = re.compile(r"^(?!end\Z)[A-Za-z_][A-Za-z0-9_]*\Z")  # ``end`` closes a block
+QUALITY_ID_RE = re.compile(r"^([1-9][0-9]*)\.([1-9][0-9]*)\Z")
+EVR_ID_RE = re.compile(r"^([1-9][0-9]*)\.([1-9][0-9]*)\.([1-9][0-9]*)\Z")
+THREAT_ID_RE = re.compile(r"^([1-9][0-9]*\.[1-9][0-9]*\.[1-9][0-9]*)-T([1-9][0-9]*)\Z")
+CONTROL_ID_RE = re.compile(r"^([1-9][0-9]*\.[1-9][0-9]*\.[1-9][0-9]*)-C([1-9][0-9]*)\Z")
 
 
 def control_parent(control_id: str) -> str | None:

@@ -162,10 +162,25 @@ class TestValidation:
         ("threats", m.Threat(id="T1", evr="9.9.9")),
         ("controls", m.Control(id="C1", threats=("9.9.9-T9",), form=m.ControlForm.STRUCTURAL,
                                implementing_disposition="nowhere")),
+        # ``$`` would also match before a final line end.
+        ("qualities", m.ValueQuality(id="1.1\n", core_value=9, name="q")),
+        ("evrs", m.Evr(id="1.1.1\n", quality="9.9", text="t")),
+        ("threats", m.Threat(id="1.1.1-T1\n", evr="9.9.9")),
+        ("controls", m.Control(id="1.1.1-C1\n", threats=("9.9.9-T9",),
+                               form=m.ControlForm.STRUCTURAL, implementing_disposition="nowhere")),
     ])
     def test_malformed_numbered_id_reports_only_its_shape(self, kind, entity):
         doc = base_doc(m.Phase.DESIGN, **{kind: (entity,)})
         assert [(v.code, v.subject) for v in m.validate_register(doc)] == [("P012", entity.id)]
+
+    def test_an_id_with_a_final_line_end_is_not_identifier_shaped(self, clean_doc):
+        # It would be written as ``S1`` and read back as another document.
+        first, *rest = clean_doc.sos_elements
+        doc = replace(clean_doc, sos_elements=(replace(first, id="S1\n"), *rest))
+        assert [(v.code, v.subject) for v in m.validate_register(doc)] == [("P012", "S1\n")]
+        with pytest.raises(m.RegisterError):
+            dsl.serialize_canonical(doc)
+        assert m.control_parent("1.1.1-C1\n") is None
 
     def test_duplicate_ids_rejected(self):
         doc = base_doc(m.Phase.EXPLORATION, stakeholders=(
