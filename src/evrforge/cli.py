@@ -183,7 +183,7 @@ def cmd_check(args) -> int:
     doc = result.document
     diagnostics = () if doc is None else rules.run_rules(doc, selection)
     errors, warnings = _tally(result.diagnostics, diagnostics)
-    if doc is not None and args.fmt == "interchange":
+    if args.fmt == "interchange":
         payload = {
             "parse_diagnostics": [
                 {"code": d.code, "severity": d.severity, "file": d.span.file,

@@ -88,6 +88,21 @@ class TestCheck:
             "diagnostics": [],
         }
 
+    def test_interchange_lists_the_parse_errors_of_a_broken_register(self, tmp_path, capsys):
+        path = tmp_path / "broken.evr"
+        path.write_text('register "X" phase concept\nstakeholder S1 "a"\n  kind nope\nend\n',
+                        encoding="utf-8")
+        assert cli.main(["check", str(path), "--format", "interchange"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert json.loads(captured.out) == {
+            "parse_diagnostics": [{"code": "P020", "severity": "error", "file": str(path),
+                                   "line": 3, "col": 8,
+                                   "message": "expected one of direct, indirect for "
+                                              "stakeholder kind, found 'nope'"}],
+            "diagnostics": [],
+        }
+
     def test_parse_errors_exit_two(self, tmp_path, capsys):
         path = tmp_path / "broken.evr"
         path.write_text('register "X" phase concept\nquality 1.1 "q" of 1 '
