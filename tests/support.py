@@ -785,6 +785,46 @@ def unvalidated_analysis_doc() -> m.RegisterDocument:
 
 
 # ---------------------------------------------------------------------------
+# Parse robustness: the seeded token soup that acceptance 9 and
+# ``scripts/fuzz_parse.py`` feed the parser, and the contract each parse keeps.
+
+FUZZ_PIECES = [
+    "register", "phase", "end", "corevalue", "quality", "evr", "threat",
+    "control", "stakeholder", "session", "statement", "mission", "alias",
+    "of", "for", "rank", "direction", "supports", "undermines", "note",
+    "kind", "lens", "true", "false", '"text"', '"unterminated', '""',
+    "1", "42", "1.1", "1.1.1", "1.1.1-T1", "1.1.1-C1", "007", ",", "#c",
+    "\\", '"a\\"b"', '"a\\qb"', "€", "日本語", "~", "xyz", "concept",
+    "exploration", "@", "-", ".", '"', "direct",
+]
+
+
+def fuzz_source(rng: random.Random, pieces: list[str] = FUZZ_PIECES) -> str:
+    """Up to 14 of ``pieces``, each followed by a blank or a line end."""
+    out = []
+    for _ in range(rng.randint(0, 14)):
+        out.append(rng.choice(pieces))
+        out.append(rng.choice([" ", " ", "\n", "\t", "  "]))
+    return "".join(out)
+
+
+def robustness_breach(text: str, result: dsl.ParseResult) -> str | None:
+    """What ``result``, the parse of ``text``, breaks of the contract, or None:
+    a document exactly when there are no errors, and every span's line and
+    column inside ``text``."""
+    if (result.document is not None) == bool(result.errors):
+        return "contract breach"
+    lines = text.split("\n")
+    for d in result.diagnostics:
+        if not 1 <= d.span.start_line <= max(1, len(lines)):
+            return "line out of bounds"
+        line = lines[d.span.start_line - 1] if d.span.start_line <= len(lines) else ""
+        if not 1 <= d.span.start_col <= len(line) + 1:
+            return "column out of bounds"
+    return None
+
+
+# ---------------------------------------------------------------------------
 # Reference lexer: the character loop that ``dsl._lex`` replaced, kept so a
 # differential test and ``scripts/fuzz_parse.py`` can compare the two.
 
