@@ -190,11 +190,11 @@ class _Parser:
     def __init__(self, source: str, file: str):
         self.diags: list[ParseDiagnostic] = []
         self.locate = locate = _locator(source, file)
-        diags = self.diags  # the one locator and list every problem goes through
+        diags = self.diags
 
-        # The lexer holds this closure, not a bound method: a lexer that held
-        # the parser would make a cycle, so every parser would wait for the
-        # cyclic collector to be freed.
+        # Every problem, the lexer's too, goes through ``report``.  The lexer
+        # holds this closure, not a bound method: a lexer that held the parser
+        # would make a cycle, and every parser would wait for the cyclic collector.
         def report(code: str, message: str, start: int, end: int, severity: str = "error"):
             diags.append(ParseDiagnostic(locate(start, end), severity, code, message))
 
@@ -222,7 +222,7 @@ class _Parser:
         return tok
 
     def error(self, message: str, token: tuple | None = None, code: str = "P001"):
-        raise _SyntaxProblem(code, message, *(token or self.tok)[3:])  # at its start, end
+        raise _SyntaxProblem(code, message, *(token or self.tok)[3:])  # the token's offsets
 
     def expected(self, what: str, code: str = "P001"):
         self.error(f"expected {what}, found {self.tok[1] or 'end of input'!r}", code=code)
@@ -938,8 +938,8 @@ def serialize_canonical(doc: m.RegisterDocument) -> str:
 def _check_line_breaks(doc: m.RegisterDocument, bad: Callable) -> None:
     """Report P037 through ``bad(code, subject, message)`` for a string the
     text format cannot carry: a line break in a single-line string, or a
-    carriage return in prose (notes), which may hold line feeds.  Of a value
-    that is a record, as a lens or a threshold, its ``str`` fields are checked."""
+    carriage return in prose (notes), which may hold line feeds.  A record
+    value, as a lens or a threshold, has its fields of type ``str`` checked."""
 
     def report(subject: str, label: str, prose: bool) -> None:
         bad("P037", subject, f"{label} must not contain "
