@@ -594,7 +594,7 @@ class _Attr:
     """One attribute of a block kind, compiled from its table entry for a
     field of type ``hint``."""
 
-    __slots__ = ("key", "field", "member", "reader", "what", "missing", "default", "name",
+    __slots__ = ("key", "field", "member", "reader", "what", "missing", "default", "name", "held",
                  "gather", "split", "get")
 
     def __init__(self, key: str | None, field: str, reader: _Reader, hint, what,
@@ -611,6 +611,7 @@ class _Attr:
         self.what = what
         self.missing = missing
         self.name = field if member is None else (field, member)  # the parser's key
+        self.held = held
         # How the parser joins the values of a repeated attribute or of notes,
         # and how the writer splits them again, one line each.
         self.gather = "\n".join if reader is _NOTE else tuple if repeated else None
@@ -685,9 +686,11 @@ class _Block:
         defaults.update({a.field: a.default for a in self.attrs if a.member is None})
         defaults.update(dict.fromkeys(derived))
         self.defaults = {field: value for field, value in defaults.items() if value is not MISSING}
-        # For the line-break check: the slots and attributes that hold strings.
-        self.texts = [(f"{keyword} {a.key or a.field}", a.get, a.gather is tuple,
-                       a.reader is _NOTE) for a in slots + self.attrs if a.reader.checked]
+        # For the line-break check: the slots and attributes that hold strings,
+        # and of those that hold a record, as a lens, its fields of type str.
+        self.texts = [(f"{keyword} {a.key or a.field}", a.get, a.gather is tuple, a.reader is _NOTE,
+                       a.held is not str and [f.name for f in fields(a.held) if f.type is str])
+                      for a in slots + self.attrs if a.reader.checked]
         # For the writer, which leaves out a value equal to its default.
         self.written = [(a.key, a.get, a.reader.text, a.split,
                          _PROJECT if a.field == from_project else a.default)
@@ -938,8 +941,7 @@ def serialize_canonical(doc: m.RegisterDocument) -> str:
 def _check_line_breaks(doc: m.RegisterDocument, bad: Callable) -> None:
     """Report P037 through ``bad(code, subject, message)`` for a string the
     text format cannot carry: a line break in a single-line string, or a
-    carriage return in prose (notes), which may hold line feeds.  A record
-    value, as a lens or a threshold, has its fields of type ``str`` checked."""
+    carriage return in prose (notes), which may hold line feeds."""
 
     def report(subject: str, label: str, prose: bool) -> None:
         bad("P037", subject, f"{label} must not contain "
@@ -950,13 +952,12 @@ def _check_line_breaks(doc: m.RegisterDocument, bad: Callable) -> None:
             report("register", f"register {field}", False)
     for block in _BLOCKS.values():
         for obj in block.held(doc) if block.texts else ():
-            for label, get, repeated, prose in block.texts:
+            for label, get, repeated, prose, names in block.texts:
                 value = get(obj)
                 if not value:
                     continue
                 for item in value if repeated else (value,):
-                    for text in (item,) if isinstance(item, str) else (
-                            getattr(item, f.name) for f in fields(item) if f.type is str):
+                    for text in [getattr(item, name) for name in names] if names else (item,):
                         if "\r" in text or (not prose and "\n" in text):
                             report("register" if block.single
                                    else str(getattr(obj, block.id_field)), label, prose)
