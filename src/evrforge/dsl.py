@@ -173,11 +173,6 @@ def _lex(source: str, report: Callable) -> Iterator[tuple]:
 # ---------------------------------------------------------------------------
 # Parser
 
-@functools.cache
-def _enum_members(enum_cls: type[Enum]) -> dict[str, Enum]:
-    return {e.value: e for e in enum_cls}
-
-
 class _SyntaxProblem(Exception):
     """A problem that ends a block, raised with ``(code, message, start, end)``."""
 
@@ -185,7 +180,13 @@ class _SyntaxProblem(Exception):
 class _Parser:
     """Reads blocks from the tokens of a source into one list of problems,
     ``diags``.  It holds only the current token, ``tok``, and pulls the next
-    as it advances, so no token is read twice and no token list is kept."""
+    as it advances, so no token is read twice and no token list is kept.
+
+    ``parse_block`` and ``parse_attrs`` read a one-token value in place, by
+    its reader's token kind and test (see ``_Reader``); a value of several
+    tokens, or a token that fails the test, goes to the reader's ``read``.
+    ``spans`` keeps the offsets of each block header by id, and of the
+    ``register`` keyword; only the spans a result shows are located."""
 
     def __init__(self, source: str, file: str):
         self.diags: list[ParseDiagnostic] = []
@@ -201,7 +202,7 @@ class _Parser:
         self.report = report
         self.pull = _lex(source, report).__next__
         self.tok = self.pull()
-        self.spans: dict[str, SourceSpan] = {}
+        self.spans: dict[str, tuple[int, int]] = {}
         # int() refuses numbers with more digits than this; 0 means no limit,
         # and Python before 3.10.7 has none.
         self.max_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
@@ -233,20 +234,26 @@ class _Parser:
         return 0 < limit < len(text) and any(len(run) > limit
                                              for run in re.findall("[0-9]+", text))
 
-    # -- token readers: each takes a description for its error message
+    # -- what a one-token reader raises for a token that fails its test
 
-    def need_string(self, what: str) -> str:
-        if self.tok[0] != "STRING":
-            self.expected(f"{what} (a quoted string)")
-        return self.advance()[2]
+    def need_string(self, what: str):
+        self.expected(f"{what} (a quoted string)")
 
-    def need_int(self, what: str) -> int:
-        tok = self.tok
-        if tok[0] != "INT":
+    def need_int(self, what: str):
+        if self.tok[0] != "INT":
             self.expected(f"{what} (an integer)")
-        if self.refused(tok[2]):
-            self.error(f"{what} is out of range ({len(tok[2])} digits)", code="P021")
-        return int(self.advance()[2])
+        self.error(f"{what} is out of range ({len(self.tok[2])} digits)", code="P021")
+
+    def need_bool(self, what: str):
+        self.expected(f"true or false for {what}")
+
+    def need_dotted(self, pattern, what: str):
+        tok = self.tok
+        if tok[0] != "DOTTED" or not pattern.match(tok[2]):
+            self.expected(what, "P012")
+        self.error(f"expected {what}, found a {len(tok[2])}-character id", code="P012")
+
+    # -- readers of several tokens, or of more than one kind of token
 
     def need_number(self, what: str) -> int:
         """A core value number: an integer without a leading zero."""
@@ -257,19 +264,12 @@ class _Parser:
             self.error(f"expected {what}, found a {len(tok[2])}-digit number", code="P012")
         return int(self.advance()[2])
 
-    def need_ident(self, what: str) -> str:
-        if self.tok[0] != "IDENT":
-            self.expected(what)
-        return self.advance()[2]
-
-    def need_name(self, what: str, dotted=None) -> str:
-        """An identifier other than ``end``, or a dotted id that matches
-        the pattern ``dotted``."""
+    def need_name(self, what: str, dotted) -> str:
+        """A reference by id, or a dotted id that matches the pattern ``dotted``."""
         tok = self.tok
-        if not (tok[0] == "IDENT" and tok[2] != "end"
-                or dotted and tok[0] == "DOTTED" and dotted.match(tok[2])):
-            self.expected(what)
-        return self.advance()[2]
+        if tok[0] == "DOTTED" and dotted.match(tok[2]):
+            return self.advance()[2]
+        return _REF.read(self, what)
 
     def need_keyword(self, word: str) -> tuple:
         tok = self.tok
@@ -277,30 +277,8 @@ class _Parser:
             self.expected(f"keyword {word!r}")
         return self.advance()
 
-    def need_bool(self, what: str) -> bool:
-        tok = self.tok
-        if tok[0] == "IDENT" and tok[2] in ("true", "false"):
-            return self.advance()[2] == "true"
-        self.expected(f"true or false for {what}")
-
-    def need_enum(self, enum_cls, what: str):
-        tok = self.tok
-        member = _enum_members(enum_cls).get(tok[2]) if tok[0] == "IDENT" else None
-        if member is None:
-            self.expected(f"one of {', '.join(e.value for e in enum_cls)} for {what}", "P020")
-        self.advance()
-        return member
-
-    def need_dotted(self, pattern, what: str) -> str:
-        tok = self.tok
-        if tok[0] != "DOTTED" or not pattern.match(tok[2]):
-            self.expected(what, "P012")
-        if self.refused(tok[2]):
-            self.error(f"expected {what}, found a {len(tok[2])}-character id", code="P012")
-        return self.advance()[2]
-
     def need_lens(self, what: str) -> m.Lens:
-        kind = self.need_enum(m.LensKind, what)
+        kind = _enum(m.LensKind).read(self, what)
         if kind is m.LensKind.CULTURAL and self.tok[0] == "STRING":
             return m.Lens(kind, self.advance()[2])
         return m.Lens(kind)
@@ -310,10 +288,10 @@ class _Parser:
         tok = self.tok
         if tok[0] == "IDENT" and tok[2] != "end":
             return self.advance()[2]
-        return self.need_string(what)
+        return _STRING.read(self, what)
 
     def need_attested(self, what: str) -> m.AttestationSubject:
-        word = self.need_ident(what)
+        word = _IDENT.read(self, what)
         if word not in _ATTESTED:
             *words, last = _ATTESTED
             self.error(f"expected {', '.join(words)} or {last}, found {word!r}")
@@ -360,26 +338,36 @@ class _Parser:
 
     def parse_header(self) -> None:
         head = self.need_keyword("register")
-        self.spans.setdefault("register", self.locate(head[3], head[4]))
-        self.project_name = self.need_string("project name")
+        self.spans.setdefault("register", head[3:])
+        self.project_name = _STRING.read(self, "project name")
         if self.tok[0] == "IDENT" and self.tok[2] == "version":
             self.advance()
-            self.version = self.need_string("version tag")
+            self.version = _STRING.read(self, "version tag")
         self.need_keyword("phase")
-        self.phase = self.need_enum(m.Phase, "phase")
+        self.phase = _enum(m.Phase).read(self, "phase")
 
     def parse_block(self, head: tuple) -> None:
         block = _BLOCKS[head[2]]
         if block.single and block.slot in self.singles:
             self.report("P018", f"duplicate {block.keyword} block", *head[3:])
         values: dict = {}
-        for slot in block.head:
-            if slot.__class__ is str:
-                self.need_keyword(slot)
+        pull, id_field = self.pull, block.id_field
+        for slot in block.reads:
+            tok = self.tok
+            if slot.__class__ is str:  # a keyword
+                if tok[0] != "IDENT" or tok[2] != slot:
+                    self.need_keyword(slot)  # raises
+                self.tok = pull()
                 continue
-            values[slot.field] = slot.reader.read(self, slot.what)
-            if slot.field == block.id_field:
-                self.spans.setdefault(str(values[slot.field]), self.locate(head[3], head[4]))
+            field, kind, accept, convert, read, what = slot
+            if tok[0] == kind and (accept is None or accept(self, tok[2])):
+                self.tok = pull()
+                value = tok[2] if convert is None else convert(tok[2])
+            else:
+                value = read(self, what)
+            values[field] = value
+            if field == id_field:
+                self.spans.setdefault(str(value), head[3:])
         if block.keys is not None:
             self.parse_attrs(block.keys, values)
         if block.from_project:
@@ -396,16 +384,18 @@ class _Parser:
             self.aliases[obj.name] = obj.target
 
     def parse_attrs(self, keys: dict, values: dict) -> None:
-        """Consume ``(KEY value*)*`` up to and including ``end``; a repeated
-        attribute collects its values in a list."""
+        """Consume ``(KEY value*)*`` up to and including ``end``, each value
+        read in place like a header slot's; a repeated attribute collects its
+        values in a list."""
+        pull = self.pull
         while True:
             tok = self.tok
-            if tok[0] == "EOF":
-                self.error("unexpected end of input inside a block (missing 'end')", tok)
             if tok[0] != "IDENT":
+                if tok[0] == "EOF":
+                    self.error("unexpected end of input inside a block (missing 'end')", tok)
                 self.error(f"expected an attribute key or 'end', found {tok[1]!r}")
             if tok[2] == "end":
-                self.advance()
+                self.tok = pull()
                 return
             attr = keys.get(tok[2])
             if attr is None:
@@ -417,9 +407,13 @@ class _Parser:
                 ):
                     self.advance()
                 continue
-            self.advance()
-            name, read, what, repeated = attr
-            value = read(self, what)
+            self.tok = tok = pull()
+            name, kind, accept, convert, read, what, repeated = attr
+            if tok[0] == kind and (accept is None or accept(self, tok[2])):
+                self.tok = pull()
+                value = tok[2] if convert is None else convert(tok[2])
+            else:
+                value = read(self, what)
             if not repeated:
                 values[name] = value
             elif name in values:
@@ -455,12 +449,14 @@ def parse_register(source_text: str, file_name: str = "<register>") -> ParseResu
     parser.parse()
     diagnostics = parser.diags
 
+    spans, locate = parser.spans, parser.locate
+    header = spans.get("register")
     doc = None
     if not any(d.severity == "error" for d in diagnostics):
         doc = parser.build_document()
-        fallback = parser.spans.get("register", SourceSpan(file_name, 1, 1, 1, 1))
         for violation in m.validate_register(doc):
-            span = parser.spans.get(violation.subject, fallback)
+            # By id; else at the header, or at the start of a source without one.
+            span = locate(*spans.get(violation.subject, header or (0, 0)))
             diagnostics.append(ParseDiagnostic(span, "error", violation.code,
                                                violation.message))
 
@@ -470,7 +466,7 @@ def parse_register(source_text: str, file_name: str = "<register>") -> ParseResu
     ))
     has_errors = any(d.severity == "error" for d in ordered)
     return ParseResult(document=None if has_errors else doc, diagnostics=ordered,
-                       header=parser.spans.get("register"))
+                       header=header and locate(*header))
 
 
 # ---------------------------------------------------------------------------
@@ -488,14 +484,37 @@ def _lens_text(lens: m.Lens, doc) -> str:
 
 class _Reader:
     """One kind of value in the text format: how the parser reads it, how
-    the writer spells it, and whether its strings must stay on one line."""
+    the writer spells it, and whether its strings must stay on one line.
 
-    __slots__ = ("read", "text", "checked")
+    A value of one token also has a ``token`` form, ``(kind, accept,
+    convert)``: the token kind, a test ``accept(parser, text)`` of the
+    token's value (None passes any), and ``convert(text)``, the value read
+    (None keeps the text).  The parser reads such a value in place, and
+    ``_token`` derives its ``read`` from the same form.  A reader of several
+    tokens has the form ``(None, None, None)``, which no token matches."""
 
-    def __init__(self, read: Callable, text: Callable, checked: bool = False):
+    __slots__ = ("read", "text", "checked", "token")
+
+    def __init__(self, read: Callable, text: Callable, checked: bool = False,
+                 token: tuple = (None, None, None)):
         self.read = read        # (parser, what) -> value
         self.text = text        # (value, doc) -> text
         self.checked = checked  # a string, or a record whose str fields P037 checks
+        self.token = token
+
+
+def _token(kind: str, accept: Callable | None, convert: Callable | None, fail: Callable,
+           text: Callable, checked: bool = False) -> _Reader:
+    """A value of one token; ``fail(parser, what)`` raises the problem with a
+    token that is not of ``kind`` or that ``accept`` refuses."""
+    def read(p, what):
+        tok = p.tok
+        if tok[0] == kind and (accept is None or accept(p, tok[2])):
+            p.tok = p.pull()
+            return tok[2] if convert is None else convert(tok[2])
+        fail(p, what)
+
+    return _Reader(read, text, checked, (kind, accept, convert))
 
 
 def _same(value, doc):
@@ -503,7 +522,17 @@ def _same(value, doc):
 
 
 def _dotted(pattern) -> _Reader:
-    return _Reader(lambda p, what: p.need_dotted(pattern, what), _same)
+    return _token("DOTTED", lambda p, text: pattern.match(text) and not p.refused(text), None,
+                  lambda p, what: p.need_dotted(pattern, what), _same)
+
+
+@functools.cache
+def _enum(enum_cls: type[Enum]) -> _Reader:
+    """A member of ``enum_cls``, by its value."""
+    members = {e.value: e for e in enum_cls}
+    return _token("IDENT", lambda p, text: text in members, members.__getitem__,
+                  lambda p, what: p.expected(f"one of {', '.join(members)} for {what}", "P020"),
+                  lambda value, doc: value.value)
 
 
 def _commas(reader: _Reader) -> _Reader:
@@ -518,14 +547,17 @@ def _commas(reader: _Reader) -> _Reader:
     return _Reader(read, lambda items, doc: ", ".join(reader.text(i, doc) for i in items))
 
 
-_STRING = _Reader(_Parser.need_string, lambda value, doc: _quote(value), True)
-_INT = _Reader(_Parser.need_int, lambda value, doc: str(value))
-_BOOL = _Reader(_Parser.need_bool, lambda value, doc: "true" if value else "false")
-_IDENT = _Reader(_Parser.need_ident, _same)
+_STRING = _token("STRING", None, None, _Parser.need_string, lambda value, doc: _quote(value), True)
+_INT = _token("INT", lambda p, text: not p.refused(text), int, _Parser.need_int,
+              lambda value, doc: str(value))
+_BOOL = _token("IDENT", lambda p, text: text in ("true", "false"), "true".__eq__,
+               _Parser.need_bool, lambda value, doc: "true" if value else "false")
+_IDENT = _token("IDENT", None, None, _Parser.expected, _same)
 # A reference to an entity by its id: ``end`` closes the block instead.
-_REF = _Reader(_Parser.need_name, _same)
+_REF = _token("IDENT", lambda p, text: text != "end", None, _Parser.expected, _same)
 # Prose: one ``note`` line per line of text.
-_NOTE = _Reader(lambda p, what: p.need_string("note text"), _STRING.text, True)
+_NOTE = _token("STRING", None, None, lambda p, what: p.need_string("note text"), _STRING.text,
+               True)
 _LENS = _Reader(_Parser.need_lens, _lens_text, True)
 # A data subject is written bare when it names a stakeholder.
 _SUBJECT = _Reader(_Parser.need_subject, lambda value, doc: value if (
@@ -601,7 +633,7 @@ class _Attr:
                  missing: str | None = None, default=MISSING, member: str | None = None):
         held, repeated = _held_class(hint)  # a tuple field: one item per line
         if reader is _ENUM:
-            reader = _Reader(lambda p, what: p.need_enum(held, what), lambda value, doc: value.value)
+            reader = _enum(held)
         elif reader is _NESTED:
             reader = _nested(held)
         self.key = key
@@ -678,8 +710,15 @@ class _Block:
                 self.attrs.append(_Attr(key, field, reader, hints[field], what,
                                         words[1] if len(words) > 1 else key, defaults[field]))
 
+        # For the parser: each header slot as a keyword or as (field, kind,
+        # accept, convert, read, what), each attribute by its key as (name,
+        # kind, accept, convert, read, what, repeated).
+        self.reads = tuple(slot if slot.__class__ is str else
+                           (slot.field, *slot.reader.token, slot.reader.read, slot.what)
+                           for slot in self.head)
         self.keys = None if attrs is None else {
-            a.key: (a.name, a.reader.read, a.what, a.gather is not None) for a in self.attrs}
+            a.key: (a.name, *a.reader.token, a.reader.read, a.what, a.gather is not None)
+            for a in self.attrs}
         self.gathered = [a for a in self.attrs if a.gather is not None]
         self.required = [a for a in self.attrs if a.member is None and a.default is MISSING]
         self.derived = derived  # fields the parser fills in after the block
@@ -896,7 +935,7 @@ _BLOCKS: dict[str, _Block] = {block.keyword: block for block in (
         ("id", _IDENT, "feedback id"),
     ), (
         ("date", "date", _STRING),
-        ("from", "source", _Reader(_Parser.need_name, _same, True),
+        ("from", "source", _Reader(_REF.read, _same, True, _REF.token),
          "a stakeholder id or market", "source"),
         ("note", "text", _NOTE),
         ("resulted", "resulted", _Reader(lambda p, what: p.need_name(what, m.QUALITY_ID_RE),

@@ -3,6 +3,7 @@ from __future__ import annotations
 import gc
 import json
 import random
+import sys
 import weakref
 from dataclasses import fields, is_dataclass, replace
 
@@ -14,7 +15,8 @@ from evrforge import dsl
 from evrforge import model as m
 
 from .conftest import FIXTURES
-from .support import base_doc, import_interchange, random_register, unvalidated_analysis_doc
+from .support import (FUZZ_PIECES, base_doc, import_interchange, random_register,
+                      unvalidated_analysis_doc)
 
 
 def parse_ok(text: str) -> m.RegisterDocument:
@@ -160,6 +162,40 @@ class TestParse:
             "found 'nope'",
         ]
 
+    def test_violations_are_placed_after_the_parse_in_any_order(self):
+        # P011 and P023 sit before the P090 reported during the parse, so
+        # their spans are located behind the last offset the parse located.
+        text = ('# placement\nregister "TM" phase concept\n'
+                'persona P1 "pat"\n  stakeholder NOBODY\nend\n'
+                'stakeholder ST1 "a"\n  kind direct\n  colour "blue"\nend\n')
+        result = dsl.parse_register(text, "v.evr")
+        assert [d.render() for d in result.diagnostics] == [
+            "ERROR P011 v.evr:3:1: persona P1 references unknown stakeholder 'NOBODY'",
+            "ERROR P023 v.evr:3:1: personas are not allowed in phase concept",
+            "WARNING P090 v.evr:8:3: unknown attribute key 'colour'",
+        ]
+        assert result.header == dsl.SourceSpan("v.evr", 2, 1, 2, 8)
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                        reason="this Python has no limit on int() digits")
+    def test_numbers_past_a_lowered_digit_limit_are_refused_in_place(self):
+        digits = "7" * 700
+        text = (f'register "d" phase concept\nsos S1 "cloud"\n  tier {digits}\nend\n'
+                f'corevalue 1 "privacy" rank {digits}\nend\n'
+                f'quality 1.{digits} "q" of 1 direction supports\nend\n')
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            result = dsl.parse_register(text, "d.evr")
+        finally:
+            sys.set_int_max_str_digits(old)
+        assert [d.render() for d in result.diagnostics] == [
+            "ERROR P021 d.evr:3:8: tier is out of range (700 digits)",
+            "ERROR P021 d.evr:5:28: priority rank is out of range (700 digits)",
+            "ERROR P012 d.evr:7:9: expected a quality id of the form N.M, "
+            "found a 702-character id",
+        ]
+
     def test_a_parser_is_freed_without_the_cyclic_collector(self):
         parser = dsl._Parser((FIXTURES / "tm_full.evr").read_text(encoding="utf-8"), "f.evr")
         parser.parse()
@@ -240,6 +276,79 @@ class TestBlockTable:
             (holder.id, "stakeholder note must not contain carriage returns"),
             (holder.id, "stakeholder region must not contain line breaks"),
         ]
+
+
+def _lexed(source: str) -> list[tuple]:
+    return list(dsl._lex(source, lambda *problem: None))[:-1]  # EOF left out
+
+
+# Every distinct token of the fixtures and of the fuzz soup, and numbers and
+# ids past a lowered digit limit.
+_TOKENS = list({tok[:3]: tok for tok in [
+    *(tok for path in sorted(FIXTURES.glob("*.evr"))
+      for tok in _lexed(path.read_text(encoding="utf-8"))),
+    *(tok for piece in FUZZ_PIECES for tok in _lexed(piece)),
+    *_lexed(f"{'7' * 700} 1.{'2' * 700} 1.1.{'3' * 650}-T1 {'0' * 641}"),
+]}.values())
+
+
+def _one_token_entries() -> list[tuple]:
+    """One attribute entry of the parser, ``(name, kind, accept, convert,
+    read, what, repeated)``, per reader of one token in the block table, with
+    ``repeated`` false."""
+    entries = {}
+    for block in dsl._BLOCKS.values():
+        heads = [slot for slot in block.reads if not isinstance(slot, str)]
+        for entry in heads + list((block.keys or {}).values()):
+            if entry[1] is not None:
+                entries.setdefault(entry[4], (*entry[:6], False))
+    return list(entries.values())
+
+
+def _outcome(call) -> tuple:
+    try:
+        return "value", call()
+    except dsl._SyntaxProblem as problem:
+        return "problem", problem.args
+
+
+class TestOneTokenReaders:
+    """``parse_attrs`` reads a value of one token in place; the reader's own
+    ``read`` must give the same value, or raise the same problem."""
+
+    def _compare(self):
+        parser = dsl._Parser("", "r.evr")
+        key, end, eof = ("IDENT", "k", "k", 0, 1), ("IDENT", "end", "end", 0, 3), ("EOF", "", "", 0, 0)
+
+        def fed(*tokens):
+            parser.tok, parser.pull = tokens[0], iter(tokens[1:]).__next__
+            return parser
+
+        entries = _one_token_entries()
+        assert len(entries) >= 20
+        for entry in entries:
+            name, read, what = entry[0], entry[4], entry[5]
+            for tok in _TOKENS:
+                values = {}
+                inline = _outcome(lambda: fed(key, tok, end, eof).parse_attrs({"k": entry}, values)
+                                  or values[name])
+                assert inline[0] == "problem" or parser.tok is eof, (entry, tok)
+                derived = _outcome(lambda: read(fed(tok, end, eof), what))
+                assert derived[0] == "problem" or parser.tok is end, (entry, tok)
+                assert inline == derived, (entry, tok)
+
+    def test_inline_and_derived_reads_agree(self):
+        self._compare()
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                        reason="this Python has no limit on int() digits")
+    def test_inline_and_derived_reads_agree_under_a_lowered_digit_limit(self):
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            self._compare()
+        finally:
+            sys.set_int_max_str_digits(old)
 
 
 def _listify(value):
