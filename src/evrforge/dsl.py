@@ -291,10 +291,11 @@ class _Parser:
         return _STRING.read(self, what)
 
     def need_attested(self, what: str) -> m.AttestationSubject:
+        at = self.tok
         word = _IDENT.read(self, what)
         if word not in _ATTESTED:
             *words, last = _ATTESTED
-            self.error(f"expected {', '.join(words)} or {last}, found {word!r}")
+            self.error(f"expected {', '.join(words)} or {last}, found {word!r}", at)
         kind, reader, ref_what = _ATTESTED[word]
         return m.AttestationSubject(kind, "" if reader is None else str(reader.read(self, ref_what)))
 

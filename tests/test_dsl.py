@@ -162,6 +162,14 @@ class TestParse:
             "found 'nope'",
         ]
 
+    def test_an_unknown_attestation_subject_is_reported_at_its_word(self):
+        text = ('register "x" phase concept\nattestation A1 bogus\n  by "n"\nend\n'
+                'stakeholder S1 "a"\n  kind direct\nend\n')
+        result = dsl.parse_register(text, "a.evr")
+        assert [d.render() for d in result.diagnostics] == [
+            "ERROR P001 a.evr:2:16: expected priority, risk, mission, decision or rule, "
+            "found 'bogus'"]
+
     def test_violations_are_placed_after_the_parse_in_any_order(self):
         # P011 and P023 sit before the P090 reported during the parse, so
         # their spans are located behind the last offset the parse located.
