@@ -1030,7 +1030,8 @@ _SCALARS = ((str, _ENCODE), (bool, {True: "true", False: "false"}.get), (int, in
 
 def _write(value, out: list, pad: str) -> None:
     """Append to ``out`` what ``json.dumps(indent=2, ensure_ascii=False)`` writes
-    for a model value at indentation ``pad``, dataclasses as objects, tuples as arrays."""
+    for a model value at indentation ``pad``: dataclasses and dicts as objects,
+    tuples as arrays."""
     cls = type(value)
     if cls is str:
         out.append(_ENCODE(value))
@@ -1056,10 +1057,27 @@ def _array(items, out: list, pad: str) -> None:
     out[-1] = "\n" + pad + "]"  # in place of the last comma
 
 
+def _dict(items: dict, out: list, pad: str) -> None:
+    """A dict of string keys as an object, in insertion order."""
+    if not items:
+        out.append("{}")
+        return
+    inner = pad + "  "
+    comma = ",\n" + inner
+    out.append("{\n" + inner)
+    for key, value in items.items():
+        out.append(_ENCODE(key) + ": ")
+        _write(value, out, inner)
+        out.append(comma)
+    out[-1] = "\n" + pad + "}"  # in place of the last comma
+
+
 def _writer(cls: type) -> Callable:
     """How ``_write`` writes a value of ``cls``; a dataclass's key plan is made once."""
     if cls is tuple or cls is list:
         return _array
+    if cls is dict:
+        return _dict
     if is_dataclass(cls):
         return _object(cls)
     for base, spell in _SCALARS:
@@ -1074,19 +1092,17 @@ def _object(cls: type) -> Callable:
     taken = {name for _, held in plan
              for name in ((held,) if isinstance(held, str) else held.values())}
     plan += [(f.name, f.name) for f in fields(cls) if f.name not in taken]
-    # A {key: field} object is handed to json as it is, its fields unconverted.
-    entries = [(_ENCODE(key) + ": ", attrgetter(held), _write) if isinstance(held, str) else
-               (_ENCODE(key) + ": ", lambda obj, held=held: {k: getattr(obj, name)
-                                                            for k, name in held.items()}, _json)
+    entries = [(_ENCODE(key) + ": ", attrgetter(held) if isinstance(held, str) else
+                lambda obj, held=held: {k: getattr(obj, name) for k, name in held.items()})
                for key, held in plan]
 
     def write_object(obj, out: list, pad: str) -> None:
         inner = pad + "  "
         comma = ",\n" + inner
         out.append("{\n" + inner)
-        for key, get, write in entries:
+        for key, get in entries:
             out.append(key)
-            write(get(obj), out, inner)
+            _write(get(obj), out, inner)
             out.append(comma)
         out[-1] = "\n" + pad + "}"  # in place of the last comma
 

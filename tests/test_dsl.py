@@ -522,3 +522,32 @@ def test_contract_checks_hold_under_python_O():
         "apply_inverse does not match the document fields ['feedback']",
         "1",
     ]
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("*.evr")))
+def test_the_pipeline_leaves_no_cyclic_garbage(name):
+    from evrforge import cli, rules, trace
+
+    def pipeline():
+        doc = dsl.parse_register(text, name).document
+        if doc is not None:
+            m.validate_register(doc)
+            findings = rules.run_rules(doc)
+            dsl.serialize_canonical(doc)
+            dsl.export_interchange(doc)
+            cli.render_audit_report(doc, findings)
+            trace.export_dot(doc)
+
+    text = (FIXTURES / name).read_text(encoding="utf-8")
+    pipeline()  # first uses build caches, which are kept
+    gc.collect()
+    flags = gc.get_debug()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        pipeline()
+        gc.collect()
+        garbage = [type(obj).__name__ for obj in gc.garbage]
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+    assert garbage == []
