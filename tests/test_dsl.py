@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evrforge import dsl
+from evrforge import cli, dsl, rules, trace
 from evrforge import model as m
 
 from .conftest import FIXTURES
@@ -326,7 +326,8 @@ class TestOneTokenReaders:
 
     def _compare(self):
         parser = dsl._Parser("", "r.evr")
-        key, end, eof = ("IDENT", "k", "k", 0, 1), ("IDENT", "end", "end", 0, 3), ("EOF", "", "", 0, 0)
+        key, end = ("IDENT", "k", "k", 0, 1), ("IDENT", "end", "end", 0, 3)
+        eof = ("EOF", "", "", 0, 0)
 
         def fed(*tokens):
             parser.tok, parser.pull = tokens[0], iter(tokens[1:]).__next__
@@ -526,8 +527,6 @@ def test_contract_checks_hold_under_python_O():
 
 @pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("*.evr")))
 def test_the_pipeline_leaves_no_cyclic_garbage(name):
-    from evrforge import cli, rules, trace
-
     def pipeline():
         doc = dsl.parse_register(text, name).document
         if doc is not None:
