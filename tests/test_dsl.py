@@ -15,7 +15,7 @@ from evrforge import cli, dsl, rules, trace
 from evrforge import model as m
 
 from .conftest import FIXTURES
-from .support import (FUZZ_PIECES, base_doc, import_interchange, random_register,
+from .support import (FUZZ_PIECES, base_doc, fuzz_source, import_interchange, random_register,
                       unvalidated_analysis_doc)
 
 
@@ -184,6 +184,19 @@ class TestParse:
         ]
         assert result.header == dsl.SourceSpan("v.evr", 2, 1, 2, 8)
 
+    def test_a_carriage_return_in_a_string_is_p037(self):
+        # ``parse_register`` itself: ``check`` reads every "\r" as a line end.
+        text = ('register "x\ry" phase concept\nstakeholder S1 "a\rb"\n  kind direct\n'
+                '  note "one\rtwo"\nend\n')
+        result = dsl.parse_register(text, "a.evr")
+        assert [d.render() for d in result.diagnostics] == [
+            "ERROR P037 a.evr:1:1: register name must not contain line breaks",
+            "ERROR P037 a.evr:1:1: soi name must not contain line breaks",
+            "ERROR P037 a.evr:2:1: stakeholder name must not contain line breaks",
+            "ERROR P037 a.evr:2:1: stakeholder note must not contain carriage returns",
+        ]
+        assert result.document is None
+
     @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
                         reason="this Python has no limit on int() digits")
     def test_numbers_past_a_lowered_digit_limit_are_refused_in_place(self):
@@ -284,6 +297,24 @@ class TestBlockTable:
             (holder.id, "stakeholder note must not contain carriage returns"),
             (holder.id, "stakeholder region must not contain line breaks"),
         ]
+
+    def test_a_source_without_a_carriage_return_parses_to_no_p037(self):
+        """No token but a string can hold a line break, a string cannot hold a
+        line feed, and notes join their lines with line feeds, which prose may
+        hold: so only a source with a carriage return can give P037."""
+        rng = random.Random(1717)
+        sources = [*(path.read_text(encoding="utf-8") for path in sorted(FIXTURES.glob("*.evr"))),
+                   *(dsl.serialize_canonical(random_register(random.Random(seed)))
+                     for seed in range(100)),
+                   *(fuzz_source(rng) for _ in range(3000))]
+        documents = 0
+        for source in sources:
+            assert "\r" not in source
+            doc = dsl.parse_register(source, "p.evr").document
+            if doc is not None:
+                documents += 1
+                assert [v for v in m.validate_register(doc) if v.code == "P037"] == [], source
+        assert documents > 300
 
 
 def _lexed(source: str) -> list[tuple]:
