@@ -185,8 +185,9 @@ class _Parser:
     ``parse_block`` and ``parse_attrs`` read a one-token value in place, by
     its reader's token kind and test (see ``_Reader``); a value of several
     tokens, or a token that fails the test, goes to the reader's ``read``.
-    ``spans`` keeps the offsets of each block header by id, and of the
-    ``register`` keyword; only the spans a result shows are located."""
+    ``spans`` keeps the offsets of each block header by id, and ``header``
+    those of the ``register`` keyword; only the spans a result shows are
+    located."""
 
     def __init__(self, source: str, file: str):
         self.diags: list[ParseDiagnostic] = []
@@ -203,6 +204,7 @@ class _Parser:
         self.pull = _lex(source, report).__next__
         self.tok = self.pull()
         self.spans: dict[str, tuple[int, int]] = {}
+        self.header: tuple[int, int] | None = None
         # int() refuses numbers with more digits than this; 0 means no limit,
         # and Python before 3.10.7 has none.
         self.max_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
@@ -338,8 +340,7 @@ class _Parser:
                 return
 
     def parse_header(self) -> None:
-        head = self.need_keyword("register")
-        self.spans.setdefault("register", head[3:])
+        self.header = self.need_keyword("register")[3:]
         self.project_name = _STRING.read(self, "project name")
         if self.tok[0] == "IDENT" and self.tok[2] == "version":
             self.advance()
@@ -450,14 +451,16 @@ def parse_register(source_text: str, file_name: str = "<register>") -> ParseResu
     parser.parse()
     diagnostics = parser.diags
 
-    spans, locate = parser.spans, parser.locate
-    header = spans.get("register")
+    spans, header, locate = parser.spans, parser.header, parser.locate
     doc = None
     if not any(d.severity == "error" for d in diagnostics):
         doc = parser.build_document()
         for violation in m.validate_register(doc):
-            # By id; else at the header, or at the start of a source without one.
-            span = locate(*spans.get(violation.subject, header or (0, 0)))
+            # A document-level violation at the header; else by id, else at
+            # the header, or at the start of a source without one.
+            subject = violation.subject
+            where = header if subject == "register" else spans.get(subject, header)
+            span = locate(*(where or (0, 0)))
             diagnostics.append(ParseDiagnostic(span, "error", violation.code,
                                                violation.message))
 

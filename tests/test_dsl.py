@@ -184,6 +184,24 @@ class TestParse:
         ]
         assert result.header == dsl.SourceSpan("v.evr", 2, 1, 2, 8)
 
+    @pytest.mark.parametrize("source", ['sos register "x"\nend\n',
+                                        'stakeholder register "x"\n  kind direct\nend\n'])
+    def test_an_entity_named_register_is_not_the_header(self, source):
+        result = dsl.parse_register(source, "r.evr")
+        assert result.header is None
+        assert result.diagnostics[0].render() == (
+            "ERROR P001 r.evr:1:1: expected keyword 'register', found "
+            + repr(source.split()[0]))
+
+    def test_a_document_level_violation_is_placed_at_the_header(self):
+        text = ('# header\nregister "x" phase exploration\n'
+                'stakeholder register "a"\n  kind direct\nend\n')
+        result = dsl.parse_register(text, "h.evr")
+        assert [d.render() for d in result.diagnostics] == [
+            "ERROR P029 h.evr:2:1: concept of operation must be recorded before phase "
+            "exploration"]
+        assert result.header == dsl.SourceSpan("h.evr", 2, 1, 2, 8)
+
     def test_a_carriage_return_in_a_string_is_p037(self):
         # ``parse_register`` itself: ``check`` reads every "\r" as a line end.
         text = ('register "x\ry" phase concept\nstakeholder S1 "a\rb"\n  kind direct\n'
