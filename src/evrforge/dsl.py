@@ -100,7 +100,9 @@ class ParseResult:
 # that ends with the EOF match.  Neither strings nor comments span lines.  A
 # string matches up to its closing quote or the end of the line, whatever its
 # escapes, so malformed strings need no second pass.  Character classes are
-# spelled out because the format is ASCII-only (no \d, \w).
+# spelled out because the format is ASCII-only (no \d, \w).  The lexer tells
+# the kinds apart by the number of the group that matched, ``lastindex``:
+# STRING's group closes after its ``close`` group, so it is STRING's number.
 _TOKEN_RE = re.compile(
     r'[ \t\r\n]*(?:'
     r'(?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)'
@@ -113,6 +115,13 @@ _TOKEN_RE = re.compile(
     r'|(?P<ILLEGAL>[^ \t\r\n]))'
 )
 _ESCAPE_RE = re.compile(r'\\(.?)')
+_GROUP = _TOKEN_RE.groupindex  # kind -> group number
+# By group number, the kind of a token of one lexeme that is also its value
+# (IDENT, DOTTED, INT, COMMA); None for the groups ``_lex`` handles apart.
+_LEXEME_KIND = tuple(None if kind in ("STRING", "close", "COMMENT", "EOF", "ILLEGAL") else kind
+                     for kind in (None, *sorted(_GROUP, key=_GROUP.get)))
+_STRING_GROUP, _CLOSE_GROUP, _EOF_GROUP, _ILLEGAL_GROUP = (
+    _GROUP[kind] for kind in ("STRING", "close", "EOF", "ILLEGAL"))
 
 
 def _locator(source: str, file: str) -> Callable[[int, int], SourceSpan]:
@@ -147,27 +156,33 @@ def _unescape(body: str, start: int, report: Callable) -> str:
 def _lex(source: str, report: Callable) -> Iterator[tuple]:
     """The tokens of ``source``, ending with one EOF token, made as they are
     pulled; lexical problems go to ``report(code, message, start, end)`` in
-    source order."""
+    source order.  A match is dispatched on its group number: a token of one
+    lexeme starts where the match ends less the lexeme's length."""
     for match in _TOKEN_RE.finditer(source):
-        kind = match.lastgroup
-        start, end = match.span(kind)
-        if kind == "STRING":
-            lexeme = source[start:end]
-            closed = match["close"]
+        group = match.lastindex
+        kind = _LEXEME_KIND[group]
+        if kind is not None:
+            lexeme = match[group]
+            end = match.end()
+            yield (kind, lexeme, lexeme, end - len(lexeme), end)
+        elif group == _STRING_GROUP:
+            lexeme = match[group]
+            end = match.end()
+            start = end - len(lexeme)
+            closed = match[_CLOSE_GROUP]
             value = lexeme[1:-1] if closed else lexeme[1:]
             if "\\" in value:
                 value = _unescape(value, start + 1, report)
             if not closed:
                 report("P002", "unterminated string", start, end)
-            yield (kind, lexeme, value, start, end)
-        elif kind == "ILLEGAL":
-            report("P004", f"illegal character {source[start]!r}", start, start)
-        elif kind == "EOF":
-            yield (kind, "", "", start, end)
+            yield ("STRING", lexeme, value, start, end)
+        elif group == _EOF_GROUP:
+            end = match.end()
+            yield ("EOF", "", "", end, end)
             return
-        elif kind != "COMMENT":
-            lexeme = source[start:end]
-            yield (kind, lexeme, lexeme, start, end)
+        elif group == _ILLEGAL_GROUP:
+            start = match.end() - 1
+            report("P004", f"illegal character {source[start]!r}", start, start)
 
 
 # ---------------------------------------------------------------------------
