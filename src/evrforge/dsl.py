@@ -461,6 +461,11 @@ def parse_register(source_text: str, file_name: str = "<register>") -> ParseResu
 
     The document is present exactly when no error-severity diagnostic was
     produced.  Empty (or comment-only) input parses to an empty register.
+
+    Only a source with a carriage return can give P037, so a source without
+    one is validated without the line-break walk: no token but a string can
+    hold a line break, a string holds no line feed, and a note's lines are
+    joined by line feeds, which prose may hold.
     """
     parser = _Parser(source_text, file_name)
     parser.parse()
@@ -470,7 +475,7 @@ def parse_register(source_text: str, file_name: str = "<register>") -> ParseResu
     doc = None
     if not any(d.severity == "error" for d in diagnostics):
         doc = parser.build_document()
-        for violation in m.validate_register(doc):
+        for violation in m.validate_register(doc, line_breaks="\r" in source_text):
             # A document-level violation at the header; else by id, else at
             # the header, or at the start of a source without one.
             subject = violation.subject

@@ -708,13 +708,19 @@ def _well_formed_date(value: str) -> bool:
     return True
 
 
-def validate_register(doc: RegisterDocument) -> tuple[Violation, ...]:
+def validate_register(doc: RegisterDocument, *,
+                      line_breaks: bool = True) -> tuple[Violation, ...]:
     """Check every structural invariant and return all breaches found.
 
     An empty result means the document is structurally valid: ids unique,
     references resolved, numbering coherent and contiguous, content
     consistent with the lifecycle phase, and all field-level constraints
     satisfied.
+
+    ``line_breaks=False`` leaves out the walk over every string for line
+    breaks the text format cannot carry (P037).  It is for a caller that
+    knows no string can hold one, as ``dsl.parse_register`` knows of a
+    source without a carriage return.
     """
     out: list[Violation] = []
 
@@ -958,8 +964,9 @@ def validate_register(doc: RegisterDocument) -> tuple[Violation, ...]:
         bad("P029", "register", f"concept of operation must be recorded before phase {doc.phase.value}")
 
     # Which strings must keep to one line is declared by the text format.
-    from .dsl import _check_line_breaks
-    _check_line_breaks(doc, bad)
+    if line_breaks:
+        from .dsl import _check_line_breaks
+        _check_line_breaks(doc, bad)
 
     return tuple(out)
 
