@@ -65,6 +65,96 @@ def _with_demand(demand: m.ProtectionDemand) -> dict:
     return dict(_CHAIN, evrs=(replace(_CHAIN["evrs"][0], protection_demand=demand),))
 
 
+_TWO_EVRS = dict(_CHAIN, evrs=(*_CHAIN["evrs"], m.Evr(id="1.1.2", quality="1.1", text="y")))
+
+
+def _control(cid: str, threats: tuple, **kw) -> m.Control:
+    return m.Control(id=cid, threats=threats, form=m.ControlForm.PROCEDURAL, **kw)
+
+
+# One document that breaks most sections of validate_register at once, to pin
+# their order: id shapes, ranks, scores, prefixes, EVR and control fields,
+# references, numbering, flows, lenses, dates, attestations, the mission,
+# the no-go decision, feedback, aliases, phase gating and the concept of operation.
+_MANY_SECTIONS = dict(
+    soi=m.Soi(name="TM"),
+    sos_elements=(m.SosElement(id="S1", name="cloud", cooperation_type=m.CooperationType.VIRTUAL, tier=0),),
+    stakeholders=(m.Stakeholder(id="ST1", name="users", kind=m.StakeholderKind.DIRECT),
+                  m.Stakeholder(id="bad id", name="others", kind=m.StakeholderKind.DIRECT),
+                  m.Stakeholder(id="ST1", name="again", kind=m.StakeholderKind.DIRECT)),
+    contexts=(m.ContextOfUse(id="CTX1", name="clinic", data_flows=(m.DataFlow("phone", "", ""),)),
+              m.ContextOfUse(id="CTX2", name="home", captured=m.CaptureStage.POST_DEPLOYMENT)),
+    sessions=(m.ElicitationSession(id="SES1", date="2020-02-30", participants=("ST1",),
+                                   lenses_used=(m.Lens(m.LensKind.CULTURAL),)),),
+    statements=(m.ValueStatement(id="V1", session="SES1", stakeholder="ST1",
+                                 lens=m.Lens(m.LensKind.DUTY, "kantian ethics")),),
+    core_values=(m.CoreValue(id=1, name="a", priority_rank=1,
+                             hierarchy_scores=m.HierarchyScores(6, 4, 4, 4, 4)),
+                 m.CoreValue(id=2, name="b", priority_rank=3)),
+    qualities=(m.ValueQuality(id="1.1", core_value=1, name="q"),
+               m.ValueQuality(id="2.1", core_value=1, name="r")),
+    evrs=(m.Evr(id="1.1.1", quality="1.1", text="x", risk_path=m.RiskPath.HIGH,
+                threshold=m.Threshold("wait", "~", "2 days")),
+          m.Evr(id="E9", quality="1.1", text="y", protection_demand=m.ProtectionDemand(5, ""))),
+    threats=(m.Threat(id="1.1.1-T1", evr="1.1.1"), m.Threat(id="1.1.2-T1", evr="1.1.1")),
+    controls=(_control("C9", ("1.1.1-T1",)),
+              _control("1.1.1-C1", ("1.1.2-T1",), rigor=7, status=m.ControlStatus.IMPLEMENTED),
+              _control("1.1.1-C2", ())),
+    dispositions=(m.ValueDisposition(id="D1", soi_component="app", implements=()),),
+    functional_requirements=(m.FunctionalRequirement(id="1.1.1"),),
+    personas=(m.Persona(id="P1", name="n", stakeholder="ST1", kind=m.StakeholderKind.INDIRECT),
+              m.Persona(id="P2", name="o", stakeholder="NOPE", kind=m.StakeholderKind.DIRECT)),
+    attestations=(m.Attestation(id="A1", subject=m.AttestationSubject(m.SubjectKind.PRIORITY_DECISION, "99"),
+                                signatory_name="", signatory_role=m.SignatoryRole.EXECUTIVE, date="soon"),),
+    mission=m.ValueMission(text="b first", featured=(2,)),
+    investment_decision=m.InvestmentDecision(m.Verdict.NO_GO),
+    feedback=(m.FeedbackEntry(id="FB1", source="nobody", date="later"),),
+    alias_map={"a": "a"},
+)
+_MANY_SECTIONS_FOUND = [
+    ('P010', 'ST1', "duplicate stakeholder id 'ST1'"),
+    ('P012', 'bad id', "stakeholder id 'bad id' is not identifier-shaped"),
+    ('P012', '1.1.1', "functional requirement id '1.1.1' is not identifier-shaped"),
+    ('P010', '1.1.1', 'functional requirement id collides with an ethical requirement id'),
+    ('P022', 'register', 'priority ranks do not form a permutation of 1..2'),
+    ('P021', '1', 'hierarchy score endurance must be 1..5, got 6'),
+    ('P013', '2.1', 'quality id prefix 2 does not match parent core value 1'),
+    ('P012', 'E9', "EVR id 'E9' is not of the form N.M.K"),
+    ('P020', '1.1.1', "threshold comparator '~' is not one of </<=/=/>=/>"),
+    ('P032', '1.1.1', 'high-risk EVR 1.1.1 has no protection demand'),
+    ('P021', 'E9', 'protection demand must be 1..4, got 5'),
+    ('P033', 'E9', 'protection demand on EVR E9 has no rationale'),
+    ('P015', '1.1.2-T1', 'threat id prefix does not match its EVR'),
+    ('P012', 'C9', "control id 'C9' is not of the form N.M.K-Cj"),
+    ('P024', '1.1.1-C1', 'control 1.1.1-C1 references threat 1.1.2-T1 outside its EVR 1.1.1'),
+    ('P021', '1.1.1-C1', 'control rigor must be 1..4, got 7'),
+    ('P025', '1.1.1-C1', 'implemented control 1.1.1-C1 names no implementing disposition'),
+    ('P011', '1.1.1-C2', 'control 1.1.1-C2 mitigates no threats'),
+    ('P011', 'P2', "persona P2 references unknown stakeholder 'NOPE'"),
+    ('P016', '1', 'quality numbering under core value 1 is not contiguous from 1'),
+    ('P026', 'D1', 'disposition D1 implements no controls'),
+    ('P021', 'S1', 'SOS element tier must be >= 1, got 0'),
+    ('P017', 'CTX1', "data flow source 'phone' is not a declared element"),
+    ('P017', 'CTX1', "data flow sink '' is not a declared element"),
+    ('P017', 'CTX1', "data flow type '' is not a declared data type"),
+    ('P030', 'SES1', 'cultural lens carries no framework name'),
+    ('P031', 'SES1', "session date '2020-02-30' is not an ISO date"),
+    ('P030', 'V1', 'duty lens must not carry a framework name'),
+    ('P035', 'P1', "persona P1 kind indirect differs from its stakeholder's kind direct"),
+    ('P031', 'A1', 'attestation A1 has an empty signatory name'),
+    ('P031', 'A1', "attestation A1 date 'soon' is not an ISO date"),
+    ('P011', 'A1', "attestation A1 endorses unknown core value '99'"),
+    ('P027', 'register', 'mission featured values are not a prefix of the priority order'),
+    ('P028', 'register', 'no-go decision has no rationale'),
+    ('P028', 'register', 'no-go decision carries no executive attestation'),
+    ('P011', 'FB1', "feedback FB1 source 'nobody' is neither a stakeholder nor 'market'"),
+    ('P031', 'FB1', "feedback date 'later' is not an ISO date"),
+    ('P019', 'a', "alias 'a' maps to itself"),
+    ('P023', 'CTX2', 'post-deployment contexts are not allowed in phase design'),
+    ('P029', 'register', 'concept of operation must be recorded before phase design'),
+]
+
+
 def _no_go_signed_by(role: m.SignatoryRole) -> dict:
     """A no-go decision with a rationale, attested only by ``role``."""
     return dict(
@@ -315,12 +405,79 @@ class TestValidation:
         (m.Phase.EXPLORATION, _no_go_signed_by(m.SignatoryRole.ENGINEER),
          [("P028", "register", "no-go decision carries no executive attestation")]),
         (m.Phase.EXPLORATION, _no_go_signed_by(m.SignatoryRole.EXECUTIVE), []),
+        (m.Phase.DESIGN, dict(_CHAIN, threats=(m.Threat(id="1.1.2-T1", evr="1.1.1"),)),
+         [("P015", "1.1.2-T1", "threat id prefix does not match its EVR")]),
+        (m.Phase.DESIGN, dict(_TWO_EVRS, threats=(m.Threat(id="1.1.2-T1", evr="1.1.2"),),
+                              controls=(_control("1.1.1-C1", ("1.1.2-T1",)),)),
+         [("P024", "1.1.1-C1", "control 1.1.1-C1 references threat 1.1.2-T1 outside its EVR 1.1.1")]),
+        (m.Phase.CONCEPT, dict(contexts=(m.ContextOfUse(
+            id="CTX1", name="clinic", data_elements=("app",), data_types=("record",),
+            data_flows=(m.DataFlow("phone", "cloud", "video"),)),)),
+         [("P017", "CTX1", "data flow source 'phone' is not a declared element"),
+          ("P017", "CTX1", "data flow sink 'cloud' is not a declared element"),
+          ("P017", "CTX1", "data flow type 'video' is not a declared data type")]),
+        (m.Phase.DESIGN, dict(dispositions=(m.ValueDisposition(id="D1", soi_component="app", implements=()),)),
+         [("P026", "D1", "disposition D1 implements no controls")]),
+        (m.Phase.EXPLORATION, dict(soi=m.Soi(name="TM", concept_of_operation="  ")),
+         [("P029", "register", "concept of operation must be recorded before phase exploration")]),
+        (m.Phase.EXPLORATION, dict(sessions=(m.ElicitationSession(id="SES1", date="2020-02-30"),)),
+         [("P031", "SES1", "session date '2020-02-30' is not an ISO date")]),
+        (m.Phase.EXPLORATION, dict(attestations=(m.Attestation(
+            id="A1", subject=m.AttestationSubject(m.SubjectKind.RULE, "VBE-C08"), signatory_name="Jane Doe",
+            signatory_role=m.SignatoryRole.VALUE_EXPERT, date="1 April 2020"),)),
+         [("P031", "A1", "attestation A1 date '1 April 2020' is not an ISO date")]),
+        (m.Phase.DESIGN, dict(feedback=(m.FeedbackEntry(id="FB1", source="market", date="2020-4-1"),)),
+         [("P031", "FB1", "feedback date '2020-4-1' is not an ISO date")]),
+        (m.Phase.CONCEPT, dict(mission=m.ValueMission(text="privacy first")),
+         [("P023", "register", "a mission is not allowed in phase concept")]),
+        (m.Phase.CONCEPT, dict(investment_decision=m.InvestmentDecision(m.Verdict.GO)),
+         [("P023", "register", "an investment decision is not allowed in phase concept")]),
+        (m.Phase.DESIGN, dict(contexts=(m.ContextOfUse(
+            id="CTX1", name="clinic", captured=m.CaptureStage.POST_DEPLOYMENT),)),
+         [("P023", "CTX1", "post-deployment contexts are not allowed in phase design")]),
+        (m.Phase.EXPLORATION, dict(_CHAIN, qualities=(m.ValueQuality(
+            id="1.1", core_value=1, name="q", source=m.QualitySource.POST_DEPLOYMENT),)),
+         [("P023", "1.1", "post-deployment qualities are not allowed in phase exploration")]),
+        (m.Phase.DESIGN, dict(_CHAIN, controls=(_control("1.1.1-C1", ()),)),
+         [("P011", "1.1.1-C1", "control 1.1.1-C1 mitigates no threats")]),
+        (m.Phase.EXPLORATION, dict(_CHAIN, evrs=(replace(_CHAIN["evrs"][0], threshold=m.Threshold(
+            "wait", "~", "2 days")),)),
+         [("P020", "1.1.1", "threshold comparator '~' is not one of </<=/=/>=/>")]),
+        (m.Phase.EXPLORATION, dict(core_values=(m.CoreValue(id=2, name="b", priority_rank=2),
+                                                m.CoreValue(id=1, name="a", priority_rank=1))),
+         [("P016", "2", "core value ids must run 1..2 in order; found 2 at position 1"),
+          ("P016", "1", "core value ids must run 1..2 in order; found 1 at position 2")]),
+        (m.Phase.DESIGN, dict(
+            core_values=_CHAIN["core_values"], qualities=(m.ValueQuality(id="1.2", core_value=1, name="q"),),
+            evrs=(m.Evr(id="1.2.2", quality="1.2", text="x"),),
+            threats=(m.Threat(id="1.2.2-T2", evr="1.2.2"),),
+            controls=(_control("1.2.2-C2", ("1.2.2-T2",)),)),
+         [("P016", "1", "quality numbering under core value 1 is not contiguous from 1"),
+          ("P016", "1.2", "EVR numbering under quality 1.2 is not contiguous from 1"),
+          ("P016", "1.2.2", "threat numbering under EVR 1.2.2 is not contiguous from 1"),
+          ("P016", "1.2.2", "control numbering under EVR 1.2.2 is not contiguous from 1")]),
+        (m.Phase.EXPLORATION, dict(core_values=(m.CoreValue(id=1, name="a", priority_rank=1),
+                                                m.CoreValue(id=2, name="b", priority_rank=3))),
+         [("P022", "register", "priority ranks do not form a permutation of 1..2")]),
+        (m.Phase.EXPLORATION, dict(core_values=(m.CoreValue(id=1, name="a", priority_rank=1),
+                                                m.CoreValue(id=2, name="b", priority_rank=2)),
+                                   mission=m.ValueMission(text="b first", featured=(2,))),
+         [("P027", "register", "mission featured values are not a prefix of the priority order")]),
+        (m.Phase.EXPLORATION, dict(_CHAIN, evrs=(replace(_CHAIN["evrs"][0], risk_path=m.RiskPath.HIGH),)),
+         [("P032", "1.1.1", "high-risk EVR 1.1.1 has no protection demand")]),
+        (m.Phase.DESIGN, _MANY_SECTIONS, _MANY_SECTIONS_FOUND),
     ], ids=["P010-funcreq-evr-id", "P021-hierarchy-score", "P021-protection-demand",
             "P021-control-rigor", "P021-sos-tier", "P033-blank-rationale", "P035-persona-kind",
             "P031-blank-signatory", "P019-self-alias", "P030-utilitarian-framework",
-            "P028-no-go-engineer", "P028-no-go-executive"])
+            "P028-no-go-engineer", "P028-no-go-executive", "P015-threat-prefix",
+            "P024-threat-outside-evr", "P017-flow", "P026-no-controls", "P029-no-conop",
+            "P031-session-date", "P031-attestation-date", "P031-feedback-date", "P023-mission",
+            "P023-investment-decision", "P023-post-deployment-context",
+            "P023-post-deployment-quality", "P011-no-threats", "P020-comparator",
+            "P016-core-value-order", "P016-numbering", "P022-ranks", "P027-mission-prefix",
+            "P032-no-demand", "many-sections-in-order"])
     def test_field_checks_report_exactly(self, phase, overrides, expected):
-        violations = m.validate_register(base_doc(phase, **overrides))
+        violations = m.validate_register(replace(base_doc(phase), **overrides))
         assert [(v.code, v.subject, v.message) for v in violations] == expected
 
     def test_generated_registers_are_valid(self):
