@@ -200,9 +200,9 @@ class _Parser:
     ``parse_block`` and ``parse_attrs`` read a one-token value in place, by
     its reader's token kind and test (see ``_Reader``); a value of several
     tokens, or a token that fails the test, goes to the reader's ``read``.
-    ``spans`` keeps the offsets of each block header by id, and ``header``
-    those of the ``register`` keyword; only the spans a result shows are
-    located."""
+    ``spans`` keeps the offsets of each block header by kind and id (kind
+    None for an alias), and ``header`` those of the ``register`` keyword;
+    only the spans a result shows are located."""
 
     def __init__(self, source: str, file: str):
         self.diags: list[ParseDiagnostic] = []
@@ -218,7 +218,7 @@ class _Parser:
         self.report = report
         self.pull = _lex(source, report).__next__
         self.tok = self.pull()
-        self.spans: dict[str, tuple[int, int]] = {}
+        self.spans: dict[tuple[str | None, str], tuple[int, int]] = {}
         self.header: tuple[int, int] | None = None
         # int() refuses numbers with more digits than this; 0 means no limit,
         # and Python before 3.10.7 has none.
@@ -384,7 +384,7 @@ class _Parser:
                 value = read(self, what)
             values[field] = value
             if field == id_field:
-                self.spans.setdefault(str(value), head[3:])
+                self.spans.setdefault((block.kind, str(value)), head[3:])
         if block.keys is not None:
             self.parse_attrs(block.keys, values)
         if block.from_project:
@@ -476,10 +476,11 @@ def parse_register(source_text: str, file_name: str = "<register>") -> ParseResu
     if not any(d.severity == "error" for d in diagnostics):
         doc = parser.build_document()
         for violation in m.validate_register(doc, line_breaks="\r" in source_text):
-            # A document-level violation at the header; else by id, else at
-            # the header, or at the start of a source without one.
-            subject = violation.subject
-            where = header if subject == "register" else spans.get(subject, header)
+            # A document-level violation at the header; else by kind and id,
+            # else at the header, or at the start of a source without one.
+            kind, subject = violation.kind, violation.subject
+            where = (header if kind is None and subject == "register"
+                     else spans.get((kind, subject), header))
             span = locate(*(where or (0, 0)))
             diagnostics.append(ParseDiagnostic(span, "error", violation.code,
                                                violation.message))
@@ -707,6 +708,7 @@ class _Block:
         self.slot = slot  # the document field holding blocks of this kind
         self.cls = cls = _Alias if slot == "alias_map" else _held_class(_DOCUMENT_HINTS[slot])[0]
         self.single = slot not in m.ENTITY_KINDS and cls is not _Alias
+        self.kind = slot if slot in m.ENTITY_KINDS else None  # the kind its violations name
         self.noun = noun or m.ENTITY_KINDS.get(slot, (keyword,))[0]
         self.from_project = from_project  # a field that defaults to the project name
         hints = typing.get_type_hints(cls)
@@ -1002,13 +1004,13 @@ def serialize_canonical(doc: m.RegisterDocument) -> str:
 
 
 def _check_line_breaks(doc: m.RegisterDocument, bad: Callable) -> None:
-    """Report P037 through ``bad(code, subject, message)`` for a string the
+    """Report P037 through ``bad(code, subject, message, kind)`` for a string the
     text format cannot carry: a line break in a single-line string, or a
     carriage return in prose (notes), which may hold line feeds."""
 
-    def report(subject: str, label: str, prose: bool) -> None:
+    def report(subject: str, label: str, prose: bool, kind: str | None = None) -> None:
         bad("P037", subject, f"{label} must not contain "
-                             + ("carriage returns" if prose else "line breaks"))
+                             + ("carriage returns" if prose else "line breaks"), kind)
 
     for field in ("name", "version"):
         if "\n" in getattr(doc.project, field) or "\r" in getattr(doc.project, field):
@@ -1023,7 +1025,7 @@ def _check_line_breaks(doc: m.RegisterDocument, bad: Callable) -> None:
                     for text in [getattr(item, name) for name in names] if names else (item,):
                         if "\r" in text or (not prose and "\n" in text):
                             report("register" if block.single
-                                   else str(getattr(obj, block.id_field)), label, prose)
+                                   else str(getattr(obj, block.id_field)), label, prose, block.kind)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ import re
 from dataclasses import MISSING, FrozenInstanceError, dataclass, field, fields, replace
 from enum import Enum
 from functools import cached_property
+from itertools import chain
 from operator import attrgetter
 from reprlib import recursive_repr
 
@@ -221,8 +222,9 @@ class Verdict(str, Enum):
 THRESHOLD_COMPARATORS = ("<", "<=", "=", ">=", ">")
 
 IDENT_RE = re.compile(r"^(?!end\Z)[A-Za-z_][A-Za-z0-9_]*\Z")  # ``end`` closes a block
+# A numbered id's groups are its prefix, which names its parent, and its number.
 QUALITY_ID_RE = re.compile(r"^([1-9][0-9]*)\.([1-9][0-9]*)\Z")
-EVR_ID_RE = re.compile(r"^([1-9][0-9]*)\.([1-9][0-9]*)\.([1-9][0-9]*)\Z")
+EVR_ID_RE = re.compile(r"^([1-9][0-9]*\.[1-9][0-9]*)\.([1-9][0-9]*)\Z")
 THREAT_ID_RE = re.compile(r"^([1-9][0-9]*\.[1-9][0-9]*\.[1-9][0-9]*)-T([1-9][0-9]*)\Z")
 CONTROL_ID_RE = re.compile(r"^([1-9][0-9]*\.[1-9][0-9]*\.[1-9][0-9]*)-C([1-9][0-9]*)\Z")
 
@@ -230,6 +232,42 @@ CONTROL_ID_RE = re.compile(r"^([1-9][0-9]*\.[1-9][0-9]*\.[1-9][0-9]*)-C([1-9][0-
 def control_parent(control_id: str) -> str | None:
     m = CONTROL_ID_RE.match(control_id)
     return m.group(1) if m else None
+
+
+def _checked(code: str, test, message: str, default=MISSING):
+    """A record field with the check ``validate_register`` makes of its
+    value: ``code`` where ``test(value)`` is false, with ``message``
+    formatted with the entity's ``id``, the ``value`` and the ``field``."""
+    return field(default=default, metadata={"check": (code, test, message)})
+
+
+def _range(what: str, low: int, high: int) -> tuple:
+    """The P021 check of a number from ``low`` to ``high``."""
+    return "P021", lambda value: low <= value <= high, f"{what} must be {low}..{high}, got {{value}}"
+
+
+def _date(message: str, default=MISSING):
+    """A date field, P031 unless it is a real day written ``YYYY-MM-DD`` or,
+    where it defaults to "", empty.  The date must read back as itself, so
+    the rule is the same on every supported Python: from 3.11
+    ``date.fromisoformat`` also reads ``20200401`` and ``2020-W14-3``."""
+    read = datetime.date.fromisoformat
+
+    def test(value: str) -> bool:
+        try:
+            return (not value and default == "") or read(value).isoformat() == value
+        except ValueError:
+            return False
+    return _checked("P031", test, message, default)
+
+
+def _floor(phase: Phase, what: str, gated=None, default=None):
+    """A field whose value ``gated``, or without one any value but None, is
+    allowed only from ``phase`` on; P023 names it ``what``."""
+    return field(default=default, metadata={"floor": (phase, what, gated)})
+
+
+_SCORE = _range("hierarchy score {field}", 1, 5)
 
 
 @record
@@ -256,7 +294,7 @@ class SosElement:
     id: str
     name: str
     cooperation_type: CooperationType
-    tier: int = 1
+    tier: int = _checked("P021", lambda value: not value < 1, "SOS element tier must be >= 1, got {value}", 1)
     processes_personal_data: bool = False
     in_ethical_scope: bool = False
     access_to_enabling_elements: bool = False
@@ -299,7 +337,8 @@ class ContextOfUse:
 
     id: str
     name: str
-    captured: CaptureStage = CaptureStage.PRE_DESIGN
+    captured: CaptureStage = _floor(Phase.DEPLOYMENT, "post-deployment contexts are",
+                                    CaptureStage.POST_DEPLOYMENT, CaptureStage.PRE_DESIGN)
     data_elements: tuple[str, ...] = ()
     data_flows: tuple[DataFlow, ...] = ()
     data_subjects: tuple[str, ...] = ()
@@ -315,13 +354,22 @@ class Lens:
     kind: LensKind
     framework: str = ""
 
+    def _problem(self) -> str | None:
+        """What breaks the lens rule, checked on every lens a document
+        holds: a cultural lens names its framework, any other names none."""
+        if self.kind is LensKind.CULTURAL:
+            return None if self.framework.strip() else "cultural lens carries no framework name"
+        return "{value.kind.value} lens must not carry a framework name" if self.framework else None
+
+    _rule = ("P030", _problem)
+
 
 @record
 class ElicitationSession:
     """A value elicitation meeting: its stakeholders and the lenses it used."""
 
     id: str
-    date: str = ""
+    date: str = _date("session date {value!r} is not an ISO date", default="")
     participants: tuple[str, ...] = ()
     lenses_used: tuple[Lens, ...] = ()
 
@@ -344,11 +392,11 @@ class ValueStatement:
 class HierarchyScores:
     """Superiority criteria scored 1..5 each."""
 
-    endurance: int
-    depth: int
-    indivisibility: int
-    bearer_independence: int
-    intrinsic_worth: int
+    endurance: int = _checked(*_SCORE)
+    depth: int = _checked(*_SCORE)
+    indivisibility: int = _checked(*_SCORE)
+    bearer_independence: int = _checked(*_SCORE)
+    intrinsic_worth: int = _checked(*_SCORE)
 
     def as_tuple(self) -> tuple[int, int, int, int, int]:
         return (self.endurance, self.depth, self.indivisibility,
@@ -376,7 +424,8 @@ class ValueQuality:
     core_value: int
     name: str
     direction: QualityDirection = QualityDirection.SUPPORTS
-    source: QualitySource = QualitySource.STAKEHOLDER
+    source: QualitySource = _floor(Phase.DEPLOYMENT, "post-deployment qualities are",
+                                   QualitySource.POST_DEPLOYMENT, QualitySource.STAKEHOLDER)
 
 
 @record
@@ -384,7 +433,8 @@ class Threshold:
     """A measurable acceptance level for an EVR: metric, comparator and level."""
 
     metric: str
-    comparator: str
+    comparator: str = _checked("P020", THRESHOLD_COMPARATORS.__contains__,
+                               f"threshold comparator {{value!r}} is not one of {'/'.join(THRESHOLD_COMPARATORS)}")
     level: str
     rationale: str = ""
 
@@ -402,8 +452,8 @@ class HarmFlags:
 class ProtectionDemand:
     """The control rigor an EVR demands, 1 to 4, and why."""
 
-    level: int
-    rationale: str
+    level: int = _checked(*_range("protection demand", 1, 4))
+    rationale: str = _checked("P033", str.strip, "protection demand on EVR {id} has no rationale")
 
 
 @record
@@ -437,10 +487,10 @@ class Control:
     """A measure against one or more threats, with its form, rigor and status."""
 
     id: str
-    threats: tuple[str, ...]
+    threats: tuple[str, ...] = _checked("P011", bool, "control {id} mitigates no threats")
     form: ControlForm
     description: str = ""
-    rigor: int = 1
+    rigor: int = _checked(*_range("control rigor", 1, 4), 1)
     status: ControlStatus = ControlStatus.PROPOSED
     implementing_disposition: str | None = None
 
@@ -451,7 +501,7 @@ class ValueDisposition:
 
     id: str
     soi_component: str
-    implements: tuple[str, ...]
+    implements: tuple[str, ...] = _checked("P026", bool, "disposition {id} implements no controls")
     description: str = ""
 
 
@@ -498,9 +548,9 @@ class Attestation:
 
     id: str
     subject: AttestationSubject
-    signatory_name: str
+    signatory_name: str = _checked("P031", str.strip, "attestation {id} has an empty signatory name")
     signatory_role: SignatoryRole
-    date: str
+    date: str = _date("attestation {id} date {value!r} is not an ISO date")
     statement: str = ""
     consent: bool = False
 
@@ -529,7 +579,7 @@ class FeedbackEntry:
 
     id: str
     source: str
-    date: str = ""
+    date: str = _date("feedback date {value!r} is not an ISO date", default="")
     text: str = ""
     resulted: tuple[str, ...] = ()
     reprioritization_required: bool = False
@@ -538,13 +588,20 @@ class FeedbackEntry:
 MARKET_SOURCE = "market"
 
 
-def _kind(label: str, floor: Phase | None, id_shape: re.Pattern | None = IDENT_RE):
+def _kind(label: str, floor: Phase | None, id_shape: re.Pattern | None = IDENT_RE,
+          numbered: tuple | None = None):
     """A document field that holds one id-keyed entity kind, and so declares
     it: the label for messages, the earliest phase at which the collection
     may be non-empty (None for any phase), and the pattern its ids must
     match so that the text format can always re-emit them (None for the
-    core values' integers)."""
-    return field(default=(), metadata={"kind": (label, floor, id_shape)})
+    core values' integers).
+
+    A kind whose ids are numbered under a parent also declares ``numbered``:
+    the noun and id form its messages use, the parent's kind, whether the
+    numbers run under the value of its chain parent in :data:`REFERENCES`
+    or under its id prefix, and the code and message of the check that the
+    prefix names the chain parent (None for none)."""
+    return field(default=(), metadata={"kind": (label, floor, id_shape), "numbered": numbered})
 
 
 @record
@@ -560,17 +617,22 @@ class RegisterDocument:
     sessions: tuple[ElicitationSession, ...] = _kind("session", Phase.EXPLORATION)
     statements: tuple[ValueStatement, ...] = _kind("statement", Phase.EXPLORATION)
     core_values: tuple[CoreValue, ...] = _kind("core value", Phase.EXPLORATION, None)
-    qualities: tuple[ValueQuality, ...] = _kind("quality", Phase.EXPLORATION, QUALITY_ID_RE)
-    evrs: tuple[Evr, ...] = _kind("evr", Phase.EXPLORATION, EVR_ID_RE)
-    threats: tuple[Threat, ...] = _kind("threat", Phase.DESIGN, THREAT_ID_RE)
-    controls: tuple[Control, ...] = _kind("control", Phase.DESIGN, CONTROL_ID_RE)
+    qualities: tuple[ValueQuality, ...] = _kind("quality", Phase.EXPLORATION, QUALITY_ID_RE, (
+        "quality", "N.M", "core_values", True,
+        ("P013", "quality id prefix {prefix} does not match parent core value {parent}")))
+    evrs: tuple[Evr, ...] = _kind("evr", Phase.EXPLORATION, EVR_ID_RE, (
+        "EVR", "N.M.K", "qualities", True, ("P014", "EVR id prefix does not match parent quality")))
+    threats: tuple[Threat, ...] = _kind("threat", Phase.DESIGN, THREAT_ID_RE, (
+        "threat", "N.M.K-Tj", "evrs", False, ("P015", "threat id prefix does not match its EVR")))
+    controls: tuple[Control, ...] = _kind("control", Phase.DESIGN, CONTROL_ID_RE, (
+        "control", "N.M.K-Cj", "evrs", False, None))
     dispositions: tuple[ValueDisposition, ...] = _kind("disposition", Phase.DESIGN)
     functional_requirements: tuple[FunctionalRequirement, ...] = _kind("functional requirement", Phase.DESIGN)
     design_concepts: tuple[DesignConcept, ...] = _kind("design concept", Phase.DESIGN)
     personas: tuple[Persona, ...] = _kind("persona", Phase.DESIGN)
     attestations: tuple[Attestation, ...] = _kind("attestation", Phase.EXPLORATION)
-    mission: ValueMission | None = None
-    investment_decision: InvestmentDecision | None = None
+    mission: ValueMission | None = _floor(Phase.EXPLORATION, "a mission is")
+    investment_decision: InvestmentDecision | None = _floor(Phase.EXPLORATION, "an investment decision is")
     feedback: tuple[FeedbackEntry, ...] = _kind("feedback entry", Phase.DESIGN)
     alias_map: dict[str, str] = field(default_factory=dict)
 
@@ -592,8 +654,8 @@ ENTITY_KINDS: dict[str, tuple[str, Phase | None, re.Pattern | None]] = {
 # its ids may name, the P011 message for an id found in none of them (``{id}``
 # the source's id, ``{ref}`` the id), and whether the field is the source's
 # chain parent.  Validation, the index and the trace graph follow it;
-# attestation subjects, a feedback entry's source (it may be ``market``) and a
-# control without threats are checked by hand.
+# attestation subjects and a feedback entry's source (it may be ``market``)
+# are checked by hand.
 REFERENCES: tuple[tuple[str, str, tuple[str, ...], str, bool], ...] = (
     ("core_values", "supporting_statements", ("statements",), "core value {id} cites unknown statement {ref!r}", False),
     ("qualities", "core_value", ("core_values",), "quality {id} references unknown core value {ref}", True),
@@ -615,6 +677,34 @@ REFERENCES: tuple[tuple[str, str, tuple[str, ...], str, bool], ...] = (
 )
 
 
+def _field_checks(cls: type) -> tuple:
+    """The checks ``validate_register`` makes of a ``cls`` value: ``(field,
+    None, checks, many)`` for each field that holds records with checks of
+    their own (``many``: a tuple of them), first, then ``(field, code, test,
+    message)`` for each field with a check, and ``(None, code, problem,
+    key)`` for the class's ``_rule``, whose ``problem(value)`` gives the
+    message of a breach, else None; ``key(value)`` is the value's fields."""
+    held = [(f.name, None, inner, getattr(f.type, "__origin__", None) is tuple) for f in fields(cls)
+            for t in (f.type, *getattr(f.type, "__args__", ()))
+            if hasattr(t, "__dataclass_fields__") and (inner := _field_checks(t))]
+    return (*held, *[(f.name, *f.metadata["check"]) for f in fields(cls) if "check" in f.metadata],
+            *([(None, *cls._rule, attrgetter(*[f.name for f in fields(cls)]))] if "_rule" in vars(cls) else []))
+
+
+# Derived once from the declarations, for validate_register: the field
+# checks of each kind, the numbered kinds, each kind's chain parent, and as
+# (kind, field, floor, what, gated value) the phase floors of whole kinds,
+# in floor order, then of the document's fields (kind None) and entities'.
+_CLASSES = {f.name: f.type.__args__[0] for f in fields(RegisterDocument) if f.name in ENTITY_KINDS}
+_FIELD_CHECKS = {kind: checks for kind, cls in _CLASSES.items() if (checks := _field_checks(cls))}
+_NUMBERED = {f.name: f.metadata["numbered"] for f in fields(RegisterDocument) if f.metadata.get("numbered")}
+_CHAIN_PARENT = {kind: field for kind, field, _, _, parent in REFERENCES if parent}
+_FLOORS = [*sorted([(kind, None, floor, f"{kind.replace('_', ' ')} are", None)
+                    for kind, (_, floor, _) in ENTITY_KINDS.items() if floor], key=lambda g: PHASE_ORDER[g[2]]),
+           *[(kind, f.name, *f.metadata["floor"]) for kind, cls in [(None, RegisterDocument), *_CLASSES.items()]
+             for f in fields(cls) if "floor" in f.metadata]]
+
+
 class RegisterError(ValueError):
     """Base error for register operations."""
 
@@ -632,12 +722,15 @@ class Violation:
     """One structural invariant breach.
 
     ``subject`` is the offending entity's id, or ``"register"`` for
-    document-level breaches.
+    document-level breaches.  ``kind`` is the entity's kind, the
+    :data:`ENTITY_KINDS` field that holds it, or None for a document-level
+    breach and an alias.
     """
 
     code: str
     subject: str
     message: str
+    kind: str | None = None
 
 
 @record
@@ -700,12 +793,46 @@ class DocIndex:
                    for a in map(self.attestations.get, attestation_ids))
 
 
-def _well_formed_date(value: str) -> bool:
-    try:
-        datetime.date.fromisoformat(value)
-    except ValueError:
-        return False
-    return True
+def _breaches(holders: list, checks: tuple) -> list:
+    """``(field, code, message, value)`` for each of ``checks`` that one of
+    ``holders`` breaks, check by check.  Each check is first tried on its
+    field's distinct values at once, so that holders that pass it cost no
+    Python loop."""
+    found = []
+    for name, code, test, message in checks:
+        if code is None:
+            held = filter(None, map(attrgetter(name), holders))
+            found += _breaches(list(chain.from_iterable(held) if message else held), test)
+        elif name is None:  # a rule, tried once per distinct value
+            if any(map(test, dict(zip(map(message, holders), holders)).values())):
+                found += [(None, code, test(holder), holder) for holder in holders if test(holder)]
+        elif not all(map(test, set(map(attrgetter(name), holders)))):
+            found += [(name, code, message, value) for value in map(attrgetter(name), holders)
+                      if not test(value)]
+    return found
+
+
+def _numbered(doc: RegisterDocument, kind: str, bad, numbers: dict):
+    """Each entity of a numbered ``kind`` whose id has the declared form,
+    with the id's prefix.  Reports P012 for the others and the prefix
+    check, and records each number under its parent in ``numbers[kind]``,
+    the parents in the index's order where they are chain parents."""
+    noun, form, parent_kind, by_parent, prefix_check = _NUMBERED[kind]
+    shape, parent = ENTITY_KINDS[kind][2], attrgetter(_CHAIN_PARENT[kind])
+    numeric = ENTITY_KINDS[parent_kind][2] is None  # the parent's ids are numbers
+    idx = doc.index
+    groups = numbers[kind] = {key: [] for key in getattr(idx, idx.GROUPINGS[kind])} if by_parent else {}
+    for entity in getattr(doc, kind):
+        match = shape.match(entity.id)
+        if match is None:
+            bad("P012", entity.id, f"{noun} id {entity.id!r} is not of the form {form}", kind)
+            continue
+        prefix, number = match.groups()
+        value = parent(entity)
+        groups.setdefault(value if by_parent else prefix, []).append(int(number))
+        if prefix_check and (int(prefix) if numeric else prefix) != value:
+            bad(prefix_check[0], entity.id, prefix_check[1].format(prefix=prefix, parent=value), kind)
+        yield entity, prefix
 
 
 def validate_register(doc: RegisterDocument, *,
@@ -717,6 +844,13 @@ def validate_register(doc: RegisterDocument, *,
     consistent with the lifecycle phase, and all field-level constraints
     satisfied.
 
+    The checks of one field are derived from declarations: each kind's
+    ``RegisterDocument`` field (``_kind``), :data:`REFERENCES`, and the
+    record fields with a check or a phase floor (``_checked``, ``_date``,
+    ``_floor``).  The checks that relate entities are written out below.
+    The order of the result is fixed: section by section as below, and
+    entity by entity within a section.
+
     ``line_breaks=False`` leaves out the walk over every string for line
     breaks the text format cannot carry (P037).  It is for a caller that
     knows no string can hold one, as ``dsl.parse_register`` knows of a
@@ -724,117 +858,80 @@ def validate_register(doc: RegisterDocument, *,
     """
     out: list[Violation] = []
 
-    def bad(code: str, subject: str, message: str) -> None:
-        out.append(Violation(code=code, subject=subject, message=message))
+    def bad(code: str, subject: str, message: str, kind: str | None = None) -> None:
+        out.append(Violation(code, subject, message, kind))
 
-    def contiguous(what: str, numbers: dict) -> None:
-        """P016 for each parent whose children are not numbered 1..n."""
-        for parent, indices in numbers.items():
-            if sorted(indices) != list(range(1, len(indices) + 1)):
-                bad("P016", str(parent), f"{what} {parent} is not contiguous from 1")
+    # The kinds with a field check that some entity breaks, found a column at
+    # a time; only these are walked entity by entity, in the order below.
+    faulty = {kind for kind, checks in _FIELD_CHECKS.items() if _breaches(getattr(doc, kind), checks)}
+
+    def check(kind: str, *entities) -> None:
+        """Report the field checks that ``entities``, or all of ``kind``,
+        break.  A loop over a kind tests ``faulty`` first, to save a call
+        per entity."""
+        for entity in (entities or getattr(doc, kind)) if kind in faulty else ():
+            subject = str(entity.id)
+            for name, code, message, value in _breaches([entity], _FIELD_CHECKS[kind]):
+                bad(code, subject, message.format(id=subject, value=value, field=name), kind)
 
     for kind, (label, _, _) in ENTITY_KINDS.items():
         seen: set[str] = set()
         for entity in getattr(doc, kind):
             eid = str(entity.id)
             if eid in seen:
-                bad("P010", eid, f"duplicate {label} id {eid!r}")
+                bad("P010", eid, f"duplicate {label} id {eid!r}", kind)
             seen.add(eid)
 
     idx = doc.index
 
-    # Id shape.  Numbered kinds are checked against their patterns below.
     for kind, (label, _, shape) in ENTITY_KINDS.items():
         if shape is IDENT_RE:
             for entity in getattr(doc, kind):
-                if entity.id == "end":
-                    bad("P012", entity.id, f"{label} id 'end' is reserved: it closes a block")
-                elif not IDENT_RE.match(entity.id):
-                    bad("P012", entity.id, f"{label} id {entity.id!r} is not identifier-shaped")
+                if not IDENT_RE.match(entity.id):
+                    why = "is reserved: it closes a block" if entity.id == "end" else "is not identifier-shaped"
+                    bad("P012", entity.id, f"{label} id {entity.id!r} {why}", kind)
 
     evr_and_control_ids = set(idx.evrs) | set(idx.controls)
     for f in doc.functional_requirements:
         if f.id in evr_and_control_ids:
-            bad("P010", f.id, "functional requirement id collides with an ethical requirement id")
+            bad("P010", f.id, "functional requirement id collides with an ethical requirement id", "functional_requirements")
 
     # Core value numbering: ids are 1..n in declaration order, ranks a
     # permutation of 1..n.
     for pos, cv in enumerate(doc.core_values, start=1):
         if cv.id != pos:
-            bad("P016", str(cv.id), f"core value ids must run 1..{len(doc.core_values)} in order; found {cv.id} at position {pos}")
+            bad("P016", str(cv.id), f"core value ids must run 1..{len(doc.core_values)} in order; found {cv.id} at position {pos}", "core_values")
     ranks = sorted(c.priority_rank for c in doc.core_values)
     if ranks != list(range(1, len(doc.core_values) + 1)):
         bad("P022", "register", "priority ranks do not form a permutation of 1..%d" % len(doc.core_values))
+    check("core_values")
 
-    for cv in doc.core_values:
-        if cv.hierarchy_scores is not None:
-            for crit, score in vars(cv.hierarchy_scores).items():  # no asdict deep copy
-                if not 1 <= score <= 5:
-                    bad("P021", str(cv.id), f"hierarchy score {crit} must be 1..5, got {score}")
-
-    # Dotted-decimal coherence: an id's prefix names its parent.
-    for q in doc.qualities:
-        m = QUALITY_ID_RE.match(q.id)
-        if m is None:
-            bad("P012", q.id, f"quality id {q.id!r} is not of the form N.M")
-        elif int(m.group(1)) != q.core_value:
-            bad("P013", q.id, f"quality id prefix {m.group(1)} does not match parent core value {q.core_value}")
-
+    numbers: dict[str, dict] = {}  # per numbered kind: parent -> its children's numbers
+    for kind in ("qualities", "evrs"):
+        for _ in _numbered(doc, kind, bad, numbers):
+            pass
     for e in doc.evrs:
-        if not EVR_ID_RE.match(e.id):
-            bad("P012", e.id, f"EVR id {e.id!r} is not of the form N.M.K")
-        elif e.id.rsplit(".", 1)[0] != e.quality:
-            bad("P014", e.id, "EVR id prefix does not match parent quality")
-
-    for e in doc.evrs:
-        if e.threshold is not None and e.threshold.comparator not in THRESHOLD_COMPARATORS:
-            bad("P020", e.id, f"threshold comparator {e.threshold.comparator!r} is not one of {'/'.join(THRESHOLD_COMPARATORS)}")
-        if e.protection_demand is not None:
-            if not 1 <= e.protection_demand.level <= 4:
-                bad("P021", e.id, f"protection demand must be 1..4, got {e.protection_demand.level}")
-            if not e.protection_demand.rationale.strip():
-                bad("P033", e.id, f"protection demand on EVR {e.id} has no rationale")
+        if "evrs" in faulty:
+            check("evrs", e)
         if e.risk_path is RiskPath.HIGH and e.protection_demand is None:
-            bad("P032", e.id, f"high-risk EVR {e.id} has no protection demand")
+            bad("P032", e.id, f"high-risk EVR {e.id} has no protection demand", "evrs")
 
-    js: dict[str, list[int]] = {}
-    threat_evrs: dict[str, str] = {}
-    for t in doc.threats:
-        m = THREAT_ID_RE.match(t.id)
-        if m is None:
-            bad("P012", t.id, f"threat id {t.id!r} is not of the form N.M.K-Tj")
-            continue
-        js.setdefault(m.group(1), []).append(int(m.group(2)))
-        threat_evrs[t.id] = m.group(1)
-        if m.group(1) != t.evr:
-            bad("P015", t.id, "threat id prefix does not match its EVR")
-
-    cs: dict[str, list[int]] = {}
-    for c in doc.controls:
-        m = CONTROL_ID_RE.match(c.id)
-        if m is None:
-            bad("P012", c.id, f"control id {c.id!r} is not of the form N.M.K-Cj")
-            continue
-        own_evr = m.group(1)
-        cs.setdefault(own_evr, []).append(int(m.group(2)))
-        if not c.threats:
-            bad("P011", c.id, f"control {c.id} mitigates no threats")
+    threat_evrs = {t.id: evr for t, evr in _numbered(doc, "threats", bad, numbers)}
+    for c, own_evr in _numbered(doc, "controls", bad, numbers):
         for tid in c.threats:
             if tid in idx.threats and threat_evrs.get(tid) != own_evr:
-                bad("P024", c.id, f"control {c.id} references threat {tid} outside its EVR {own_evr}")
-        if not 1 <= c.rigor <= 4:
-            bad("P021", c.id, f"control rigor must be 1..4, got {c.rigor}")
+                bad("P024", c.id, f"control {c.id} references threat {tid} outside its EVR {own_evr}", "controls")
+        if "controls" in faulty:
+            check("controls", c)
         if c.status is ControlStatus.IMPLEMENTED and c.implementing_disposition is None:
-            bad("P025", c.id, f"implemented control {c.id} names no implementing disposition")
+            bad("P025", c.id, f"implemented control {c.id} names no implementing disposition", "controls")
 
     # References.  A numbered entity whose id is malformed has its P012 only.
-    numbered = {kind: shape for kind, (_, _, shape) in ENTITY_KINDS.items()
-                if shape not in (IDENT_RE, None)}
     for kind, field, targets, message, _ in REFERENCES:
         known, *others = [getattr(idx, target) for target in targets]
         held = getattr(doc, kind)
         single = kind not in ENTITY_KINDS
-        pattern = numbered.get(kind)
+        pattern = ENTITY_KINDS[kind][2] if kind in _NUMBERED else None
         entities = ((held,) if held is not None else ()) if single else held
         for entity, refs in zip(entities, map(attrgetter(field), entities)):
             if refs.__class__ is not tuple:
@@ -845,73 +942,58 @@ def validate_register(doc: RegisterDocument, *,
                 if (ref not in known and not any(ref in other for other in others)
                         and (pattern is None or pattern.match(entity.id))):
                     subject = "register" if single else str(entity.id)
-                    bad("P011", subject, message.format(id=subject, ref=ref))
+                    bad("P011", subject, message.format(id=subject, ref=ref), None if single else kind)
 
     # Numbering runs 1..n under each parent.
-    contiguous("quality numbering under core value", {
-        value_id: [int(q.id.split(".")[1]) for q in quals if QUALITY_ID_RE.match(q.id)]
-        for value_id, quals in idx.qualities_by_value.items()})
-    contiguous("EVR numbering under quality", {
-        quality_id: [int(e.id.split(".")[2]) for e in evrs if EVR_ID_RE.match(e.id)]
-        for quality_id, evrs in idx.evrs_by_quality.items()})
-    contiguous("threat numbering under EVR", js)
-    contiguous("control numbering under EVR", cs)
+    for kind, groups in numbers.items():
+        noun, _, parent_kind, _, _ = _NUMBERED[kind]
+        under = (_NUMBERED.get(parent_kind) or ENTITY_KINDS[parent_kind])[0]
+        for parent, indices in groups.items():
+            if sorted(indices) != list(range(1, len(indices) + 1)):
+                bad("P016", str(parent), f"{noun} numbering under {under} {parent} is not contiguous from 1", parent_kind)
 
-    for d in doc.dispositions:
-        if not d.implements:
-            bad("P026", d.id, f"disposition {d.id} implements no controls")
-
-    for s in doc.sos_elements:
-        if s.tier < 1:
-            bad("P021", s.id, f"SOS element tier must be >= 1, got {s.tier}")
+    check("dispositions")
+    check("sos_elements")
 
     for c in doc.contexts:
         declared = set(c.data_elements)
         types = set(c.data_types)
         for flow in c.data_flows:
             if flow.source not in declared:
-                bad("P017", c.id, f"data flow source {flow.source!r} is not a declared element")
+                bad("P017", c.id, f"data flow source {flow.source!r} is not a declared element", "contexts")
             if flow.sink not in declared:
-                bad("P017", c.id, f"data flow sink {flow.sink!r} is not a declared element")
+                bad("P017", c.id, f"data flow sink {flow.sink!r} is not a declared element", "contexts")
             if flow.data_type not in types:
-                bad("P017", c.id, f"data flow type {flow.data_type!r} is not a declared data type")
+                bad("P017", c.id, f"data flow type {flow.data_type!r} is not a declared data type", "contexts")
 
-    for session in doc.sessions:
-        for lens in session.lenses_used:
-            _check_lens(lens, session.id, bad)
-        if session.date and not _well_formed_date(session.date):
-            bad("P031", session.id, f"session date {session.date!r} is not an ISO date")
-
-    for st in doc.statements:
-        _check_lens(st.lens, st.id, bad)
+    check("sessions")
+    check("statements")
 
     for p in doc.personas:
         holder = idx.stakeholders.get(p.stakeholder)
         if holder is not None and p.kind is not holder.kind:
-            bad("P035", p.id, f"persona {p.id} kind {p.kind.value} differs from its stakeholder's kind {holder.kind.value}")
+            bad("P035", p.id, f"persona {p.id} kind {p.kind.value} differs from its stakeholder's kind {holder.kind.value}", "personas")
 
     for a in doc.attestations:
-        if not a.signatory_name.strip():
-            bad("P031", a.id, f"attestation {a.id} has an empty signatory name")
-        if not _well_formed_date(a.date):
-            bad("P031", a.id, f"attestation {a.id} date {a.date!r} is not an ISO date")
+        if "attestations" in faulty:
+            check("attestations", a)
         subj = a.subject
         if subj.kind is SubjectKind.PRIORITY_DECISION:
             canonical = subj.ref.isdigit() and str(int(subj.ref)) == subj.ref
             if not canonical or int(subj.ref) not in idx.core_values:
-                bad("P011", a.id, f"attestation {a.id} endorses unknown core value {subj.ref!r}")
+                bad("P011", a.id, f"attestation {a.id} endorses unknown core value {subj.ref!r}", "attestations")
         elif subj.kind is SubjectKind.RISK_ACCEPTANCE:
             if subj.ref not in idx.controls:
-                bad("P011", a.id, f"attestation {a.id} accepts risk on unknown control {subj.ref!r}")
+                bad("P011", a.id, f"attestation {a.id} accepts risk on unknown control {subj.ref!r}", "attestations")
         elif subj.kind is SubjectKind.MISSION:
             if doc.mission is None:
-                bad("P011", a.id, f"attestation {a.id} endorses a mission that is not recorded")
+                bad("P011", a.id, f"attestation {a.id} endorses a mission that is not recorded", "attestations")
         elif subj.kind is SubjectKind.INVESTMENT_DECISION:
             if doc.investment_decision is None:
-                bad("P011", a.id, f"attestation {a.id} endorses an investment decision that is not recorded")
+                bad("P011", a.id, f"attestation {a.id} endorses an investment decision that is not recorded", "attestations")
         elif subj.kind is SubjectKind.RULE:
             if not subj.ref.strip():
-                bad("P011", a.id, f"attestation {a.id} names no rule id")
+                bad("P011", a.id, f"attestation {a.id} names no rule id", "attestations")
 
     if doc.mission is not None:
         by_rank = {c.priority_rank: c.id for c in doc.core_values}
@@ -928,9 +1010,9 @@ def validate_register(doc: RegisterDocument, *,
 
     for fb in doc.feedback:
         if fb.source != MARKET_SOURCE and fb.source not in idx.stakeholders:
-            bad("P011", fb.id, f"feedback {fb.id} source {fb.source!r} is neither a stakeholder nor 'market'")
-        if fb.date and not _well_formed_date(fb.date):
-            bad("P031", fb.id, f"feedback date {fb.date!r} is not an ISO date")
+            bad("P011", fb.id, f"feedback {fb.id} source {fb.source!r} is neither a stakeholder nor 'market'", "feedback")
+        if "feedback" in faulty:
+            check("feedback", fb)
 
     # Alias map: direct mappings only, no chains and no self-loops.
     for name, target in doc.alias_map.items():
@@ -939,26 +1021,14 @@ def validate_register(doc: RegisterDocument, *,
         elif target in doc.alias_map:
             bad("P019", name, f"alias {name!r} maps to {target!r}, which is itself an alias")
 
-    # Phase gating of content.
-    gated = [(kind, floor) for kind, (_, floor, _) in ENTITY_KINDS.items() if floor is not None]
-    for kind, floor in sorted(gated, key=lambda gate: PHASE_ORDER[gate[1]]):
-        if phase_at_least(doc.phase, floor):
-            continue
-        for entity in getattr(doc, kind):
-            bad("P023", str(entity.id),
-                f"{kind.replace('_', ' ')} are not allowed in phase {doc.phase.value}")
-    if not phase_at_least(doc.phase, Phase.EXPLORATION):
-        if doc.mission is not None:
-            bad("P023", "register", f"a mission is not allowed in phase {doc.phase.value}")
-        if doc.investment_decision is not None:
-            bad("P023", "register", f"an investment decision is not allowed in phase {doc.phase.value}")
-    if not phase_at_least(doc.phase, Phase.DEPLOYMENT):
-        for c in doc.contexts:
-            if c.captured is CaptureStage.POST_DEPLOYMENT:
-                bad("P023", c.id, f"post-deployment contexts are not allowed in phase {doc.phase.value}")
-        for q in doc.qualities:
-            if q.source is QualitySource.POST_DEPLOYMENT:
-                bad("P023", q.id, f"post-deployment qualities are not allowed in phase {doc.phase.value}")
+    # Phase gating of content: whole kinds, then the fields with a floor.
+    for kind, name, floor, what, gated in _FLOORS:
+        if not phase_at_least(doc.phase, floor):
+            for holder in getattr(doc, kind) if kind else (doc,):
+                value = getattr(holder, name) if name else holder
+                if value is gated if gated is not None else value is not None:
+                    bad("P023", str(holder.id) if kind else "register",
+                        f"{what} not allowed in phase {doc.phase.value}", kind)
 
     if phase_at_least(doc.phase, Phase.EXPLORATION) and not doc.soi.concept_of_operation.strip():
         bad("P029", "register", f"concept of operation must be recorded before phase {doc.phase.value}")
@@ -969,13 +1039,6 @@ def validate_register(doc: RegisterDocument, *,
         _check_line_breaks(doc, bad)
 
     return tuple(out)
-
-
-def _check_lens(lens: Lens, subject: str, bad) -> None:
-    if lens.kind is LensKind.CULTURAL and not lens.framework.strip():
-        bad("P030", subject, "cultural lens carries no framework name")
-    if lens.kind is not LensKind.CULTURAL and lens.framework:
-        bad("P030", subject, f"{lens.kind.value} lens must not carry a framework name")
 
 
 def new_empty_register(project_name: str) -> RegisterDocument:

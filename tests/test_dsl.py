@@ -184,6 +184,18 @@ class TestParse:
         ]
         assert result.header == dsl.SourceSpan("v.evr", 2, 1, 2, 8)
 
+    def test_a_violation_is_placed_at_an_entity_of_its_own_kind(self):
+        # Ids are unique only within one kind: a persona, a stakeholder and
+        # an alias all named A each report at their own line.
+        text = ('# one id, three kinds\nregister "x" phase design\nsoi\n  note "runs a help desk"\nend\n'
+                'stakeholder A "users"\n  kind direct\nend\n# an alias that names itself\nalias "A" "A"\n\n'
+                'persona A "pat"\n  stakeholder NOPE\nend\n')
+        result = dsl.parse_register(text, "a.evr")
+        assert [d.render() for d in result.diagnostics] == [
+            "ERROR P019 a.evr:10:1: alias 'A' maps to itself",
+            "ERROR P011 a.evr:12:1: persona A references unknown stakeholder 'NOPE'",
+        ]
+
     @pytest.mark.parametrize("source", ['sos register "x"\nend\n',
                                         'stakeholder register "x"\n  kind direct\nend\n'])
     def test_an_entity_named_register_is_not_the_header(self, source):

@@ -466,6 +466,11 @@ class TestValidation:
         (m.Phase.EXPLORATION, dict(_CHAIN, evrs=(replace(_CHAIN["evrs"][0], risk_path=m.RiskPath.HIGH),)),
          [("P032", "1.1.1", "high-risk EVR 1.1.1 has no protection demand")]),
         (m.Phase.DESIGN, _MANY_SECTIONS, _MANY_SECTIONS_FOUND),
+        # Forms that date.fromisoformat reads from Python 3.11 on, and 3.10 refuses.
+        (m.Phase.EXPLORATION, dict(sessions=(m.ElicitationSession(id="SES1", date="20200401"),)),
+         [("P031", "SES1", "session date '20200401' is not an ISO date")]),
+        (m.Phase.DESIGN, dict(feedback=(m.FeedbackEntry(id="FB1", source="market", date="2020-W14-3"),)),
+         [("P031", "FB1", "feedback date '2020-W14-3' is not an ISO date")]),
     ], ids=["P010-funcreq-evr-id", "P021-hierarchy-score", "P021-protection-demand",
             "P021-control-rigor", "P021-sos-tier", "P033-blank-rationale", "P035-persona-kind",
             "P031-blank-signatory", "P019-self-alias", "P030-utilitarian-framework",
@@ -475,7 +480,8 @@ class TestValidation:
             "P023-investment-decision", "P023-post-deployment-context",
             "P023-post-deployment-quality", "P011-no-threats", "P020-comparator",
             "P016-core-value-order", "P016-numbering", "P022-ranks", "P027-mission-prefix",
-            "P032-no-demand", "many-sections-in-order"])
+            "P032-no-demand", "many-sections-in-order", "P031-basic-date-form",
+            "P031-week-date-form"])
     def test_field_checks_report_exactly(self, phase, overrides, expected):
         violations = m.validate_register(replace(base_doc(phase), **overrides))
         assert [(v.code, v.subject, v.message) for v in violations] == expected
