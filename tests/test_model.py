@@ -112,46 +112,46 @@ _MANY_SECTIONS = dict(
     alias_map={"a": "a"},
 )
 _MANY_SECTIONS_FOUND = [
-    ('P010', 'ST1', "duplicate stakeholder id 'ST1'"),
-    ('P012', 'bad id', "stakeholder id 'bad id' is not identifier-shaped"),
-    ('P012', '1.1.1', "functional requirement id '1.1.1' is not identifier-shaped"),
-    ('P010', '1.1.1', 'functional requirement id collides with an ethical requirement id'),
-    ('P022', 'register', 'priority ranks do not form a permutation of 1..2'),
-    ('P021', '1', 'hierarchy score endurance must be 1..5, got 6'),
-    ('P013', '2.1', 'quality id prefix 2 does not match parent core value 1'),
-    ('P012', 'E9', "EVR id 'E9' is not of the form N.M.K"),
-    ('P020', '1.1.1', "threshold comparator '~' is not one of </<=/=/>=/>"),
-    ('P032', '1.1.1', 'high-risk EVR 1.1.1 has no protection demand'),
-    ('P021', 'E9', 'protection demand must be 1..4, got 5'),
-    ('P033', 'E9', 'protection demand on EVR E9 has no rationale'),
-    ('P015', '1.1.2-T1', 'threat id prefix does not match its EVR'),
-    ('P012', 'C9', "control id 'C9' is not of the form N.M.K-Cj"),
-    ('P024', '1.1.1-C1', 'control 1.1.1-C1 references threat 1.1.2-T1 outside its EVR 1.1.1'),
-    ('P021', '1.1.1-C1', 'control rigor must be 1..4, got 7'),
-    ('P025', '1.1.1-C1', 'implemented control 1.1.1-C1 names no implementing disposition'),
-    ('P011', '1.1.1-C2', 'control 1.1.1-C2 mitigates no threats'),
-    ('P011', 'P2', "persona P2 references unknown stakeholder 'NOPE'"),
-    ('P016', '1', 'quality numbering under core value 1 is not contiguous from 1'),
-    ('P026', 'D1', 'disposition D1 implements no controls'),
-    ('P021', 'S1', 'SOS element tier must be >= 1, got 0'),
-    ('P017', 'CTX1', "data flow source 'phone' is not a declared element"),
-    ('P017', 'CTX1', "data flow sink '' is not a declared element"),
-    ('P017', 'CTX1', "data flow type '' is not a declared data type"),
-    ('P030', 'SES1', 'cultural lens carries no framework name'),
-    ('P031', 'SES1', "session date '2020-02-30' is not an ISO date"),
-    ('P030', 'V1', 'duty lens must not carry a framework name'),
-    ('P035', 'P1', "persona P1 kind indirect differs from its stakeholder's kind direct"),
-    ('P031', 'A1', 'attestation A1 has an empty signatory name'),
-    ('P031', 'A1', "attestation A1 date 'soon' is not an ISO date"),
-    ('P011', 'A1', "attestation A1 endorses unknown core value '99'"),
-    ('P027', 'register', 'mission featured values are not a prefix of the priority order'),
-    ('P028', 'register', 'no-go decision has no rationale'),
-    ('P028', 'register', 'no-go decision carries no executive attestation'),
-    ('P011', 'FB1', "feedback FB1 source 'nobody' is neither a stakeholder nor 'market'"),
-    ('P031', 'FB1', "feedback date 'later' is not an ISO date"),
-    ('P019', 'a', "alias 'a' maps to itself"),
-    ('P023', 'CTX2', 'post-deployment contexts are not allowed in phase design'),
-    ('P029', 'register', 'concept of operation must be recorded before phase design'),
+    ("P010", "ST1", "duplicate stakeholder id 'ST1'"),
+    ("P012", "bad id", "stakeholder id 'bad id' is not identifier-shaped"),
+    ("P012", "1.1.1", "functional requirement id '1.1.1' is not identifier-shaped"),
+    ("P010", "1.1.1", "functional requirement id collides with an ethical requirement id"),
+    ("P022", "register", "priority ranks do not form a permutation of 1..2"),
+    ("P021", "1", "hierarchy score endurance must be 1..5, got 6"),
+    ("P013", "2.1", "quality id prefix 2 does not match parent core value 1"),
+    ("P012", "E9", "EVR id 'E9' is not of the form N.M.K"),
+    ("P020", "1.1.1", "threshold comparator '~' is not one of </<=/=/>=/>"),
+    ("P032", "1.1.1", "high-risk EVR 1.1.1 has no protection demand"),
+    ("P021", "E9", "protection demand must be 1..4, got 5"),
+    ("P033", "E9", "protection demand on EVR E9 has no rationale"),
+    ("P015", "1.1.2-T1", "threat id prefix does not match its EVR"),
+    ("P012", "C9", "control id 'C9' is not of the form N.M.K-Cj"),
+    ("P024", "1.1.1-C1", "control 1.1.1-C1 references threat 1.1.2-T1 outside its EVR 1.1.1"),
+    ("P021", "1.1.1-C1", "control rigor must be 1..4, got 7"),
+    ("P025", "1.1.1-C1", "implemented control 1.1.1-C1 names no implementing disposition"),
+    ("P011", "1.1.1-C2", "control 1.1.1-C2 mitigates no threats"),
+    ("P011", "P2", "persona P2 references unknown stakeholder 'NOPE'"),
+    ("P016", "1", "quality numbering under core value 1 is not contiguous from 1"),
+    ("P026", "D1", "disposition D1 implements no controls"),
+    ("P021", "S1", "SOS element tier must be >= 1, got 0"),
+    ("P017", "CTX1", "data flow source 'phone' is not a declared element"),
+    ("P017", "CTX1", "data flow sink '' is not a declared element"),
+    ("P017", "CTX1", "data flow type '' is not a declared data type"),
+    ("P030", "SES1", "cultural lens carries no framework name"),
+    ("P031", "SES1", "session date '2020-02-30' is not an ISO date"),
+    ("P030", "V1", "duty lens must not carry a framework name"),
+    ("P035", "P1", "persona P1 kind indirect differs from its stakeholder's kind direct"),
+    ("P031", "A1", "attestation A1 has an empty signatory name"),
+    ("P031", "A1", "attestation A1 date 'soon' is not an ISO date"),
+    ("P011", "A1", "attestation A1 endorses unknown core value '99'"),
+    ("P027", "register", "mission featured values are not a prefix of the priority order"),
+    ("P028", "register", "no-go decision has no rationale"),
+    ("P028", "register", "no-go decision carries no executive attestation"),
+    ("P011", "FB1", "feedback FB1 source 'nobody' is neither a stakeholder nor 'market'"),
+    ("P031", "FB1", "feedback date 'later' is not an ISO date"),
+    ("P019", "a", "alias 'a' maps to itself"),
+    ("P023", "CTX2", "post-deployment contexts are not allowed in phase design"),
+    ("P029", "register", "concept of operation must be recorded before phase design"),
 ]
 
 
