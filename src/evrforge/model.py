@@ -686,7 +686,7 @@ def _field_checks(cls: type) -> tuple:
     message of a breach, else None; ``key(value)`` is the value's fields."""
     held = [(f.name, None, inner, getattr(f.type, "__origin__", None) is tuple) for f in fields(cls)
             for t in (f.type, *getattr(f.type, "__args__", ()))
-            if hasattr(t, "__dataclass_fields__") and (inner := _field_checks(t))]
+            if isinstance(t, type) and hasattr(t, "__dataclass_fields__") and (inner := _field_checks(t))]
     return (*held, *[(f.name, *f.metadata["check"]) for f in fields(cls) if "check" in f.metadata],
             *([(None, *cls._rule, attrgetter(*[f.name for f in fields(cls)]))] if "_rule" in vars(cls) else []))
 
