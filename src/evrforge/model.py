@@ -799,7 +799,7 @@ def _breaches(holders: list, checks: tuple) -> list:
     field's distinct values at once, so that holders that pass it cost no
     Python loop."""
     found = []
-    for name, code, test, message in checks:
+    for name, code, test, message in checks if holders else ():
         if code is None:
             held = filter(None, map(attrgetter(name), holders))
             found += _breaches(list(chain.from_iterable(held) if message else held), test)
