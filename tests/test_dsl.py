@@ -185,8 +185,8 @@ class TestParse:
         assert result.header == dsl.SourceSpan("v.evr", 2, 1, 2, 8)
 
     def test_a_violation_is_placed_at_an_entity_of_its_own_kind(self):
-        # Ids are unique only within one kind: a persona, a stakeholder and
-        # an alias all named A each report at their own line.
+        # Ids are unique only within one kind: an alias and a persona named
+        # like the stakeholder above them report at their own lines.
         text = ('# one id, three kinds\nregister "x" phase design\nsoi\n  note "runs a help desk"\nend\n'
                 'stakeholder A "users"\n  kind direct\nend\n# an alias that names itself\nalias "A" "A"\n\n'
                 'persona A "pat"\n  stakeholder NOPE\nend\n')
