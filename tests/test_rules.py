@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import functools
+import random
 from dataclasses import replace
 
 import pytest
@@ -7,7 +9,7 @@ import pytest
 from evrforge import model as m
 from evrforge import rules
 
-from .support import base_doc, violation_cases
+from .support import base_doc, random_register, violation_cases
 
 
 class TestCatalog:
@@ -157,6 +159,43 @@ class TestMonotoneRepair:
         for rule_id, (bad, _, _) in violation_cases().items():
             for diag in rules.check_rule(bad, rule_id):
                 assert diag.severity == by_id[rule_id].severity
+
+
+@functools.cache
+def _design_seeds() -> tuple[m.RegisterDocument, ...]:
+    """``random_register`` seeds 0..199 at phase design or later."""
+    docs = (random_register(random.Random(seed)) for seed in range(200))
+    return tuple(doc for doc in docs if m.phase_at_least(doc.phase, m.Phase.DESIGN))
+
+
+class TestAttestedRulesOnRandomRegisters:
+    # random_register signs only VBE-C08 and VBE-C19, so these three fire on
+    # every design-phase seed; the signer that silences each, and consent.
+    SIGNERS = {"VBE-C09": (m.SignatoryRole.STAKEHOLDER_REP, False),
+               "VBE-C11": (m.SignatoryRole.EXECUTIVE, False),
+               "VBE-C12": (m.SignatoryRole.STAKEHOLDER_REP, True)}
+
+    @pytest.mark.parametrize("rule_id", sorted(SIGNERS))
+    def test_only_the_demanded_signer_silences_the_rule(self, rule_id):
+        role, consent = self.SIGNERS[rule_id]
+
+        def fired(doc, role, consent):
+            signed = replace(doc, attestations=(*doc.attestations, m.Attestation(
+                id="A_signed", subject=m.AttestationSubject(m.SubjectKind.RULE, rule_id),
+                signatory_name="Jane Doe", signatory_role=role, date="2020-04-01",
+                consent=consent)))
+            assert m.validate_register(signed) == ()
+            return [d.subject for d in rules.check_rule(signed, rule_id)]
+
+        assert len(_design_seeds()) > 50
+        for doc in _design_seeds():
+            assert [d.subject for d in rules.check_rule(doc, rule_id)] == ["register"]
+            assert fired(doc, role, consent) == []
+            for other in m.SignatoryRole:
+                if other is not role:
+                    assert fired(doc, other, consent) == ["register"], other
+            if consent:
+                assert fired(doc, role, False) == ["register"]
 
 
 class TestPhaseGating:
