@@ -578,6 +578,7 @@ _INT = _token("INT", lambda p, text: not p.refused(text), int, _Parser.need_int,
 _BOOL = _token("IDENT", lambda p, text: text in ("true", "false"), "true".__eq__,
                _Parser.need_bool, lambda value, doc: "true" if value else "false")
 _IDENT = _token("IDENT", None, None, _Parser.expected, _same)
+_NUMBER = _Reader(_Parser.need_number, lambda value, doc: str(value))  # a core value's id
 # A reference to an entity by its id: ``end`` closes the block instead.
 _REF = _token("IDENT", lambda p, text: text != "end", None, _Parser.expected, _same)
 # Prose: one ``note`` line per line of text.
@@ -685,8 +686,8 @@ class _Block:
     """One row of the block table, compiled for the parser, the canonical
     writer and the line-break check.
 
-    ``head`` lists the header slots in order: a literal keyword, or
-    ``(field, reader, what)``.  ``attrs`` lists the attributes in canonical
+    ``head`` lists the header slots after the id in order: a literal
+    keyword, or ``(field, reader, what)``.  ``attrs`` lists the attributes in canonical
     order as ``(key, field, reader[, what[, missing]])``: ``what`` names the
     value in error messages and ``missing`` names a required attribute that
     is absent (both default to the key).  A ``(prefix, field, _GROUP[,
@@ -695,7 +696,9 @@ class _Block:
     attributes and ``end``.
 
     The rest comes from the model: the block's class is the one its slot,
-    a field of the document, holds (``_Alias`` for ``alias_map``), a field
+    a field of the document, holds (``_Alias`` for ``alias_map``), an
+    entity kind's id slot comes first, read as its field declares the id
+    (``model._kind``: an identifier, a numbered form or a number), a field
     starts at its dataclass default (a repeated attribute or a note at
     empty), a field without one that nothing filled is reported as P006,
     and the writer leaves out a value equal to its default.
@@ -714,6 +717,8 @@ class _Block:
         hints = typing.get_type_hints(cls)
         defaults = {f.name: _default(f) for f in fields(cls)}
 
+        if self.kind:
+            head = (("id", *_id_slot(self.kind, self.noun)), *head)
         # A header slot is an attribute without a key, always written.
         self.head = tuple(slot if isinstance(slot, str)
                           else _Attr(None, slot[0], slot[1], hints[slot[0]], slot[2])
@@ -807,32 +812,37 @@ class _Block:
         return "\n".join(out)
 
 
+def _id_slot(kind: str, noun: str) -> tuple[_Reader, str]:
+    """The reader of an entity kind's id and the words its errors name it by."""
+    shape = m.ENTITY_KINDS[kind][2]
+    if shape is None:
+        return _NUMBER, "a core value number"
+    if shape is m.IDENT_RE:
+        return _IDENT, f"{noun} id"
+    noun, form, *_ = m._NUMBERED[kind]
+    return _dotted(shape), f"{m._a(noun)} id of the form {form}"
+
+
 _BLOCKS: dict[str, _Block] = {block.keyword: block for block in (
     _Block("soi", "soi", (), (
         ("name", "name", _STRING, "system name"),
         ("note", "concept_of_operation", _NOTE),
         ("region", "deployment_regions", _STRING, "region code"),
     ), from_project="name"),
-    _Block("sos", "sos_elements", (
-        ("id", _IDENT, "sos element id"), ("name", _STRING, "sos element name"),
-    ), (
+    _Block("sos", "sos_elements", (("name", _STRING, "sos element name"),), (
         ("cooperation", "cooperation_type", _ENUM, "cooperation type", "cooperation type"),
         ("tier", "tier", _INT),
         ("personal_data", "processes_personal_data", _BOOL),
         ("ethical_scope", "in_ethical_scope", _BOOL),
         ("enabling_access", "access_to_enabling_elements", _BOOL),
     )),
-    _Block("stakeholder", "stakeholders", (
-        ("id", _IDENT, "stakeholder id"), ("name", _STRING, "stakeholder name"),
-    ), (
+    _Block("stakeholder", "stakeholders", (("name", _STRING, "stakeholder name"),), (
         ("kind", "kind", _ENUM, "stakeholder kind"),
         ("note", "description", _NOTE),
         ("region", "region", _STRING, "region code"),
         ("", "selection_profile", _GROUP),
     )),
-    _Block("context", "contexts", (
-        ("id", _IDENT, "context id"), ("name", _STRING, "context name"),
-    ), (
+    _Block("context", "contexts", (("name", _STRING, "context name"),), (
         ("captured", "captured", _ENUM, "capture stage"),
         ("element", "data_elements", _STRING, "data element"),
         ("data_type", "data_types", _STRING, "data type"),
@@ -841,16 +851,12 @@ _BLOCKS: dict[str, _Block] = {block.keyword: block for block in (
         ("subject", "data_subjects", _SUBJECT, "data subject"),
         ("expect", "integrity_expectations", _STRING, "integrity expectation"),
     )),
-    _Block("session", "sessions", (
-        ("id", _IDENT, "session id"),
-    ), (
+    _Block("session", "sessions", (), (
         ("date", "date", _STRING, "session date"),
         ("participant", "participants", _REF, "stakeholder id"),
         ("lens", "lenses_used", _LENS, "lens kind"),
     )),
-    _Block("statement", "statements", (
-        ("id", _IDENT, "statement id"),
-    ), (
+    _Block("statement", "statements", (), (
         ("session", "session", _REF, "session id"),
         ("by", "stakeholder", _REF, "stakeholder id"),
         ("lens", "lens", _LENS, "lens kind"),
@@ -860,8 +866,6 @@ _BLOCKS: dict[str, _Block] = {block.keyword: block for block in (
         ("extracted", "extracted_values", _STRING, "value name"),
     )),
     _Block("corevalue", "core_values", (
-        ("id", _Reader(_Parser.need_number, lambda value, doc: str(value)),
-         "a core value number"),
         ("name", _STRING, "core value name"), "rank", ("priority_rank", _INT, "priority rank"),
     ), (
         ("alias", "aliases", _STRING, "alias name"),
@@ -870,7 +874,6 @@ _BLOCKS: dict[str, _Block] = {block.keyword: block for block in (
         ("support", "supporting_statements", _REF, "statement id"),
     )),
     _Block("quality", "qualities", (
-        ("id", _dotted(m.QUALITY_ID_RE), "a quality id of the form N.M"),
         ("name", _STRING, "quality name"),
         "of", ("core_value", _INT, "parent core value number"),
         "direction", ("direction", _ENUM, "direction"),
@@ -878,7 +881,6 @@ _BLOCKS: dict[str, _Block] = {block.keyword: block for block in (
         ("source", "source", _ENUM, "quality source"),
     )),
     _Block("evr", "evrs", (
-        ("id", _dotted(m.EVR_ID_RE), "an EVR id of the form N.M.K"),
         ("text", _STRING, "requirement text"),
         "of", ("quality", _dotted(m.QUALITY_ID_RE), "the parent quality id"),
     ), (
@@ -892,15 +894,11 @@ _BLOCKS: dict[str, _Block] = {block.keyword: block for block in (
         ("demand", "protection_demand", _NESTED,
          ("protection demand level", "protection demand rationale")),
     )),
-    _Block("threat", "threats", (
-        ("id", _dotted(m.THREAT_ID_RE), "a threat id of the form N.M.K-Tj"),
-        "of", ("evr", _dotted(m.EVR_ID_RE), "the parent EVR id"),
-    ), (
+    _Block("threat", "threats", ("of", ("evr", _dotted(m.EVR_ID_RE), "the parent EVR id")), (
         ("realistic", "realistic", _BOOL),
         ("note", "description", _NOTE),
     )),
     _Block("control", "controls", (
-        ("id", _dotted(m.CONTROL_ID_RE), "a control id of the form N.M.K-Cj"),
         "for", ("threats", _commas(_dotted(m.THREAT_ID_RE)), "a threat id"),
     ), (
         ("rigor", "rigor", _INT),
@@ -909,36 +907,26 @@ _BLOCKS: dict[str, _Block] = {block.keyword: block for block in (
         ("disposition", "implementing_disposition", _REF, "disposition id"),
         ("note", "description", _NOTE),
     )),
-    _Block("disposition", "dispositions", (
-        ("id", _IDENT, "disposition id"),
-    ), (
+    _Block("disposition", "dispositions", (), (
         ("component", "soi_component", _STRING, "soi component", "soi component"),
         ("implements", "implements", _dotted(m.CONTROL_ID_RE), "a control id"),
         ("note", "description", _NOTE),
     )),
-    _Block("funcreq", "functional_requirements", (
-        ("id", _IDENT, "functional requirement id"),
-    ), (
+    _Block("funcreq", "functional_requirements", (), (
         ("note", "text", _NOTE),
     )),
-    _Block("concept", "design_concepts", (
-        ("id", _IDENT, "design concept id"), ("name", _STRING, "design concept name"),
-    ), (
+    _Block("concept", "design_concepts", (("name", _STRING, "design concept name"),), (
         ("ethical", "ethical_refs",
          _dotted(re.compile(f"{m.EVR_ID_RE.pattern}|{m.CONTROL_ID_RE.pattern}")),
          "an EVR or control id"),
         ("functional", "functional_refs", _REF, "functional requirement id"),
     )),
-    _Block("persona", "personas", (
-        ("id", _IDENT, "persona id"), ("name", _STRING, "persona name"),
-    ), (
+    _Block("persona", "personas", (("name", _STRING, "persona name"),), (
         ("stakeholder", "stakeholder", _REF, "stakeholder id"),
         ("note", "narrative", _NOTE),
     ), derived=("kind",)),
     _Block("attestation", "attestations", (
-        ("id", _IDENT, "attestation id"),
-        ("subject", _Reader(_Parser.need_attested, _attested_text, True),
-         "attestation subject"),
+        ("subject", _Reader(_Parser.need_attested, _attested_text, True), "attestation subject"),
     ), (
         ("by", "signatory_name", _STRING, "signatory name"),
         ("role", "signatory_role", _ENUM, "signatory role"),
@@ -957,9 +945,7 @@ _BLOCKS: dict[str, _Block] = {block.keyword: block for block in (
         ("note", "rationale", _NOTE),
         ("signed", "attestations", _REF, "attestation id"),
     )),
-    _Block("feedback", "feedback", (
-        ("id", _IDENT, "feedback id"),
-    ), (
+    _Block("feedback", "feedback", (), (
         ("date", "date", _STRING),
         ("from", "source", _Reader(_REF.read, _same, True, _REF.token),
          "a stakeholder id or market", "source"),

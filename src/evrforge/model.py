@@ -589,19 +589,21 @@ MARKET_SOURCE = "market"
 
 
 def _kind(label: str, floor: Phase | None, id_shape: re.Pattern | None = IDENT_RE,
-          numbered: tuple | None = None):
+          numbered: tuple | None = None, node: str | None = None):
     """A document field that holds one id-keyed entity kind, and so declares
     it: the label for messages, the earliest phase at which the collection
     may be non-empty (None for any phase), and the pattern its ids must
     match so that the text format can always re-emit them (None for the
-    core values' integers).
+    core values' integers).  The text format reads an id by this pattern.
 
     A kind whose ids are numbered under a parent also declares ``numbered``:
-    the noun and id form its messages use, the parent's kind, whether the
-    numbers run under the value of its chain parent in :data:`REFERENCES`
-    or under its id prefix, and the code and message of the check that the
-    prefix names the chain parent (None for none)."""
-    return field(default=(), metadata={"kind": (label, floor, id_shape), "numbered": numbered})
+    the noun and id form its messages use, the parent's kind, and the code
+    and message of the check that the id prefix names the chain parent in
+    :data:`REFERENCES` (None for none).  Its numbers run 1..n under each id
+    prefix.  A kind the trace graph holds declares ``node``, the field whose
+    first line names its node."""
+    return field(default=(), metadata={"kind": (label, floor, id_shape), "numbered": numbered,
+                                       "node": node})
 
 
 @record
@@ -616,19 +618,20 @@ class RegisterDocument:
     contexts: tuple[ContextOfUse, ...] = _kind("context", None)
     sessions: tuple[ElicitationSession, ...] = _kind("session", Phase.EXPLORATION)
     statements: tuple[ValueStatement, ...] = _kind("statement", Phase.EXPLORATION)
-    core_values: tuple[CoreValue, ...] = _kind("core value", Phase.EXPLORATION, None)
+    core_values: tuple[CoreValue, ...] = _kind("core value", Phase.EXPLORATION, None, node="name")
     qualities: tuple[ValueQuality, ...] = _kind("quality", Phase.EXPLORATION, QUALITY_ID_RE, (
-        "quality", "N.M", "core_values", True,
-        ("P013", "quality id prefix {prefix} does not match parent core value {parent}")))
+        "quality", "N.M", "core_values",
+        ("P013", "quality id prefix {prefix} does not match parent core value {parent}")), "name")
     evrs: tuple[Evr, ...] = _kind("evr", Phase.EXPLORATION, EVR_ID_RE, (
-        "EVR", "N.M.K", "qualities", True, ("P014", "EVR id prefix does not match parent quality")))
+        "EVR", "N.M.K", "qualities", ("P014", "EVR id prefix does not match parent quality")), "text")
     threats: tuple[Threat, ...] = _kind("threat", Phase.DESIGN, THREAT_ID_RE, (
-        "threat", "N.M.K-Tj", "evrs", False, ("P015", "threat id prefix does not match its EVR")))
+        "threat", "N.M.K-Tj", "evrs", ("P015", "threat id prefix does not match its EVR")), "description")
     controls: tuple[Control, ...] = _kind("control", Phase.DESIGN, CONTROL_ID_RE, (
-        "control", "N.M.K-Cj", "evrs", False, None))
-    dispositions: tuple[ValueDisposition, ...] = _kind("disposition", Phase.DESIGN)
-    functional_requirements: tuple[FunctionalRequirement, ...] = _kind("functional requirement", Phase.DESIGN)
-    design_concepts: tuple[DesignConcept, ...] = _kind("design concept", Phase.DESIGN)
+        "control", "N.M.K-Cj", "evrs", None), "description")
+    dispositions: tuple[ValueDisposition, ...] = _kind("disposition", Phase.DESIGN, node="description")
+    functional_requirements: tuple[FunctionalRequirement, ...] = _kind(
+        "functional requirement", Phase.DESIGN, node="text")
+    design_concepts: tuple[DesignConcept, ...] = _kind("design concept", Phase.DESIGN, node="name")
     personas: tuple[Persona, ...] = _kind("persona", Phase.DESIGN)
     attestations: tuple[Attestation, ...] = _kind("attestation", Phase.EXPLORATION)
     mission: ValueMission | None = _floor(Phase.EXPLORATION, "a mission is")
@@ -648,6 +651,15 @@ class RegisterDocument:
 # the parser, the index, the trace graph and the diff are driven by it.
 ENTITY_KINDS: dict[str, tuple[str, Phase | None, re.Pattern | None]] = {
     f.name: f.metadata["kind"] for f in fields(RegisterDocument) if "kind" in f.metadata}
+# The kinds the trace graph holds, in field order: field name -> the field
+# whose first line names a node.
+GRAPH_KINDS: dict[str, str] = {
+    f.name: f.metadata["node"] for f in fields(RegisterDocument) if f.metadata.get("node")}
+
+
+def _a(noun: str) -> str:
+    """``noun`` after its indefinite article."""
+    return f"{'an' if noun[0] in 'AEIOUaeiou' else 'a'} {noun}"
 
 # Every field that names other entities by id: the source collection (or the
 # ``mission`` / ``investment_decision`` singleton), the field, the collections
@@ -812,27 +824,22 @@ def _breaches(holders: list, checks: tuple) -> list:
     return found
 
 
-def _numbered(doc: RegisterDocument, kind: str, bad, numbers: dict):
-    """Each entity of a numbered ``kind`` whose id has the declared form,
-    with the id's prefix.  Reports P012 for the others and the prefix
-    check, and records each number under its parent in ``numbers[kind]``,
-    the parents in the index's order where they are chain parents."""
-    noun, form, parent_kind, by_parent, prefix_check = _NUMBERED[kind]
+def _numbered(doc: RegisterDocument, kind: str, bad):
+    """``(entity, prefix, number)`` for each entity of a numbered ``kind``
+    whose id has the declared form, as it is checked: P012 for an id of
+    another form, and the prefix check against the chain parent."""
+    noun, form, parent_kind, prefix_check = _NUMBERED[kind]
     shape, parent = ENTITY_KINDS[kind][2], attrgetter(_CHAIN_PARENT[kind])
     numeric = ENTITY_KINDS[parent_kind][2] is None  # the parent's ids are numbers
-    idx = doc.index
-    groups = numbers[kind] = {key: [] for key in getattr(idx, idx.GROUPINGS[kind])} if by_parent else {}
     for entity in getattr(doc, kind):
         match = shape.match(entity.id)
         if match is None:
             bad("P012", entity.id, f"{noun} id {entity.id!r} is not of the form {form}", kind)
             continue
         prefix, number = match.groups()
-        value = parent(entity)
-        groups.setdefault(value if by_parent else prefix, []).append(int(number))
-        if prefix_check and (int(prefix) if numeric else prefix) != value:
+        if prefix_check and (int(prefix) if numeric else prefix) != (value := parent(entity)):
             bad(prefix_check[0], entity.id, prefix_check[1].format(prefix=prefix, parent=value), kind)
-        yield entity, prefix
+        yield entity, prefix, int(number)
 
 
 def validate_register(doc: RegisterDocument, *,
@@ -906,18 +913,19 @@ def validate_register(doc: RegisterDocument, *,
         bad("P022", "register", "priority ranks do not form a permutation of 1..%d" % len(doc.core_values))
     check("core_values")
 
-    numbers: dict[str, dict] = {}  # per numbered kind: parent -> its children's numbers
-    for kind in ("qualities", "evrs"):
-        for _ in _numbered(doc, kind, bad, numbers):
-            pass
+    # Per numbered kind, (entity, prefix, number) for each well-formed id.
+    numbered = {kind: [*_numbered(doc, kind, bad)] for kind in ("qualities", "evrs")}
     for e in doc.evrs:
         if "evrs" in faulty:
             check("evrs", e)
         if e.risk_path is RiskPath.HIGH and e.protection_demand is None:
             bad("P032", e.id, f"high-risk EVR {e.id} has no protection demand", "evrs")
 
-    threat_evrs = {t.id: evr for t, evr in _numbered(doc, "threats", bad, numbers)}
-    for c, own_evr in _numbered(doc, "controls", bad, numbers):
+    numbered["threats"] = [*_numbered(doc, "threats", bad)]
+    threat_evrs = {t.id: evr for t, evr, _ in numbered["threats"]}
+    controls = numbered["controls"] = []
+    for c, own_evr, number in _numbered(doc, "controls", bad):
+        controls.append((c, own_evr, number))
         for tid in c.threats:
             if tid in idx.threats and threat_evrs.get(tid) != own_evr:
                 bad("P024", c.id, f"control {c.id} references threat {tid} outside its EVR {own_evr}", "controls")
@@ -944,13 +952,16 @@ def validate_register(doc: RegisterDocument, *,
                     subject = "register" if single else str(entity.id)
                     bad("P011", subject, message.format(id=subject, ref=ref), None if single else kind)
 
-    # Numbering runs 1..n under each parent.
-    for kind, groups in numbers.items():
-        noun, _, parent_kind, _, _ = _NUMBERED[kind]
+    # Numbering runs 1..n under each id prefix.
+    for kind, held in numbered.items():
+        noun, _, parent_kind, _ = _NUMBERED[kind]
         under = (_NUMBERED.get(parent_kind) or ENTITY_KINDS[parent_kind])[0]
-        for parent, indices in groups.items():
+        groups: dict[str, list[int]] = {}
+        for _, prefix, number in held:
+            groups.setdefault(prefix, []).append(number)
+        for prefix, indices in groups.items():
             if sorted(indices) != list(range(1, len(indices) + 1)):
-                bad("P016", str(parent), f"{noun} numbering under {under} {parent} is not contiguous from 1", parent_kind)
+                bad("P016", prefix, f"{noun} numbering under {under} {prefix} is not contiguous from 1", parent_kind)
 
     check("dispositions")
     check("sos_elements")

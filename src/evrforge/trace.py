@@ -40,34 +40,21 @@ class TraceGraph:
     parents: dict[str, str | None]
 
 
-# The kinds the graph holds: collection -> the field whose first line names
-# a node.  A node's kind is the ENTITY_KINDS label, ``_`` for spaces.
-_NODES = {
-    "core_values": "name",
-    "qualities": "name",
-    "evrs": "text",
-    "threats": "description",
-    "controls": "description",
-    "dispositions": "description",
-    "functional_requirements": "text",
-    "design_concepts": "name",
-}
-
-
 def _graph_plan() -> list[tuple]:
-    """Per node kind, in ENTITY_KINDS order: (collection, node kind, name
-    field, links, flush); a link is (field, parent?, merged?).  Edges run
-    from a parent to its child, else to what is named; edges two kinds name
-    from both sides come merged, after the later kind."""
-    kinds = [kind for kind in m.ENTITY_KINDS if kind in _NODES]
+    """Per node kind, in field order (``model.GRAPH_KINDS``): (collection,
+    node kind, name field, links, flush); a node's kind is the ENTITY_KINDS
+    label, ``_`` for spaces, and a link is (field, parent?, merged?).  Edges
+    run from a parent to its child, else to what is named; edges two kinds
+    name from both sides come merged, after the later kind."""
+    kinds = m.GRAPH_KINDS
     pairs = {(kind, targets) for kind, _, targets, _, _ in m.REFERENCES}
     links = {kind: tuple((field, parent, (targets[0], (kind,)) in pairs)
                          for source, field, targets, _, parent in m.REFERENCES
-                         if source == kind and _NODES.keys() >= set(targets))
+                         if source == kind and kinds.keys() >= set(targets))
              for kind in kinds}
     last = max(i for i, kind in enumerate(kinds) if any(link[2] for link in links[kind]))
-    return [(kind, m.ENTITY_KINDS[kind][0].replace(" ", "_"), _NODES[kind], links[kind],
-             i == last) for i, kind in enumerate(kinds)]
+    return [(kind, m.ENTITY_KINDS[kind][0].replace(" ", "_"), name, links[kind], i == last)
+            for i, (kind, name) in enumerate(kinds.items())]
 
 
 _GRAPH_PLAN = _graph_plan()
