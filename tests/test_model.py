@@ -131,7 +131,6 @@ _MANY_SECTIONS_FOUND = [
     ("P025", "1.1.1-C1", "implemented control 1.1.1-C1 names no implementing disposition"),
     ("P011", "1.1.1-C2", "control 1.1.1-C2 mitigates no threats"),
     ("P011", "P2", "persona P2 references unknown stakeholder 'NOPE'"),
-    ("P016", "1", "quality numbering under core value 1 is not contiguous from 1"),
     ("P026", "D1", "disposition D1 implements no controls"),
     ("P021", "S1", "SOS element tier must be >= 1, got 0"),
     ("P017", "CTX1", "data flow source 'phone' is not a declared element"),
@@ -485,6 +484,34 @@ class TestValidation:
     def test_field_checks_report_exactly(self, phase, overrides, expected):
         violations = m.validate_register(replace(base_doc(phase), **overrides))
         assert [(v.code, v.subject, v.message) for v in violations] == expected
+
+    @pytest.mark.parametrize("kind, field, code, moved", [
+        ("qualities", "core_value", "P013", 98), ("evrs", "quality", "P014", 91),
+        ("threats", "evr", "P015", 56), ("controls", "threats", "P024", 35),
+    ])
+    def test_a_moved_entity_gives_one_violation(self, kind, field, code, moved):
+        # One fault, one diagnostic: the first entity of a numbered kind
+        # moved under another existing parent (a control: to a threat of
+        # another EVR) breaks its prefix, and its numbering stays whole.
+        parent_kind = {"core_value": "core_values", "quality": "qualities", "evr": "evrs",
+                       "threats": "threats"}[field]
+        seen = 0
+        for seed in range(300):
+            doc = random_register(random.Random(seed))
+            first, *rest = getattr(doc, kind) or (None,)
+            if first is None:
+                continue
+            old = m.control_parent(first.id) if kind == "controls" else getattr(first, field)
+            other = next((p.id for p in getattr(doc, parent_kind)
+                          if (p.evr if kind == "controls" else p.id) != old), None)
+            if other is None:
+                continue
+            new = (other, *first.threats[1:]) if kind == "controls" else other
+            moved_doc = replace(doc, **{kind: (replace(first, **{field: new}), *rest)})
+            found = [(v.code, v.subject, v.kind) for v in m.validate_register(moved_doc)]
+            assert found == [(code, first.id, kind)], seed
+            seen += 1
+        assert seen == moved
 
     def test_generated_registers_are_valid(self):
         rng = random.Random(7)
