@@ -898,10 +898,17 @@ def validate_register(doc: RegisterDocument, *,
                     why = "is reserved: it closes a block" if entity.id == "end" else "is not identifier-shaped"
                     bad("P012", entity.id, f"{label} id {entity.id!r} {why}", kind)
 
-    evr_and_control_ids = set(idx.evrs) | set(idx.controls)
-    for f in doc.functional_requirements:
-        if f.id in evr_and_control_ids:
-            bad("P010", f.id, "functional requirement id collides with an ethical requirement id", "functional_requirements")
+    # The trace graph keys its nodes by id alone, so graph kinds share no id:
+    # P010 at the later kind.  Sizes first: a document without one pays a union.
+    graph_ids = [getattr(idx, kind).keys() if ENTITY_KINDS[kind][2] else {*map(str, getattr(idx, kind))}
+                 for kind in GRAPH_KINDS]
+    if len(set().union(*graph_ids)) < sum(map(len, graph_ids)):
+        owners: dict[str, str] = {}
+        for kind in GRAPH_KINDS:
+            for entity in getattr(doc, kind):
+                eid = str(entity.id)
+                if (owner := owners.setdefault(eid, kind)) != kind:
+                    bad("P010", eid, f"{ENTITY_KINDS[kind][0]} id {eid!r} is also {_a(ENTITY_KINDS[owner][0])} id", kind)
 
     # Core value numbering: ids are 1..n in declaration order, ranks a
     # permutation of 1..n.

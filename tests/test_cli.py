@@ -45,6 +45,16 @@ class TestCheck:
         assert len(r02_lines) == 1
         assert r02_lines[0].startswith("ERROR VBE-R02 register:")
 
+    def test_an_id_two_graph_kinds_share_is_one_p010(self, tmp_path, capsys):
+        # The trace graph keys nodes by id: a concept named like the
+        # disposition D1 would hide it from ``trace`` and ``export``.
+        source = (FIXTURES / "scaffold_demo.evr").read_text(encoding="utf-8")
+        path = tmp_path / "dup.evr"
+        path.write_text(source.replace("\nconcept DC1 ", "\nconcept D1 "), encoding="utf-8")
+        assert cli.main(["check", str(path)]) == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("ERROR")]
+        assert errors == [f"ERROR P010 {path}:119:1: design concept id 'D1' is also a disposition id"]
+
     def test_nonexistent_path_exits_three(self, capsys):
         assert cli.main(["check", "/nonexistent/register.evr"]) == 3
         assert "cannot read" in capsys.readouterr().err
