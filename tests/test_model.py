@@ -115,7 +115,7 @@ _MANY_SECTIONS_FOUND = [
     ("P010", "ST1", "duplicate stakeholder id 'ST1'"),
     ("P012", "bad id", "stakeholder id 'bad id' is not identifier-shaped"),
     ("P012", "1.1.1", "functional requirement id '1.1.1' is not identifier-shaped"),
-    ("P010", "1.1.1", "functional requirement id collides with an ethical requirement id"),
+    ("P010", "1.1.1", "functional requirement id '1.1.1' is also an evr id"),
     ("P022", "register", "priority ranks do not form a permutation of 1..2"),
     ("P021", "1", "hierarchy score endurance must be 1..5, got 6"),
     ("P013", "2.1", "quality id prefix 2 does not match parent core value 1"),
@@ -371,7 +371,7 @@ class TestValidation:
     @pytest.mark.parametrize("phase, overrides, expected", [
         (m.Phase.DESIGN, dict(_CHAIN, functional_requirements=(m.FunctionalRequirement(id="1.1.1"),)),
          [("P012", "1.1.1", "functional requirement id '1.1.1' is not identifier-shaped"),
-          ("P010", "1.1.1", "functional requirement id collides with an ethical requirement id")]),
+          ("P010", "1.1.1", "functional requirement id '1.1.1' is also an evr id")]),
         (m.Phase.EXPLORATION, dict(core_values=(m.CoreValue(
             id=1, name="privacy", priority_rank=1, hierarchy_scores=m.HierarchyScores(5, 4, 6, 3, 0)),)),
          [("P021", "1", "hierarchy score indivisibility must be 1..5, got 6"),
