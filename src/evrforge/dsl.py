@@ -22,12 +22,14 @@ Sketch of the grammar::
     alias       := "alias" STRING STRING
     attrs       := (KEY value*)*      keys and values declared per block kind
 
-``_BLOCKS`` declares each block kind once, header slots and attributes in
-canonical order; the parser, the canonical writer and the line-break check
-(P037) all follow it.  Parsing never aborts: problems come back as
-diagnostics with source spans, and recovery continues after a broken block
-so one run reports many errors.  A document is returned only when no
-error-severity diagnostic was produced.
+``_BLOCKS`` rows state the text format of each block kind once, header
+slots and attributes in canonical order; an entity kind's id slot comes
+from its document field (``model._kind``).  The parser, the canonical
+writer and the line-break check (P037) all follow the table.  Parsing
+never aborts: problems come back as diagnostics with source spans, and
+recovery continues after a broken block so one run reports many errors.
+A document is returned only when no error-severity diagnostic was
+produced.
 """
 
 from __future__ import annotations
@@ -687,13 +689,13 @@ class _Block:
     writer and the line-break check.
 
     ``head`` lists the header slots after the id in order: a literal
-    keyword, or ``(field, reader, what)``.  ``attrs`` lists the attributes in canonical
-    order as ``(key, field, reader[, what[, missing]])``: ``what`` names the
-    value in error messages and ``missing`` names a required attribute that
-    is absent (both default to the key).  A ``(prefix, field, _GROUP[,
-    what])`` entry makes each field of the group's class an attribute keyed
-    by prefix and field name.  ``attrs`` is None for a block without
-    attributes and ``end``.
+    keyword, or ``(field, reader, what)``.  ``attrs`` lists the attributes
+    in canonical order as ``(key, field, reader[, what[, missing]])``:
+    ``what`` names the value in error messages and ``missing`` names a
+    required attribute that is absent (both default to the key).  A
+    ``(prefix, field, _GROUP[, what])`` entry makes each field of the
+    group's class an attribute keyed by prefix and field name.  ``attrs``
+    is None for a block without attributes and ``end``.
 
     The rest comes from the model: the block's class is the one its slot,
     a field of the document, holds (``_Alias`` for ``alias_map``), an

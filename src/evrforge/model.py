@@ -234,6 +234,11 @@ def control_parent(control_id: str) -> str | None:
     return m.group(1) if m else None
 
 
+def _a(noun: str) -> str:
+    """``noun`` after its indefinite article."""
+    return f"{'an' if noun[0] in 'AEIOUaeiou' else 'a'} {noun}"
+
+
 def _checked(code: str, test, message: str, default=MISSING):
     """A record field with the check ``validate_register`` makes of its
     value: ``code`` where ``test(value)`` is false, with ``message``
@@ -655,11 +660,6 @@ ENTITY_KINDS: dict[str, tuple[str, Phase | None, re.Pattern | None]] = {
 # whose first line names a node.
 GRAPH_KINDS: dict[str, str] = {
     f.name: f.metadata["node"] for f in fields(RegisterDocument) if f.metadata.get("node")}
-
-
-def _a(noun: str) -> str:
-    """``noun`` after its indefinite article."""
-    return f"{'an' if noun[0] in 'AEIOUaeiou' else 'a'} {noun}"
 
 # Every field that names other entities by id: the source collection (or the
 # ``mission`` / ``investment_decision`` singleton), the field, the collections
