@@ -824,22 +824,25 @@ def _breaches(holders: list, checks: tuple) -> list:
     return found
 
 
-def _numbered(doc: RegisterDocument, kind: str, bad):
-    """``(entity, prefix, number)`` for each entity of a numbered ``kind``
-    whose id has the declared form, as it is checked: P012 for an id of
-    another form, and the prefix check against the chain parent."""
+def _numbered(doc: RegisterDocument, kind: str, bad, numbers: dict):
+    """Each entity of a numbered ``kind`` whose id has the declared form,
+    with the id's prefix.  Reports P012 for the others and the prefix
+    check against the chain parent, and records each number under its id
+    prefix in ``numbers[kind]``."""
     noun, form, parent_kind, prefix_check = _NUMBERED[kind]
     shape, parent = ENTITY_KINDS[kind][2], attrgetter(_CHAIN_PARENT[kind])
     numeric = ENTITY_KINDS[parent_kind][2] is None  # the parent's ids are numbers
+    groups = numbers[kind] = {}
     for entity in getattr(doc, kind):
         match = shape.match(entity.id)
         if match is None:
             bad("P012", entity.id, f"{noun} id {entity.id!r} is not of the form {form}", kind)
             continue
         prefix, number = match.groups()
+        groups.setdefault(prefix, []).append(int(number))
         if prefix_check and (int(prefix) if numeric else prefix) != (value := parent(entity)):
             bad(prefix_check[0], entity.id, prefix_check[1].format(prefix=prefix, parent=value), kind)
-        yield entity, prefix, int(number)
+        yield entity, prefix
 
 
 def validate_register(doc: RegisterDocument, *,
@@ -920,19 +923,19 @@ def validate_register(doc: RegisterDocument, *,
         bad("P022", "register", "priority ranks do not form a permutation of 1..%d" % len(doc.core_values))
     check("core_values")
 
-    # Per numbered kind, (entity, prefix, number) for each well-formed id.
-    numbered = {kind: [*_numbered(doc, kind, bad)] for kind in ("qualities", "evrs")}
+    numbers: dict[str, dict] = {}  # per numbered kind: id prefix -> the numbers under it
+    # Per numbered kind, the ids of the declared form: references skip the others.
+    formed = {kind: {e.id for e, _ in _numbered(doc, kind, bad, numbers)} for kind in ("qualities", "evrs")}
     for e in doc.evrs:
         if "evrs" in faulty:
             check("evrs", e)
         if e.risk_path is RiskPath.HIGH and e.protection_demand is None:
             bad("P032", e.id, f"high-risk EVR {e.id} has no protection demand", "evrs")
 
-    numbered["threats"] = [*_numbered(doc, "threats", bad)]
-    threat_evrs = {t.id: evr for t, evr, _ in numbered["threats"]}
-    controls = numbered["controls"] = []
-    for c, own_evr, number in _numbered(doc, "controls", bad):
-        controls.append((c, own_evr, number))
+    threat_evrs = formed["threats"] = {t.id: evr for t, evr in _numbered(doc, "threats", bad, numbers)}
+    formed["controls"] = set()
+    for c, own_evr in _numbered(doc, "controls", bad, numbers):
+        formed["controls"].add(c.id)
         for tid in c.threats:
             if tid in idx.threats and threat_evrs.get(tid) != own_evr:
                 bad("P024", c.id, f"control {c.id} references threat {tid} outside its EVR {own_evr}", "controls")
@@ -946,7 +949,7 @@ def validate_register(doc: RegisterDocument, *,
         known, *others = [getattr(idx, target) for target in targets]
         held = getattr(doc, kind)
         single = kind not in ENTITY_KINDS
-        pattern = ENTITY_KINDS[kind][2] if kind in _NUMBERED else None
+        ids = formed.get(kind)
         entities = ((held,) if held is not None else ()) if single else held
         for entity, refs in zip(entities, map(attrgetter(field), entities)):
             if refs.__class__ is not tuple:
@@ -955,17 +958,14 @@ def validate_register(doc: RegisterDocument, *,
                 refs = (refs,)
             for ref in refs:
                 if (ref not in known and not any(ref in other for other in others)
-                        and (pattern is None or pattern.match(entity.id))):
+                        and (ids is None or entity.id in ids)):
                     subject = "register" if single else str(entity.id)
                     bad("P011", subject, message.format(id=subject, ref=ref), None if single else kind)
 
     # Numbering runs 1..n under each id prefix.
-    for kind, held in numbered.items():
+    for kind, groups in numbers.items():
         noun, _, parent_kind, _ = _NUMBERED[kind]
         under = (_NUMBERED.get(parent_kind) or ENTITY_KINDS[parent_kind])[0]
-        groups: dict[str, list[int]] = {}
-        for _, prefix, number in held:
-            groups.setdefault(prefix, []).append(number)
         for prefix, indices in groups.items():
             if sorted(indices) != list(range(1, len(indices) + 1)):
                 bad("P016", prefix, f"{noun} numbering under {under} {prefix} is not contiguous from 1", parent_kind)
