@@ -485,16 +485,16 @@ class TestValidation:
         violations = m.validate_register(replace(base_doc(phase), **overrides))
         assert [(v.code, v.subject, v.message) for v in violations] == expected
 
-    @pytest.mark.parametrize("kind, field, code, moved", [
-        ("qualities", "core_value", "P013", 98), ("evrs", "quality", "P014", 91),
-        ("threats", "evr", "P015", 56), ("controls", "threats", "P024", 35),
+    @pytest.mark.parametrize("kind, field, parent_kind, code, moved", [
+        ("qualities", "core_value", "core_values", "P013", 98),
+        ("evrs", "quality", "qualities", "P014", 91),
+        ("threats", "evr", "evrs", "P015", 56),
+        ("controls", "threats", "threats", "P024", 35),
     ])
-    def test_a_moved_entity_gives_one_violation(self, kind, field, code, moved):
+    def test_a_moved_entity_gives_one_violation(self, kind, field, parent_kind, code, moved):
         # One fault, one diagnostic: the first entity of a numbered kind
         # moved under another existing parent (a control: to a threat of
         # another EVR) breaks its prefix, and its numbering stays whole.
-        parent_kind = {"core_value": "core_values", "quality": "qualities", "evr": "evrs",
-                       "threats": "threats"}[field]
         seen = 0
         for seed in range(300):
             doc = random_register(random.Random(seed))
