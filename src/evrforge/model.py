@@ -626,13 +626,13 @@ class RegisterDocument:
     core_values: tuple[CoreValue, ...] = _kind("core value", Phase.EXPLORATION, None, node="name")
     qualities: tuple[ValueQuality, ...] = _kind("quality", Phase.EXPLORATION, QUALITY_ID_RE, (
         "quality", "N.M", "core_values",
-        ("P013", "quality id prefix {prefix} does not match parent core value {parent}")), "name")
+        ("P013", "quality id prefix {prefix} does not match parent core value {parent}")), node="name")
     evrs: tuple[Evr, ...] = _kind("evr", Phase.EXPLORATION, EVR_ID_RE, (
-        "EVR", "N.M.K", "qualities", ("P014", "EVR id prefix does not match parent quality")), "text")
+        "EVR", "N.M.K", "qualities", ("P014", "EVR id prefix does not match parent quality")), node="text")
     threats: tuple[Threat, ...] = _kind("threat", Phase.DESIGN, THREAT_ID_RE, (
-        "threat", "N.M.K-Tj", "evrs", ("P015", "threat id prefix does not match its EVR")), "description")
+        "threat", "N.M.K-Tj", "evrs", ("P015", "threat id prefix does not match its EVR")), node="description")
     controls: tuple[Control, ...] = _kind("control", Phase.DESIGN, CONTROL_ID_RE, (
-        "control", "N.M.K-Cj", "evrs", None), "description")
+        "control", "N.M.K-Cj", "evrs", None), node="description")
     dispositions: tuple[ValueDisposition, ...] = _kind("disposition", Phase.DESIGN, node="description")
     functional_requirements: tuple[FunctionalRequirement, ...] = _kind(
         "functional requirement", Phase.DESIGN, node="text")
@@ -911,7 +911,8 @@ def validate_register(doc: RegisterDocument, *,
             for entity in getattr(doc, kind):
                 eid = str(entity.id)
                 if (owner := owners.setdefault(eid, kind)) != kind:
-                    bad("P010", eid, f"{ENTITY_KINDS[kind][0]} id {eid!r} is also {_a(ENTITY_KINDS[owner][0])} id", kind)
+                    label, other = ENTITY_KINDS[kind][0], ENTITY_KINDS[owner][0]
+                    bad("P010", eid, f"{label} id {eid!r} is also {_a(other)} id", kind)
 
     # Core value numbering: ids are 1..n in declaration order, ranks a
     # permutation of 1..n.
