@@ -297,6 +297,8 @@ class _Parser:
         return self.advance()
 
     def need_lens(self, what: str) -> m.Lens:
+        """A lens the parser did not read in place (``_LENS``): ``cultural``
+        and its framework, or a token that names no plain lens, which raises."""
         kind = _enum(m.LensKind).read(self, what)
         if kind is m.LensKind.CULTURAL and self.tok[0] == "STRING":
             return m.Lens(kind, self.advance()[2])
@@ -458,6 +460,13 @@ class _Parser:
         )
 
 
+# The key, in a parsed document's instance ``__dict__`` beside its cached
+# ``index``, of the verdict that the parse validated it clean: a copy of its
+# ``alias_map``, the one field that can change after the parse.  ``==``,
+# ``hash``, ``repr`` and ``replace`` read only the fields, so they ignore it.
+_VALIDATED = "_validated_alias_map"
+
+
 def parse_register(source_text: str, file_name: str = "<register>") -> ParseResult:
     """Parse register source into a document plus diagnostics.
 
@@ -467,7 +476,9 @@ def parse_register(source_text: str, file_name: str = "<register>") -> ParseResu
     Only a source with a carriage return can give P037, so a source without
     one is validated without the line-break walk: no token but a string can
     hold a line break, a string holds no line feed, and a note's lines are
-    joined by line feeds, which prose may hold.
+    joined by line feeds, which prose may hold.  So the validation is
+    complete either way, and a document returned keeps its clean verdict
+    for :func:`serialize_canonical` (``_VALIDATED``).
     """
     parser = _Parser(source_text, file_name)
     parser.parse()
@@ -477,7 +488,10 @@ def parse_register(source_text: str, file_name: str = "<register>") -> ParseResu
     doc = None
     if not any(d.severity == "error" for d in diagnostics):
         doc = parser.build_document()
-        for violation in m.validate_register(doc, line_breaks="\r" in source_text):
+        violations = m.validate_register(doc, line_breaks="\r" in source_text)
+        if not violations:
+            doc.__dict__[_VALIDATED] = dict(doc.alias_map)
+        for violation in violations:
             # A document-level violation at the header; else by kind and id,
             # else at the header, or at the start of a source without one.
             kind, subject = violation.kind, violation.subject
@@ -518,7 +532,9 @@ class _Reader:
     token's value (None passes any), and ``convert(text)``, the value read
     (None keeps the text).  The parser reads such a value in place, and
     ``_token`` derives its ``read`` from the same form.  A reader of several
-    tokens has the form ``(None, None, None)``, which no token matches."""
+    tokens has the form ``(None, None, None)``, which no token matches; one
+    whose common case is one token, as a lens, declares that case's form and
+    reads the rest with ``read``."""
 
     __slots__ = ("read", "text", "checked", "token")
 
@@ -586,7 +602,10 @@ _REF = _token("IDENT", lambda p, text: text != "end", None, _Parser.expected, _s
 # Prose: one ``note`` line per line of text.
 _NOTE = _token("STRING", None, None, lambda p, what: p.need_string("note text"), _STRING.text,
                True)
-_LENS = _Reader(_Parser.need_lens, _lens_text, True)
+# A lens of one word converts to one shared, frozen ``Lens`` per kind.
+_PLAIN_LENSES = {kind.value: m.Lens(kind) for kind in m.LensKind if kind is not m.LensKind.CULTURAL}
+_LENS = _Reader(_Parser.need_lens, _lens_text, True,
+                ("IDENT", lambda p, text: text in _PLAIN_LENSES, _PLAIN_LENSES.__getitem__))
 # A data subject is written bare when it names a stakeholder.
 _SUBJECT = _Reader(_Parser.need_subject, lambda value, doc: value if (
     value in doc.index.stakeholders and m.IDENT_RE.match(value)) else _quote(value), True)
@@ -969,15 +988,21 @@ def serialize_canonical(doc: m.RegisterDocument) -> str:
     """Render a valid document in canonical form; an invalid one raises
     :class:`~evrforge.model.RegisterError`.
 
+    A document that :func:`parse_register` returned was validated there,
+    and is not validated again while its ``alias_map``, the one field that
+    can change in place, still equals what the parser read.  Any other
+    document, a ``replace`` of a parsed one included, is validated here.
+
     Blocks follow ``_BLOCKS`` in declaration order per kind, attributes
     appear in table order, and values equal to their defaults are omitted,
     so the output is a fixed point: parsing and re-serializing it gives the
     same bytes.
     """
-    violations = m.validate_register(doc)
-    if violations:
-        raise m.RegisterError("cannot serialize an invalid register: "
-                              + "; ".join(v.message for v in violations[:3]))
+    if doc.__dict__.get(_VALIDATED) != doc.alias_map:
+        violations = m.validate_register(doc)
+        if violations:
+            raise m.RegisterError("cannot serialize an invalid register: "
+                                  + "; ".join(v.message for v in violations[:3]))
     header = f"register {_quote(doc.project.name)}"
     if doc.project.version:
         header += f" version {_quote(doc.project.version)}"
