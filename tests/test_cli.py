@@ -146,6 +146,14 @@ class TestReport:
         out = capsys.readouterr().out
         assert "none" in out
 
+    def test_a_signature_the_document_lacks_is_printed_bare(self, clean_doc):
+        # Neither renderer validates its document, so a library caller can
+        # pass a mission that cites an attestation the document lacks.
+        doc = replace(clean_doc, mission=replace(clean_doc.mission, signed_by=("A4", "A99")))
+        signed = "Carl Brandt (executive), 2020-04-02"
+        assert cli.render_mission_report(doc).endswith(f"\nsigned:\n  {signed}\n  A99\n")
+        assert f"\nsigned: {signed}; A99\n" in cli.render_audit_report(doc, ())
+
     def test_audit_report_matches_golden(self, capsys):
         assert cli.main(["report", CLEAN, "--kind", "audit"]) == 0
         golden = (FIXTURES / "audit_golden.txt").read_text(encoding="utf-8")

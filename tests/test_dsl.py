@@ -149,6 +149,36 @@ class TestParse:
         assert result.document is None
         assert any(d.code == "P030" for d in result.diagnostics)
 
+    # A session's repeated ``lens`` lines and a statement's one ``lens``.
+    LENSES = ('register "TM" phase exploration\nsoi\n  note "demo"\nend\n'
+              'stakeholder ST1 "patients"\n  kind direct\nend\n'
+              'session SES1\n  participant ST1\n  lens {lens}\n  lens {lens}\nend\n'
+              'statement V1\n  session SES1\n  by ST1\n  lens {lens}\nend\n')
+
+    @pytest.mark.parametrize("lens, read", [
+        *((kind.value, m.Lens(kind)) for kind in m.LensKind if kind is not m.LensKind.CULTURAL),
+        ('cultural "x"', m.Lens(m.LensKind.CULTURAL, "x")),
+    ])
+    def test_every_lens_kind_reads_to_its_lens(self, lens, read):
+        doc = parse_ok(self.LENSES.format(lens=lens))
+        assert doc.sessions[0].lenses_used == (read, read)
+        assert doc.statements[0].lens == read
+
+    @pytest.mark.parametrize("lens, rendered", [
+        ("cultural", ["ERROR P030 lens.evr:8:1: cultural lens carries no framework name"]),
+        ("end", ["ERROR P020 lens.evr:11:8: expected one of utilitarian, virtue, duty, cultural "
+                 "for lens kind, found 'end'",
+                 "ERROR P005 lens.evr:12:1: unknown block keyword 'end'"]),
+        *((token, ["ERROR P020 lens.evr:11:8: expected one of utilitarian, virtue, duty, "
+                   f"cultural for lens kind, found {token!r}"])
+          for token in ('"x"', "7", "nosuch")),
+    ])
+    def test_a_lens_that_does_not_read_keeps_its_diagnostic(self, lens, rendered):
+        text = self.LENSES.format(lens="duty").replace("lens duty\nend", f"lens {lens}\nend", 1)
+        result = dsl.parse_register(text, "lens.evr")
+        assert result.document is None
+        assert [d.render() for d in result.diagnostics] == rendered
+
     def test_lexer_and_parser_problems_report_together(self):
         text = ('register "x" phase concept\nstakeholder S1 "a\\qb\n  kind direct @\nend\n'
                 'stakeholder S2 "b"\n  kind nope\nend\n')
@@ -309,6 +339,31 @@ class TestSerialize:
         doc = replace(clean_doc, controls=(replace(first, threats=()), *rest))
         with pytest.raises(m.RegisterError, match=f"control {first.id} mitigates no threats"):
             dsl.serialize_canonical(doc)
+
+    def test_a_parsed_document_is_written_without_validating_it_again(self, monkeypatch):
+        doc = parse_ok((FIXTURES / "tm_full.evr").read_text(encoding="utf-8"))
+        validate, calls = m.validate_register, []
+        monkeypatch.setattr(m, "validate_register",
+                            lambda *args, **kwargs: calls.append(args) or validate(*args, **kwargs))
+        text = dsl.serialize_canonical(doc)
+        assert calls == []
+        assert dsl.serialize_canonical(replace(doc)) == text
+        assert len(calls) == 1
+        with pytest.raises(m.RegisterError, match="sessions are not allowed in phase concept"):
+            dsl.serialize_canonical(replace(doc, phase=m.Phase.CONCEPT))
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("name, target, message", [
+        ("privacy", "privacy", "alias 'privacy' maps to itself"),
+        ("a\nb", "anonymity", "alias name must not contain line breaks"),
+    ])
+    def test_an_alias_map_changed_after_the_parse_is_validated(self, name, target, message):
+        doc = parse_ok('register "TM" phase concept\nalias "privacy" "anonymity"\n')
+        dsl.serialize_canonical(doc)
+        doc.alias_map[name] = target
+        with pytest.raises(m.RegisterError) as refused:
+            dsl.serialize_canonical(doc)
+        assert str(refused.value) == f"cannot serialize an invalid register: {message}"
 
 
 class TestBlockTable:
