@@ -460,9 +460,8 @@ class _Parser:
         )
 
 
-# The key, in a parsed document's instance ``__dict__`` beside its cached
-# ``index``, of the verdict that the parse validated it clean: a copy of its
-# ``alias_map``, the one field that can change after the parse.  ``==``,
+# Where a document the parse validated clean keeps that verdict, beside its
+# cached ``index``: a copy of ``alias_map``, its one mutable field.  ``==``,
 # ``hash``, ``repr`` and ``replace`` read only the fields, so they ignore it.
 _VALIDATED = "_validated_alias_map"
 
