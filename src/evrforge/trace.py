@@ -90,13 +90,22 @@ def build_graph(doc: m.RegisterDocument) -> TraceGraph:
 
 
 def trace_chain(graph: TraceGraph, entity_id: str) -> tuple[TraceNode, ...]:
-    """Unique chain from the root down to the entity, root first."""
-    if entity_id not in graph.nodes:
-        raise m.UnknownEntityError(f"unknown entity id {entity_id!r}")
+    """Unique chain from the root down to the entity, root first.
+
+    The graph of an invalid document may name a parent that is no node,
+    which raises :class:`~evrforge.model.UnknownEntityError`, or loop back
+    to a node already on the chain, which raises ``RegisterError``."""
     chain: list[TraceNode] = []
+    seen: set[str] = set()
     cursor: str | None = entity_id
     while cursor is not None:
-        chain.append(graph.nodes[cursor])
+        if cursor in seen:
+            raise m.RegisterError(f"the chain of {entity_id!r} meets {cursor!r} twice")
+        node = graph.nodes.get(cursor)
+        if node is None:
+            raise m.UnknownEntityError(f"unknown entity id {cursor!r}")
+        seen.add(cursor)
+        chain.append(node)
         cursor = graph.parents.get(cursor)
     chain.reverse()
     return tuple(chain)
