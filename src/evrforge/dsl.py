@@ -39,9 +39,11 @@ import json
 import re
 import sys
 import typing
+import weakref
 from collections.abc import Callable, Iterator
 from dataclasses import MISSING, fields, is_dataclass, replace
 from enum import Enum
+from itertools import chain
 from operator import attrgetter, methodcaller
 
 from . import model as m
@@ -91,20 +93,48 @@ class ParseResult:
 # ---------------------------------------------------------------------------
 # Lexer
 
-# A token is a plain tuple ``(kind, text, value, start, end)``: kind is
-# IDENT STRING INT DOTTED COMMA or EOF, value is the text with a string's
-# quotes and escapes resolved, and start and end are offsets.  Such tuples
-# cost little to build and the cyclic collector untracks them, so a large
-# register's tokens do not slow collections down; ``_locator`` works out a
-# line and column only for the tokens a span is made of.
+# The parser decides on lexemes, plain ``str``: an identifier, a number or
+# dotted id, a comma, a string with its quotes and escapes, and ``""`` at
+# the end of input.  A lexeme's first character tells its kind, so a token
+# keeps no kind, value or offset.  A source is lexed twice at most.
 #
-# One match per lexeme, blanks and line ends before it included, in one scan
-# that ends with the EOF match.  Neither strings nor comments span lines.  A
-# string matches up to its closing quote or the end of the line, whatever its
-# escapes, so malformed strings need no second pass.  Character classes are
-# spelled out because the format is ASCII-only (no \d, \w).  The lexer tells
-# the kinds apart by the number of the group that matched, ``lastindex``:
-# STRING's group closes after its ``close`` group, so it is STRING's number.
+# First fast, by ``_lexemes``: a chunk of about 64 KB at a time, each cut at
+# a line end, since no token spans a line.  One ``findall`` of
+# ``_LEXEME_RE`` returns the chunk's lexemes, so no Python runs per token.
+# A clean chunk holds only ASCII tokens, closed strings whose only escapes
+# are \" and \\, the blanks " \t\r\n" and comments; on it ``_lex`` gives the
+# same lexemes and reports nothing.  Where a chunk is not clean, no token
+# matches, and the last alternative takes the rest of the chunk as one
+# lexeme.  So the chunk is clean when its last lexeme is a token: when,
+# with a blank after it, the pattern still matches that token alone.  The
+# empty match at the chunk's end keeps ``findall`` from retrying the pattern
+# from each blank after the last token.
+_LEXEME_RE = re.compile(
+    r'[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*('
+    r'[A-Za-z_][A-Za-z0-9_]*'
+    r'|"[^"\\\n]*(?:\\["\\][^"\\\n]*)*"'
+    r'|[0-9]+(?:(?:\.[0-9]+)+(?:-[TC][0-9]+)?)?'
+    r'|,|\Z|(?s:.)+)'
+)
+_CHUNK = 1 << 16
+
+# A source that is not clean, and any problem or warning that the parse or
+# the validation finds, restarts the parse located: it reads the tokens of
+# ``_lex``, plain tuples ``(kind, text, value, start, end)``, where kind is
+# IDENT STRING INT DOTTED COMMA or EOF, value is the text with a string's
+# quotes and escapes resolved, and start and end are offsets.  ``_placed``
+# turns them into lexemes for the parser and keeps the current one, so a
+# diagnostic can quote its text and ``_locator`` can work out a line and
+# column for the tokens a span is made of.
+#
+# ``_lex`` makes one match per lexeme, blanks and line ends before it
+# included, in one scan that ends with the EOF match.  Neither strings nor
+# comments span lines.  A string matches up to its closing quote or the end
+# of the line, whatever its escapes, so malformed strings need no second
+# pass.  Character classes are spelled out because the format is ASCII-only
+# (no \d, \w).  The lexer tells the kinds apart by the number of the group
+# that matched, ``lastindex``: STRING's group closes after its ``close``
+# group, so it is STRING's number.
 _TOKEN_RE = re.compile(
     r'[ \t\r\n]*(?:'
     r'(?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)'
@@ -124,6 +154,52 @@ _LEXEME_KIND = tuple(None if kind in ("STRING", "close", "COMMENT", "EOF", "ILLE
                      for kind in (None, *sorted(_GROUP, key=_GROUP.get)))
 _STRING_GROUP, _CLOSE_GROUP, _EOF_GROUP, _ILLEGAL_GROUP = (
     _GROUP[kind] for kind in ("STRING", "close", "EOF", "ILLEGAL"))
+
+
+class _Restart(Exception):
+    """A fast parse met something it cannot place: parse again, located."""
+
+
+def _restart(*problem):
+    """A fast parse's ``report``."""
+    raise _Restart
+
+
+def _lexemes(source: str) -> Iterator[list[str]]:
+    """The lexemes of ``source``, a chunk's list at a time, then ``[""]``;
+    a chunk that is not clean raises ``_Restart``."""
+    start, size = 0, len(source)
+    while start < size:
+        end = source.find("\n", start + _CHUNK) + 1 or size
+        lexemes = _LEXEME_RE.findall(source, start, end)
+        while lexemes and not lexemes[-1]:  # the chunk's end, matched empty
+            lexemes.pop()
+        if lexemes and _LEXEME_RE.match(lexemes[-1] + " ")[1] != lexemes[-1]:
+            raise _Restart
+        yield lexemes
+        start = end
+    yield [""]
+
+
+def _placed(tokens: Iterator[tuple], parser) -> Iterator[str]:
+    """The lexemes of located ``tokens``, each token kept in ``parser.at``
+    while it is current.  A string's lexeme is its value quoted anew, so
+    ``_sval`` reads back ``_lex``'s value, also of an unterminated string or
+    one with an escape it kept."""
+    for token in tokens:
+        parser.at = token
+        yield _quote(token[2]) if token[0] == "STRING" else token[2]
+
+
+def _is_string(lexeme: str) -> bool:
+    return len(lexeme) > 1 and lexeme[0] == '"'
+
+
+def _sval(lexeme: str) -> str:
+    """A string's value: its quotes dropped and its escaped quotes and
+    backslashes resolved."""
+    body = lexeme[1:-1]
+    return _ESCAPE_RE.sub(r"\1", body) if "\\" in body else body
 
 
 def _locator(source: str, file: str) -> Callable[[int, int], SourceSpan]:
@@ -194,37 +270,49 @@ class _SyntaxProblem(Exception):
     """A problem that ends a block, raised with ``(code, message, start, end)``."""
 
 
+# The located token of a fast parse, which places nothing.
+_UNPLACED = ("", "", "", 0, 0)
+
+
 class _Parser:
-    """Reads blocks from the tokens of a source into one list of problems,
-    ``diags``.  It holds only the current token, ``tok``, and pulls the next
-    as it advances, so no token is read twice and no token list is kept.
+    """Reads blocks from the lexemes of a source into one list of problems,
+    ``diags``.  It holds only the current lexeme, ``tok``, and pulls the
+    next as it advances, so no lexeme is read twice.
 
     ``parse_block`` and ``parse_attrs`` read a one-token value in place, by
-    its reader's token kind and test (see ``_Reader``); a value of several
-    tokens, or a token that fails the test, goes to the reader's ``read``.
-    ``spans`` keeps the offsets of each block header by kind and id (kind
-    None for an alias), and ``header`` those of the ``register`` keyword;
-    only the spans a result shows are located."""
+    its reader's test of the lexeme (see ``_Reader``); a value of several
+    tokens, or a lexeme that fails the test, goes to the reader's ``read``.
 
-    def __init__(self, source: str, file: str):
+    A fast parse (``located`` false) reads the lexemes of ``_lexemes`` and
+    places nothing: ``report`` raises ``_Restart``, and so does every
+    problem, since ``parse`` reports each one.  A located parse reads
+    ``_lex`` through ``_placed``, which keeps the current token in ``at``;
+    messages quote its text and diagnostics take its offsets.  ``spans``
+    keeps the offsets of each block header by kind and id (kind None for an
+    alias), and ``header`` those of the ``register`` keyword; only the spans
+    a result shows are located."""
+
+    def __init__(self, source: str, file: str, located: bool = False):
         self.diags: list[ParseDiagnostic] = []
-        self.locate = locate = _locator(source, file)
-        diags = self.diags
+        if located:
+            self.locate = locate = _locator(source, file)
+            diags = self.diags
 
-        # Every problem, the lexer's too, goes through ``report``.  The lexer
-        # holds this closure, not a bound method: a lexer that held the parser
-        # would make a cycle, and every parser would wait for the cyclic collector.
-        def report(code: str, message: str, start: int, end: int, severity: str = "error"):
-            diags.append(ParseDiagnostic(locate(start, end), severity, code, message))
+            # Every problem, the lexer's too, goes through ``report``.  Neither
+            # the lexer nor this closure holds the parser, only a proxy of it:
+            # a cycle would make every parser wait for the cyclic collector.
+            def report(code: str, message: str, start: int, end: int, severity: str = "error"):
+                diags.append(ParseDiagnostic(locate(start, end), severity, code, message))
 
+            self.pull = _placed(_lex(source, report), weakref.proxy(self)).__next__
+        else:
+            report = _restart
+            self.at = _UNPLACED
+            self.pull = chain.from_iterable(_lexemes(source)).__next__
         self.report = report
-        self.pull = _lex(source, report).__next__
         self.tok = self.pull()
         self.spans: dict[tuple[str | None, str], tuple[int, int]] = {}
         self.header: tuple[int, int] | None = None
-        # int() refuses numbers with more digits than this; 0 means no limit,
-        # and Python before 3.10.7 has none.
-        self.max_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
         self.project_name = ""
         self.version = ""
@@ -235,23 +323,17 @@ class _Parser:
 
     # -- token plumbing
 
-    def advance(self) -> tuple:
+    def advance(self) -> str:
         tok = self.tok
-        if tok[0] != "EOF":
+        if tok:
             self.tok = self.pull()
         return tok
 
     def error(self, message: str, token: tuple | None = None, code: str = "P001"):
-        raise _SyntaxProblem(code, message, *(token or self.tok)[3:])  # the token's offsets
+        raise _SyntaxProblem(code, message, *(token or self.at)[3:])  # the token's offsets
 
     def expected(self, what: str, code: str = "P001"):
-        self.error(f"expected {what}, found {self.tok[1] or 'end of input'!r}", code=code)
-
-    def refused(self, text: str) -> bool:
-        """Whether int() would refuse a run of digits in ``text``."""
-        limit = self.max_digits
-        return 0 < limit < len(text) and any(len(run) > limit
-                                             for run in re.findall("[0-9]+", text))
+        self.error(f"expected {what}, found {self.at[1] or 'end of input'!r}", code=code)
 
     # -- what a one-token reader raises for a token that fails its test
 
@@ -259,40 +341,37 @@ class _Parser:
         self.expected(f"{what} (a quoted string)")
 
     def need_int(self, what: str):
-        if self.tok[0] != "INT":
+        if not self.tok.isdigit():
             self.expected(f"{what} (an integer)")
-        self.error(f"{what} is out of range ({len(self.tok[2])} digits)", code="P021")
+        self.error(f"{what} is out of range ({len(self.tok)} digits)", code="P021")
 
     def need_bool(self, what: str):
         self.expected(f"true or false for {what}")
 
     def need_dotted(self, pattern, what: str):
-        tok = self.tok
-        if tok[0] != "DOTTED" or not pattern.match(tok[2]):
+        if not pattern.match(self.tok):
             self.expected(what, "P012")
-        self.error(f"expected {what}, found a {len(tok[2])}-character id", code="P012")
+        self.error(f"expected {what}, found a {len(self.tok)}-character id", code="P012")
 
     # -- readers of several tokens, or of more than one kind of token
 
     def need_number(self, what: str) -> int:
         """A core value number: an integer without a leading zero."""
         tok = self.tok
-        if tok[0] != "INT" or (len(tok[2]) > 1 and tok[2].startswith("0")):
+        if not tok.isdigit() or (len(tok) > 1 and tok[0] == "0"):
             self.expected(what, "P012")
-        if self.refused(tok[2]):
-            self.error(f"expected {what}, found a {len(tok[2])}-digit number", code="P012")
-        return int(self.advance()[2])
+        if _refused(tok):
+            self.error(f"expected {what}, found a {len(tok)}-digit number", code="P012")
+        return int(self.advance())
 
     def need_name(self, what: str, dotted) -> str:
         """A reference by id, or a dotted id that matches the pattern ``dotted``."""
-        tok = self.tok
-        if tok[0] == "DOTTED" and dotted.match(tok[2]):
-            return self.advance()[2]
+        if dotted.match(self.tok):
+            return self.advance()
         return _REF.read(self, what)
 
-    def need_keyword(self, word: str) -> tuple:
-        tok = self.tok
-        if tok[0] != "IDENT" or tok[2] != word:
+    def need_keyword(self, word: str) -> str:
+        if self.tok != word:
             self.expected(f"keyword {word!r}")
         return self.advance()
 
@@ -300,19 +379,18 @@ class _Parser:
         """A lens the parser did not read in place (``_LENS``): ``cultural``
         and its framework, or a token that names no plain lens, which raises."""
         kind = _enum(m.LensKind).read(self, what)
-        if kind is m.LensKind.CULTURAL and self.tok[0] == "STRING":
-            return m.Lens(kind, self.advance()[2])
+        if kind is m.LensKind.CULTURAL and _is_string(self.tok):
+            return m.Lens(kind, _sval(self.advance()))
         return m.Lens(kind)
 
     def need_subject(self, what: str) -> str:
         """A data subject: a stakeholder id, or any name as a string."""
-        tok = self.tok
-        if tok[0] == "IDENT" and tok[2] != "end":
-            return self.advance()[2]
+        if m.IDENT_RE.match(self.tok):
+            return self.advance()
         return _STRING.read(self, what)
 
     def need_attested(self, what: str) -> m.AttestationSubject:
-        at = self.tok
+        at = self.at
         word = _IDENT.read(self, what)
         if word not in _ATTESTED:
             *words, last = _ATTESTED
@@ -323,26 +401,29 @@ class _Parser:
     # -- top level
 
     def parse(self) -> None:
-        if self.tok[0] == "EOF":
+        if not self.tok:
             return
         try:
             self.parse_header()
         except _SyntaxProblem as problem:
             self.report(*problem.args)
             self.skip_past_end(at_end=False)
-        while self.tok[0] != "EOF":
-            tok = self.tok
-            if tok[0] == "IDENT" and tok[2] in _BLOCKS:
+        while self.tok:
+            block = _BLOCKS.get(self.tok)
+            if block is not None:
+                head = self.at
+                self.tok = self.pull()
                 try:
-                    self.parse_block(self.advance())
+                    self.parse_block(block, head)
                 except _SyntaxProblem as problem:
                     self.report(*problem.args)
                     self.skip_past_end()
             else:
-                if tok[0] == "IDENT":
-                    self.report("P005", f"unknown block keyword {tok[2]!r}", *tok[3:])
+                at = self.at
+                if self.tok.isidentifier():
+                    self.report("P005", f"unknown block keyword {self.tok!r}", *at[3:])
                 else:
-                    self.report("P001", f"expected a block keyword, found {tok[1]!r}", *tok[3:])
+                    self.report("P001", f"expected a block keyword, found {at[1]!r}", *at[3:])
                 self.advance()
                 self.skip_past_end()
 
@@ -350,50 +431,52 @@ class _Parser:
         """Recovery: drop tokens up to the next block keyword or, when ``at_end``,
         until after an ``end``, as a block that was never closed ends at the
         next keyword and the next block still parses."""
-        while self.tok[0] != "EOF":
+        while self.tok:
             tok = self.tok
-            if tok[0] == "IDENT" and tok[2] in _BLOCKS:
+            if tok in _BLOCKS:
                 return
             self.advance()
-            if at_end and tok[0] == "IDENT" and tok[2] == "end":
+            if at_end and tok == "end":
                 return
 
     def parse_header(self) -> None:
-        self.header = self.need_keyword("register")[3:]
+        at = self.at
+        self.need_keyword("register")
+        self.header = at[3:]
         self.project_name = _STRING.read(self, "project name")
-        if self.tok[0] == "IDENT" and self.tok[2] == "version":
+        if self.tok == "version":
             self.advance()
             self.version = _STRING.read(self, "version tag")
         self.need_keyword("phase")
         self.phase = _enum(m.Phase).read(self, "phase")
 
-    def parse_block(self, head: tuple) -> None:
-        block = _BLOCKS[head[2]]
+    def parse_block(self, block: _Block, head: tuple) -> None:
+        """The block after its keyword, whose located token is ``head``."""
         if block.single and block.slot in self.singles:
             self.report("P018", f"duplicate {block.keyword} block", *head[3:])
         values: dict = {}
-        pull, id_field = self.pull, block.id_field
+        pull = self.pull
         for slot in block.reads:
             tok = self.tok
             if slot.__class__ is str:  # a keyword
-                if tok[0] != "IDENT" or tok[2] != slot:
+                if tok != slot:
                     self.need_keyword(slot)  # raises
                 self.tok = pull()
                 continue
-            field, kind, accept, convert, read, what = slot
-            if tok[0] == kind and (accept is None or accept(self, tok[2])):
+            field, test, convert, read, what = slot
+            if test(tok):
                 self.tok = pull()
-                value = tok[2] if convert is None else convert(tok[2])
+                values[field] = tok if convert is None else convert(tok)
             else:
-                value = read(self, what)
-            values[field] = value
-            if field == id_field:
-                self.spans.setdefault((block.kind, str(value)), head[3:])
+                values[field] = read(self, what)
         if block.keys is not None:
             self.parse_attrs(block.keys, values)
         if block.from_project:
             values.setdefault(block.from_project, self.project_name)
         obj = block.build(values, self, head)
+        # Spans place violations, found only when no block had a problem.
+        if block.id_field is not None and head is not _UNPLACED:
+            self.spans.setdefault((block.kind, str(values[block.id_field])), head[3:])
 
         if block.single:
             self.singles.setdefault(block.slot, obj)
@@ -411,28 +494,26 @@ class _Parser:
         pull = self.pull
         while True:
             tok = self.tok
-            if tok[0] != "IDENT":
-                if tok[0] == "EOF":
-                    self.error("unexpected end of input inside a block (missing 'end')", tok)
-                self.error(f"expected an attribute key or 'end', found {tok[1]!r}")
-            if tok[2] == "end":
-                self.tok = pull()
-                return
-            attr = keys.get(tok[2])
+            attr = keys.get(tok)
             if attr is None:
-                self.report("P090", f"unknown attribute key {tok[2]!r}", *tok[3:], "warning")
+                if tok == "end":
+                    self.tok = pull()
+                    return
+                if not tok.isidentifier():
+                    if not tok:
+                        self.error("unexpected end of input inside a block (missing 'end')")
+                    self.expected("an attribute key or 'end'")
+                self.report("P090", f"unknown attribute key {tok!r}", *self.at[3:], "warning")
                 self.advance()
                 nxt = self.tok
-                if nxt[0] in ("STRING", "INT", "DOTTED") or (
-                    nxt[0] == "IDENT" and nxt[2] != "end" and nxt[2] not in keys
-                ):
+                if nxt[:1] in _VALUE_START or (m.IDENT_RE.match(nxt) and nxt not in keys):
                     self.advance()
                 continue
             self.tok = tok = pull()
-            name, kind, accept, convert, read, what, repeated = attr
-            if tok[0] == kind and (accept is None or accept(self, tok[2])):
+            name, test, convert, read, what, repeated = attr
+            if test(tok):
                 self.tok = pull()
-                value = tok[2] if convert is None else convert(tok[2])
+                value = tok if convert is None else convert(tok)
             else:
                 value = read(self, what)
             if not repeated:
@@ -460,6 +541,10 @@ class _Parser:
         )
 
 
+# The first characters of a string, an integer and a dotted id: the lexemes
+# that an unknown attribute key's value may start with.
+_VALUE_START = frozenset('"0123456789')
+
 # Where a document the parse validated clean keeps that verdict, beside its
 # cached ``index``: a copy of ``alias_map``, its one mutable field.  ``==``,
 # ``hash``, ``repr`` and ``replace`` read only the fields, so they ignore it.
@@ -472,6 +557,11 @@ def parse_register(source_text: str, file_name: str = "<register>") -> ParseResu
     The document is present exactly when no error-severity diagnostic was
     produced.  Empty (or comment-only) input parses to an empty register.
 
+    The source is parsed fast first, from lexemes that carry no position.
+    Only when a diagnostic or a violation must be placed is it parsed again,
+    located (see ``_Parser``); both parses read the same lexemes, so they
+    build the same document.
+
     Only a source with a carriage return can give P037, so a source without
     one is validated without the line-break walk: no token but a string can
     hold a line break, a string holds no line feed, and a note's lines are
@@ -479,26 +569,39 @@ def parse_register(source_text: str, file_name: str = "<register>") -> ParseResu
     complete either way, and a document returned keeps its clean verdict
     for :func:`serialize_canonical` (``_VALIDATED``).
     """
-    parser = _Parser(source_text, file_name)
+    try:
+        return _parse(source_text, file_name, located=False)
+    except _Restart:
+        return _parse(source_text, file_name, located=True)
+
+
+def _parse(source_text: str, file_name: str, located: bool) -> ParseResult:
+    parser = _Parser(source_text, file_name, located)
     parser.parse()
     diagnostics = parser.diags
 
-    spans, header, locate = parser.spans, parser.header, parser.locate
     doc = None
     if not any(d.severity == "error" for d in diagnostics):
         doc = parser.build_document()
         violations = m.validate_register(doc, line_breaks="\r" in source_text)
         if not violations:
             doc.__dict__[_VALIDATED] = dict(doc.alias_map)
+        elif not located:
+            raise _Restart
         for violation in violations:
             # A document-level violation at the header; else by kind and id,
             # else at the header, or at the start of a source without one.
-            kind, subject = violation.kind, violation.subject
+            kind, subject, header = violation.kind, violation.subject, parser.header
             where = (header if kind is None and subject == "register"
-                     else spans.get((kind, subject), header))
-            span = locate(*(where or (0, 0)))
+                     else parser.spans.get((kind, subject), header))
+            span = parser.locate(*(where or (0, 0)))
             diagnostics.append(ParseDiagnostic(span, "error", violation.code,
                                                violation.message))
+    if not located:
+        # A clean parse places only the header, if any: the first lexeme.
+        header = parser.header and _LEXEME_RE.match(source_text).span(1)
+        return ParseResult(document=doc, diagnostics=(),
+                           header=header and _locator(source_text, file_name)(*header))
 
     ordered = tuple(sorted(
         diagnostics,
@@ -506,7 +609,7 @@ def parse_register(source_text: str, file_name: str = "<register>") -> ParseResu
     ))
     has_errors = any(d.severity == "error" for d in ordered)
     return ParseResult(document=None if has_errors else doc, diagnostics=ordered,
-                       header=header and locate(*header))
+                       header=parser.header and parser.locate(*parser.header))
 
 
 # ---------------------------------------------------------------------------
@@ -522,41 +625,56 @@ def _lens_text(lens: m.Lens, doc) -> str:
     return lens.kind.value
 
 
+_NO_LEXEME = frozenset().__contains__  # the test of a reader of several tokens
+
+
 class _Reader:
     """One kind of value in the text format: how the parser reads it, how
     the writer spells it, and whether its strings must stay on one line.
 
-    A value of one token also has a ``token`` form, ``(kind, accept,
-    convert)``: the token kind, a test ``accept(parser, text)`` of the
-    token's value (None passes any), and ``convert(text)``, the value read
-    (None keeps the text).  The parser reads such a value in place, and
-    ``_token`` derives its ``read`` from the same form.  A reader of several
-    tokens has the form ``(None, None, None)``, which no token matches; one
-    whose common case is one token, as a lens, declares that case's form and
-    reads the rest with ``read``."""
+    A value of one token also has a ``token`` form, ``(test, convert)``: a
+    test of the lexeme and ``convert(lexeme)``, the value read (None keeps
+    the lexeme).  The parser reads such a value in place, and ``_token``
+    derives its ``read`` from the same form.  A reader of several tokens has
+    a test that no lexeme passes; one whose common case is one token, as a
+    lens, declares that case's form and reads the rest with ``read``."""
 
     __slots__ = ("read", "text", "checked", "token")
 
     def __init__(self, read: Callable, text: Callable, checked: bool = False,
-                 token: tuple = (None, None, None)):
+                 token: tuple = (_NO_LEXEME, None)):
         self.read = read        # (parser, what) -> value
         self.text = text        # (value, doc) -> text
         self.checked = checked  # a string, or a record whose str fields P037 checks
         self.token = token
 
 
-def _token(kind: str, accept: Callable | None, convert: Callable | None, fail: Callable,
-           text: Callable, checked: bool = False) -> _Reader:
+def _token(test: Callable, convert: Callable | None, fail: Callable, text: Callable,
+           checked: bool = False) -> _Reader:
     """A value of one token; ``fail(parser, what)`` raises the problem with a
-    token that is not of ``kind`` or that ``accept`` refuses."""
+    lexeme that ``test`` refuses."""
     def read(p, what):
         tok = p.tok
-        if tok[0] == kind and (accept is None or accept(p, tok[2])):
+        if test(tok):
             p.tok = p.pull()
-            return tok[2] if convert is None else convert(tok[2])
+            return tok if convert is None else convert(tok)
         fail(p, what)
 
-    return _Reader(read, text, checked, (kind, accept, convert))
+    return _Reader(read, text, checked, (test, convert))
+
+
+# int() refuses numbers with more digits than ``_max_digits()``; 0 means no
+# limit.  No limit can be set below ``_CHECKED``, and Python before 3.10.7
+# has none.
+_max_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
+_CHECKED = getattr(sys.int_info, "str_digits_check_threshold", sys.maxsize)
+
+
+def _refused(lexeme: str) -> bool:
+    """Whether int() would refuse a run of digits in ``lexeme``."""
+    limit = _max_digits()
+    return 0 < limit < len(lexeme) and any(len(run) > limit
+                                           for run in re.findall("[0-9]+", lexeme))
 
 
 def _same(value, doc):
@@ -564,7 +682,9 @@ def _same(value, doc):
 
 
 def _dotted(pattern) -> _Reader:
-    return _token("DOTTED", lambda p, text: pattern.match(text) and not p.refused(text), None,
+    """An id of the anchored ``pattern``."""
+    return _token(lambda lexeme: pattern.match(lexeme) and (len(lexeme) <= _CHECKED
+                                                             or not _refused(lexeme)), None,
                   lambda p, what: p.need_dotted(pattern, what), _same)
 
 
@@ -572,7 +692,7 @@ def _dotted(pattern) -> _Reader:
 def _enum(enum_cls: type[Enum]) -> _Reader:
     """A member of ``enum_cls``, by its value."""
     members = {e.value: e for e in enum_cls}
-    return _token("IDENT", lambda p, text: text in members, members.__getitem__,
+    return _token(members.__contains__, members.__getitem__,
                   lambda p, what: p.expected(f"one of {', '.join(members)} for {what}", "P020"),
                   lambda value, doc: value.value)
 
@@ -581,7 +701,7 @@ def _commas(reader: _Reader) -> _Reader:
     """One or more values of ``reader``, separated by commas."""
     def read(p, what):
         items = [reader.read(p, what)]
-        while p.tok[0] == "COMMA":
+        while p.tok == ",":
             p.advance()
             items.append(reader.read(p, what))
         return tuple(items)
@@ -589,22 +709,23 @@ def _commas(reader: _Reader) -> _Reader:
     return _Reader(read, lambda items, doc: ", ".join(reader.text(i, doc) for i in items))
 
 
-_STRING = _token("STRING", None, None, _Parser.need_string, lambda value, doc: _quote(value), True)
-_INT = _token("INT", lambda p, text: not p.refused(text), int, _Parser.need_int,
-              lambda value, doc: str(value))
-_BOOL = _token("IDENT", lambda p, text: text in ("true", "false"), "true".__eq__,
-               _Parser.need_bool, lambda value, doc: "true" if value else "false")
-_IDENT = _token("IDENT", None, None, _Parser.expected, _same)
+_STRING = _token(_is_string, _sval, _Parser.need_string, lambda value, doc: _quote(value), True)
+_INT = _token(lambda lexeme: lexeme.isdigit() and (len(lexeme) <= _CHECKED
+                                                   or not _refused(lexeme)),
+              int, _Parser.need_int, lambda value, doc: str(value))
+_BOOLS = {"true": True, "false": False}
+_BOOL = _token(_BOOLS.__contains__, _BOOLS.__getitem__, _Parser.need_bool,
+               lambda value, doc: "true" if value else "false")
+_IDENT = _token(str.isidentifier, None, _Parser.expected, _same)
 _NUMBER = _Reader(_Parser.need_number, lambda value, doc: str(value))  # a core value's id
 # A reference to an entity by its id: ``end`` closes the block instead.
-_REF = _token("IDENT", lambda p, text: text != "end", None, _Parser.expected, _same)
+_REF = _token(m.IDENT_RE.match, None, _Parser.expected, _same)
 # Prose: one ``note`` line per line of text.
-_NOTE = _token("STRING", None, None, lambda p, what: p.need_string("note text"), _STRING.text,
-               True)
+_NOTE = _token(_is_string, _sval, lambda p, what: p.need_string("note text"), _STRING.text, True)
 # A lens of one word converts to one shared, frozen ``Lens`` per kind.
 _PLAIN_LENSES = {kind.value: m.Lens(kind) for kind in m.LensKind if kind is not m.LensKind.CULTURAL}
 _LENS = _Reader(_Parser.need_lens, _lens_text, True,
-                ("IDENT", lambda p, text: text in _PLAIN_LENSES, _PLAIN_LENSES.__getitem__))
+                (_PLAIN_LENSES.__contains__, _PLAIN_LENSES.__getitem__))
 # A data subject is written bare when it names a stakeholder.
 _SUBJECT = _Reader(_Parser.need_subject, lambda value, doc: value if (
     value in doc.index.stakeholders and m.IDENT_RE.match(value)) else _quote(value), True)
@@ -630,8 +751,17 @@ _GROUP = _Reader(None, None)   # a dataclass whose fields are attributes of thei
 _PLAIN = {str: _STRING, int: _INT, bool: _BOOL}
 
 
+def _hints(cls: type) -> dict:
+    """The field types of a dataclass, in field order.  Its annotations are
+    strings, evaluated here in its module as ``typing.get_type_hints`` would,
+    for a ninth of the cost."""
+    scope = vars(sys.modules[cls.__module__])
+    return {f.name: eval(f.type, scope) if isinstance(f.type, str) else f.type  # noqa: S307
+            for f in fields(cls)}
+
+
 def _nested(cls: type) -> _Reader:
-    hints = typing.get_type_hints(cls)
+    hints = _hints(cls)
     parts = [(f.name, _PLAIN[hints[f.name]]) for f in fields(cls)]
 
     def read(p, whats):
@@ -657,7 +787,7 @@ def _default(f):
 
 
 _PROJECT = object()  # the default of a field that defaults to the project name
-_DOCUMENT_HINTS = typing.get_type_hints(m.RegisterDocument)
+_DOCUMENT_HINTS = _hints(m.RegisterDocument)
 
 
 @record
@@ -734,7 +864,7 @@ class _Block:
         self.kind = slot if slot in m.ENTITY_KINDS else None  # the kind its violations name
         self.noun = noun or m.ENTITY_KINDS.get(slot, (keyword,))[0]
         self.from_project = from_project  # a field that defaults to the project name
-        hints = typing.get_type_hints(cls)
+        hints = _hints(cls)
         defaults = {f.name: _default(f) for f in fields(cls)}
 
         if self.kind:
@@ -754,16 +884,16 @@ class _Block:
                 group = _held_class(hints[field])[0]
                 members = [_Attr(key + f.name, field, _PLAIN[hint], hint, key + f.name,
                                  default=_default(f), member=f.name)
-                           for f, hint in zip(fields(group), typing.get_type_hints(group).values())]
+                           for f, hint in zip(fields(group), _hints(group).values())]
                 self.groups.append((field, group, what, members))
                 self.attrs += members
             else:
                 self.attrs.append(_Attr(key, field, reader, hints[field], what,
                                         words[1] if len(words) > 1 else key, defaults[field]))
 
-        # For the parser: each header slot as a keyword or as (field, kind,
-        # accept, convert, read, what), each attribute by its key as (name,
-        # kind, accept, convert, read, what, repeated).
+        # For the parser: each header slot as a keyword or as (field, test,
+        # convert, read, what), each attribute by its key as (name, test,
+        # convert, read, what, repeated).
         self.reads = tuple(slot if slot.__class__ is str else
                            (slot.field, *slot.reader.token, slot.reader.read, slot.what)
                            for slot in self.head)

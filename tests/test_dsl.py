@@ -277,8 +277,10 @@ class TestParse:
             "found a 702-character id",
         ]
 
-    def test_a_parser_is_freed_without_the_cyclic_collector(self):
-        parser = dsl._Parser((FIXTURES / "tm_full.evr").read_text(encoding="utf-8"), "f.evr")
+    @pytest.mark.parametrize("located", [False, True], ids=["fast", "located"])
+    def test_a_parser_is_freed_without_the_cyclic_collector(self, located):
+        parser = dsl._Parser((FIXTURES / "tm_full.evr").read_text(encoding="utf-8"), "f.evr",
+                             located)
         parser.parse()
         freed = weakref.ref(parser)
         gc.disable()
@@ -417,15 +419,15 @@ _TOKENS = list({tok[:3]: tok for tok in [
 
 
 def _one_token_entries() -> list[tuple]:
-    """One attribute entry of the parser, ``(name, kind, accept, convert,
-    read, what, repeated)``, per reader of one token in the block table, with
+    """One attribute entry of the parser, ``(name, test, convert, read,
+    what, repeated)``, per reader of one token in the block table, with
     ``repeated`` false."""
     entries = {}
     for block in dsl._BLOCKS.values():
         heads = [slot for slot in block.reads if not isinstance(slot, str)]
         for entry in heads + list((block.keys or {}).values()):
-            if entry[1] is not None:
-                entries.setdefault(entry[4], (*entry[:6], False))
+            if entry[1] is not dsl._NO_LEXEME:
+                entries.setdefault(entry[3], (*entry[:5], False))
     return list(entries.values())
 
 
@@ -438,28 +440,30 @@ def _outcome(call) -> tuple:
 
 class TestOneTokenReaders:
     """``parse_attrs`` reads a value of one token in place; the reader's own
-    ``read`` must give the same value, or raise the same problem."""
+    ``read`` must give the same value, or raise the same problem.  Each
+    token is fed as the located parse reads it: its lexeme, a string's value
+    quoted anew, with the token itself current in ``at``."""
 
     def _compare(self):
-        parser = dsl._Parser("", "r.evr")
-        key, end = ("IDENT", "k", "k", 0, 1), ("IDENT", "end", "end", 0, 3)
-        eof = ("EOF", "", "", 0, 0)
+        parser = dsl._Parser("", "r.evr", located=True)
 
-        def fed(*tokens):
-            parser.tok, parser.pull = tokens[0], iter(tokens[1:]).__next__
+        def fed(token, *lexemes):
+            parser.at = token
+            parser.tok, parser.pull = lexemes[0], iter(lexemes[1:]).__next__
             return parser
 
         entries = _one_token_entries()
         assert len(entries) >= 20
         for entry in entries:
-            name, read, what = entry[0], entry[4], entry[5]
+            name, read, what = entry[0], entry[3], entry[4]
             for tok in _TOKENS:
+                lexeme = dsl._quote(tok[2]) if tok[0] == "STRING" else tok[2]
                 values = {}
-                inline = _outcome(lambda: fed(key, tok, end, eof).parse_attrs({"k": entry}, values)
-                                  or values[name])
-                assert inline[0] == "problem" or parser.tok is eof, (entry, tok)
-                derived = _outcome(lambda: read(fed(tok, end, eof), what))
-                assert derived[0] == "problem" or parser.tok is end, (entry, tok)
+                inline = _outcome(lambda: fed(tok, "k", lexeme, "end", "").parse_attrs(
+                    {"k": entry}, values) or values[name])
+                assert inline[0] == "problem" or parser.tok == "", (entry, tok)
+                derived = _outcome(lambda: read(fed(tok, lexeme, "end", ""), what))
+                assert derived[0] == "problem" or parser.tok == "end", (entry, tok)
                 assert inline == derived, (entry, tok)
 
     def test_inline_and_derived_reads_agree(self):

@@ -15,6 +15,7 @@ import importlib.util
 import random
 import time
 from collections.abc import Iterator
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -22,7 +23,8 @@ import pytest
 from evrforge import dsl
 
 from .conftest import FIXTURES
-from .support import located_lex, random_register, reference_lex, reporter
+from .support import (FUZZ_PIECES, fuzz_source, located_lex, random_register, reference_lex,
+                      reporter)
 
 SOUP = ['"', "\\", "\n", "\r", "\t", "\x0b", "\x0c", "#", ",", ".", "-", "T", "C",
         "0", "1", "7", "é", "記", "٣", "ſ", " ", "x", "_", '"ab"', "1.2", "1.1.1-T"]
@@ -147,3 +149,100 @@ def test_enum_error_lists_the_allowed_values(tail, found):
     assert [d.render() for d in result.diagnostics] == [
         f"ERROR P020 p.evr:1:21: expected one of concept, exploration, design, "
         f"deployment for phase, found {found}"]
+
+
+# ---------------------------------------------------------------------------
+# The fast lexer against the located one, and the parse against the
+# located-only parse
+
+def _fast_lexemes(source: str) -> list[str] | None:
+    """The lexemes of ``dsl._lexemes``, or None where it refuses the source."""
+    try:
+        return list(chain.from_iterable(dsl._lexemes(source)))
+    except dsl._Restart:
+        return None
+
+
+def _located_lexemes(source: str) -> tuple[list[str], list]:
+    """The lexemes a located parse reads, and ``_lex``'s diagnostics."""
+    report, diags = reporter(source, "in.evr")
+    return ([dsl._quote(value) if kind == "STRING" else value
+             for kind, _, value, _, _ in dsl._lex(source, report)], diags)
+
+
+def _assert_fast_agrees(source: str) -> bool:
+    """Wherever the fast lexer accepts ``source``, it gives the located
+    lexer's lexemes, and the located lexer reports nothing; and the parse
+    equals the located-only parse, diagnostics and header included.  True
+    when the fast lexer accepts the source."""
+    fast = _fast_lexemes(source)
+    if fast is not None:
+        assert (fast, []) == _located_lexemes(source), source
+    assert dsl.parse_register(source, "in.evr") == dsl._parse(source, "in.evr", located=True), source
+    return fast is not None
+
+
+def _differential_sources() -> list[str]:
+    from evrforge.cli import scaffold_text
+
+    from .test_pins import SCAFFOLD, _scaffold_mutants
+
+    table = {*dsl._BLOCKS, *(a.key for block in dsl._BLOCKS.values() for a in block.attrs)}
+    scaffold = {line.strip() for line in scaffold_text("fuzz").splitlines()
+                if line.strip() and not line.startswith("#")}
+    pieces = FUZZ_PIECES + sorted((table | scaffold) - set(FUZZ_PIECES))
+    rng = random.Random(2121)
+    return [*((FIXTURES / name).read_text(encoding="utf-8")
+              for name in sorted(p.name for p in FIXTURES.glob("*.evr"))),
+            *(dsl.serialize_canonical(random_register(random.Random(seed))) for seed in range(100)),
+            *(fuzz_source(rng, pieces) for _ in range(3000)),
+            *(source for _, source in _scaffold_mutants(SCAFFOLD.read_text(encoding="utf-8")))]
+
+
+def test_the_fast_lexer_and_parse_agree_with_the_located_ones():
+    sources = _differential_sources()
+    accepted = [_assert_fast_agrees(source) for source in sources]
+    # Every fixture and generated register, and most mutants, lex fast.
+    assert all(accepted[:106]) and sum(accepted) > 1500, sum(accepted)
+
+
+# A comment line of 80 characters; 900 of them fill more than one chunk.
+_FILLER = "# " + "x" * 77 + "\n"
+_HEADER = 'register "x" phase concept\n'
+_BLOCK = 'stakeholder S1 "n"\n  kind direct\nend\n'
+
+
+@pytest.mark.parametrize("source,fast", [
+    (_HEADER + "1.\n", False),
+    (_HEADER + "stakeholder 1-T1\n", False),
+    ('register "a\\q" phase concept\n', False),
+    (_HEADER + 'stakeholder S1 "open', False),
+    ('register "x"\r\nphase concept\r\n' + _BLOCK.replace("\n", "\r\n"), True),
+    ("\ufeff" + _HEADER, False),
+    (_HEADER + _BLOCK.replace("S1", "Sé"), False),
+    (_HEADER + 'stakeholder S1 "é 記"\n  kind direct\nend\n', True),
+    (_HEADER + _BLOCK + " \t\r" * 3, True),
+    (_HEADER + " " * (dsl._CHUNK + 10) + "\n" + _BLOCK + "  ", True),
+    (_HEADER + _FILLER * 900 + _BLOCK, True),
+    (_HEADER + _FILLER * 900 + _BLOCK.replace("direct", "direct @"), False),
+], ids=["1.", "1-T1", "bad escape", "open string", "cr", "bom", "non-ascii letter",
+        "non-ascii string", "blanks at the end", "blanks at a chunk's end", "two chunks",
+        "problem in the second chunk"])
+def test_edge_cases_parse_like_the_located_parse(source, fast):
+    assert _assert_fast_agrees(source) is fast
+
+
+def test_a_second_chunk_with_a_problem_is_refused_after_the_first():
+    source = _HEADER + _FILLER * 900 + "x @\n"
+    chunks = dsl._lexemes(source)
+    assert next(chunks) == ["register", '"x"', "phase", "concept"]
+    with pytest.raises(dsl._Restart):
+        next(chunks)
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("*.evr")))
+def test_a_clean_source_parses_without_the_located_lexer(name, monkeypatch):
+    source = (FIXTURES / name).read_text(encoding="utf-8")
+    expected = dsl.parse_register(source, name)
+    monkeypatch.setattr(dsl, "_placed", None)
+    assert dsl.parse_register(source, name) == expected
