@@ -6,7 +6,9 @@ robustness contract: no crash, document present exactly when there are no
 errors, and every diagnostic span inside the input's bounds.  The soup and
 the contract are acceptance 9's, from ``tests/support.py``.  It also checks
 that the lexer gives the same tokens and diagnostics as the reference lexer
-in ``tests/support.py``.  Besides a fixed piece list, the soup draws on
+in ``tests/support.py``, and that ``parse_register``, which parses fast and
+parses again located only when something must be placed, gives the same
+result as the located parse alone.  Besides a fixed piece list, the soup draws on
 every block keyword and attribute key of the parser's block table, and on
 the lines of the ``evrforge init`` scaffold, which open every kind of block
 and give every attribute a value, so that each attribute reader is reached.
@@ -51,6 +53,9 @@ def main(argv: list[str] | None = None) -> int:
             print(f"lexer differs from the reference at input {i}: {text!r}")
             return 1
         result = dsl.parse_register(text, "fuzz.evr")
+        if result != dsl._parse(text, "fuzz.evr", located=True):
+            print(f"parse differs from the located parse at input {i}: {text!r}")
+            return 1
         breach = robustness_breach(text, result)
         if breach:
             print(f"{breach} at input {i}: {text!r}")
@@ -58,7 +63,8 @@ def main(argv: list[str] | None = None) -> int:
         with_errors += bool(result.errors)
     elapsed = time.monotonic() - started
     print(f"{args.count} inputs, {with_errors} with errors, "
-          f"no crashes, all spans in bounds, lexing as the reference ({elapsed:.1f}s)")
+          f"no crashes, all spans in bounds, lexing as the reference, "
+          f"parsing as the located parse ({elapsed:.1f}s)")
     return 0
 
 
