@@ -28,9 +28,9 @@ import shutil
 import statistics
 import subprocess
 import sys
-import tarfile
 import tempfile
 import time
+import zipfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -55,14 +55,14 @@ def load(revision: str | None, name: str, into: Path):
     imported as ``name``."""
     target = into / name
     if revision is None:
-        shutil.copytree(ROOT / "src" / "evrforge", target)
+        shutil.copytree(ROOT / "src" / "evrforge", target,
+                        ignore=shutil.ignore_patterns("__pycache__"))
     else:
-        archive = into / f"{name}.tar"
-        with archive.open("wb") as out:
-            subprocess.run(["git", "archive", revision, "src/evrforge"], cwd=ROOT, stdout=out,
-                           check=True)
-        with tarfile.open(archive) as tar:
-            tar.extractall(into / f"{name}-tree")
+        archive = into / f"{name}.zip"
+        subprocess.run(["git", "archive", "--format=zip", "-o", str(archive), revision,
+                        "src/evrforge"], cwd=ROOT, check=True)
+        with zipfile.ZipFile(archive) as zipped:
+            zipped.extractall(into / f"{name}-tree")
         shutil.move(into / f"{name}-tree" / "src" / "evrforge", target)
     return importlib.import_module(name)
 
@@ -101,7 +101,7 @@ def timer(package, function: str, sources: list[tuple[str, str]]):
 
 
 def quartiles(values: list[float]) -> str:
-    q1, q2, q3 = statistics.quantiles(values, n=4)
+    q1, _, q3 = statistics.quantiles(values, n=4)
     return f"{statistics.median(values):.2f} [{q1:.2f}, {q3:.2f}]"
 
 
