@@ -370,10 +370,10 @@ class _Parser:
             return self.advance()
         return _REF.read(self, what)
 
-    def need_keyword(self, word: str) -> str:
+    def need_keyword(self, word: str) -> None:
         if self.tok != word:
             self.expected(f"keyword {word!r}")
-        return self.advance()
+        self.advance()
 
     def need_lens(self, what: str) -> m.Lens:
         """A lens the parser did not read in place (``_LENS``): ``cultural``
