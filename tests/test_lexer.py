@@ -6,6 +6,9 @@ on generated registers and on seeded soup of the characters where a
 tokenizer can slip: quotes, backslashes, line ends, the blanks the format
 accepts and the ones it rejects, and non-ASCII letters and digits that
 ``\\w``, ``\\d`` or case folding would wrongly accept.
+
+The tests at the end hold the fast lexer, ``dsl._lexemes``, to the lexemes
+of ``dsl._lex``, and ``parse_register`` to the located-only parse.
 """
 
 from __future__ import annotations
