@@ -4,12 +4,16 @@
 Each revision's ``src/evrforge`` is taken with ``git archive`` into a
 temporary directory and imported under a package name of its own, so both
 run in this one process on the same inputs.  HEAD defaults to the working
-tree.  The inputs come from the benchmark's generators (``perfbench/gen.py``,
-only read): the 16 registers of corpus-roundtrip and the n=200 register of
-ladder-audit.  Each round times BASE and HEAD once each over one input set
-with ``time.process_time``, in alternating order; the script prints each
-side's median and quartiles, the median of the paired HEAD/BASE ratios and
-the number of rounds HEAD was faster.  Standard library only.
+tree.  BASE is imported once more after HEAD, as BASE', a control: a tree
+imported later can run a few per cent slower in the same process, so a
+HEAD/BASE ratio means something only beside the BASE'/BASE ratio of the
+same tree.  The inputs come from the benchmark's generators
+(``perfbench/gen.py``, only read): the 16 registers of corpus-roundtrip and
+the n=200 register of ladder-audit.  Each round times BASE, HEAD and BASE'
+once each over one input set with ``time.process_time``, in rotating
+order; the script prints each side's median and quartiles, the median and
+quartiles of the paired HEAD/BASE and BASE'/BASE ratios, and the number of
+rounds each was faster than BASE.  Standard library only.
 
     python scripts/ab.py 1752349 parse_register
     python scripts/ab.py 1752349 HEAD run_rules --inputs ladder --rounds 31
@@ -100,9 +104,9 @@ def timer(package, function: str, sources: list[tuple[str, str]]):
     return run
 
 
-def quartiles(values: list[float]) -> str:
+def quartiles(values: list[float], digits: int = 2) -> str:
     q1, _, q3 = statistics.quantiles(values, n=4)
-    return f"{statistics.median(values):.2f} [{q1:.2f}, {q3:.2f}]"
+    return f"{statistics.median(values):.{digits}f} [{q1:.{digits}f}, {q3:.{digits}f}]"
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -120,27 +124,32 @@ def main(argv: list[str] | None = None) -> int:
 
     with tempfile.TemporaryDirectory(prefix="evrforge-ab-") as tmp:
         sys.path.insert(0, tmp)
-        base = load(base_rev, "evrforge_base", Path(tmp))
-        head = load(head_rev, "evrforge_head", Path(tmp))
+        packages = {"base": load(base_rev, "evrforge_base", Path(tmp)),
+                    "head": load(head_rev, "evrforge_head", Path(tmp)),
+                    "base'": load(base_rev, "evrforge_control", Path(tmp))}
+        labels = {"base": f"base {base_rev}", "head": f"head {head_rev or 'working tree'}",
+                  "base'": f"base' {base_rev} (control)"}
+        sides = list(packages)
         for which in ("corpus", "ladder") if args.inputs == "both" else (args.inputs,):
             sources = inputs(which)
-            runs = {"base": timer(base, args.function, sources),
-                    "head": timer(head, args.function, sources)}
-            for run in runs.values():  # warm caches and lazy state on both sides
+            runs = {side: timer(package, args.function, sources)
+                    for side, package in packages.items()}
+            for run in runs.values():  # warm caches and lazy state on every side
                 run()
-            times: dict[str, list[float]] = {"base": [], "head": []}
+            times: dict[str, list[float]] = {side: [] for side in sides}
             for i in range(args.rounds):
-                for side in ("base", "head") if i % 2 == 0 else ("head", "base"):
+                for side in sides[i % 3:] + sides[:i % 3]:
                     times[side].append(runs[side]())
-            ratios = [h / b for h, b in zip(times["head"], times["base"])]
-            wins = sum(h < b for h, b in zip(times["head"], times["base"]))
             kb = sum(len(source.encode("utf-8")) for _, source in sources) / 1024
             print(f"{args.function} on {which} ({len(sources)} inputs, {kb:.0f} KB), "
                   f"{args.rounds} rounds, process ms, median [quartiles]:")
-            print(f"  base {base_rev}: {quartiles(times['base'])}")
-            print(f"  head {head_rev or 'working tree'}: {quartiles(times['head'])}")
-            print(f"  paired head/base ratio {statistics.median(ratios):.3f}, "
-                  f"head faster in {wins} of {args.rounds}")
+            for side in sides:
+                print(f"  {labels[side]}: {quartiles(times[side])}")
+            for side in ("head", "base'"):
+                ratios = [t / b for t, b in zip(times[side], times["base"])]
+                wins = sum(t < b for t, b in zip(times[side], times["base"]))
+                print(f"  paired {side}/base ratio {quartiles(ratios, 3)}, "
+                      f"{side} faster in {wins} of {args.rounds}")
     return 0
 
 

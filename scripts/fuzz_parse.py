@@ -6,12 +6,15 @@ robustness contract: no crash, document present exactly when there are no
 errors, and every diagnostic span inside the input's bounds.  The soup and
 the contract are acceptance 9's, from ``tests/support.py``.  It also checks
 that the lexer gives the same tokens and diagnostics as the reference lexer
-in ``tests/support.py``, and that ``parse_register``, which parses fast and
-parses again located only when something must be placed, gives the same
-result as the located parse alone.  Besides a fixed piece list, the soup draws on
-every block keyword and attribute key of the parser's block table, and on
-the lines of the ``evrforge init`` scaffold, which open every kind of block
-and give every attribute a value, so that each attribute reader is reached.
+in ``tests/support.py``, and, for the runs in ``REFERENCE``, that the
+parses show what they showed before the parser became one pass: the
+SHA-256 over every parse's ``parse_digest`` (its rendered diagnostics with
+their spans' ends, its header and its canonical document) must equal the
+one recorded for the run's count and seed.  Other runs print their digest.
+Besides a fixed piece list, the soup draws on every block keyword and
+attribute key of the parser's block table, and on the lines of the
+``evrforge init`` scaffold, which open every kind of block and give every
+attribute a value, so that each attribute reader is reached.
 
     python scripts/fuzz_parse.py --count 100000 --seed 123456
 """
@@ -19,6 +22,7 @@ and give every attribute a value, so that each attribute reader is reached.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import random
 import sys
 import time
@@ -30,12 +34,18 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 from evrforge import dsl  # noqa: E402
 from evrforge.cli import scaffold_text  # noqa: E402
 from tests.support import (  # noqa: E402
-    FUZZ_PIECES, fuzz_source, located_lex, reference_lex, robustness_breach)
+    FUZZ_PIECES, fuzz_source, located_lex, parse_digest, reference_lex, robustness_breach)
 
 TABLE = {*dsl._BLOCKS, *(a.key for block in dsl._BLOCKS.values() for a in block.attrs)}
 SCAFFOLD = {line.strip() for line in scaffold_text("fuzz").splitlines()
             if line.strip() and not line.startswith("#")}
 PIECES = FUZZ_PIECES + sorted((TABLE | SCAFFOLD) - set(FUZZ_PIECES))
+# (count, seed): the digest of the run, computed with the parser that parsed
+# a source fast and again, located, whenever anything had to be placed.
+REFERENCE = {
+    (100_000, 123456): "f2a648afff5e787d1c4d7b36996d1698376e49dd396cb4fe1dfb078a08dbb93a",
+    (2_000, 5): "3b372c31c8a92bfec74d57178d8cc7d5ae90bbf41ca53f6c4f1fa67d446fe257",
+}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -47,24 +57,28 @@ def main(argv: list[str] | None = None) -> int:
     rng = random.Random(args.seed)
     started = time.monotonic()
     with_errors = 0
+    digest = hashlib.sha256()
     for i in range(args.count):
         text = fuzz_source(rng, PIECES)
         if located_lex(text, "fuzz.evr") != reference_lex(text, "fuzz.evr"):
             print(f"lexer differs from the reference at input {i}: {text!r}")
             return 1
         result = dsl.parse_register(text, "fuzz.evr")
-        if result != dsl._parse(text, "fuzz.evr", located=True):
-            print(f"parse differs from the located parse at input {i}: {text!r}")
-            return 1
+        digest.update(parse_digest(result).encode("ascii"))
         breach = robustness_breach(text, result)
         if breach:
             print(f"{breach} at input {i}: {text!r}")
             return 1
         with_errors += bool(result.errors)
     elapsed = time.monotonic() - started
+    reference = REFERENCE.get((args.count, args.seed))
+    if reference is not None and digest.hexdigest() != reference:
+        print(f"the parses differ from the reference: digest {digest.hexdigest()}, "
+              f"recorded {reference}")
+        return 1
     print(f"{args.count} inputs, {with_errors} with errors, "
-          f"no crashes, all spans in bounds, lexing as the reference, "
-          f"parsing as the located parse ({elapsed:.1f}s)")
+          f"no crashes, all spans in bounds, lexing as the reference, parse digest "
+          f"{digest.hexdigest()}" + (" as recorded" if reference else "") + f" ({elapsed:.1f}s)")
     return 0
 
 

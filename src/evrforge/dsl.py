@@ -39,11 +39,10 @@ import json
 import re
 import sys
 import typing
-import weakref
 from collections.abc import Callable, Iterator
 from dataclasses import MISSING, fields, is_dataclass, replace
 from enum import Enum
-from itertools import chain
+from itertools import chain, count
 from operator import attrgetter, methodcaller
 
 from . import model as m
@@ -96,19 +95,19 @@ class ParseResult:
 # The parser decides on lexemes, plain ``str``: an identifier, a number or
 # dotted id, a comma, a string with its quotes and escapes, and ``""`` at
 # the end of input.  A lexeme's first character tells its kind, so a token
-# keeps no kind, value or offset.  A source is lexed twice at most.
+# keeps no kind, value or offset, only its ordinal: its index in the lexemes.
 #
-# First fast, by ``_lexemes``: a chunk of about 64 KB at a time, each cut at
-# a line end, since no token spans a line.  One ``findall`` of
-# ``_LEXEME_RE`` returns the chunk's lexemes, so no Python runs per token.
-# A clean chunk holds only ASCII tokens, closed strings whose only escapes
-# are \" and \\, the blanks " \t\r\n" and comments; on it ``_lex`` gives the
-# same lexemes and reports nothing.  Where a chunk is not clean, no token
-# matches, and the last alternative takes the rest of the chunk as one
-# lexeme.  So the chunk is clean when its last lexeme is a token: when,
-# with a blank after it, the pattern still matches that token alone.  The
-# empty match at the chunk's end keeps ``findall`` from retrying the pattern
-# from each blank after the last token.
+# ``_lexemes`` lexes a chunk of about 64 KB at a time, each cut at a line
+# end, since no token spans a line.  One ``findall`` of ``_LEXEME_RE``
+# returns the chunk's lexemes, so no Python runs per token.  A clean chunk
+# holds only ASCII tokens, closed strings whose only escapes are \" and \\,
+# the blanks " \t\r\n" and comments; on it ``_lex`` gives the same lexemes
+# and reports nothing.  Where a chunk is not clean, no token matches, and
+# the last alternative takes the rest of the chunk as one lexeme.  So the
+# chunk is clean when its last lexeme is a token: when, with a blank after
+# it, the pattern still matches that token alone.  The empty match at the
+# chunk's end keeps ``findall`` from retrying the pattern from each blank
+# after the last token.
 _LEXEME_RE = re.compile(
     r'[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*('
     r'[A-Za-z_][A-Za-z0-9_]*'
@@ -118,14 +117,12 @@ _LEXEME_RE = re.compile(
 )
 _CHUNK = 1 << 16
 
-# A source that is not clean, and any problem or warning that the parse or
-# the validation finds, restarts the parse located: it reads the tokens of
-# ``_lex``, plain tuples ``(kind, text, value, start, end)``, where kind is
-# IDENT STRING INT DOTTED COMMA or EOF, value is the text with a string's
-# quotes and escapes resolved, and start and end are offsets.  ``_placed``
-# turns them into lexemes for the parser and keeps the current one, so a
-# diagnostic can quote its text and ``_locator`` can work out a line and
-# column for the tokens a span is made of.
+# A chunk that is not clean is lexed by ``_lex`` over its range instead,
+# into plain tuples ``(kind, text, value, start, end)``: kind is IDENT STRING
+# INT DOTTED COMMA or EOF, value is the text with a string's quotes and
+# escapes resolved, and start and end are offsets.  A string's lexeme is its
+# value quoted anew, so ``_sval`` reads back ``_lex``'s value, also of an
+# unterminated string or one with an escape it kept.
 #
 # ``_lex`` makes one match per lexeme, blanks and line ends before it
 # included, in one scan that ends with the EOF match.  Neither strings nor
@@ -134,7 +131,9 @@ _CHUNK = 1 << 16
 # pass.  Character classes are spelled out because the format is ASCII-only
 # (no \d, \w).  The lexer tells the kinds apart by the number of the group
 # that matched, ``lastindex``: STRING's group closes after its ``close``
-# group, so it is STRING's number.
+# group, so it is STRING's number.  Each match but a comment or an illegal
+# character is one lexeme, so ``_located`` finds a lexeme again by its
+# ordinal with the same pattern.
 _TOKEN_RE = re.compile(
     r'[ \t\r\n]*(?:'
     r'(?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)'
@@ -154,20 +153,15 @@ _LEXEME_KIND = tuple(None if kind in ("STRING", "close", "COMMENT", "EOF", "ILLE
                      for kind in (None, *sorted(_GROUP, key=_GROUP.get)))
 _STRING_GROUP, _CLOSE_GROUP, _EOF_GROUP, _ILLEGAL_GROUP = (
     _GROUP[kind] for kind in ("STRING", "close", "EOF", "ILLEGAL"))
+_UNREAD = (_GROUP["COMMENT"], _ILLEGAL_GROUP)  # the matches that are no lexeme
 
 
-class _Restart(Exception):
-    """A fast parse met something it cannot place: parse again, located."""
-
-
-def _restart(*problem):
-    """A fast parse's ``report``."""
-    raise _Restart
-
-
-def _lexemes(source: str) -> Iterator[list[str]]:
-    """The lexemes of ``source``, a chunk's list at a time, then ``[""]``;
-    a chunk that is not clean raises ``_Restart``."""
+def _lexemes(source: str, cursor: list, report: Callable, known: dict) -> Iterator[Iterator[str]]:
+    """The lexemes of ``source``, an iterator over a chunk's list at a time,
+    then over ``[""]``.  ``_lex`` lexes a chunk that is not clean: its problems
+    go to ``report``, and ``known`` keeps its tokens and the EOF's by ordinal.
+    ``cursor`` holds the ordinal after the chunk being read and its iterator,
+    so the ordinal of the lexeme last pulled costs no Python per token."""
     start, size = 0, len(source)
     while start < size:
         end = source.find("\n", start + _CHUNK) + 1 or size
@@ -175,20 +169,24 @@ def _lexemes(source: str) -> Iterator[list[str]]:
         while lexemes and not lexemes[-1]:  # the chunk's end, matched empty
             lexemes.pop()
         if lexemes and _LEXEME_RE.match(lexemes[-1] + " ")[1] != lexemes[-1]:
-            raise _Restart
-        yield lexemes
+            *tokens, _ = _lex(source, report, start, end)  # less the EOF at the chunk's end
+            known.update(zip(count(cursor[0]), tokens))
+            lexemes = [_quote(value) if kind == "STRING" else value
+                       for kind, _, value, _, _ in tokens]
+        cursor[:] = cursor[0] + len(lexemes), iter(lexemes)
+        yield cursor[1]
         start = end
-    yield [""]
+    known[cursor[0]] = ("EOF", "", "", size, size)
+    cursor[:] = cursor[0] + 1, iter([""])
+    yield cursor[1]
 
 
-def _placed(tokens: Iterator[tuple], parser) -> Iterator[str]:
-    """The lexemes of located ``tokens``, each token kept in ``parser.at``
-    while it is current.  A string's lexeme is its value quoted anew, so
-    ``_sval`` reads back ``_lex``'s value, also of an unterminated string or
-    one with an escape it kept."""
-    for token in tokens:
-        parser.at = token
-        yield _quote(token[2]) if token[0] == "STRING" else token[2]
+def _located(source: str, ordinals: set[int]) -> dict[int, tuple]:
+    """The tokens at ``ordinals``, as ``_lex`` makes them but without kind or
+    value, by ordinal, from one sweep of ``_TOKEN_RE`` that stops at the last."""
+    matches = (match for match in _TOKEN_RE.finditer(source) if match.lastindex not in _UNREAD)
+    return {ordinal: (None, match[match.lastindex], None, *match.span(match.lastindex))
+            for ordinal, match in zip(range(max(ordinals) + 1), matches) if ordinal in ordinals}
 
 
 def _is_string(lexeme: str) -> bool:
@@ -231,12 +229,13 @@ def _unescape(body: str, start: int, report: Callable) -> str:
     return _ESCAPE_RE.sub(resolve, body)
 
 
-def _lex(source: str, report: Callable) -> Iterator[tuple]:
-    """The tokens of ``source``, ending with one EOF token, made as they are
-    pulled; lexical problems go to ``report(code, message, start, end)`` in
-    source order.  A match is dispatched on its group number: a token of one
-    lexeme starts where the match ends less the lexeme's length."""
-    for match in _TOKEN_RE.finditer(source):
+def _lex(source: str, report: Callable, pos: int = 0, endpos: int = sys.maxsize) -> Iterator[tuple]:
+    """The tokens of ``source`` from ``pos`` to ``endpos``, ending with one EOF
+    token, made as they are pulled; lexical problems go to ``report(code,
+    message, start, end)`` in source order.  A match is dispatched on its
+    group number: a token of one lexeme starts where the match ends less the
+    lexeme's length."""
+    for match in _TOKEN_RE.finditer(source, pos, endpos):
         group = match.lastindex
         kind = _LEXEME_KIND[group]
         if kind is not None:
@@ -267,52 +266,36 @@ def _lex(source: str, report: Callable) -> Iterator[tuple]:
 # Parser
 
 class _SyntaxProblem(Exception):
-    """A problem that ends a block, raised with ``(code, message, start, end)``."""
-
-
-# The located token of a fast parse, which places nothing.
-_UNPLACED = ("", "", "", 0, 0)
+    """A problem that ends a block, raised with the arguments of ``_Parser.note``."""
 
 
 class _Parser:
-    """Reads blocks from the lexemes of a source into one list of problems,
-    ``diags``.  It holds only the current lexeme, ``tok``, and pulls the
-    next as it advances, so no lexeme is read twice.
+    """Reads blocks from the lexemes of a source, and notes each problem by
+    the ordinal of its lexeme.  It holds only the current lexeme, ``tok``,
+    and pulls the next as it advances, so no lexeme is read twice.
 
     ``parse_block`` and ``parse_attrs`` read a one-token value in place, by
     its reader's test of the lexeme (see ``_Reader``); a value of several
     tokens, or a lexeme that fails the test, goes to the reader's ``read``.
 
-    A fast parse (``located`` false) reads the lexemes of ``_lexemes`` and
-    places nothing: ``report`` raises ``_Restart``, and so does every
-    problem, since ``parse`` reports each one.  A located parse reads
-    ``_lex`` through ``_placed``, which keeps the current token in ``at``;
-    messages quote its text and diagnostics take its offsets.  ``spans``
-    keeps the offsets of each block header by kind and id (kind None for an
-    alias), and ``header`` those of the ``register`` keyword; only the spans
-    a result shows are located."""
+    The lexer's problems wait in ``lexical`` with their offsets, the parser's
+    in ``notes`` with their lexemes' ordinals, until ``placed`` locates those
+    lexemes in one sweep.  ``heads`` holds the kind and keyword ordinal of
+    each block in ``entities`` and ``aliases``, and ``header`` the ordinal of
+    ``register``, so that a violation can be noted at its block (``spans``)."""
 
-    def __init__(self, source: str, file: str, located: bool = False):
-        self.diags: list[ParseDiagnostic] = []
-        if located:
-            self.locate = locate = _locator(source, file)
-            diags = self.diags
-
-            # Every problem, the lexer's too, goes through ``report``.  Neither
-            # the lexer nor this closure holds the parser, only a proxy of it:
-            # a cycle would make every parser wait for the cyclic collector.
-            def report(code: str, message: str, start: int, end: int, severity: str = "error"):
-                diags.append(ParseDiagnostic(locate(start, end), severity, code, message))
-
-            self.pull = _placed(_lex(source, report), weakref.proxy(self)).__next__
-        else:
-            report = _restart
-            self.at = _UNPLACED
-            self.pull = chain.from_iterable(_lexemes(source)).__next__
-        self.report = report
+    def __init__(self, source: str, file: str):
+        self.source, self.file = source, file
+        self.lexical: list[tuple] = []  # (code, message, start, end)
+        self.notes: list[tuple] = []
+        self.cursor, self.known, lexical = [0, iter(())], {}, self.lexical
+        # Nothing the lexer holds refers back to the parser: a cycle would
+        # make every parser wait for the cyclic collector.
+        self.pull = chain.from_iterable(_lexemes(
+            source, self.cursor, lambda *problem: lexical.append(problem), self.known)).__next__
         self.tok = self.pull()
-        self.spans: dict[tuple[str | None, str], tuple[int, int]] = {}
-        self.header: tuple[int, int] | None = None
+        self.heads: list[tuple[str | None, int]] = []
+        self.header: int | None = None
 
         self.project_name = ""
         self.version = ""
@@ -329,11 +312,22 @@ class _Parser:
             self.tok = self.pull()
         return tok
 
-    def error(self, message: str, token: tuple | None = None, code: str = "P001"):
-        raise _SyntaxProblem(code, message, *(token or self.at)[3:])  # the token's offsets
+    def here(self) -> int:
+        """The ordinal of the current lexeme."""
+        after, chunk = self.cursor
+        return after - chunk.__length_hint__() - 1
+
+    def note(self, code: str, message: str, ordinal: int, found: bool = False,
+             severity: str = "error") -> None:
+        """Note a problem at the lexeme ``ordinal``; when ``found``, ``placed``
+        ends its message with the lexeme's text as the source spells it, quoted."""
+        self.notes.append((code, message, ordinal, found, severity))
+
+    def error(self, message: str, ordinal: int | None = None, code: str = "P001"):
+        raise _SyntaxProblem(code, message, self.here() if ordinal is None else ordinal, False)
 
     def expected(self, what: str, code: str = "P001"):
-        self.error(f"expected {what}, found {self.at[1] or 'end of input'!r}", code=code)
+        raise _SyntaxProblem(code, f"expected {what}, found ", self.here(), True)
 
     # -- what a one-token reader raises for a token that fails its test
 
@@ -390,7 +384,7 @@ class _Parser:
         return _STRING.read(self, what)
 
     def need_attested(self, what: str) -> m.AttestationSubject:
-        at = self.at
+        at = self.here()
         word = _IDENT.read(self, what)
         if word not in _ATTESTED:
             *words, last = _ATTESTED
@@ -406,24 +400,23 @@ class _Parser:
         try:
             self.parse_header()
         except _SyntaxProblem as problem:
-            self.report(*problem.args)
+            self.note(*problem.args)
             self.skip_past_end(at_end=False)
         while self.tok:
             block = _BLOCKS.get(self.tok)
             if block is not None:
-                head = self.at
+                head = self.here()
                 self.tok = self.pull()
                 try:
                     self.parse_block(block, head)
                 except _SyntaxProblem as problem:
-                    self.report(*problem.args)
+                    self.note(*problem.args)
                     self.skip_past_end()
             else:
-                at = self.at
                 if self.tok.isidentifier():
-                    self.report("P005", f"unknown block keyword {self.tok!r}", *at[3:])
+                    self.note("P005", f"unknown block keyword {self.tok!r}", self.here())
                 else:
-                    self.report("P001", f"expected a block keyword, found {at[1]!r}", *at[3:])
+                    self.note("P001", "expected a block keyword, found ", self.here(), True)
                 self.advance()
                 self.skip_past_end()
 
@@ -440,9 +433,9 @@ class _Parser:
                 return
 
     def parse_header(self) -> None:
-        at = self.at
+        at = self.here()
         self.need_keyword("register")
-        self.header = at[3:]
+        self.header = at
         self.project_name = _STRING.read(self, "project name")
         if self.tok == "version":
             self.advance()
@@ -450,10 +443,10 @@ class _Parser:
         self.need_keyword("phase")
         self.phase = _enum(m.Phase).read(self, "phase")
 
-    def parse_block(self, block: _Block, head: tuple) -> None:
-        """The block after its keyword, whose located token is ``head``."""
+    def parse_block(self, block: _Block, head: int) -> None:
+        """The block after its keyword, the lexeme ``head``."""
         if block.single and block.slot in self.singles:
-            self.report("P018", f"duplicate {block.keyword} block", *head[3:])
+            self.note("P018", f"duplicate {block.keyword} block", head)
         values: dict = {}
         pull = self.pull
         for slot in block.reads:
@@ -474,18 +467,17 @@ class _Parser:
         if block.from_project:
             values.setdefault(block.from_project, self.project_name)
         obj = block.build(values, self, head)
-        # Spans place violations, found only when no block had a problem.
-        if block.id_field is not None and head is not _UNPLACED:
-            self.spans.setdefault((block.kind, str(values[block.id_field])), head[3:])
 
         if block.single:
             self.singles.setdefault(block.slot, obj)
         elif block.cls is not _Alias:
             self.entities[block.slot].append(obj)
+            self.heads.append((block.kind, head))
         elif obj.name in self.aliases:
-            self.report("P010", f"duplicate alias {obj.name!r}", *head[3:])
+            self.note("P010", f"duplicate alias {obj.name!r}", head)
         else:
             self.aliases[obj.name] = obj.target
+            self.heads.append((None, head))
 
     def parse_attrs(self, keys: dict, values: dict) -> None:
         """Consume ``(KEY value*)*`` up to and including ``end``, each value
@@ -503,7 +495,7 @@ class _Parser:
                     if not tok:
                         self.error("unexpected end of input inside a block (missing 'end')")
                     self.expected("an attribute key or 'end'")
-                self.report("P090", f"unknown attribute key {tok!r}", *self.at[3:], "warning")
+                self.note("P090", f"unknown attribute key {tok!r}", self.here(), False, "warning")
                 self.advance()
                 nxt = self.tok
                 if nxt[:1] in _VALUE_START or (m.IDENT_RE.match(nxt) and nxt not in keys):
@@ -540,6 +532,34 @@ class _Parser:
             **{kind: tuple(items) for kind, items in self.entities.items()},
         )
 
+    def spans(self) -> dict[tuple[str | None, str], int]:
+        """The keyword ordinal of the first block of each kind and id."""
+        ids = {kind: (str(obj.id) for obj in objs) for kind, objs in self.entities.items()}
+        ids[None] = iter(self.aliases)
+        spans = {}
+        for kind, head in self.heads:
+            spans.setdefault((kind, next(ids[kind])), head)
+        return spans
+
+    def placed(self) -> tuple[tuple[ParseDiagnostic, ...], SourceSpan | None]:
+        """Every diagnostic in source order, and the header's span: the lexemes
+        of the notes and of the header are located in one sweep."""
+        header, notes, known = self.header, self.notes, self.known
+        unknown = {header, *(note[2] for note in notes)} - {None} - known.keys()
+        if unknown:
+            known.update(_located(self.source, unknown))
+        locate = _locator(self.source, self.file)
+        diagnostics = [ParseDiagnostic(locate(start, end), "error", code, message)
+                       for code, message, start, end in self.lexical]
+        diagnostics += [
+            ParseDiagnostic(locate(start, end), severity, code,
+                            message + repr(text or "end of input") if found else message)
+            for code, message, ordinal, found, severity in notes
+            for _, text, _, start, end in (known[ordinal],)]
+        return (tuple(sorted(diagnostics, key=lambda d: (d.span.start_line, d.span.start_col,
+                                                         d.code, d.message))),
+                None if header is None else locate(*known[header][3:]))
+
 
 # The first characters of a string, an integer and a dotted id: the lexemes
 # that an unknown attribute key's value may start with.
@@ -557,10 +577,9 @@ def parse_register(source_text: str, file_name: str = "<register>") -> ParseResu
     The document is present exactly when no error-severity diagnostic was
     produced.  Empty (or comment-only) input parses to an empty register.
 
-    The source is parsed fast first, from lexemes that carry no position.
-    Only when a diagnostic or a violation must be placed is it parsed again,
-    located (see ``_Parser``); both parses read the same lexemes, so they
-    build the same document.
+    The source is parsed once, from lexemes that carry no position (see
+    ``_Parser``).  Problems, warnings and violations are noted by ordinal,
+    and only the lexemes noted are located, after the validation.
 
     Only a source with a carriage return can give P037, so a source without
     one is validated without the line-break walk: no token but a string can
@@ -569,47 +588,25 @@ def parse_register(source_text: str, file_name: str = "<register>") -> ParseResu
     complete either way, and a document returned keeps its clean verdict
     for :func:`serialize_canonical` (``_VALIDATED``).
     """
-    try:
-        return _parse(source_text, file_name, located=False)
-    except _Restart:
-        return _parse(source_text, file_name, located=True)
-
-
-def _parse(source_text: str, file_name: str, located: bool) -> ParseResult:
-    parser = _Parser(source_text, file_name, located)
+    parser = _Parser(source_text, file_name)
     parser.parse()
-    diagnostics = parser.diags
-
     doc = None
-    if not any(d.severity == "error" for d in diagnostics):
+    if not parser.lexical and all(note[4] != "error" for note in parser.notes):
         doc = parser.build_document()
         violations = m.validate_register(doc, line_breaks="\r" in source_text)
         if not violations:
             doc.__dict__[_VALIDATED] = dict(doc.alias_map)
-        elif not located:
-            raise _Restart
+        spans = violations and parser.spans()
         for violation in violations:
-            # A document-level violation at the header; else by kind and id,
-            # else at the header, or at the start of a source without one.
+            # At its block by kind and id, else (a document-level one too) at the header.
             kind, subject, header = violation.kind, violation.subject, parser.header
-            where = (header if kind is None and subject == "register"
-                     else parser.spans.get((kind, subject), header))
-            span = parser.locate(*(where or (0, 0)))
-            diagnostics.append(ParseDiagnostic(span, "error", violation.code,
-                                               violation.message))
-    if not located:
-        # A clean parse places only the header, if any: the first lexeme.
-        header = parser.header and _LEXEME_RE.match(source_text).span(1)
-        return ParseResult(document=doc, diagnostics=(),
-                           header=header and _locator(source_text, file_name)(*header))
-
-    ordered = tuple(sorted(
-        diagnostics,
-        key=lambda d: (d.span.start_line, d.span.start_col, d.code, d.message),
-    ))
-    has_errors = any(d.severity == "error" for d in ordered)
-    return ParseResult(document=None if has_errors else doc, diagnostics=ordered,
-                       header=parser.header and parser.locate(*parser.header))
+            parser.note(violation.code, violation.message,
+                        header if kind is None and subject == "register"
+                        else spans.get((kind, subject), header))
+    diagnostics, header = parser.placed()
+    has_errors = any(d.severity == "error" for d in diagnostics)
+    return ParseResult(document=None if has_errors else doc, diagnostics=diagnostics,
+                       header=header)
 
 
 # ---------------------------------------------------------------------------
@@ -916,8 +913,9 @@ class _Block:
                          _PROJECT if a.field == from_project else a.default)
                         for a in self.attrs]
 
-    def build(self, values: dict, parser: _Parser, head: tuple):
-        """The model object from the values read for one block."""
+    def build(self, values: dict, parser: _Parser, head: int):
+        """The model object from the values read for one block, whose keyword
+        is the lexeme ``head``."""
         for a in self.gathered:
             if a.name in values:
                 values[a.name] = a.gather(values[a.name])

@@ -1,9 +1,10 @@
 """Shared builders for the test suite.
 
-Six things live here: a seeded generator of structurally valid registers
+Seven things live here: a seeded generator of structurally valid registers
 used by the bulk round-trip and monotonicity runs, the table of
 violation/repair document pairs behind the monotone-repair checks, scanning
-oracles for the indexed analysis layer, the reference lexer that the
+oracles for the indexed analysis layer, the parse fuzz soup and the digest
+that parse differentials compare, the reference lexer that the
 master-regex lexer is checked against (with the lexer's tokens put in its
 shape), a strict reader of the interchange
 export, and the inverse of a register diff.
@@ -11,12 +12,13 @@ export, and the inverse of a register diff.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 import types
 import typing
 from collections.abc import Callable
-from dataclasses import fields, is_dataclass, replace
+from dataclasses import astuple, fields, is_dataclass, replace
 from enum import Enum
 
 from evrforge import dsl, trace
@@ -822,6 +824,16 @@ def robustness_breach(text: str, result: dsl.ParseResult) -> str | None:
         if not 1 <= d.span.start_col <= len(line) + 1:
             return "column out of bounds"
     return None
+
+
+def parse_digest(result: dsl.ParseResult) -> str:
+    """SHA-256 of all that ``result`` shows: each diagnostic rendered, with
+    the line and column its span ends at, the header's span, and the
+    document in canonical form (None without one)."""
+    shown = [[(d.render(), d.span.end_line, d.span.end_col) for d in result.diagnostics],
+             result.header and astuple(result.header),
+             result.document and dsl.serialize_canonical(result.document)]
+    return hashlib.sha256(json.dumps(shown).encode("ascii")).hexdigest()
 
 
 # ---------------------------------------------------------------------------

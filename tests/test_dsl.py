@@ -277,17 +277,47 @@ class TestParse:
             "found a 702-character id",
         ]
 
+    @pytest.mark.parametrize("source, rendered", [
+        ('register "x" phase concept\nstakeholder S1 "a"\n  kind direct\n  colour "blue"\nend\n',
+         ["WARNING P090 one.evr:4:3: unknown attribute key 'colour'"]),
+        ('register "x" phase concept\nstakeholder S1 "a"\n  kind direct\n  "tea\\q"\nend\n',
+         ["ERROR P001 one.evr:4:3: expected an attribute key or 'end', found '\"tea\\\\q\"'",
+          "ERROR P003 one.evr:4:7: unsupported escape sequence; only \\\" and \\\\ are recognized"]),
+        ('register "x" phase concept\nstakeholder S1 "a"\n  kind direct\n  colour "blue"\nend\n'
+         'persona P1 "pat"\n  stakeholder NOBODY\nend\n',
+         ["WARNING P090 one.evr:4:3: unknown attribute key 'colour'",
+          "ERROR P011 one.evr:6:1: persona P1 references unknown stakeholder 'NOBODY'",
+          "ERROR P023 one.evr:6:1: personas are not allowed in phase concept"]),
+    ], ids=["warning", "problem", "violation"])
+    def test_a_source_with_diagnostics_is_parsed_once(self, source, rendered, monkeypatch):
+        made = []
+
+        class Counted(dsl._Parser):
+            def __init__(self, *args):
+                made.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(dsl, "_Parser", Counted)
+        result = dsl.parse_register(source, "one.evr")
+        assert len(made) == 1
+        assert [d.render() for d in result.diagnostics] == rendered
+
     def test_a_parser_is_freed_without_the_cyclic_collector(self):
-        _assert_freed(located=False)
+        assert _assert_freed((FIXTURES / "tm_full.evr").read_text(encoding="utf-8")) == []
 
-    def test_a_located_parser_is_freed_without_the_cyclic_collector(self):
-        _assert_freed(located=True)
+    def test_a_parser_that_placed_problems_is_freed_without_the_cyclic_collector(self):
+        # A kept escape makes ``_lex`` read the last chunk; a P090 and a P001 are noted.
+        source = (FIXTURES / "tm_full.evr").read_text(encoding="utf-8")
+        assert _assert_freed(source + 'stakeholder S9 "a\\q"\n  bogus 1\n  ,\nend\n') == [
+            "P003", "P090", "P001"]
 
 
-def _assert_freed(located: bool) -> None:
-    """A parser of tm_full, once parsed, is freed as its last reference goes."""
-    parser = dsl._Parser((FIXTURES / "tm_full.evr").read_text(encoding="utf-8"), "f.evr", located)
+def _assert_freed(source: str) -> list[str]:
+    """A parser of ``source``, once it has parsed and placed its diagnostics,
+    is freed as its last reference goes; the codes of those diagnostics."""
+    parser = dsl._Parser(source, "f.evr")
     parser.parse()
+    codes = [d.code for d in parser.placed()[0]]
     freed = weakref.ref(parser)
     gc.disable()
     try:
@@ -295,6 +325,7 @@ def _assert_freed(located: bool) -> None:
         assert freed() is None
     finally:
         gc.enable()
+    return codes
 
 
 class TestSerialize:
@@ -447,28 +478,23 @@ def _outcome(call) -> tuple:
 class TestOneTokenReaders:
     """``parse_attrs`` reads a value of one token in place; the reader's own
     ``read`` must give the same value, or raise the same problem.  Each
-    token is fed as the located parse reads it: its lexeme, a string's value
-    quoted anew, with the token itself current in ``at``."""
+    token is fed as a parse reads it, after a key in a source of its own."""
 
     def _compare(self):
-        parser = dsl._Parser("", "r.evr", located=True)
-
-        def fed(token, *lexemes):
-            parser.at = token
-            parser.tok, parser.pull = lexemes[0], iter(lexemes[1:]).__next__
-            return parser
-
         entries = _one_token_entries()
         assert len(entries) >= 20
         for entry in entries:
             name, read, what = entry[0], entry[3], entry[4]
             for tok in _TOKENS:
-                lexeme = dsl._quote(tok[2]) if tok[0] == "STRING" else tok[2]
+                source = f"k {tok[1]}\nend"
                 values = {}
-                inline = _outcome(lambda: fed(tok, "k", lexeme, "end", "").parse_attrs(
-                    {"k": entry}, values) or values[name])
-                assert inline[0] == "problem" or parser.tok == "", (entry, tok)
-                derived = _outcome(lambda: read(fed(tok, lexeme, "end", ""), what))
+                inline_parser = dsl._Parser(source, "r.evr")
+                inline = _outcome(lambda: inline_parser.parse_attrs({"k": entry}, values)
+                                  or values[name])
+                assert inline[0] == "problem" or inline_parser.tok == "", (entry, tok)
+                parser = dsl._Parser(source, "r.evr")
+                parser.advance()
+                derived = _outcome(lambda: read(parser, what))
                 assert derived[0] == "problem" or parser.tok == "end", (entry, tok)
                 assert inline == derived, (entry, tok)
 

@@ -7,8 +7,12 @@ tokenizer can slip: quotes, backslashes, line ends, the blanks the format
 accepts and the ones it rejects, and non-ASCII letters and digits that
 ``\\w``, ``\\d`` or case folding would wrongly accept.
 
-The tests at the end hold the fast lexer, ``dsl._lexemes``, to the lexemes
-of ``dsl._lex``, and ``parse_register`` to the located-only parse.
+The tests at the end hold the chunked lexer, ``dsl._lexemes``, to the
+lexemes and diagnostics of ``dsl._lex``, which it may call only for a chunk
+that is not clean; the ordinal of each lexeme to its index, and the sweep
+that locates it to ``_lex``'s offsets; and ``parse_register`` to the
+digests, in ``tests/fixtures/parse_digests.txt``, of what the parser showed
+when it parsed a source twice to place a diagnostic.
 """
 
 from __future__ import annotations
@@ -20,14 +24,15 @@ import time
 from collections.abc import Iterator
 from itertools import chain
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 from evrforge import dsl
 
 from .conftest import FIXTURES
-from .support import (FUZZ_PIECES, fuzz_source, located_lex, random_register, reference_lex,
-                      reporter)
+from .support import (FUZZ_PIECES, fuzz_source, located_lex, parse_digest, random_register,
+                      reference_lex, reporter)
 
 SOUP = ['"', "\\", "\n", "\r", "\t", "\x0b", "\x0c", "#", ",", ".", "-", "T", "C",
         "0", "1", "7", "é", "記", "٣", "ſ", " ", "x", "_", '"ab"', "1.2", "1.1.1-T"]
@@ -155,37 +160,58 @@ def test_enum_error_lists_the_allowed_values(tail, found):
 
 
 # ---------------------------------------------------------------------------
-# The fast lexer against the located one, and the parse against the
-# located-only parse
+# The chunked lexer against ``_lex``, the ordinals against the lexemes, and
+# the parse against the digests of what it showed before it was one pass
 
-def _fast_lexemes(source: str) -> list[str] | None:
-    """The lexemes of ``dsl._lexemes``, or None where it refuses the source."""
-    try:
-        return list(chain.from_iterable(dsl._lexemes(source)))
-    except dsl._Restart:
-        return None
+# One line per source: the ``parse_digest`` of its parse and its label, in
+# the order of ``_differential_sources`` and ``EDGE_ROWS``.  They were
+# computed with the parser that parsed a source fast and then again,
+# located, whenever anything had to be placed.
+REFERENCE = FIXTURES / "parse_digests.txt"
+
+
+def _reference() -> dict[str, str]:
+    lines = REFERENCE.read_text(encoding="utf-8").splitlines()
+    return {label: digest for digest, label in (line.split(" ", 1) for line in lines)}
 
 
 def _located_lexemes(source: str) -> tuple[list[str], list]:
-    """The lexemes a located parse reads, and ``_lex``'s diagnostics."""
+    """The lexemes ``_lex`` gives the parser, a string's value quoted anew,
+    and ``_lex``'s diagnostics."""
     report, diags = reporter(source, "in.evr")
     return ([dsl._quote(value) if kind == "STRING" else value
              for kind, _, value, _, _ in dsl._lex(source, report)], diags)
 
 
-def _assert_fast_agrees(source: str) -> bool:
-    """Wherever the fast lexer accepts ``source``, it gives the located
-    lexer's lexemes, and the located lexer reports nothing; and the parse
-    equals the located-only parse, diagnostics and header included.  True
-    when the fast lexer accepts the source."""
-    fast = _fast_lexemes(source)
-    if fast is not None:
-        assert (fast, []) == _located_lexemes(source), source
-    assert dsl.parse_register(source, "in.evr") == dsl._parse(source, "in.evr", located=True), source
-    return fast is not None
+def _assert_lexes_as_located(source: str) -> bool:
+    """``dsl._lexemes`` gives the lexemes and diagnostics of ``_lex``, which
+    it calls only for a chunk that is not clean; each lexeme pulled has its
+    index as its ordinal, and both ``_located`` and the lexemes ``_lexemes``
+    keeps give its text and offset as ``_lex`` does.  True when every chunk
+    of ``source`` is clean."""
+    report, diags = reporter(source, "in.evr")
+    known = {}
+    with mock.patch.object(dsl, "_lex", wraps=dsl._lex) as lex:
+        lexemes = list(chain.from_iterable(dsl._lexemes(source, [0, iter(())], report, known)))
+    assert (lexemes, diags) == _located_lexemes(source), source
+    parser = dsl._Parser(source, "in.evr")
+    ordinals = [parser.here()]
+    while parser.tok:
+        parser.advance()
+        ordinals.append(parser.here())
+    assert ordinals == list(range(len(lexemes))), source
+    tokens = dict(enumerate(dsl._lex(source, lambda *problem: None)))
+    assert dsl._located(source, set(ordinals)) == {
+        ordinal: (None, text, None, start, end)
+        for ordinal, (_, text, _, start, end) in tokens.items()}, source
+    assert {ordinal: tokens[ordinal] for ordinal in known} == known, source
+    return not lex.called
 
 
-def _differential_sources() -> list[str]:
+def _differential_sources() -> list[tuple[str, str]]:
+    """(label, source) for the fixtures, 100 generated registers, 3,000
+    fuzz sources drawn also from the block table and the scaffold, and the
+    scaffold mutants of ``test_pins``."""
     from evrforge.cli import scaffold_text
 
     from .test_pins import SCAFFOLD, _scaffold_mutants
@@ -195,18 +221,24 @@ def _differential_sources() -> list[str]:
                 if line.strip() and not line.startswith("#")}
     pieces = FUZZ_PIECES + sorted((table | scaffold) - set(FUZZ_PIECES))
     rng = random.Random(2121)
-    return [*((FIXTURES / name).read_text(encoding="utf-8")
+    return [*((f"fixture {name}", (FIXTURES / name).read_text(encoding="utf-8"))
               for name in sorted(p.name for p in FIXTURES.glob("*.evr"))),
-            *(dsl.serialize_canonical(random_register(random.Random(seed))) for seed in range(100)),
-            *(fuzz_source(rng, pieces) for _ in range(3000)),
-            *(source for _, source in _scaffold_mutants(SCAFFOLD.read_text(encoding="utf-8")))]
+            *((f"seed {seed}", dsl.serialize_canonical(random_register(random.Random(seed))))
+              for seed in range(100)),
+            *((f"fuzz {i}", fuzz_source(rng, pieces)) for i in range(3000)),
+            *((f"mutant {name}", source)
+              for name, source in _scaffold_mutants(SCAFFOLD.read_text(encoding="utf-8")))]
 
 
-def test_the_fast_lexer_and_parse_agree_with_the_located_ones():
-    sources = _differential_sources()
-    accepted = [_assert_fast_agrees(source) for source in sources]
-    # Every fixture and generated register, and most mutants, lex fast.
-    assert all(accepted[:106]) and sum(accepted) > 1500, sum(accepted)
+def test_the_fast_lexer_agrees_with_the_located_one_and_the_parse_with_the_reference():
+    reference = _reference()
+    rows = _differential_sources()
+    clean = [_assert_lexes_as_located(source) for _, source in rows]
+    # Every fixture and generated register, and most mutants, lex without ``_lex``.
+    assert all(clean[:106]) and sum(clean) > 1500, sum(clean)
+    for label, source in rows:
+        assert parse_digest(dsl.parse_register(source, "in.evr")) == reference[label], (
+            f"the first source that parses otherwise than the reference: {label} {source!r}")
 
 
 # A comment line of 80 characters; 900 of them fill more than one chunk.
@@ -214,38 +246,45 @@ _FILLER = "# " + "x" * 77 + "\n"
 _HEADER = 'register "x" phase concept\n'
 _BLOCK = 'stakeholder S1 "n"\n  kind direct\nend\n'
 
-
-@pytest.mark.parametrize("source,fast", [
-    (_HEADER + "1.\n", False),
-    (_HEADER + "stakeholder 1-T1\n", False),
-    ('register "a\\q" phase concept\n', False),
-    (_HEADER + 'stakeholder S1 "open', False),
-    ('register "x"\r\nphase concept\r\n' + _BLOCK.replace("\n", "\r\n"), True),
-    ("\ufeff" + _HEADER, False),
-    (_HEADER + _BLOCK.replace("S1", "Sé"), False),
-    (_HEADER + 'stakeholder S1 "é 記"\n  kind direct\nend\n', True),
-    (_HEADER + _BLOCK + " \t\r" * 3, True),
-    (_HEADER + " " * (dsl._CHUNK + 10) + "\n" + _BLOCK + "  ", True),
-    (_HEADER + _FILLER * 900 + _BLOCK, True),
-    (_HEADER + _FILLER * 900 + _BLOCK.replace("direct", "direct @"), False),
-], ids=["1.", "1-T1", "bad escape", "open string", "cr", "bom", "non-ascii letter",
-        "non-ascii string", "blanks at the end", "blanks at a chunk's end", "two chunks",
-        "problem in the second chunk"])
-def test_edge_cases_parse_like_the_located_parse(source, fast):
-    assert _assert_fast_agrees(source) is fast
+EDGE_ROWS = [  # (label, source, whether every chunk is clean)
+    ("1.", _HEADER + "1.\n", False),
+    ("1-T1", _HEADER + "stakeholder 1-T1\n", False),
+    ("bad escape", 'register "a\\q" phase concept\n', False),
+    ("open string", _HEADER + 'stakeholder S1 "open', False),
+    ("cr", 'register "x"\r\nphase concept\r\n' + _BLOCK.replace("\n", "\r\n"), True),
+    ("bom", "\ufeff" + _HEADER, False),
+    ("non-ascii letter", _HEADER + _BLOCK.replace("S1", "Sé"), False),
+    ("non-ascii string", _HEADER + 'stakeholder S1 "é 記"\n  kind direct\nend\n', True),
+    ("blanks at the end", _HEADER + _BLOCK + " \t\r" * 3, True),
+    ("blanks at a chunk's end", _HEADER + " " * (dsl._CHUNK + 10) + "\n" + _BLOCK + "  ", True),
+    ("two chunks", _HEADER + _FILLER * 900 + _BLOCK, True),
+    ("problem in the second chunk",
+     _HEADER + _FILLER * 900 + _BLOCK.replace("direct", "direct @"), False),
+]
 
 
-def test_a_second_chunk_with_a_problem_is_refused_after_the_first():
+@pytest.mark.parametrize("label,source,clean", EDGE_ROWS, ids=[row[0] for row in EDGE_ROWS])
+def test_edge_cases_parse_like_the_reference(label, source, clean):
+    assert _assert_lexes_as_located(source) is clean
+    assert parse_digest(dsl.parse_register(source, "in.evr")) == _reference()[f"edge {label}"]
+
+
+def test_a_second_chunk_with_a_problem_is_lexed_located_after_the_first():
     source = _HEADER + _FILLER * 900 + "x @\n"
-    chunks = dsl._lexemes(source)
-    assert next(chunks) == ["register", '"x"', "phase", "concept"]
-    with pytest.raises(dsl._Restart):
-        next(chunks)
+    report, diags = reporter(source, "in.evr")
+    with mock.patch.object(dsl, "_lex", wraps=dsl._lex) as lex:
+        chunks = dsl._lexemes(source, [0, iter(())], report, {})
+        assert list(next(chunks)) == ["register", '"x"', "phase", "concept"]
+        assert not lex.called
+        assert list(next(chunks)) == ["x"]
+    assert lex.call_args.args[2:] == (source.find("\n", dsl._CHUNK) + 1, len(source))
+    assert [d.render() for d in diags] == ["ERROR P004 in.evr:902:3: illegal character '@'"]
+    assert list(next(chunks)) == [""]
 
 
 @pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("*.evr")))
 def test_a_clean_source_parses_without_the_located_lexer(name, monkeypatch):
     source = (FIXTURES / name).read_text(encoding="utf-8")
     expected = dsl.parse_register(source, name)
-    monkeypatch.setattr(dsl, "_placed", None)
+    monkeypatch.setattr(dsl, "_lex", None)
     assert dsl.parse_register(source, name) == expected
