@@ -7,8 +7,10 @@ stdout, stderr and the exit code of each run.  The forms are ``check``
 (text and interchange), ``report`` (audit, mission and coverage),
 ``score`` and ``export`` (interchange, dot and csv) on every fixture, one
 ``trace`` and one ``diff``.  Each difference is printed; the exit code is
-1 when there is one, else 0.  Standard library only, so it runs where
-pytest is not installed.
+1 when there is one, else 0.  Every interpreter is first asked for its
+version: one that cannot run is named on a ``cannot run PYTHON: ...``
+line, and the exit code is 2 before any form runs.  Standard library only,
+so it runs where pytest is not installed.
 
     python scripts/cross_python.py /path/to/python3.10 /path/to/python3.13
 """
@@ -44,8 +46,13 @@ def run(python: str, form: tuple[str, ...]) -> tuple[bytes, bytes, int]:
 
 
 def version(python: str) -> str:
-    return subprocess.run([python, "-c", "import platform; print(platform.python_version())"],
-                          capture_output=True, text=True, check=True).stdout.strip()
+    """The interpreter's version; ``OSError`` when it cannot run."""
+    done = subprocess.run([python, "-c", "import platform; print(platform.python_version())"],
+                          capture_output=True, text=True)
+    if done.returncode:
+        first = done.stderr.strip().partition("\n")[0]
+        raise OSError(f"exit code {done.returncode}: {first}")
+    return done.stdout.strip()
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -55,10 +62,19 @@ def main(argv: list[str] | None = None) -> int:
                         help="interpreters to compare with the running one")
     args = parser.parse_args(argv)
 
+    versions = {}
+    for python in (sys.executable, *args.pythons):
+        try:
+            versions[python] = version(python)
+        except OSError as error:
+            print(f"cannot run {python}: {error}")
+            versions[python] = None
+    if None in versions.values():
+        return 2
     expected = {form: run(sys.executable, form) for form in FORMS}
     differences = 0
     for python in args.pythons:
-        name = f"{python} ({version(python)})"
+        name = f"{python} ({versions[python]})"
         matched = 0
         for form, want in expected.items():
             got = run(python, form)
@@ -76,7 +92,7 @@ def main(argv: list[str] | None = None) -> int:
                         print(f"  first {part} line differs: {line[0]!r}, expected {line[1]!r}")
             else:
                 matched += 1
-        print(f"{name}: {matched} of {len(FORMS)} runs match Python {version(sys.executable)}")
+        print(f"{name}: {matched} of {len(FORMS)} runs match Python {versions[sys.executable]}")
     return 1 if differences else 0
 
 

@@ -32,13 +32,10 @@ A document is returned only when no error-severity diagnostic was
 produced.
 """
 
-from __future__ import annotations
-
 import functools
 import json
 import re
 import sys
-import typing
 from collections.abc import Callable, Iterator
 from dataclasses import MISSING, fields, is_dataclass, replace
 from enum import Enum
@@ -129,11 +126,11 @@ _CHUNK = 1 << 16
 # comments span lines.  A string matches up to its closing quote or the end
 # of the line, whatever its escapes, so malformed strings need no second
 # pass.  Character classes are spelled out because the format is ASCII-only
-# (no \d, \w).  The lexer tells the kinds apart by the number of the group
-# that matched, ``lastindex``: STRING's group closes after its ``close``
-# group, so it is STRING's number.  Each match but a comment or an illegal
-# character is one lexeme, so ``_located`` finds a lexeme again by its
-# ordinal with the same pattern.
+# (no \d, \w).  The lexer tells the kinds apart by the name of the last
+# group that matched, ``lastgroup``: STRING's group closes after its
+# ``close`` group, so STRING is the last group.  Each match but a comment or
+# an illegal character is one lexeme, so ``_located`` finds a lexeme again by
+# its ordinal with the same pattern.
 _TOKEN_RE = re.compile(
     r'[ \t\r\n]*(?:'
     r'(?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)'
@@ -146,14 +143,7 @@ _TOKEN_RE = re.compile(
     r'|(?P<ILLEGAL>[^ \t\r\n]))'
 )
 _ESCAPE_RE = re.compile(r'\\(.?)')
-_GROUP = _TOKEN_RE.groupindex  # kind -> group number
-# By group number, the kind of a token of one lexeme that is also its value
-# (IDENT, DOTTED, INT, COMMA); None for the groups ``_lex`` handles apart.
-_LEXEME_KIND = tuple(None if kind in ("STRING", "close", "COMMENT", "EOF", "ILLEGAL") else kind
-                     for kind in (None, *sorted(_GROUP, key=_GROUP.get)))
-_STRING_GROUP, _CLOSE_GROUP, _EOF_GROUP, _ILLEGAL_GROUP = (
-    _GROUP[kind] for kind in ("STRING", "close", "EOF", "ILLEGAL"))
-_UNREAD = (_GROUP["COMMENT"], _ILLEGAL_GROUP)  # the matches that are no lexeme
+_LEXEMES = frozenset(("IDENT", "DOTTED", "INT", "COMMA"))  # a token whose value is its lexeme
 
 
 def _lexemes(source: str, cursor: list, report: Callable, known: dict) -> Iterator[Iterator[str]]:
@@ -184,8 +174,9 @@ def _lexemes(source: str, cursor: list, report: Callable, known: dict) -> Iterat
 def _located(source: str, ordinals: set[int]) -> dict[int, tuple]:
     """The tokens at ``ordinals``, as ``_lex`` makes them but without kind or
     value, by ordinal, from one sweep of ``_TOKEN_RE`` that stops at the last."""
-    matches = (match for match in _TOKEN_RE.finditer(source) if match.lastindex not in _UNREAD)
-    return {ordinal: (None, match[match.lastindex], None, *match.span(match.lastindex))
+    matches = (match for match in _TOKEN_RE.finditer(source)
+               if match.lastgroup not in ("COMMENT", "ILLEGAL"))
+    return {ordinal: (None, match[match.lastgroup], None, *match.span(match.lastgroup))
             for ordinal, match in zip(range(max(ordinals) + 1), matches) if ordinal in ordinals}
 
 
@@ -232,32 +223,31 @@ def _unescape(body: str, start: int, report: Callable) -> str:
 def _lex(source: str, report: Callable, pos: int = 0, endpos: int = sys.maxsize) -> Iterator[tuple]:
     """The tokens of ``source`` from ``pos`` to ``endpos``, ending with one EOF
     token, made as they are pulled; lexical problems go to ``report(code,
-    message, start, end)`` in source order.  A match is dispatched on its
-    group number: a token of one lexeme starts where the match ends less the
-    lexeme's length."""
+    message, start, end)`` in source order.  A match is dispatched on the name
+    of its last group, ``lastgroup``, which is the token's kind: a token starts
+    where the match ends less the lexeme's length."""
     for match in _TOKEN_RE.finditer(source, pos, endpos):
-        group = match.lastindex
-        kind = _LEXEME_KIND[group]
-        if kind is not None:
-            lexeme = match[group]
+        kind = match.lastgroup
+        if kind in _LEXEMES:
+            lexeme = match[kind]
             end = match.end()
             yield (kind, lexeme, lexeme, end - len(lexeme), end)
-        elif group == _STRING_GROUP:
-            lexeme = match[group]
+        elif kind == "STRING":
+            lexeme = match[kind]
             end = match.end()
             start = end - len(lexeme)
-            closed = match[_CLOSE_GROUP]
+            closed = match["close"]
             value = lexeme[1:-1] if closed else lexeme[1:]
             if "\\" in value:
                 value = _unescape(value, start + 1, report)
             if not closed:
                 report("P002", "unterminated string", start, end)
             yield ("STRING", lexeme, value, start, end)
-        elif group == _EOF_GROUP:
+        elif kind == "EOF":
             end = match.end()
             yield ("EOF", "", "", end, end)
             return
-        elif group == _ILLEGAL_GROUP:
+        elif kind == "ILLEGAL":
             start = match.end() - 1
             report("P004", f"illegal character {source[start]!r}", start, start)
 
@@ -443,7 +433,7 @@ class _Parser:
         self.need_keyword("phase")
         self.phase = _enum(m.Phase).read(self, "phase")
 
-    def parse_block(self, block: _Block, head: int) -> None:
+    def parse_block(self, block: "_Block", head: int) -> None:
         """The block after its keyword, the lexeme ``head``."""
         if block.single and block.slot in self.singles:
             self.note("P018", f"duplicate {block.keyword} block", head)
@@ -748,18 +738,8 @@ _GROUP = _Reader(None, None)   # a dataclass whose fields are attributes of thei
 _PLAIN = {str: _STRING, int: _INT, bool: _BOOL}
 
 
-def _hints(cls: type) -> dict:
-    """The field types of a dataclass, in field order.  Its annotations are
-    strings, evaluated here in its module as ``typing.get_type_hints`` would,
-    for a ninth of the cost."""
-    scope = vars(sys.modules[cls.__module__])
-    return {f.name: eval(f.type, scope) if isinstance(f.type, str) else f.type  # noqa: S307
-            for f in fields(cls)}
-
-
 def _nested(cls: type) -> _Reader:
-    hints = _hints(cls)
-    parts = [(f.name, _PLAIN[hints[f.name]]) for f in fields(cls)]
+    parts = [(f.name, _PLAIN[f.type]) for f in fields(cls)]
 
     def read(p, whats):
         return cls(*[reader.read(p, what) for (_, reader), what in zip(parts, whats)])
@@ -771,10 +751,7 @@ def _nested(cls: type) -> _Reader:
 def _held_class(hint) -> tuple[type, bool]:
     """The class a field holds (``X`` for ``X | None``), and whether the
     field is a tuple of them."""
-    args = typing.get_args(hint)
-    if typing.get_origin(hint) is tuple:
-        return args[0], True
-    return (args[0] if args else hint), False
+    return getattr(hint, "__args__", (hint,))[0], getattr(hint, "__origin__", None) is tuple
 
 
 def _default(f):
@@ -784,7 +761,7 @@ def _default(f):
 
 
 _PROJECT = object()  # the default of a field that defaults to the project name
-_DOCUMENT_HINTS = _hints(m.RegisterDocument)
+_DOCUMENT_HINTS = {f.name: f.type for f in fields(m.RegisterDocument)}
 
 
 @record
@@ -861,7 +838,7 @@ class _Block:
         self.kind = slot if slot in m.ENTITY_KINDS else None  # the kind its violations name
         self.noun = noun or m.ENTITY_KINDS.get(slot, (keyword,))[0]
         self.from_project = from_project  # a field that defaults to the project name
-        hints = _hints(cls)
+        hints = {f.name: f.type for f in fields(cls)}
         defaults = {f.name: _default(f) for f in fields(cls)}
 
         if self.kind:
@@ -879,9 +856,9 @@ class _Block:
             what = words[0] if words else key
             if reader is _GROUP:
                 group = _held_class(hints[field])[0]
-                members = [_Attr(key + f.name, field, _PLAIN[hint], hint, key + f.name,
+                members = [_Attr(key + f.name, field, _PLAIN[f.type], f.type, key + f.name,
                                  default=_default(f), member=f.name)
-                           for f, hint in zip(fields(group), _hints(group).values())]
+                           for f in fields(group)]
                 self.groups.append((field, group, what, members))
                 self.attrs += members
             else:

@@ -15,6 +15,7 @@ import io
 from dataclasses import fields
 
 from . import model as m
+from .dsl import _quote
 from .model import record
 
 
@@ -219,15 +220,14 @@ def coverage_csv(doc: m.RegisterDocument) -> str:
 
 
 def export_dot(doc: m.RegisterDocument) -> str:
-    """Graph in DOT form; node labels are id plus display name."""
+    """Graph in DOT form; node labels are id plus display name.  Ids, edge
+    ends and labels are quoted alike, so no id can end its string early."""
     graph = build_graph(doc)
     lines = ["digraph register {"]
     for node in graph.nodes.values():
-        label = f"{node.id} {node.name}".strip()
-        label = label.replace("\\", "\\\\").replace('"', '\\"')
-        lines.append(f'  "{node.id}" [label="{label}"];')
+        lines.append(f'  {_quote(node.id)} [label={_quote(f"{node.id} {node.name}".strip())}];')
     for src, dst in graph.edges:
-        lines.append(f'  "{src}" -> "{dst}";')
+        lines.append(f"  {_quote(str(src))} -> {_quote(str(dst))};")  # a ref may be no str
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -561,3 +562,15 @@ class TestModuleEntryPoint:
                               env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
         assert done.returncode == 0, done.stderr
         assert done.stdout.split() == list(names)
+
+
+def test_cross_python_names_an_interpreter_that_cannot_run(monkeypatch, capsys):
+    """The check fails with one line before it runs any form."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "cross_python.py"
+    spec = importlib.util.spec_from_file_location("cross_python", path)
+    cross = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(cross)
+    monkeypatch.setattr(cross, "run", lambda python, form: pytest.fail(f"ran {form}"))
+    assert cross.main(["/nonexistent/python3"]) == 2
+    assert capsys.readouterr().out == ("cannot run /nonexistent/python3: [Errno 2] "
+                                       "No such file or directory: '/nonexistent/python3'\n")

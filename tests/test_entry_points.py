@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import contextlib
 import random
+import re
 import signal
 from dataclasses import replace
 
@@ -169,3 +170,28 @@ def test_a_parent_that_is_no_node_raises_unknown_entity_error():
     graph, quality_id = _scaffold_graph("qualities", core_value=99)
     with _bounded(), pytest.raises(m.UnknownEntityError, match="unknown entity id '99'"):
         trace.trace_chain(graph, quality_id)
+
+
+_DOT_ID = r'"((?:[^"\\]|\\.)*)"'  # a DOT string, its body captured
+_DOT_NODE = re.compile(rf"  {_DOT_ID} \[label={_DOT_ID}\];")
+_DOT_EDGE = re.compile(rf"  {_DOT_ID} -> {_DOT_ID};")
+
+
+@pytest.mark.parametrize("change", [
+    {"id": 'DC"1', "functional_refs": ('F1" -> "evil',)},
+    {"id": "DC\\", "name": 'a \\"name\\', "ethical_refs": ("1.1.1\\", '"1.1.1')},
+], ids=["quotes", "backslashes"])
+def test_export_dot_quotes_ids_and_edge_ends(change):
+    """An unvalidated document's ids may hold ``"`` and ``\\``: each still
+    ends up inside one DOT string, so every line is one node or one edge
+    statement, and the edges read back are the graph's."""
+    doc = load_fixture("scaffold_demo.evr")
+    first, *rest = doc.design_concepts
+    doc = replace(doc, design_concepts=(replace(first, **change), *rest))
+    head, *statements, tail = trace.export_dot(doc).split("\n")[:-1]
+    assert (head, tail) == ("digraph register {", "}")
+    assert [line for line in statements
+            if not (_DOT_NODE.fullmatch(line) or _DOT_EDGE.fullmatch(line))] == []
+    edges = [tuple(re.sub(r"\\(.)", r"\1", end) for end in edge.groups())
+             for edge in map(_DOT_EDGE.fullmatch, statements) if edge]
+    assert edges == list(trace.build_graph(doc).edges)

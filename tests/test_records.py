@@ -25,7 +25,8 @@ from .conftest import FIXTURES, load_fixture
 
 # Run in a fresh interpreter: every ``<string>`` source compiled while
 # ``evrforge.cli`` is imported, with the module of the class whose type hints
-# were being resolved when ``typing.get_type_hints`` compiled it.
+# were being resolved when ``typing.get_type_hints`` compiled it, and the
+# module that called ``compile``, ``exec`` or ``eval``.
 _COMPILES = """
 import json, sys
 
@@ -35,13 +36,14 @@ def hook(event, args):
     if event != "compile" or args[1] != "<string>":
         return
     frame, owner = sys._getframe(1), None
+    caller = frame.f_globals["__name__"]
     while frame is not None:
         if frame.f_code.co_name == "get_type_hints" and frame.f_globals["__name__"] == "typing":
             owner = getattr(frame.f_locals["obj"], "__module__", None)
             break
         frame = frame.f_back
     source = args[0]
-    compiled.append((source.decode() if isinstance(source, bytes) else str(source), owner))
+    compiled.append((source.decode() if isinstance(source, bytes) else str(source), owner, caller))
 
 sys.addaudithook(hook)
 import evrforge.cli
@@ -192,19 +194,25 @@ class TestConstruction:
 def test_building_the_records_compiles_only_their_initializers():
     """Records are built at every CLI start, so building one compiles no
     ``__setattr__`` or ``__delattr__``, one ``__init__`` per class, and no
-    annotation of ``model``, whose annotations are evaluated objects."""
+    annotation of ``model``, whose annotations are evaluated objects.  Nor
+    does an ``evrforge`` module compile anything else at import: ``model``
+    and ``dsl`` annotate with objects, so no field type is evaluated."""
     src = Path(m.__file__).resolve().parents[1]
     done = subprocess.run([sys.executable, "-c", _COMPILES], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
     assert done.returncode == 0, done.stderr
     compiled = json.loads(done.stdout)
-    defined = [node for source, _ in compiled for node in ast.walk(ast.parse(source))
+    defined = [node for source, _, _ in compiled for node in ast.walk(ast.parse(source))
                if isinstance(node, ast.FunctionDef)]
     assert not [node.name for node in defined if node.name in ("__setattr__", "__delattr__")]
     inits = Counter(tuple(arg.arg for arg in node.args.args[1:])
                     for node in defined if node.name == "__init__")
     assert inits == Counter(tuple(f.name for f in fields(cls)) for cls in RECORDS)
-    assert not [source for source, owner in compiled if owner == m.__name__]
+    assert not [source for source, owner, _ in compiled if owner == m.__name__]
+    assert [(caller, source) for source, _, caller in compiled
+            if caller.partition(".")[0] == "evrforge"
+            and [(type(node), getattr(node, "name", None)) for node in ast.parse(source).body]
+            != [(ast.FunctionDef, "__init__")]] == []
 
 
 class TestEquality:
