@@ -20,7 +20,11 @@ rounds each was faster than BASE.  Standard library only.
 
 FUNCTION is one of ``parse_register`` (source text to result),
 ``validate_register``, ``run_rules``, ``serialize_canonical`` and
-``export_interchange`` (each on the documents its own revision parsed).
+``export_interchange`` (each on the documents its own revision parsed), or
+``roundtrip``, corpus-roundtrip's op on each corpus register and its edit:
+parse, ``serialize_canonical``, parse of that text, which must give an
+``==`` document, ``export_interchange``, parse of the edit and
+``diff_registers``.  ``roundtrip`` runs on the corpus only.
 """
 
 from __future__ import annotations
@@ -71,28 +75,48 @@ def load(revision: str | None, name: str, into: Path):
     return importlib.import_module(name)
 
 
-def inputs(which: str) -> list[tuple[str, str]]:
-    """(name, source) of the corpus registers or of the ladder register."""
+def inputs(which: str) -> list[tuple[str, str, str | None]]:
+    """(name, source, edited source) of the corpus registers, or of the
+    ladder register, which has no edit."""
     if which == "corpus":
-        return [(f"corpus-{i}.evr", gen.corpus_register(i, SEED)[0]) for i in range(CORPUS_SIZE)]
-    return [(f"ladder-{LADDER_N}.evr", gen.ladder_register(LADDER_N, SEED)[0])]
+        return [(f"corpus-{i}.evr", *gen.corpus_register(i, SEED)[:2]) for i in range(CORPUS_SIZE)]
+    return [(f"ladder-{LADDER_N}.evr", gen.ladder_register(LADDER_N, SEED)[0], None)]
 
 
-def timer(package, function: str, sources: list[tuple[str, str]]):
+def document(package, name: str, source: str):
+    doc = package.dsl.parse_register(source, name).document
+    if doc is None:
+        raise SystemExit(f"{package.__name__} does not parse {name}")
+    return doc
+
+
+def roundtrip(package):
+    """corpus-roundtrip's op, as ``perfbench/workloads.py`` runs it, on
+    ``(name, source, edited source)``."""
+    dsl = importlib.import_module(f"{package.__name__}.dsl")
+    diff = importlib.import_module(f"{package.__name__}.trace").diff_registers
+
+    def op(name: str, source: str, edited: str) -> None:
+        doc = dsl.parse_register(source, name).document
+        canonical = dsl.serialize_canonical(doc)
+        if dsl.parse_register(canonical, "canonical").document != doc:
+            raise SystemExit(f"{package.__name__}: {name} is not a canonical fixed point")
+        dsl.export_interchange(doc)
+        diff(doc, dsl.parse_register(edited, name + ".edit").document)
+
+    return op
+
+
+def timer(package, function: str, sources: list[tuple[str, str, str | None]]):
     """A call that runs ``function`` of ``package`` once over every input
     and returns its process time in ms."""
-    module, attribute, on_document = CALLS[function]
-    call = getattr(importlib.import_module(f"{package.__name__}.{module}"), attribute)
-    parse = package.dsl.parse_register
-    if on_document:
-        args = []
-        for name, source in sources:
-            doc = parse(source, name).document
-            if doc is None:
-                raise SystemExit(f"{package.__name__} does not parse {name}")
-            args.append((doc,))
+    if function == "roundtrip":
+        call, args = roundtrip(package), sources
     else:
-        args = [(source, name) for name, source in sources]
+        module, attribute, on_document = CALLS[function]
+        call = getattr(importlib.import_module(f"{package.__name__}.{module}"), attribute)
+        args = [(document(package, name, source),) if on_document else (source, name)
+                for name, source, _ in sources]
 
     def run() -> float:
         gc.collect()
@@ -114,12 +138,14 @@ def main(argv: list[str] | None = None) -> int:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("revisions", nargs="+", metavar="REV",
                         help="BASE, and HEAD (default: the working tree)")
-    parser.add_argument("function", choices=sorted(CALLS))
+    parser.add_argument("function", choices=sorted([*CALLS, "roundtrip"]))
     parser.add_argument("--inputs", choices=("corpus", "ladder", "both"), default="both")
     parser.add_argument("--rounds", type=int, default=21)
     args = parser.parse_args(argv)
     if len(args.revisions) > 2:
         parser.error("at most two revisions")
+    if args.function == "roundtrip" and args.inputs == "ladder":
+        parser.error("roundtrip runs on the corpus only")
     base_rev, head_rev = (args.revisions + [None])[:2]
 
     with tempfile.TemporaryDirectory(prefix="evrforge-ab-") as tmp:
@@ -130,7 +156,8 @@ def main(argv: list[str] | None = None) -> int:
         labels = {"base": f"base {base_rev}", "head": f"head {head_rev or 'working tree'}",
                   "base'": f"base' {base_rev} (control)"}
         sides = list(packages)
-        for which in ("corpus", "ladder") if args.inputs == "both" else (args.inputs,):
+        every = ("corpus",) if args.function == "roundtrip" else ("corpus", "ladder")
+        for which in every if args.inputs == "both" else (args.inputs,):
             sources = inputs(which)
             runs = {side: timer(package, args.function, sources)
                     for side, package in packages.items()}
@@ -140,7 +167,7 @@ def main(argv: list[str] | None = None) -> int:
             for i in range(args.rounds):
                 for side in sides[i % 3:] + sides[:i % 3]:
                     times[side].append(runs[side]())
-            kb = sum(len(source.encode("utf-8")) for _, source in sources) / 1024
+            kb = sum(len(source.encode("utf-8")) for _, source, _ in sources) / 1024
             print(f"{args.function} on {which} ({len(sources)} inputs, {kb:.0f} KB), "
                   f"{args.rounds} rounds, process ms, median [quartiles]:")
             for side in sides:

@@ -40,7 +40,7 @@ from collections.abc import Callable, Iterator
 from dataclasses import MISSING, fields, is_dataclass, replace
 from enum import Enum
 from itertools import chain, count
-from operator import attrgetter, methodcaller
+from operator import attrgetter, itemgetter, methodcaller
 
 from . import model as m
 from .model import record
@@ -143,6 +143,7 @@ _TOKEN_RE = re.compile(
     r'|(?P<ILLEGAL>[^ \t\r\n]))'
 )
 _ESCAPE_RE = re.compile(r'\\(.?)')
+_ESCAPED = itemgetter(1)  # an escape's replacement, its character, taken in C
 _LEXEMES = frozenset(("IDENT", "DOTTED", "INT", "COMMA"))  # a token whose value is its lexeme
 
 
@@ -188,7 +189,7 @@ def _sval(lexeme: str) -> str:
     """A string's value: its quotes dropped and its escaped quotes and
     backslashes resolved."""
     body = lexeme[1:-1]
-    return _ESCAPE_RE.sub(r"\1", body) if "\\" in body else body
+    return _ESCAPE_RE.sub(_ESCAPED, body) if "\\" in body else body
 
 
 def _locator(source: str, file: str) -> Callable[[int, int], SourceSpan]:
@@ -606,10 +607,10 @@ def _quote(value: str) -> str:
     return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def _lens_text(lens: m.Lens, doc) -> str:
+def _lens_text(lens: m.Lens) -> str:
     if lens.kind is m.LensKind.CULTURAL:
         return f"cultural {_quote(lens.framework)}"
-    return lens.kind.value
+    return _enum(m.LensKind).text(lens.kind)
 
 
 _NO_LEXEME = frozenset().__contains__  # the test of a reader of several tokens
@@ -618,6 +619,9 @@ _NO_LEXEME = frozenset().__contains__  # the test of a reader of several tokens
 class _Reader:
     """One kind of value in the text format: how the parser reads it, how
     the writer spells it, and whether its strings must stay on one line.
+    The writer calls ``text(value)``, most often a builtin, so that spelling
+    a value enters no Python frame; a reader ``with_doc`` is called as
+    ``text(value, doc)``.
 
     A value of one token also has a ``token`` form, ``(test, convert)``: a
     test of the lexeme and ``convert(lexeme)``, the value read (None keeps
@@ -626,14 +630,15 @@ class _Reader:
     a test that no lexeme passes; one whose common case is one token, as a
     lens, declares that case's form and reads the rest with ``read``."""
 
-    __slots__ = ("read", "text", "checked", "token")
+    __slots__ = ("read", "text", "checked", "token", "with_doc")
 
     def __init__(self, read: Callable, text: Callable, checked: bool = False,
-                 token: tuple = (_NO_LEXEME, None)):
+                 token: tuple = (_NO_LEXEME, None), with_doc: bool = False):
         self.read = read        # (parser, what) -> value
-        self.text = text        # (value, doc) -> text
+        self.text = text        # value -> text
         self.checked = checked  # a string, or a record whose str fields P037 checks
         self.token = token
+        self.with_doc = with_doc  # the spelling depends on the document
 
 
 def _token(test: Callable, convert: Callable | None, fail: Callable, text: Callable,
@@ -664,15 +669,11 @@ def _refused(lexeme: str) -> bool:
                                            for run in re.findall("[0-9]+", lexeme))
 
 
-def _same(value, doc):
-    return value
-
-
 def _dotted(pattern) -> _Reader:
     """An id of the anchored ``pattern``."""
     return _token(lambda lexeme: pattern.match(lexeme) and (len(lexeme) <= _CHECKED
                                                              or not _refused(lexeme)), None,
-                  lambda p, what: p.need_dotted(pattern, what), _same)
+                  lambda p, what: p.need_dotted(pattern, what), str)
 
 
 @functools.cache
@@ -681,7 +682,7 @@ def _enum(enum_cls: type[Enum]) -> _Reader:
     members = {e.value: e for e in enum_cls}
     return _token(members.__contains__, members.__getitem__,
                   lambda p, what: p.expected(f"one of {', '.join(members)} for {what}", "P020"),
-                  lambda value, doc: value.value)
+                  {e: e.value for e in enum_cls}.__getitem__)  # ``value`` runs in Python
 
 
 def _commas(reader: _Reader) -> _Reader:
@@ -693,29 +694,30 @@ def _commas(reader: _Reader) -> _Reader:
             items.append(reader.read(p, what))
         return tuple(items)
 
-    return _Reader(read, lambda items, doc: ", ".join(reader.text(i, doc) for i in items))
+    return _Reader(read, lambda items: ", ".join(map(reader.text, items)))
 
 
-_STRING = _token(_is_string, _sval, _Parser.need_string, lambda value, doc: _quote(value), True)
+_STRING = _token(_is_string, _sval, _Parser.need_string, _quote, True)
 _INT = _token(lambda lexeme: lexeme.isdigit() and (len(lexeme) <= _CHECKED
                                                    or not _refused(lexeme)),
-              int, _Parser.need_int, lambda value, doc: str(value))
+              int, _Parser.need_int, str)
 _BOOLS = {"true": True, "false": False}
 _BOOL = _token(_BOOLS.__contains__, _BOOLS.__getitem__, _Parser.need_bool,
-               lambda value, doc: "true" if value else "false")
-_IDENT = _token(str.isidentifier, None, _Parser.expected, _same)
-_NUMBER = _Reader(_Parser.need_number, lambda value, doc: str(value))  # a core value's id
+               {True: "true", False: "false"}.__getitem__)
+_IDENT = _token(str.isidentifier, None, _Parser.expected, str)
+_NUMBER = _Reader(_Parser.need_number, str)  # a core value's id
 # A reference to an entity by its id: ``end`` closes the block instead.
-_REF = _token(m.IDENT_RE.match, None, _Parser.expected, _same)
+_REF = _token(m.IDENT_RE.match, None, _Parser.expected, str)
 # Prose: one ``note`` line per line of text.
-_NOTE = _token(_is_string, _sval, lambda p, what: p.need_string("note text"), _STRING.text, True)
+_NOTE = _token(_is_string, _sval, lambda p, what: p.need_string("note text"), _quote, True)
 # A lens of one word converts to one shared, frozen ``Lens`` per kind.
 _PLAIN_LENSES = {kind.value: m.Lens(kind) for kind in m.LensKind if kind is not m.LensKind.CULTURAL}
 _LENS = _Reader(_Parser.need_lens, _lens_text, True,
                 (_PLAIN_LENSES.__contains__, _PLAIN_LENSES.__getitem__))
 # A data subject is written bare when it names a stakeholder.
 _SUBJECT = _Reader(_Parser.need_subject, lambda value, doc: value if (
-    value in doc.index.stakeholders and m.IDENT_RE.match(value)) else _quote(value), True)
+    value in doc.index.stakeholders and m.IDENT_RE.match(value)) else _quote(value), True,
+                   with_doc=True)
 _ATTESTED = {  # subject word: (kind, reader of the ref or None, what)
     "priority": (m.SubjectKind.PRIORITY_DECISION, _INT, "core value number"),
     "risk": (m.SubjectKind.RISK_ACCEPTANCE, _dotted(m.CONTROL_ID_RE), "a control id"),
@@ -726,9 +728,9 @@ _ATTESTED = {  # subject word: (kind, reader of the ref or None, what)
 _ATTESTED_WORDS = {kind: (word, reader) for word, (kind, reader, _) in _ATTESTED.items()}
 
 
-def _attested_text(subject: m.AttestationSubject, doc) -> str:
+def _attested_text(subject: m.AttestationSubject) -> str:
     word, reader = _ATTESTED_WORDS[subject.kind]
-    return word if reader is None else f"{word} {reader.text(subject.ref, doc)}"
+    return word if reader is None else f"{word} {reader.text(subject.ref)}"
 
 
 # Placeholders the table compiles into a reader for the field's class.
@@ -744,8 +746,8 @@ def _nested(cls: type) -> _Reader:
     def read(p, whats):
         return cls(*[reader.read(p, what) for (_, reader), what in zip(parts, whats)])
 
-    return _Reader(read, lambda value, doc: " ".join(reader.text(getattr(value, name), doc)
-                                                     for name, reader in parts), True)
+    return _Reader(read, lambda value: " ".join([reader.text(getattr(value, name))
+                                                 for name, reader in parts]), True)
 
 
 def _held_class(hint) -> tuple[type, bool]:
@@ -885,9 +887,10 @@ class _Block:
         self.texts = [(f"{keyword} {a.key or a.field}", a.get, a.gather is tuple, a.reader is _NOTE,
                        a.held is not str and [f.name for f in fields(a.held) if f.type is str])
                       for a in slots + self.attrs if a.reader.checked]
-        # For the writer, which leaves out a value equal to its default.
-        self.written = [(a.key, a.get, a.reader.text, a.split,
-                         _PROJECT if a.field == from_project else a.default)
+        # For the writer, which leaves out a value equal to its default: each
+        # attribute's line up to its value, and how to get and spell the value.
+        self.written = [(f"  {a.key} ", a.get, a.reader.text, a.split,
+                         _PROJECT if a.field == from_project else a.default, a.reader.with_doc)
                         for a in self.attrs]
 
     def build(self, values: dict, parser: _Parser, head: int):
@@ -923,15 +926,18 @@ class _Block:
     def write(self, obj, doc: m.RegisterDocument) -> str:
         words = [self.keyword]
         for slot in self.head:
-            words.append(slot if slot.__class__ is str else slot.reader.text(slot.get(obj), doc))
+            words.append(slot if slot.__class__ is str else slot.reader.text(slot.get(obj)))
         out = [" ".join(words)]
-        for key, get, text, split, default in self.written:
+        for line, get, text, split, default, with_doc in self.written:
             value = get(obj)
             if value is None or value == default or (default is _PROJECT
                                                      and value == doc.project.name):
                 continue
-            for item in split(value) if split else (value,):
-                out.append(f"  {key} {text(item, doc)}")
+            if split is None:
+                out.append(line + (text(value, doc) if with_doc else text(value)))
+            else:
+                for item in split(value):
+                    out.append(line + (text(item, doc) if with_doc else text(item)))
         if self.keys is not None:
             out.append("end")
         return "\n".join(out)
@@ -1072,11 +1078,11 @@ _BLOCKS: dict[str, _Block] = {block.keyword: block for block in (
     )),
     _Block("feedback", "feedback", (), (
         ("date", "date", _STRING),
-        ("from", "source", _Reader(_REF.read, _same, True, _REF.token),
+        ("from", "source", _Reader(_REF.read, str, True, _REF.token),
          "a stakeholder id or market", "source"),
         ("note", "text", _NOTE),
         ("resulted", "resulted", _Reader(lambda p, what: p.need_name(what, m.QUALITY_ID_RE),
-                                         _same, True), "a statement or quality id"),
+                                         str, True), "a statement or quality id"),
         ("reprioritize", "reprioritization_required", _BOOL),
     ), noun="feedback"),
     _Block("alias", "alias_map", (

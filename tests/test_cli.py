@@ -564,6 +564,23 @@ class TestModuleEntryPoint:
         assert done.stdout.split() == list(names)
 
 
+def test_ab_roundtrip_times_the_working_tree(tmp_path, monkeypatch):
+    """``scripts/ab.py``'s round-trip timer, built for the working tree on two
+    corpus registers, runs once and gives a time."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "ab.py"
+    spec = importlib.util.spec_from_file_location("ab", path)
+    ab = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ab)
+    monkeypatch.syspath_prepend(str(tmp_path))
+    try:
+        package = ab.load(None, "evrforge_ab_smoke", tmp_path)
+        run = ab.timer(package, "roundtrip", ab.inputs("corpus")[:2])
+        assert run() > 0
+    finally:
+        for name in [name for name in sys.modules if name.startswith("evrforge_ab_smoke")]:
+            del sys.modules[name]
+
+
 def test_cross_python_names_an_interpreter_that_cannot_run(monkeypatch, capsys):
     """The check fails with one line before it runs any form."""
     path = Path(__file__).resolve().parents[1] / "scripts" / "cross_python.py"

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gc
+import itertools
 import json
 import random
 import sys
@@ -348,6 +349,39 @@ class TestSerialize:
             alias_map={'a "quoted" name': "privacy"},
         )
         assert parse_ok(dsl.serialize_canonical(doc)) == doc
+
+    def test_every_short_string_of_quotes_and_backslashes_reads_back(self):
+        """All 3,280 strings of length 0 to 7 over ``a``, ``\\`` and ``"``: the
+        lexeme ``_quote`` writes reads back as the string, and as a project
+        name the one-line register parses to it and is its own canonical text."""
+        strings = ["".join(chars) for n in range(8) for chars in itertools.product('a\\"', repeat=n)]
+        assert len(strings) == 3280
+        for value in strings:
+            lexeme = dsl._quote(value)
+            assert dsl._sval(lexeme) == value, lexeme
+            source = f"register {lexeme} phase concept\n"
+            doc = parse_ok(source)
+            assert doc.project.name == value, lexeme
+            assert dsl.serialize_canonical(doc) == source
+
+    def test_resolving_escapes_enters_no_python_function_but_sval(self):
+        """``_sval`` resolves escapes in C.  A replacement template (``r"\\1"``)
+        made ``re`` enter ``_subx``, ``filter`` and ``expand_template`` in
+        Python for each match on Python 3.10 and 3.11; from 3.12 ``re``
+        expands a template in C, so there this test passes with a template too."""
+        value = 'she said "no" to C:\\temp\\' * 20
+        lexeme = dsl._quote(value)
+        assert len(lexeme) - len(value) - 2 == 80  # one backslash added per escape
+        dsl._sval(lexeme)  # what re compiles and caches on a first call
+        entered = []
+        sys.setprofile(lambda frame, event, arg: event == "call"
+                       and entered.append(frame.f_code.co_name))
+        try:
+            resolved = dsl._sval(lexeme)
+        finally:
+            sys.setprofile(None)
+        assert resolved == value
+        assert entered == ["_sval"]
 
     def test_multi_line_notes_survive_round_trip(self):
         doc = m.new_empty_register("TM")
