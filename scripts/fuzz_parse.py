@@ -5,9 +5,10 @@ Feeds seeded random token soup into the register parser and checks the
 robustness contract: no crash, document present exactly when there are no
 errors, and every diagnostic span inside the input's bounds.  The soup and
 the contract are acceptance 9's, from ``tests/support.py``.  It also checks
-that the lexer gives the same tokens and diagnostics as the reference lexer
-in ``tests/support.py``, and, for the runs in ``REFERENCE``, that the
-parses show what they showed before the parser became one pass: the
+that the parser reads the tokens, and the lexer reports the diagnostics, of
+the reference lexer in ``tests/support.py``, and, for the runs in
+``REFERENCE``, that the parses show what they showed before the parser
+became one pass: the
 SHA-256 over every parse's ``parse_digest`` (its rendered diagnostics with
 their spans' ends, its header and its canonical document) must equal the
 one recorded for the run's count and seed.  Other runs print their digest.
@@ -34,7 +35,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 from evrforge import dsl  # noqa: E402
 from evrforge.cli import scaffold_text  # noqa: E402
 from tests.support import (  # noqa: E402
-    FUZZ_PIECES, fuzz_source, located_lex, parse_digest, reference_lex, robustness_breach)
+    FUZZ_PIECES, by_place, fuzz_source, lexed, parse_digest, reference_lex, robustness_breach)
 
 TABLE = {*dsl._BLOCKS, *(a.key for block in dsl._BLOCKS.values() for a in block.attrs)}
 SCAFFOLD = {line.strip() for line in scaffold_text("fuzz").splitlines()
@@ -60,7 +61,8 @@ def main(argv: list[str] | None = None) -> int:
     digest = hashlib.sha256()
     for i in range(args.count):
         text = fuzz_source(rng, PIECES)
-        if located_lex(text, "fuzz.evr") != reference_lex(text, "fuzz.evr"):
+        tokens, diags = reference_lex(text, "fuzz.evr")
+        if lexed(text, "fuzz.evr") != (tokens, by_place(diags)):
             print(f"lexer differs from the reference at input {i}: {text!r}")
             return 1
         result = dsl.parse_register(text, "fuzz.evr")

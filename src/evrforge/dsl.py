@@ -39,7 +39,7 @@ import sys
 from collections.abc import Callable, Iterator
 from dataclasses import MISSING, fields, is_dataclass, replace
 from enum import Enum
-from itertools import chain, count
+from itertools import chain
 from operator import attrgetter, itemgetter, methodcaller
 
 from . import model as m
@@ -94,91 +94,85 @@ class ParseResult:
 # the end of input.  A lexeme's first character tells its kind, so a token
 # keeps no kind, value or offset, only its ordinal: its index in the lexemes.
 #
-# ``_lexemes`` lexes a chunk of about 64 KB at a time, each cut at a line
-# end, since no token spans a line.  One ``findall`` of ``_LEXEME_RE``
-# returns the chunk's lexemes, so no Python runs per token.  A clean chunk
-# holds only ASCII tokens, closed strings whose only escapes are \" and \\,
-# the blanks " \t\r\n" and comments; on it ``_lex`` gives the same lexemes
-# and reports nothing.  Where a chunk is not clean, no token matches, and
-# the last alternative takes the rest of the chunk as one lexeme.  So the
-# chunk is clean when its last lexeme is a token: when, with a blank after
-# it, the pattern still matches that token alone.  The empty match at the
-# chunk's end keeps ``findall`` from retrying the pattern from each blank
-# after the last token.
+# ``_LEXEME_RE`` makes one match per lexeme, the blanks and comments before
+# it included.  No token or comment spans a line, so ``_lexemes`` lexes a
+# chunk of about 64 KB, cut after a line feed, with one ``findall``: no
+# Python runs per token.  Group 1 is a token: an ASCII identifier, number or
+# dotted id (no \d or \w, which take non-ASCII), a comma, or a string closed
+# on its line whose escapes are \" or \\.  A problem matches outside it, so
+# ``findall`` gives "" for it: another string, up to its closing quote or the
+# line end, or an illegal character.  The empty match at a chunk's end, twice
+# after its line feed, keeps ``findall`` from retrying the pattern from each
+# blank after the last token.
 _LEXEME_RE = re.compile(
-    r'[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*('
+    r'[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*(?:('
     r'[A-Za-z_][A-Za-z0-9_]*'
     r'|"[^"\\\n]*(?:\\["\\][^"\\\n]*)*"'
     r'|[0-9]+(?:(?:\.[0-9]+)+(?:-[TC][0-9]+)?)?'
-    r'|,|\Z|(?s:.)+)'
+    r'|,|\Z)|"[^"\\\n]*(?:\\.?[^"\\\n]*)*"?|(?s:.))'
 )
 _CHUNK = 1 << 16
-
-# A chunk that is not clean is lexed by ``_lex`` over its range instead,
-# into plain tuples ``(kind, text, value, start, end)``: kind is IDENT STRING
-# INT DOTTED COMMA or EOF, value is the text with a string's quotes and
-# escapes resolved, and start and end are offsets.  A string's lexeme is its
-# value quoted anew, so ``_sval`` reads back ``_lex``'s value, also of an
-# unterminated string or one with an escape it kept.
-#
-# ``_lex`` makes one match per lexeme, blanks and line ends before it
-# included, in one scan that ends with the EOF match.  Neither strings nor
-# comments span lines.  A string matches up to its closing quote or the end
-# of the line, whatever its escapes, so malformed strings need no second
-# pass.  Character classes are spelled out because the format is ASCII-only
-# (no \d, \w).  The lexer tells the kinds apart by the name of the last
-# group that matched, ``lastgroup``: STRING's group closes after its
-# ``close`` group, so STRING is the last group.  Each match but a comment or
-# an illegal character is one lexeme, so ``_located`` finds a lexeme again by
-# its ordinal with the same pattern.
-_TOKEN_RE = re.compile(
-    r'[ \t\r\n]*(?:'
-    r'(?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)'
-    r'|(?P<STRING>"[^"\\\n]*(?:\\.?[^"\\\n]*)*(?P<close>"?))'
-    r'|(?P<DOTTED>[0-9]+(?:\.[0-9]+)+(?:-[TC][0-9]+)?)'
-    r'|(?P<INT>[0-9]+)'
-    r'|(?P<COMMA>,)'
-    r'|(?P<COMMENT>#.*)'
-    r'|(?P<EOF>\Z)'
-    r'|(?P<ILLEGAL>[^ \t\r\n]))'
-)
-_ESCAPE_RE = re.compile(r'\\(.?)')
+_ESCAPE_RE = re.compile(r'\\(["\\])')
 _ESCAPED = itemgetter(1)  # an escape's replacement, its character, taken in C
-_LEXEMES = frozenset(("IDENT", "DOTTED", "INT", "COMMA"))  # a token whose value is its lexeme
+_ANY_ESCAPE_RE = re.compile(r'\\(.?)')  # a backslash and what it escapes in a string
+_CLOSED_RE = re.compile(r'"(?:[^"\\]|\\.)*"')  # a string with its closing quote
 
 
-def _lexemes(source: str, cursor: list, report: Callable, known: dict) -> Iterator[Iterator[str]]:
-    """The lexemes of ``source``, an iterator over a chunk's list at a time,
-    then over ``[""]``.  ``_lex`` lexes a chunk that is not clean: its problems
-    go to ``report``, and ``known`` keeps its tokens and the EOF's by ordinal.
-    ``cursor`` holds the ordinal after the chunk being read and its iterator,
-    so the ordinal of the lexeme last pulled costs no Python per token."""
-    start, size = 0, len(source)
-    while start < size:
-        end = source.find("\n", start + _CHUNK) + 1 or size
-        lexemes = _LEXEME_RE.findall(source, start, end)
-        while lexemes and not lexemes[-1]:  # the chunk's end, matched empty
-            lexemes.pop()
-        if lexemes and _LEXEME_RE.match(lexemes[-1] + " ")[1] != lexemes[-1]:
-            *tokens, _ = _lex(source, report, start, end)  # less the EOF at the chunk's end
-            known.update(zip(count(cursor[0]), tokens))
-            lexemes = [_quote(value) if kind == "STRING" else value
-                       for kind, _, value, _, _ in tokens]
+def _lexemes(source: str, cursor: list, notes: list) -> Iterator[Iterator[str]]:
+    """The lexemes of ``source``, an iterator over a list at a time, then over
+    ``[""]``.  ``cursor`` holds the ordinal after the list being read and its
+    iterator, so the ordinal of the lexeme last pulled costs no Python per
+    token.  A chunk with a problem is read a match at a time, ``cursor[0]``
+    the ordinal of the list's first lexeme, and each problem is noted by its
+    ordinal: a string stays a lexeme, closed if it was not, for ``_sval``; an
+    illegal character is none, so its ordinal goes to no lexeme and the
+    lexemes around it come as two lists."""
+    text = source if source.endswith("\n") else source + "\n"
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _CHUNK) + 1 or len(text)
+        lexemes = _LEXEME_RE.findall(text, start, end)
+        if not all(lexemes[:-2]):  # less the chunk's end
+            lexemes = []
+            for match in _LEXEME_RE.finditer(text, start, end):
+                lexeme = match[1]
+                if lexeme is None:
+                    at, lexeme = cursor[0] + len(lexemes), _problem(match)
+                    if lexeme[0] != '"':
+                        notes.append(("P004", f"illegal character {lexeme!r}", at, False, "error",
+                                      None))
+                        cursor[:] = at, iter(lexemes)
+                        yield cursor[1]
+                        cursor[0], lexemes = at + 1, []
+                        continue
+                    notes.extend(("P003", "unsupported escape sequence; only \\\" and \\\\ are "
+                                  "recognized", at, False, "error", escape.start())
+                                 for escape in _ANY_ESCAPE_RE.finditer(lexeme)
+                                 if escape[1] not in ('"', "\\"))
+                    if not _CLOSED_RE.fullmatch(lexeme):
+                        notes.append(("P002", "unterminated string", at, False, "error", None))
+                        lexeme += '"'
+                lexemes.append(lexeme)
+        del lexemes[-2:]  # the chunk's end
         cursor[:] = cursor[0] + len(lexemes), iter(lexemes)
         yield cursor[1]
         start = end
-    known[cursor[0]] = ("EOF", "", "", size, size)
     cursor[:] = cursor[0] + 1, iter([""])
     yield cursor[1]
 
 
-def _located(source: str, ordinals: set[int]) -> dict[int, tuple]:
-    """The tokens at ``ordinals``, as ``_lex`` makes them but without kind or
-    value, by ordinal, from one sweep of ``_TOKEN_RE`` that stops at the last."""
-    matches = (match for match in _TOKEN_RE.finditer(source)
-               if match.lastgroup not in ("COMMENT", "ILLEGAL"))
-    return {ordinal: (None, match[match.lastgroup], None, *match.span(match.lastgroup))
-            for ordinal, match in zip(range(max(ordinals) + 1), matches) if ordinal in ordinals}
+def _problem(match: re.Match) -> str:
+    """A problem's lexeme: what follows the blanks on its match's last line."""
+    return match[0].rpartition("\n")[2].lstrip(" \t\r")
+
+
+def _swept(source: str, ordinals: set[int]) -> dict[int, tuple[int, int, str]]:
+    """``(start, end, text)`` of the lexemes at ``ordinals`` by ordinal, from
+    one sweep of ``_LEXEME_RE`` that stops at the last."""
+    return {ordinal: (match.end() - len(text), match.end(), text)
+            for ordinal, match in zip(range(max(ordinals, default=-1) + 1),
+                                      _LEXEME_RE.finditer(source)) if ordinal in ordinals
+            for text in (_problem(match) if match[1] is None else match[1],)}
 
 
 def _is_string(lexeme: str) -> bool:
@@ -187,70 +181,31 @@ def _is_string(lexeme: str) -> bool:
 
 def _sval(lexeme: str) -> str:
     """A string's value: its quotes dropped and its escaped quotes and
-    backslashes resolved."""
+    backslashes resolved; any other backslash is kept."""
     body = lexeme[1:-1]
     return _ESCAPE_RE.sub(_ESCAPED, body) if "\\" in body else body
 
 
 def _locator(source: str, file: str) -> Callable[[int, int], SourceSpan]:
     """``locate(start, end)``, the span of ``source[start:end]`` on one line.  It
-    counts line ends from the offset asked for last, so no line table is kept."""
-    line, last = 1, 0
+    keeps the line and line start of the offset asked for last, and scans only
+    the gap to the next, so no line table is kept."""
+    line, last, line_start = 1, 0, 0
 
     def locate(start: int, end: int) -> SourceSpan:
-        nonlocal line, last
-        line += (source.count("\n", last, start) if start >= last
-                 else -source.count("\n", start, last))
+        nonlocal line, last, line_start
+        if start >= last:
+            line += source.count("\n", last, start)
+            line_start = source.rfind("\n", last, start) + 1 or line_start
+        else:
+            line -= source.count("\n", start, last)
+            if start < line_start:
+                line_start = source.rfind("\n", 0, start) + 1
         last = start
-        col = start - source.rfind("\n", 0, start)
+        col = start - line_start + 1
         return SourceSpan(file, line, col, line, col + max(end - start - 1, 0))
 
     return locate
-
-
-def _unescape(body: str, start: int, report: Callable) -> str:
-    """Resolve the escapes in a string body that starts at offset ``start``;
-    a backslash before anything but a quote or a backslash is kept and reported."""
-    def resolve(escape: re.Match) -> str:
-        if escape[1] in ('"', "\\"):
-            return escape[1]
-        at = start + escape.start()
-        report("P003", "unsupported escape sequence; only \\\" and \\\\ are recognized", at, at)
-        return escape[0]
-
-    return _ESCAPE_RE.sub(resolve, body)
-
-
-def _lex(source: str, report: Callable, pos: int = 0, endpos: int = sys.maxsize) -> Iterator[tuple]:
-    """The tokens of ``source`` from ``pos`` to ``endpos``, ending with one EOF
-    token, made as they are pulled; lexical problems go to ``report(code,
-    message, start, end)`` in source order.  A match is dispatched on the name
-    of its last group, ``lastgroup``, which is the token's kind: a token starts
-    where the match ends less the lexeme's length."""
-    for match in _TOKEN_RE.finditer(source, pos, endpos):
-        kind = match.lastgroup
-        if kind in _LEXEMES:
-            lexeme = match[kind]
-            end = match.end()
-            yield (kind, lexeme, lexeme, end - len(lexeme), end)
-        elif kind == "STRING":
-            lexeme = match[kind]
-            end = match.end()
-            start = end - len(lexeme)
-            closed = match["close"]
-            value = lexeme[1:-1] if closed else lexeme[1:]
-            if "\\" in value:
-                value = _unescape(value, start + 1, report)
-            if not closed:
-                report("P002", "unterminated string", start, end)
-            yield ("STRING", lexeme, value, start, end)
-        elif kind == "EOF":
-            end = match.end()
-            yield ("EOF", "", "", end, end)
-            return
-        elif kind == "ILLEGAL":
-            start = match.end() - 1
-            report("P004", f"illegal character {source[start]!r}", start, start)
 
 
 # ---------------------------------------------------------------------------
@@ -269,21 +224,19 @@ class _Parser:
     its reader's test of the lexeme (see ``_Reader``); a value of several
     tokens, or a lexeme that fails the test, goes to the reader's ``read``.
 
-    The lexer's problems wait in ``lexical`` with their offsets, the parser's
-    in ``notes`` with their lexemes' ordinals, until ``placed`` locates those
-    lexemes in one sweep.  ``heads`` holds the kind and keyword ordinal of
-    each block in ``entities`` and ``aliases``, and ``header`` the ordinal of
+    Problems wait in ``notes`` with their lexemes' ordinals, a lexer's with
+    its point's offset in the lexeme, until ``placed`` locates those lexemes
+    in one sweep.  ``heads`` holds the kind and keyword ordinal of each block
+    in ``entities`` and ``aliases``, and ``header`` the ordinal of
     ``register``, so that a violation can be noted at its block (``spans``)."""
 
     def __init__(self, source: str, file: str):
         self.source, self.file = source, file
-        self.lexical: list[tuple] = []  # (code, message, start, end)
         self.notes: list[tuple] = []
-        self.cursor, self.known, lexical = [0, iter(())], {}, self.lexical
+        self.cursor = [0, iter(())]
         # Nothing the lexer holds refers back to the parser: a cycle would
         # make every parser wait for the cyclic collector.
-        self.pull = chain.from_iterable(_lexemes(
-            source, self.cursor, lambda *problem: lexical.append(problem), self.known)).__next__
+        self.pull = chain.from_iterable(_lexemes(source, self.cursor, self.notes)).__next__
         self.tok = self.pull()
         self.heads: list[tuple[str | None, int]] = []
         self.header: int | None = None
@@ -312,7 +265,7 @@ class _Parser:
              severity: str = "error") -> None:
         """Note a problem at the lexeme ``ordinal``; when ``found``, ``placed``
         ends its message with the lexeme's text as the source spells it, quoted."""
-        self.notes.append((code, message, ordinal, found, severity))
+        self.notes.append((code, message, ordinal, found, severity, None))
 
     def error(self, message: str, ordinal: int | None = None, code: str = "P001"):
         raise _SyntaxProblem(code, message, self.here() if ordinal is None else ordinal, False)
@@ -535,21 +488,18 @@ class _Parser:
     def placed(self) -> tuple[tuple[ParseDiagnostic, ...], SourceSpan | None]:
         """Every diagnostic in source order, and the header's span: the lexemes
         of the notes and of the header are located in one sweep."""
-        header, notes, known = self.header, self.notes, self.known
-        unknown = {header, *(note[2] for note in notes)} - {None} - known.keys()
-        if unknown:
-            known.update(_located(self.source, unknown))
+        header, notes = self.header, self.notes
+        lexemes = _swept(self.source, {header, *(note[2] for note in notes)} - {None})
         locate = _locator(self.source, self.file)
-        diagnostics = [ParseDiagnostic(locate(start, end), "error", code, message)
-                       for code, message, start, end in self.lexical]
-        diagnostics += [
-            ParseDiagnostic(locate(start, end), severity, code,
+        diagnostics = [
+            ParseDiagnostic(locate(start, end) if offset is None
+                            else locate(start + offset, start + offset), severity, code,
                             message + repr(text or "end of input") if found else message)
-            for code, message, ordinal, found, severity in notes
-            for _, text, _, start, end in (known[ordinal],)]
+            for code, message, ordinal, found, severity, offset in notes
+            for start, end, text in (lexemes[ordinal],)]
         return (tuple(sorted(diagnostics, key=lambda d: (d.span.start_line, d.span.start_col,
                                                          d.code, d.message))),
-                None if header is None else locate(*known[header][3:]))
+                None if header is None else locate(*lexemes[header][:2]))
 
 
 # The first characters of a string, an integer and a dotted id: the lexemes
@@ -582,7 +532,7 @@ def parse_register(source_text: str, file_name: str = "<register>") -> ParseResu
     parser = _Parser(source_text, file_name)
     parser.parse()
     doc = None
-    if not parser.lexical and all(note[4] != "error" for note in parser.notes):
+    if all(note[4] != "error" for note in parser.notes):
         doc = parser.build_document()
         violations = m.validate_register(doc, line_breaks="\r" in source_text)
         if not violations:
@@ -594,10 +544,9 @@ def parse_register(source_text: str, file_name: str = "<register>") -> ParseResu
             parser.note(violation.code, violation.message,
                         header if kind is None and subject == "register"
                         else spans.get((kind, subject), header))
+            doc = None  # a violation is an error
     diagnostics, header = parser.placed()
-    has_errors = any(d.severity == "error" for d in diagnostics)
-    return ParseResult(document=None if has_errors else doc, diagnostics=diagnostics,
-                       header=header)
+    return ParseResult(document=doc, diagnostics=diagnostics, header=header)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ used by the bulk round-trip and monotonicity runs, the table of
 violation/repair document pairs behind the monotone-repair checks, scanning
 oracles for the indexed analysis layer, the parse fuzz soup and the digest
 that parse differentials compare, the reference lexer that the
-master-regex lexer is checked against (with the lexer's tokens put in its
+master-regex lexer is checked against (with the parser's lexemes put in its
 shape), a strict reader of the interchange
 export, and the inverse of a register diff.
 """
@@ -17,7 +17,6 @@ import json
 import random
 import types
 import typing
-from collections.abc import Callable
 from dataclasses import astuple, fields, is_dataclass, replace
 from enum import Enum
 
@@ -837,8 +836,8 @@ def parse_digest(result: dsl.ParseResult) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Reference lexer: the character loop that ``dsl._lex`` replaced, kept so a
-# differential test and ``scripts/fuzz_parse.py`` can compare the two.
+# Reference lexer: the character loop that the master-regex lexer replaced,
+# kept so a differential test and ``scripts/fuzz_parse.py`` can compare the two.
 
 _IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
 _IDENT_CONT = _IDENT_START | set("0123456789")
@@ -846,8 +845,8 @@ _DIGITS = set("0123456789")
 
 
 def reference_lex(source: str, file: str) -> tuple[list[tuple], list[ParseDiagnostic]]:
-    """The character-by-character lexer that ``dsl._lex`` replaced, with its
-    tokens in the lexer's shape: ``(kind, text, value, line, col, end_col)``."""
+    """The character-by-character lexer that the master-regex lexer replaced,
+    its tokens as ``(kind, text, value, line, col, end_col)``."""
     tokens: list[tuple] = []
     diags: list[ParseDiagnostic] = []
     i = 0
@@ -960,30 +959,32 @@ def reference_lex(source: str, file: str) -> tuple[list[tuple], list[ParseDiagno
     return tokens, diags
 
 
-def reporter(source: str, file: str) -> tuple[Callable, list[ParseDiagnostic]]:
-    """A ``report`` for ``dsl._lex`` that places each problem with a
-    ``dsl._locator`` over ``source``, and the list it appends to."""
-    diags: list[ParseDiagnostic] = []
-    locate = dsl._locator(source, file)
-
-    def report(code: str, message: str, start: int, end: int, severity: str = "error"):
-        diags.append(ParseDiagnostic(locate(start, end), severity, code, message))
-
-    return report, diags
-
-
-def located_lex(source: str, file: str) -> tuple[list[tuple], list[ParseDiagnostic]]:
-    """``dsl._lex``'s tokens and diagnostics, each token's offsets turned
-    into ``line, col, end_col`` by the parser's own ``dsl._locator``: the
-    reference lexer's shape."""
-    report, diags = reporter(source, file)
+def lexed(source: str, file: str) -> tuple[list[tuple], list[ParseDiagnostic]]:
+    """What the parser reads of ``source``, in the reference lexer's shape:
+    each lexeme it pulls, its kind told by its first character, its value
+    by ``dsl._sval``, and its text and place by the sweep that locates the
+    lexeme's ordinal; and the lexer's problems as ``placed`` gives them."""
+    parser = dsl._Parser(source, file)
+    pulled = [(parser.here(), parser.tok)]
+    while parser.tok:
+        parser.advance()
+        pulled.append((parser.here(), parser.tok))
+    swept = dsl._swept(source, {ordinal for ordinal, _ in pulled})
     locate = dsl._locator(source, file)
     tokens = []
-    for kind, text, value, start, end in dsl._lex(source, report):
+    for ordinal, lexeme in pulled:
+        start, end, text = swept[ordinal]
         span = locate(start, end)
-        tokens.append((kind, text, value, span.start_line, span.start_col,
-                       span.start_col + end - start))
-    return tokens, diags
+        kind = ("EOF" if not lexeme else "STRING" if lexeme[0] == '"' else "COMMA" if lexeme == ","
+                else "IDENT" if lexeme[0] in _IDENT_START else "DOTTED" if "." in lexeme else "INT")
+        tokens.append((kind, text, dsl._sval(lexeme) if kind == "STRING" else lexeme,
+                       span.start_line, span.start_col, span.start_col + end - start))
+    return tokens, list(parser.placed()[0])
+
+
+def by_place(diags: list[ParseDiagnostic]) -> list[ParseDiagnostic]:
+    """``diags`` in the order ``parse_register`` gives diagnostics."""
+    return sorted(diags, key=lambda d: (d.span.start_line, d.span.start_col, d.code, d.message))
 
 
 # ---------------------------------------------------------------------------

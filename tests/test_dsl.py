@@ -17,7 +17,7 @@ from evrforge import model as m
 
 from .conftest import FIXTURES
 from .support import (FUZZ_PIECES, base_doc, fuzz_source, import_interchange, random_register,
-                      unvalidated_analysis_doc)
+                      reference_lex, unvalidated_analysis_doc)
 
 
 def parse_ok(text: str) -> m.RegisterDocument:
@@ -307,7 +307,8 @@ class TestParse:
         assert _assert_freed((FIXTURES / "tm_full.evr").read_text(encoding="utf-8")) == []
 
     def test_a_parser_that_placed_problems_is_freed_without_the_cyclic_collector(self):
-        # A kept escape makes ``_lex`` read the last chunk; a P090 and a P001 are noted.
+        # A kept escape makes the lexer read the last chunk a match at a time; a P090 and a P001
+        # are noted.
         source = (FIXTURES / "tm_full.evr").read_text(encoding="utf-8")
         assert _assert_freed(source + 'stakeholder S9 "a\\q"\n  bogus 1\n  ,\nend\n') == [
             "P003", "P090", "P001"]
@@ -476,7 +477,7 @@ class TestBlockTable:
 
 
 def _lexed(source: str) -> list[tuple]:
-    return list(dsl._lex(source, lambda *problem: None))[:-1]  # EOF left out
+    return reference_lex(source, "t.evr")[0][:-1]  # EOF left out
 
 
 # Every distinct token of the fixtures and of the fuzz soup, and numbers and

@@ -39,7 +39,7 @@ from evrforge import dsl, rules, trace
 from evrforge import model as m
 
 from .conftest import FIXTURES, load_fixture
-from .support import located_lex, random_register
+from .support import random_register, reference_lex
 
 PINS = FIXTURES / "pins.json"
 SCAFFOLD = FIXTURES / "scaffold_demo.evr"
@@ -81,7 +81,7 @@ def _scaffold_mutants(text: str):
     for i, line in enumerate(lines):
         if line.strip() and not line.lstrip().startswith("#"):
             yield f"-{i + 1}", "\n".join(lines[:i] + lines[i + 1:])
-    tokens, _ = located_lex(text, SCAFFOLD.name)
+    tokens, _ = reference_lex(text, SCAFFOLD.name)
     first: dict[int, tuple] = {}
     for tok in tokens[:-1]:
         kind, _, value, line, col, end_col = tok
