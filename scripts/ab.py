@@ -24,7 +24,13 @@ FUNCTION is one of ``parse_register`` (source text to result),
 ``roundtrip``, corpus-roundtrip's op on each corpus register and its edit:
 parse, ``serialize_canonical``, parse of that text, which must give an
 ``==`` document, ``export_interchange``, parse of the edit and
-``diff_registers``.  ``roundtrip`` runs on the corpus only.
+``diff_registers``.  ``roundtrip`` runs on the corpus only.  ``importtime``
+times no function and reads no inputs: each round runs ``python -X importtime -c "import
+<tree>.cli"`` once per tree, in a subprocess with ``PYTHONDONTWRITEBYTECODE=1``
+so that every module is compiled, and takes the sum of the tree's modules'
+self times, in ms, for that tree's time.
+
+    python scripts/ab.py c53530f importtime --rounds 21
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ from __future__ import annotations
 import argparse
 import gc
 import importlib
+import os
 import shutil
 import statistics
 import subprocess
@@ -58,9 +65,9 @@ CALLS = {  # function: (module, attribute, takes the parsed document)
 }
 
 
-def load(revision: str | None, name: str, into: Path):
-    """The package ``evrforge`` of ``revision`` (None: the working tree),
-    imported as ``name``."""
+def extract(revision: str | None, name: str, into: Path) -> None:
+    """Put the package ``evrforge`` of ``revision`` (None: the working tree)
+    into ``into`` as the package ``name``."""
     target = into / name
     if revision is None:
         shutil.copytree(ROOT / "src" / "evrforge", target,
@@ -72,7 +79,28 @@ def load(revision: str | None, name: str, into: Path):
         with zipfile.ZipFile(archive) as zipped:
             zipped.extractall(into / f"{name}-tree")
         shutil.move(into / f"{name}-tree" / "src" / "evrforge", target)
+
+
+def load(revision: str | None, name: str, into: Path):
+    """The package ``evrforge`` of ``revision``, imported as ``name``."""
+    extract(revision, name, into)
     return importlib.import_module(name)
+
+
+def import_timer(name: str, into: Path):
+    """A call that imports ``name.cli`` from ``into`` in a fresh interpreter
+    without ``.pyc`` and returns the self time of ``name``'s modules in ms."""
+    env = {**os.environ, "PYTHONPATH": str(into), "PYTHONDONTWRITEBYTECODE": "1"}
+
+    def run() -> float:
+        done = subprocess.run([sys.executable, "-X", "importtime", "-c", f"import {name}.cli"],
+                              env=env, capture_output=True, text=True, check=True)
+        rows = [line.removeprefix("import time:").split("|")
+                for line in done.stderr.splitlines() if line.startswith("import time:")]
+        return sum(int(self_us) for self_us, _, module in rows
+                   if module.strip().partition(".")[0] == name) / 1000
+
+    return run
 
 
 def inputs(which: str) -> list[tuple[str, str, str | None]]:
@@ -133,12 +161,31 @@ def quartiles(values: list[float], digits: int = 2) -> str:
     return f"{statistics.median(values):.{digits}f} [{q1:.{digits}f}, {q3:.{digits}f}]"
 
 
+def batches(args, trees: dict[str, tuple[str | None, str]], into: Path):
+    """(title, {side: run}) for each input set ``args`` asks for, each
+    side's tree put into ``into`` first, under its name in ``trees``."""
+    if args.function == "importtime":
+        for revision, name in trees.values():
+            extract(revision, name, into)
+        yield ("import evrforge.cli, self ms of the package's modules without .pyc",
+               {side: import_timer(name, into) for side, (_, name) in trees.items()})
+        return
+    packages = {side: load(revision, name, into) for side, (revision, name) in trees.items()}
+    every = ("corpus", "ladder") if args.function in CALLS else ("corpus",)
+    for which in every if args.inputs == "both" else (args.inputs,):
+        sources = inputs(which)
+        kb = sum(len(source.encode("utf-8")) for _, source, _ in sources) / 1024
+        yield (f"{args.function} on {which} ({len(sources)} inputs, {kb:.0f} KB), process ms",
+               {side: timer(package, args.function, sources)
+                for side, package in packages.items()})
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("revisions", nargs="+", metavar="REV",
                         help="BASE, and HEAD (default: the working tree)")
-    parser.add_argument("function", choices=sorted([*CALLS, "roundtrip"]))
+    parser.add_argument("function", choices=sorted([*CALLS, "roundtrip", "importtime"]))
     parser.add_argument("--inputs", choices=("corpus", "ladder", "both"), default="both")
     parser.add_argument("--rounds", type=int, default=21)
     args = parser.parse_args(argv)
@@ -150,26 +197,19 @@ def main(argv: list[str] | None = None) -> int:
 
     with tempfile.TemporaryDirectory(prefix="evrforge-ab-") as tmp:
         sys.path.insert(0, tmp)
-        packages = {"base": load(base_rev, "evrforge_base", Path(tmp)),
-                    "head": load(head_rev, "evrforge_head", Path(tmp)),
-                    "base'": load(base_rev, "evrforge_control", Path(tmp))}
+        trees = {"base": (base_rev, "evrforge_base"), "head": (head_rev, "evrforge_head"),
+                 "base'": (base_rev, "evrforge_control")}
         labels = {"base": f"base {base_rev}", "head": f"head {head_rev or 'working tree'}",
                   "base'": f"base' {base_rev} (control)"}
-        sides = list(packages)
-        every = ("corpus",) if args.function == "roundtrip" else ("corpus", "ladder")
-        for which in every if args.inputs == "both" else (args.inputs,):
-            sources = inputs(which)
-            runs = {side: timer(package, args.function, sources)
-                    for side, package in packages.items()}
+        sides = list(trees)
+        for title, runs in batches(args, trees, Path(tmp)):
             for run in runs.values():  # warm caches and lazy state on every side
                 run()
             times: dict[str, list[float]] = {side: [] for side in sides}
             for i in range(args.rounds):
                 for side in sides[i % 3:] + sides[:i % 3]:
                     times[side].append(runs[side]())
-            kb = sum(len(source.encode("utf-8")) for _, source, _ in sources) / 1024
-            print(f"{args.function} on {which} ({len(sources)} inputs, {kb:.0f} KB), "
-                  f"{args.rounds} rounds, process ms, median [quartiles]:")
+            print(f"{title}, {args.rounds} rounds, median [quartiles]:")
             for side in sides:
                 print(f"  {labels[side]}: {quartiles(times[side])}")
             for side in ("head", "base'"):

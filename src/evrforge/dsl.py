@@ -39,8 +39,8 @@ import sys
 from collections.abc import Callable, Iterator
 from dataclasses import MISSING, fields, is_dataclass, replace
 from enum import Enum
-from itertools import chain
-from operator import attrgetter, itemgetter, methodcaller
+from itertools import chain, repeat
+from operator import attrgetter, itemgetter
 
 from . import model as m
 from .model import record
@@ -569,8 +569,7 @@ class _Reader:
     """One kind of value in the text format: how the parser reads it, how
     the writer spells it, and whether its strings must stay on one line.
     The writer calls ``text(value)``, most often a builtin, so that spelling
-    a value enters no Python frame; a reader ``with_doc`` is called as
-    ``text(value, doc)``.
+    a value enters no Python frame, or spells it in line (``_IN_LINE``).
 
     A value of one token also has a ``token`` form, ``(test, convert)``: a
     test of the lexeme and ``convert(lexeme)``, the value read (None keeps
@@ -579,15 +578,14 @@ class _Reader:
     a test that no lexeme passes; one whose common case is one token, as a
     lens, declares that case's form and reads the rest with ``read``."""
 
-    __slots__ = ("read", "text", "checked", "token", "with_doc")
+    __slots__ = ("read", "text", "checked", "token")
 
     def __init__(self, read: Callable, text: Callable, checked: bool = False,
-                 token: tuple = (_NO_LEXEME, None), with_doc: bool = False):
+                 token: tuple = (_NO_LEXEME, None)):
         self.read = read        # (parser, what) -> value
         self.text = text        # value -> text
         self.checked = checked  # a string, or a record whose str fields P037 checks
         self.token = token
-        self.with_doc = with_doc  # the spelling depends on the document
 
 
 def _token(test: Callable, convert: Callable | None, fail: Callable, text: Callable,
@@ -663,10 +661,9 @@ _NOTE = _token(_is_string, _sval, lambda p, what: p.need_string("note text"), _q
 _PLAIN_LENSES = {kind.value: m.Lens(kind) for kind in m.LensKind if kind is not m.LensKind.CULTURAL}
 _LENS = _Reader(_Parser.need_lens, _lens_text, True,
                 (_PLAIN_LENSES.__contains__, _PLAIN_LENSES.__getitem__))
-# A data subject is written bare when it names a stakeholder.
+# A data subject is written bare when it names a stakeholder (``_IN_LINE``).
 _SUBJECT = _Reader(_Parser.need_subject, lambda value, doc: value if (
-    value in doc.index.stakeholders and m.IDENT_RE.match(value)) else _quote(value), True,
-                   with_doc=True)
+    value in doc.index.stakeholders and m.IDENT_RE.match(value)) else _quote(value), True)
 _ATTESTED = {  # subject word: (kind, reader of the ref or None, what)
     "priority": (m.SubjectKind.PRIORITY_DECISION, _INT, "core value number"),
     "risk": (m.SubjectKind.RISK_ACCEPTANCE, _dotted(m.CONTROL_ID_RE), "a control id"),
@@ -711,7 +708,6 @@ def _default(f):
     return MISSING if f.default_factory is MISSING else f.default_factory()
 
 
-_PROJECT = object()  # the default of a field that defaults to the project name
 _DOCUMENT_HINTS = {f.name: f.type for f in fields(m.RegisterDocument)}
 
 
@@ -728,7 +724,7 @@ class _Attr:
     field of type ``hint``."""
 
     __slots__ = ("key", "field", "member", "reader", "what", "missing", "default", "name", "held",
-                 "gather", "split", "get")
+                 "gather", "get")
 
     def __init__(self, key: str | None, field: str, reader: _Reader, hint, what,
                  missing: str | None = None, default=MISSING, member: str | None = None):
@@ -745,11 +741,9 @@ class _Attr:
         self.missing = missing
         self.name = field if member is None else (field, member)  # the parser's key
         self.held = held
-        # How the parser joins the values of a repeated attribute or of notes,
-        # and how the writer splits them again, one line each.
+        # How the parser joins the values of a repeated attribute or of notes;
+        # the writer writes them again one line each.
         self.gather = "\n".join if reader is _NOTE else tuple if repeated else None
-        self.split = methodcaller("split", "\n") if reader is _NOTE else (
-            tuple if repeated else None)
         # A repeated attribute or a note starts empty.
         self.default = self.gather([]) if default is MISSING and self.gather else default
         # The value in a model object; None for the members of a group that is None.
@@ -836,11 +830,6 @@ class _Block:
         self.texts = [(f"{keyword} {a.key or a.field}", a.get, a.gather is tuple, a.reader is _NOTE,
                        a.held is not str and [f.name for f in fields(a.held) if f.type is str])
                       for a in slots + self.attrs if a.reader.checked]
-        # For the writer, which leaves out a value equal to its default: each
-        # attribute's line up to its value, and how to get and spell the value.
-        self.written = [(f"  {a.key} ", a.get, a.reader.text, a.split,
-                         _PROJECT if a.field == from_project else a.default, a.reader.with_doc)
-                        for a in self.attrs]
 
     def build(self, values: dict, parser: _Parser, head: int):
         """The model object from the values read for one block, whose keyword
@@ -872,24 +861,10 @@ class _Block:
             return held
         return () if held is None else (held,)
 
-    def write(self, obj, doc: m.RegisterDocument) -> str:
-        words = [self.keyword]
-        for slot in self.head:
-            words.append(slot if slot.__class__ is str else slot.reader.text(slot.get(obj)))
-        out = [" ".join(words)]
-        for line, get, text, split, default, with_doc in self.written:
-            value = get(obj)
-            if value is None or value == default or (default is _PROJECT
-                                                     and value == doc.project.name):
-                continue
-            if split is None:
-                out.append(line + (text(value, doc) if with_doc else text(value)))
-            else:
-                for item in split(value):
-                    out.append(line + (text(item, doc) if with_doc else text(item)))
-        if self.keys is not None:
-            out.append("end")
-        return "\n".join(out)
+    @functools.cached_property
+    def write(self) -> Callable:
+        """``write(obj, doc)``: ``obj`` in canonical form, compiled on first use."""
+        return _canonical(self)
 
 
 def _id_slot(kind: str, noun: str) -> tuple[_Reader, str]:
@@ -1067,12 +1042,64 @@ def serialize_canonical(doc: m.RegisterDocument) -> str:
         header += f" version {_quote(doc.project.version)}"
     blocks = [f"{header} phase {doc.phase.value}"]
     for block in _BLOCKS.values():
-        for obj in block.held(doc):
-            # An soi block that says nothing beyond the project name is left out.
-            if not (block.from_project
-                    and obj == block.cls(**{block.from_project: doc.project.name})):
-                blocks.append(block.write(obj, doc))
+        # An soi block that says nothing beyond the project name is left out.
+        held = [obj for obj in block.held(doc) if not block.from_project
+                or obj != block.cls(**{block.from_project: doc.project.name})]
+        if held:
+            blocks += map(block.write, held, repeat(doc))
     return "\n\n".join(blocks) + "\n"
+
+
+def _compiled(lines: list[str], bound: dict) -> Callable:
+    """The function ``write`` of ``lines``, compiled with the names ``bound`` as constants."""
+    exec("\n    ".join([f"def make({', '.join(bound)}):", *lines, "return write"]), globals(),
+         made := {})
+    return made["make"](**bound)
+
+
+# What the writers spell ``{0}`` as in place of a call of these text functions.
+_LENS_WORDS = {kind: kind.value for kind in m.LensKind if kind is not m.LensKind.CULTURAL}
+_IN_LINE = {_quote: "'\"' + {0}.replace('\\\\', '\\\\\\\\').replace('\"', '\\\\\"') + '\"'",
+            _lens_text: "(_LENS_WORDS.get({0}.kind) or _lens_text({0}))",
+            _SUBJECT.text: "_SUBJECT.text({0}, doc)"}
+
+
+def _canonical(block: _Block) -> Callable:
+    """``block``'s writer, each field, default and spelling fixed in it: the
+    header in one expression, then a line for each attribute that is neither
+    None nor its default, one per item of a repeated one or line of a note."""
+    bound: dict = {}
+
+    def constant(value) -> str:
+        bound[name := f"_{len(bound)}"] = value
+        return name
+
+    def spelled(a: _Attr, value: str) -> str:
+        text = a.reader.text
+        return _IN_LINE[text].format(value) if text in _IN_LINE else f"{constant(text)}({value})"
+
+    header = " + ' ' + ".join([repr(block.keyword)] + [
+        repr(slot) if slot.__class__ is str else spelled(slot, f"obj.{slot.field}")
+        for slot in block.head])
+    if block.keys is None:  # a block without attributes is one line
+        return _compiled(["def write(obj, doc):", f"    return {header}"], bound)
+    lines, group = ["def write(obj, doc):", f"    out = [{header}]"], None
+    for a in block.attrs:
+        if a.member is not None and a.field != group:
+            lines.append(f"    g = obj.{a.field}")
+        group = a.member and a.field
+        value = f"obj.{a.field}" if a.member is None else f"g.{a.member} if g is not None else None"
+        default = "doc.project.name" if a.field == block.from_project else (
+            a.default not in (MISSING, None) and constant(a.default))
+        test = f"v is not None and v != {default}" if default else "v is not None"
+        lines += [f"    v = {value}", f"    if {test}:"]
+        if a.gather is None:
+            lines.append(f"        out.append({f'  {a.key} '!r} + {spelled(a, 'v')})")
+        else:
+            items = "v.split('\\n')" if a.reader is _NOTE else "v"
+            lines += [f"        for x in {items}:",
+                      f"            out.append({f'  {a.key} '!r} + {spelled(a, 'x')})"]
+    return _compiled(lines + ["    out.append('end')", "    return '\\n'.join(out)"], bound)
 
 
 def _check_line_breaks(doc: m.RegisterDocument, bad: Callable) -> None:
@@ -1130,35 +1157,41 @@ def _write(value, out: list, pad: str) -> None:
     for a model value at indentation ``pad``: dataclasses and dicts as objects,
     tuples as arrays."""
     cls = type(value)
-    if cls is str:
-        out.append(_ENCODE(value))
-    else:
-        (_WRITERS.get(cls) or _WRITERS.setdefault(cls, _writer(cls)))(value, out, pad)
+    (_WRITERS.get(cls) or _WRITERS.setdefault(cls, _writer(cls)))(value, out, pad)
 
 
 def _json(value, out: list, pad: str) -> None:
-    """A value outside the model's types, written or refused by ``json``."""
-    out.append(json.dumps(value, indent=2, ensure_ascii=False).replace("\n", "\n" + pad))
+    """A value outside the model's types, written by ``json``; one it refuses
+    raises :class:`~evrforge.model.RegisterError`."""
+    try:
+        text = json.dumps(value, indent=2, ensure_ascii=False)
+    except (TypeError, ValueError) as error:
+        raise m.RegisterError(str(error)) from error
+    out.append(text.replace("\n", "\n" + pad))
 
 
-def _array(items, out: list, pad: str) -> None:
+def _array(items, out: list, pad: str, cls: type | None = None) -> None:
+    """A tuple as an array; an item of the record class ``cls`` by its writer."""
     if not items:
         out.append("[]")
         return
     inner = pad + "  "
-    comma = ",\n" + inner
+    comma, write = ",\n" + inner, cls and _object(cls, inner)
     out.append("[\n" + inner)
     for item in items:
-        _write(item, out, inner)
+        write(item, out) if item.__class__ is cls else _write(item, out, inner)
         out.append(comma)
     out[-1] = "\n" + pad + "]"  # in place of the last comma
 
 
 def _dict(items: dict, out: list, pad: str) -> None:
-    """A dict of string keys as an object, in insertion order."""
+    """A dict of string keys as an object, in insertion order; one with any
+    other key as ``json`` writes it or refuses it."""
     if not items:
         out.append("{}")
         return
+    if any(key.__class__ is not str for key in items):
+        return _json(items, out, pad)
     inner = pad + "  "
     comma = ",\n" + inner
     out.append("{\n" + inner)
@@ -1170,40 +1203,66 @@ def _dict(items: dict, out: list, pad: str) -> None:
 
 
 def _writer(cls: type) -> Callable:
-    """How ``_write`` writes a value of ``cls``; a dataclass's key plan is made once."""
+    """How ``_write`` writes a value of ``cls``."""
     if cls is tuple or cls is list:
         return _array
     if cls is dict:
         return _dict
     if is_dataclass(cls):
-        return _object(cls)
+        return lambda value, out, pad: _object(cls, pad)(value, out)
     for base, spell in _SCALARS:
         if issubclass(cls, base):
             return lambda value, out, pad: out.append(spell(value))
     return _json
 
 
-def _object(cls: type) -> Callable:
+# How a record's writer spells a field's value ``v`` of these classes, in line.
+_SPELLED = {str: "_ENCODE(v)", int: "repr(v)", bool: "('true' if v else 'false')"}
+
+
+@functools.cache
+def _object(cls: type, pad: str) -> Callable:
+    """``write(obj, out)`` for a record class at an indentation, each key and
+    separator fixed in it: a value of its field's class is written in line, a
+    tuple of strings joined in C; any other value but None and ``()`` by ``_write``."""
+    inner, hints = pad + "  ", {f.name: f.type for f in fields(cls)}
     plan = [(entry, entry) if isinstance(entry, str) else entry
             for entry in _INTERCHANGE_QUIRKS.get(cls, ())]
     taken = {name for _, held in plan
              for name in ((held,) if isinstance(held, str) else held.values())}
     plan += [(f.name, f.name) for f in fields(cls) if f.name not in taken]
-    entries = [(_ENCODE(key) + ": ", attrgetter(held) if isinstance(held, str) else
-                lambda obj, held=held: {k: getattr(obj, name) for k, name in held.items()})
-               for key, held in plan]
-
-    def write_object(obj, out: list, pad: str) -> None:
-        inner = pad + "  "
-        comma = ",\n" + inner
-        out.append("{\n" + inner)
-        for key, get in entries:
-            out.append(key)
-            _write(get(obj), out, inner)
-            out.append(comma)
-        out[-1] = "\n" + pad + "}"  # in place of the last comma
-
-    return write_object
+    bound: dict = {}
+    lines, opener = ["def write(obj, out):"], "{\n" + inner
+    for name, held in plan:
+        prefix, opener = opener + _ENCODE(name) + ": ", ",\n" + inner
+        if not isinstance(held, str):  # fields nested as one object
+            nested = ", ".join(f"{k!r}: obj.{field}" for k, field in held.items())
+            lines += [f"    out.append({prefix!r})", f"    _dict({{{nested}}}, out, {inner!r})"]
+            continue
+        item, repeated = _held_class(hints[held])
+        bound[f"{held}_class"] = item
+        optional = type(None) in getattr(hints[held], "__args__", ())
+        test, body, empty = "False", ["pass"], optional and ("is None", "null")
+        generic = f"out.append({prefix!r}); _write(v, out, {inner!r})"
+        if repeated and item is str:  # an item that is no string makes ``_ENCODE`` raise
+            comma, closed, empty = ",\n" + inner + "  ", "\n" + inner + "]", ("== ()", "[]")
+            test, body = "v.__class__ is tuple and v", [
+                "try:", f"    out.append({prefix + '[' + comma[1:]!r} + {comma!r}.join("
+                f"map(_ENCODE, v)) + {closed!r})", "except TypeError:", "    " + generic]
+        elif repeated and is_dataclass(item):
+            test, body = "v.__class__ is tuple", [
+                f"out.append({prefix!r})", f"_array(v, out, {inner!r}, {held}_class)"]
+        elif is_dataclass(item):
+            test, body = f"v.__class__ is {held}_class", [
+                f"out.append({prefix!r})", f"_object({held}_class, {inner!r})(v, out)"]
+        elif not repeated and (item in _SPELLED or Enum in getattr(item, "__mro__", ())):
+            test, body = f"v.__class__ is {held}_class", [
+                f"out.append({prefix!r} + {_SPELLED.get(item, '_ENCODE(v)')})"]
+        lines += [f"    v = obj.{held}", f"    if {test}:", *("        " + b for b in body)]
+        if empty:  # None, or an empty tuple of strings, as a constant
+            lines += [f"    elif v {empty[0]}:", f"        out.append({prefix + empty[1]!r})"]
+        lines += ["    else:", "        " + generic]
+    return _compiled(lines + [f"    out.append({chr(10) + pad + '}'!r})"], bound)
 
 
 def export_interchange(doc: m.RegisterDocument) -> str:

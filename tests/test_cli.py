@@ -564,13 +564,19 @@ class TestModuleEntryPoint:
         assert done.stdout.split() == list(names)
 
 
+def _script(name: str):
+    """The module of ``scripts/<name>.py``."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_ab_roundtrip_times_the_working_tree(tmp_path, monkeypatch):
     """``scripts/ab.py``'s round-trip timer, built for the working tree on two
     corpus registers, runs once and gives a time."""
-    path = Path(__file__).resolve().parents[1] / "scripts" / "ab.py"
-    spec = importlib.util.spec_from_file_location("ab", path)
-    ab = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(ab)
+    ab = _script("ab")
     monkeypatch.syspath_prepend(str(tmp_path))
     try:
         package = ab.load(None, "evrforge_ab_smoke", tmp_path)
@@ -581,12 +587,17 @@ def test_ab_roundtrip_times_the_working_tree(tmp_path, monkeypatch):
             del sys.modules[name]
 
 
+def test_ab_importtime_times_the_working_tree(tmp_path):
+    """``scripts/ab.py importtime``'s timer imports the working tree's CLI
+    once in a fresh interpreter and gives its modules' self time."""
+    ab = _script("ab")
+    ab.extract(None, "evrforge_ab_import", tmp_path)
+    assert ab.import_timer("evrforge_ab_import", tmp_path)() > 0
+
+
 def test_cross_python_names_an_interpreter_that_cannot_run(monkeypatch, capsys):
     """The check fails with one line before it runs any form."""
-    path = Path(__file__).resolve().parents[1] / "scripts" / "cross_python.py"
-    spec = importlib.util.spec_from_file_location("cross_python", path)
-    cross = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(cross)
+    cross = _script("cross_python")
     monkeypatch.setattr(cross, "run", lambda python, form: pytest.fail(f"ran {form}"))
     assert cross.main(["/nonexistent/python3"]) == 2
     assert capsys.readouterr().out == ("cannot run /nonexistent/python3: [Errno 2] "

@@ -659,10 +659,10 @@ class TestInterchangeText:
         odd = replace(doc.controls[0], rigor=1.5, description=None)
         _assert_indent_2_json(dsl.export_interchange(replace(doc, controls=(odd,))))
 
-    def test_a_value_json_cannot_write_raises_type_error(self):
+    def test_a_value_json_cannot_write_raises_register_error(self):
         doc = unvalidated_analysis_doc()
         odd = replace(doc.controls[0], threats={"1.1.1-T1"})
-        with pytest.raises(TypeError, match="Object of type set is not JSON serializable"):
+        with pytest.raises(m.RegisterError, match="Object of type set is not JSON serializable"):
             dsl.export_interchange(replace(doc, controls=(odd,)))
 
 

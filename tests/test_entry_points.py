@@ -12,6 +12,7 @@ in ``fixtures/pins.json``, so no pin moves with them.
 from __future__ import annotations
 
 import contextlib
+import json
 import random
 import re
 import signal
@@ -195,3 +196,28 @@ def test_export_dot_quotes_ids_and_edge_ends(change):
     edges = [tuple(re.sub(r"\\(.)", r"\1", end) for end in edge.groups())
              for edge in map(_DOT_EDGE.fullmatch, statements) if edge]
     assert edges == list(trace.build_graph(doc).edges)
+
+
+@pytest.mark.parametrize("aliases", [{1: "x"}, {True: "y", False: "n"}, {None: "z"}, {1.5: "w"},
+                                     {float("nan"): "v", "a": "b"}],
+                         ids=["int", "bool", "none", "float", "nan"])
+def test_export_interchange_spells_dict_keys_as_json_dumps_does(aliases):
+    """``json.dumps`` writes an int, float, bool or None key as a string,
+    and so does the export, in place of raising ``TypeError``."""
+    doc = load_fixture("tm_full.evr")
+    payload = json.loads(evrforge.export_interchange(replace(doc, alias_map={})))
+    payload["alias_map"] = aliases
+    expected = json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
+    assert evrforge.export_interchange(replace(doc, alias_map=aliases)) == expected
+
+
+@pytest.mark.parametrize("change,message", [
+    ({"alias_map": {("a",): "x"}}, "keys must be str, int, float, bool or None, not tuple"),
+    ({"alias_map": {"a": {"x"}}}, "Object of type set is not JSON serializable"),
+    ({"project": m.ProjectMeta(name="x", version=frozenset())},
+     "Object of type frozenset is not JSON serializable"),
+], ids=["tuple key", "set value", "frozenset field"])
+def test_export_interchange_raises_register_error_for_what_json_refuses(change, message):
+    doc = replace(load_fixture("tm_full.evr"), **change)
+    with pytest.raises(m.RegisterError, match=message):
+        evrforge.export_interchange(doc)
