@@ -220,9 +220,14 @@ class _Parser:
     the ordinal of its lexeme.  It holds only the current lexeme, ``tok``,
     and pulls the next as it advances, so no lexeme is read twice.
 
-    ``parse_block`` and ``parse_attrs`` read a one-token value in place, by
-    its reader's test of the lexeme (see ``_Reader``); a value of several
-    tokens, or a lexeme that fails the test, goes to the reader's ``read``.
+    A block goes to its row's ``_Block.parse``, in one of two tiers: the
+    table, ``parse_block`` and ``parse_attrs``, until the table has read
+    ``_HOT`` blocks of the kind in this process, then the kind's compiled
+    reader (``_reader``).  Both read a one-token value in place, by its
+    reader's test of the lexeme (see ``_Reader``); a value of several
+    tokens, or a lexeme that fails the test, goes to the reader's ``read``;
+    a lexeme that is no key goes to ``unknown_key``.  Tier 0 stays so that
+    a CLI call, which parses one small register, compiles nothing.
 
     Problems wait in ``notes`` with their lexemes' ordinals, a lexer's with
     its point's offset in the lexeme, until ``placed`` locates those lexemes
@@ -352,7 +357,7 @@ class _Parser:
                 head = self.here()
                 self.tok = self.pull()
                 try:
-                    self.parse_block(block, head)
+                    block.parse(self, head)
                 except _SyntaxProblem as problem:
                     self.note(*problem.args)
                     self.skip_past_end()
@@ -435,15 +440,7 @@ class _Parser:
                 if tok == "end":
                     self.tok = pull()
                     return
-                if not tok.isidentifier():
-                    if not tok:
-                        self.error("unexpected end of input inside a block (missing 'end')")
-                    self.expected("an attribute key or 'end'")
-                self.note("P090", f"unknown attribute key {tok!r}", self.here(), False, "warning")
-                self.advance()
-                nxt = self.tok
-                if nxt[:1] in _VALUE_START or (m.IDENT_RE.match(nxt) and nxt not in keys):
-                    self.advance()
+                self.unknown_key(keys)
                 continue
             self.tok = tok = pull()
             name, test, convert, read, what, repeated = attr
@@ -458,6 +455,22 @@ class _Parser:
                 values[name].append(value)
             else:
                 values[name] = [value]
+
+    def unknown_key(self, keys) -> None:
+        """Where an attribute key or ``end`` should be, a lexeme that is
+        neither: an identifier is noted as P090 and dropped with the value
+        after it (a lexeme that opens a value, or an identifier that is no
+        key in ``keys``); end of input or any other lexeme raises."""
+        tok = self.tok
+        if not tok.isidentifier():
+            if not tok:
+                self.error("unexpected end of input inside a block (missing 'end')")
+            self.expected("an attribute key or 'end'")
+        self.note("P090", f"unknown attribute key {tok!r}", self.here(), False, "warning")
+        self.advance()
+        nxt = self.tok
+        if nxt[:1] in _VALUE_START or (m.IDENT_RE.match(nxt) and nxt not in keys):
+            self.advance()
 
     # -- assembly
 
@@ -771,6 +784,17 @@ class _Block:
     starts at its dataclass default (a repeated attribute or a note at
     empty), a field without one that nothing filled is reported as P006,
     and the writer leaves out a value equal to its default.
+
+    The parser reads a block through ``parse`` in one of two tiers.  Tier 0
+    is the table: ``_Parser.parse_block`` walks ``reads`` and ``keys`` and
+    ``build`` makes the record.  Once the table has read ``_HOT`` blocks of
+    a kind in this process, the kind gets a reader compiled from the same
+    attributes (``_reader``), tier 1, and every later block of the kind goes
+    through it.  Tier 0 stays because compiling all 20 readers would raise
+    the first parse of ``tm_clean`` in a CLI call from about 1.5 to 13-22
+    ms.  ``seen`` counts the blocks the table read; two threads that race
+    on it at worst compile a kind twice, and either reader reads as the
+    table does.
     """
 
     def __init__(self, keyword: str, slot: str, head: tuple = (),
@@ -783,6 +807,7 @@ class _Block:
         self.kind = slot if slot in m.ENTITY_KINDS else None  # the kind its violations name
         self.noun = noun or m.ENTITY_KINDS.get(slot, (keyword,))[0]
         self.from_project = from_project  # a field that defaults to the project name
+        self.seen = 0  # the blocks of this kind the table has read
         hints = {f.name: f.type for f in fields(cls)}
         defaults = {f.name: _default(f) for f in fields(cls)}
 
@@ -851,6 +876,16 @@ class _Block:
                 parser.error(f"{self.noun} {values[self.id_field]} declares no {a.missing}",
                              head, code="P006")
         return self.cls(**{**self.defaults, **values})
+
+    def parse(self, parser: _Parser, head: int) -> None:
+        """Tier 0: the table reads one block of this kind after its keyword,
+        the lexeme ``head`` (``_Parser.parse_block``).  The ``_HOT``-th block
+        compiles the kind's reader (``_reader``), which from then on reads
+        every block of the kind in place of this method."""
+        self.seen += 1
+        if self.seen >= _HOT:
+            self.parse = _reader(self)
+        parser.parse_block(self, head)
 
     def held(self, doc: m.RegisterDocument):
         """The blocks of this kind in ``doc``, as model objects."""
@@ -1016,6 +1051,147 @@ _BLOCKS: dict[str, _Block] = {block.keyword: block for block in (
 
 
 # ---------------------------------------------------------------------------
+# Generated functions: the compiled readers
+
+# The blocks of one kind the table reads in a process before the kind gets
+# its compiled reader.  A reader compiles in 0.2-1 ms and saves about 4 us a
+# block, so it pays for itself within about 250 more blocks of its kind;
+# at 256 no CLI call on a committed fixture compiles one (the most blocks
+# of one kind there is tm_full's 234 statements).
+_HOT = 256
+
+
+def _compiled(lines: list[str], bound: dict, name: str = "write") -> Callable:
+    """The function ``name`` of ``lines``, compiled with the names ``bound`` as constants."""
+    exec("\n    ".join([f"def make({', '.join(bound)}):", *lines, f"return {name}"]), globals(),
+         made := {})
+    return made["make"](**bound)
+
+
+def _reader(block: _Block) -> Callable:
+    """``block``'s compiled reader, ``read(p, head)``: what ``_Parser.parse_block``
+    does with one block of the kind after its keyword, the lexeme ``head``,
+    as straight-line Python.  Each field is a local, and so is the current
+    lexeme, ``tok``, which goes to ``p.tok`` before any call that reads it or
+    raises.  A string, an identifier, an integer, an enum member, a bool or
+    a plain lens is tested and converted in line; a value of another
+    one-token reader by its token form; any other value, or a lexeme that
+    fails the test, by the reader's ``read``.  The attribute keys are an
+    ``if``/``elif`` chain, the record is built by position, and the problems
+    come as the table raises them: each incomplete group (P034), then each
+    required attribute missing (P006)."""
+    bound: dict = {}
+
+    def constant(value) -> str:
+        bound[name := f"_{len(bound)}"] = value
+        return name
+
+    def literal(value) -> str:
+        plain = value is None or value.__class__ in (bool, int, str)
+        return repr(value) if plain else constant(value)
+
+    def local(a: _Attr) -> str:
+        return f"f_{a.field}" if a.member is None else f"f_{a.field}__{a.member}"
+
+    def read(a: _Attr, store: str) -> list[str]:
+        """Lines that read ``a``'s value at ``tok``, and keep it by ``store``,
+        a format of the value."""
+        call = ["p.tok = tok", store.format(f"{constant(a.reader.read)}(p, {a.what!r})"),
+                "tok = p.tok"]
+        test, convert = a.reader.token
+        if test is _NO_LEXEME:
+            return call
+        owner = getattr(test, "__self__", None)
+        if test is _is_string and convert is _sval:
+            test, value = "len(tok) > 1 and tok[0] == '\"'", \
+                "(tok[1:-1] if '\\\\' not in tok else _sval(tok))"
+        elif test is str.isidentifier and convert is None:
+            test, value = "tok.isidentifier()", "tok"
+        elif a.reader is _INT:
+            test = "tok.isdigit() and (len(tok) <= _CHECKED or not _refused(tok))"
+            value = "int(tok)"
+        elif owner.__class__ is dict and convert == owner.__getitem__:  # an enum, bool or lens
+            table = constant(owner)
+            test, value = f"tok in {table}", f"{table}[tok]"
+        else:
+            test, value = f"{constant(test)}(tok)", (
+                "tok" if convert is None else f"{constant(convert)}(tok)")
+        return [f"if {test}:", "    " + store.format(value), "    tok = pull()", "else:",
+                *("    " + line for line in call)]
+
+    def problem(code: str, words: str, rest: str = "") -> str:
+        """The line that raises ``code`` at the block, its message naming the block by id."""
+        return (f"p.error({f'{block.noun} '!r} + format(f_{block.id_field}) + {words!r}{rest}, "
+                f"head, code={code!r})")
+
+    lines = ["def read(p, head):"]
+    if block.single:
+        lines += [f"    if {block.slot!r} in p.singles:",
+                  f"        p.note('P018', {f'duplicate {block.keyword} block'!r}, head)"]
+    lines += ["    pull = p.pull", "    tok = p.tok"]
+    lines += [f"    {local(a)} = " + ("[]" if a.gather else "p.project_name"
+                                       if a.field == block.from_project else "MISSING"
+                                       if a.member is not None or a.default is MISSING
+                                       else literal(a.default)) for a in block.attrs]
+    for slot in block.head:
+        if slot.__class__ is str:  # a keyword
+            lines += [f"    if tok != {slot!r}:", "        p.tok = tok",
+                      f"        p.need_keyword({slot!r})", "    tok = pull()"]
+        else:
+            lines += ["    " + line for line in read(slot, f"f_{slot.field} = {{}}")]
+    if block.keys is None:  # no attributes and no ``end``
+        lines.append("    p.tok = tok")
+    else:
+        branches = []
+        for a in block.attrs:
+            store = f"{local(a)}.append({{}})" if a.gather else f"{local(a)} = {{}}"
+            branches += [f"elif tok == {a.key!r}:", "    tok = pull()",
+                         *("    " + line for line in read(a, store))]
+        branches += ["elif tok == 'end':", "    p.tok = pull()", "    break",
+                     "else:", "    p.tok = tok", f"    p.unknown_key({constant(block.keys)})",
+                     "    tok = p.tok"]
+        branches[0] = branches[0][2:]  # the first ``elif`` is an ``if``
+        lines += ["    while True:", *("        " + line for line in branches)]
+    lines += [f"    {local(a)} = {constant(a.gather)}({local(a)}) if {local(a)} else "
+              f"{literal(a.default)}" for a in block.gathered]
+    for field, group, what, members in block.groups:
+        lines += [f"    f_{field} = {literal(block.defaults[field])}",
+                  f"    if {' or '.join(f'{local(a)} is not MISSING' for a in members)}:"]
+        needed = ", ".join(f"({a.member!r}, {local(a)})" for a in members if a.default is MISSING)
+        if needed:
+            lines += [f"        missing = [name for name, v in ({needed},) if v is MISSING]",
+                      "        if missing:",
+                      "            " + problem("P034", f" {what} are incomplete (missing ",
+                                               " + ', '.join(missing) + ')'")]
+        given = ", ".join(local(a) if a.default is MISSING else
+                          f"{local(a)} if {local(a)} is not MISSING else {literal(a.default)}"
+                          for a in members)
+        lines.append(f"        f_{field} = {constant(group)}({given})")
+    for a in block.required:
+        if a.field != block.from_project:  # never missing: it falls back to the project name
+            lines += [f"    if {local(a)} is MISSING:",
+                      "        " + problem("P006", f" declares no {a.missing}")]
+    if block.cls is _Alias:
+        lines += ["    if f_name in p.aliases:",
+                  "        p.note('P010', 'duplicate alias ' + repr(f_name), head)",
+                  "    else:",
+                  "        p.aliases[f_name] = f_target",
+                  "        p.heads.append((None, head))"]
+        return _compiled(lines, bound, "read")
+    held = {slot.field for slot in block.head if slot.__class__ is not str} | {
+        a.field for a in block.attrs}
+    built = f"{constant(block.cls)}(" + ", ".join(
+        f"f_{f.name}" if f.name in held else literal(block.defaults[f.name])
+        for f in fields(block.cls)) + ")"
+    if block.single:
+        lines.append(f"    p.singles.setdefault({block.slot!r}, {built})")
+    else:
+        lines += [f"    p.entities[{block.slot!r}].append({built})",
+                  f"    p.heads.append(({block.kind!r}, head))"]
+    return _compiled(lines, bound, "read")
+
+
+# ---------------------------------------------------------------------------
 # Canonical serialization and the line-break check
 
 def serialize_canonical(doc: m.RegisterDocument) -> str:
@@ -1048,13 +1224,6 @@ def serialize_canonical(doc: m.RegisterDocument) -> str:
         if held:
             blocks += map(block.write, held, repeat(doc))
     return "\n\n".join(blocks) + "\n"
-
-
-def _compiled(lines: list[str], bound: dict) -> Callable:
-    """The function ``write`` of ``lines``, compiled with the names ``bound`` as constants."""
-    exec("\n    ".join([f"def make({', '.join(bound)}):", *lines, "return write"]), globals(),
-         made := {})
-    return made["make"](**bound)
 
 
 # What the writers spell ``{0}`` as in place of a call of these text functions.

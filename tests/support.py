@@ -1,10 +1,11 @@
 """Shared builders for the test suite.
 
-Seven things live here: a seeded generator of structurally valid registers
+Eight things live here: a seeded generator of structurally valid registers
 used by the bulk round-trip and monotonicity runs, the table of
 violation/repair document pairs behind the monotone-repair checks, scanning
 oracles for the indexed analysis layer, the parse fuzz soup and the digest
-that parse differentials compare, the reference lexer that the
+that parse differentials compare, ``tier``, which holds every block kind
+to one of the parser's two tiers, the reference lexer that the
 master-regex lexer is checked against (with the parser's lexemes put in its
 shape), a strict reader of the interchange
 export, and the inverse of a register diff.
@@ -12,9 +13,11 @@ export, and the inverse of a register diff.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import random
+import sys
 import types
 import typing
 from dataclasses import astuple, fields, is_dataclass, replace
@@ -833,6 +836,32 @@ def parse_digest(result: dsl.ParseResult) -> str:
              result.header and astuple(result.header),
              result.document and dsl.serialize_canonical(result.document)]
     return hashlib.sha256(json.dumps(shown).encode("ascii")).hexdigest()
+
+
+@contextlib.contextmanager
+def tier(level: int):
+    """Every block kind read by the table (``level`` 0: its count reset, no
+    compiled reader, and none compiled however many blocks it reads) or by
+    its reader compiled now (1), inside the block; each kind's count and
+    reader, and ``dsl._HOT``, are as they were after it."""
+    blocks = list(dsl._BLOCKS.values())
+    saved = [(block.seen, block.__dict__.get("parse")) for block in blocks]
+    hot = dsl._HOT
+    dsl._HOT = sys.maxsize
+    for block in blocks:
+        block.seen = 0
+        block.__dict__.pop("parse", None)
+        if level:
+            block.parse = dsl._reader(block)
+    try:
+        yield
+    finally:
+        dsl._HOT = hot
+        for block, (seen, parse) in zip(blocks, saved):
+            block.seen = seen
+            block.__dict__.pop("parse", None)
+            if parse is not None:
+                block.parse = parse
 
 
 # ---------------------------------------------------------------------------

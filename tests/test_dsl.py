@@ -510,10 +510,58 @@ def _outcome(call) -> tuple:
         return "problem", problem.args
 
 
+def _scaffold_blocks() -> dict[str, list[str]]:
+    """The lines of the scaffold's first block of each kind, by keyword."""
+    blocks: dict[str, list[str]] = {}
+    lines = None
+    for line in cli.scaffold_text("x").splitlines():
+        keyword = line.split(" ", 1)[0]
+        if keyword in dsl._BLOCKS and keyword not in blocks:
+            blocks[keyword] = lines = [line]
+        elif lines is not None and line.startswith(" "):
+            lines.append(line)
+        elif lines is not None and line == "end":
+            lines.append(line)
+            lines = None
+    return blocks
+
+
+def _with_each_token(block, lines: list[str]):
+    """``lines`` with each token of ``_TOKENS`` in place of the value of each
+    one-token header slot whose place on the line is fixed, and after each
+    key of a one-token attribute on a line of its own before ``end``."""
+    head = reference_lex(lines[0], "r.evr")[0]
+    for at, slot in enumerate(block.reads):
+        if slot.__class__ is not str and slot[1] is not dsl._NO_LEXEME:
+            *_, col, end_col = head[at + 1]
+            for tok in _TOKENS:
+                yield "\n".join([lines[0][:col - 1] + tok[1] + lines[0][end_col - 1:], *lines[1:]])
+        if slot.__class__ is not str and slot[1] is dsl._NO_LEXEME:
+            break  # a value of several tokens: the next slot has no fixed place
+    for key, entry in (block.keys or {}).items():
+        if entry[1] is not dsl._NO_LEXEME:
+            for tok in _TOKENS:
+                yield "\n".join([*lines[:-1], f"  {key} {tok[1]}", lines[-1]])
+
+
+def _block_outcome(source: str, read) -> tuple:
+    """What ``read(parser, head)`` does with the block ``source``: its value or
+    problem, and all it leaves in the parser."""
+    parser = dsl._Parser(source, "r.evr")
+    parser.advance()
+    outcome = _outcome(lambda: read(parser, 0))
+    return (outcome, parser.tok, parser.here(), parser.notes, parser.entities, parser.singles,
+            parser.aliases, parser.heads)
+
+
 class TestOneTokenReaders:
     """``parse_attrs`` reads a value of one token in place; the reader's own
     ``read`` must give the same value, or raise the same problem.  Each
-    token is fed as a parse reads it, after a key in a source of its own."""
+    token is fed as a parse reads it, after a key in a source of its own.
+    Each kind's compiled reader reads such a value in line too, so each
+    token is also fed to it, in each one-token header slot and attribute of
+    the scaffold's block of the kind, and it must leave what the table
+    leaves."""
 
     def _compare(self):
         entries = _one_token_entries()
@@ -532,6 +580,14 @@ class TestOneTokenReaders:
                 derived = _outcome(lambda: read(parser, what))
                 assert derived[0] == "problem" or parser.tok == "end", (entry, tok)
                 assert inline == derived, (entry, tok)
+        blocks = _scaffold_blocks()
+        assert blocks.keys() == dsl._BLOCKS.keys()
+        for keyword, lines in blocks.items():
+            block = dsl._BLOCKS[keyword]
+            compiled = dsl._reader(block)
+            for source in _with_each_token(block, lines):
+                table = _block_outcome(source, lambda p, head: p.parse_block(block, head))
+                assert _block_outcome(source, compiled) == table, (keyword, source)
 
     def test_inline_and_derived_reads_agree(self):
         self._compare()

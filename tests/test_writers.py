@@ -13,7 +13,9 @@ type.  Run this module to record the file again:
 
 The writers are compiled on first use, so a run that never writes compiles
 none, and one that writes compiles one writer per block kind or record
-class it writes, once.
+class it writes, once.  A block kind's reader is compiled once the table has
+read ``dsl._HOT`` blocks of it in a process, so no CLI call on a fixture
+compiles one.
 """
 
 from __future__ import annotations
@@ -131,7 +133,39 @@ def records(value, depth, found):
     return found
 
 rows = [block.keyword for block in dsl._BLOCKS.values() if block.held(doc)]
-print(json.dumps({"steps": steps, "rows": len(rows), "records": len(records(doc, 0, set()))}))
+
+def fresh():
+    # The parser as a new process has it: no block read, no reader compiled.
+    for block in dsl._BLOCKS.values():
+        block.seen = 0
+        block.__dict__.pop("parse", None)
+
+# Each cli-mix command shape on each fixture, as its own CLI call.
+readers = []
+for name in ("tm_clean", "tm_warnings", "tm_error", "tm_full", "tm_chain"):
+    path = f"{fixtures}/{name}.evr"
+    for argv in (["check", path], ["check", path, "--format=interchange"],
+                 ["report", path, "--kind=audit"], ["report", path, "--kind=mission"],
+                 ["report", path, "--kind=coverage"], ["score", path], ["trace", path, "2.1.1-C1"],
+                 ["export", path, "--format=interchange"], ["export", path, "--format=dot"],
+                 ["export", path, "--format=csv"], ["diff", path, f"{fixtures}/tm_clean.evr"],
+                 ["diff", f"{fixtures}/tm_clean.evr", path]):
+        fresh()
+        with contextlib.redirect_stderr(io.StringIO()):
+            step("cli", lambda: cli.main(argv))
+        readers.append([argv, [text for text in steps["cli"] if "def read(p, head)" in text]])
+
+# A register with more than ``_HOT`` blocks of two kinds, and fewer than half
+# as many of a third, parsed twice in a new process.
+fresh()
+many = 'register "x" phase design\\n' + "".join(
+    [f'stakeholder S{i} "n"\\n  kind direct\\nend\\n' for i in range(dsl._HOT + 50)]
+    + [f'funcreq F{i}\\n  note "n"\\nend\\n' for i in range(dsl._HOT + 1)]
+    + [f'session SES{i}\\nend\\n' for i in range(dsl._HOT // 2 - 1)])
+for again in ("", " again"):
+    step("many" + again, lambda: dsl.parse_register(many))
+print(json.dumps({"steps": steps, "rows": len(rows), "records": len(records(doc, 0, set())),
+                  "readers": readers}))
 """
 
 
@@ -149,6 +183,16 @@ def test_the_writers_compile_on_first_use_only():
     for writer in ("serialize_canonical", "export_interchange"):
         assert len(set(steps[writer])) == len(steps[writer])
         assert steps[writer + " again"] == []
+    # No CLI call on a fixture compiles a reader; a register with more than
+    # ``_HOT`` blocks of a kind compiles one reader for each such kind, once.
+    assert len(seen["readers"]) == 60
+    assert not [argv for argv, compiled in seen["readers"] if compiled]
+    assert len(steps["many"]) == 2
+    assert all("def read(p, head)" in text for text in steps["many"])
+    assert [kind for kind in ("stakeholders", "functional_requirements", "sessions")
+            if any(f"({kind!r}, head)" in text for text in steps["many"])] == [
+        "stakeholders", "functional_requirements"]
+    assert steps["many again"] == []
 
 
 if __name__ == "__main__":
