@@ -24,13 +24,16 @@ FUNCTION is one of ``parse_register`` (source text to result),
 ``roundtrip``, corpus-roundtrip's op on each corpus register and its edit:
 parse, ``serialize_canonical``, parse of that text, which must give an
 ``==`` document, ``export_interchange``, parse of the edit and
-``diff_registers``.  ``roundtrip`` runs on the corpus only.  ``importtime``
+``diff_registers``.  ``roundtrip`` runs on the corpus only.  ``audit`` is
+ladder-audit's op on the ladder register, and runs on it only: parse,
+``run_rules`` and ``cli.render_audit_report``.  ``importtime``
 times no function and reads no inputs: each round runs ``python -X importtime -c "import
 <tree>.cli"`` once per tree, in a subprocess with ``PYTHONDONTWRITEBYTECODE=1``
 so that every module is compiled, and takes the sum of the tree's modules'
 self times, in ms, for that tree's time.
 
     python scripts/ab.py c53530f importtime --rounds 21
+    python scripts/ab.py a461ab4 audit
 """
 
 from __future__ import annotations
@@ -135,11 +138,28 @@ def roundtrip(package):
     return op
 
 
+def audit(package):
+    """ladder-audit's op, as ``perfbench/workloads.py`` runs it, on ``(name,
+    source, None)``."""
+    dsl = importlib.import_module(f"{package.__name__}.dsl")
+    run_rules = importlib.import_module(f"{package.__name__}.rules").run_rules
+    render = importlib.import_module(f"{package.__name__}.cli").render_audit_report
+
+    def op(name: str, source: str, edited: None) -> None:
+        doc = dsl.parse_register(source, name).document
+        render(doc, run_rules(doc))
+
+    return op
+
+
+OPS = {"roundtrip": (roundtrip, "corpus"), "audit": (audit, "ladder")}  # op: (maker, its inputs)
+
+
 def timer(package, function: str, sources: list[tuple[str, str, str | None]]):
     """A call that runs ``function`` of ``package`` once over every input
     and returns its process time in ms."""
-    if function == "roundtrip":
-        call, args = roundtrip(package), sources
+    if function in OPS:
+        call, args = OPS[function][0](package), sources
     else:
         module, attribute, on_document = CALLS[function]
         call = getattr(importlib.import_module(f"{package.__name__}.{module}"), attribute)
@@ -171,7 +191,7 @@ def batches(args, trees: dict[str, tuple[str | None, str]], into: Path):
                {side: import_timer(name, into) for side, (_, name) in trees.items()})
         return
     packages = {side: load(revision, name, into) for side, (revision, name) in trees.items()}
-    every = ("corpus", "ladder") if args.function in CALLS else ("corpus",)
+    every = ("corpus", "ladder") if args.function in CALLS else (OPS[args.function][1],)
     for which in every if args.inputs == "both" else (args.inputs,):
         sources = inputs(which)
         kb = sum(len(source.encode("utf-8")) for _, source, _ in sources) / 1024
@@ -185,14 +205,14 @@ def main(argv: list[str] | None = None) -> int:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("revisions", nargs="+", metavar="REV",
                         help="BASE, and HEAD (default: the working tree)")
-    parser.add_argument("function", choices=sorted([*CALLS, "roundtrip", "importtime"]))
+    parser.add_argument("function", choices=sorted([*CALLS, *OPS, "importtime"]))
     parser.add_argument("--inputs", choices=("corpus", "ladder", "both"), default="both")
     parser.add_argument("--rounds", type=int, default=21)
     args = parser.parse_args(argv)
     if len(args.revisions) > 2:
         parser.error("at most two revisions")
-    if args.function == "roundtrip" and args.inputs == "ladder":
-        parser.error("roundtrip runs on the corpus only")
+    if args.function in OPS and args.inputs not in ("both", OPS[args.function][1]):
+        parser.error(f"{args.function} runs on the {OPS[args.function][1]} only")
     base_rev, head_rev = (args.revisions + [None])[:2]
 
     with tempfile.TemporaryDirectory(prefix="evrforge-ab-") as tmp:

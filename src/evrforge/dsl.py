@@ -224,9 +224,11 @@ class _Parser:
     table, ``parse_block`` and ``parse_attrs``, until the table has read
     ``_HOT`` blocks of the kind in this process, then the kind's compiled
     reader (``_reader``).  Both read a one-token value in place, by its
-    reader's test of the lexeme (see ``_Reader``); a value of several
-    tokens, or a lexeme that fails the test, goes to the reader's ``read``;
-    a lexeme that is no key goes to ``unknown_key``.  Tier 0 stays so that
+    reader's test of the lexeme (see ``_Reader``), and the compiled reader
+    each token of a list, a nested record or an attestation subject too; a
+    lexeme that fails its test, or a value the table cannot read in place,
+    goes to its reader's ``read``; a lexeme that is no key goes to
+    ``unknown_key``.  Tier 0 stays so that
     a CLI call, which parses one small register, compiles nothing.
 
     Problems wait in ``notes`` with their lexemes' ordinals, a lexer's with
@@ -296,16 +298,12 @@ class _Parser:
             self.expected(what, "P012")
         self.error(f"expected {what}, found a {len(self.tok)}-character id", code="P012")
 
-    # -- readers of several tokens, or of more than one kind of token
-
-    def need_number(self, what: str) -> int:
-        """A core value number: an integer without a leading zero."""
-        tok = self.tok
-        if not tok.isdigit() or (len(tok) > 1 and tok[0] == "0"):
+    def need_number(self, what: str):
+        if not self.tok.isdigit() or self.tok[0] == "0":
             self.expected(what, "P012")
-        if _refused(tok):
-            self.error(f"expected {what}, found a {len(tok)}-digit number", code="P012")
-        return int(self.advance())
+        self.error(f"expected {what}, found a {len(self.tok)}-digit number", code="P012")
+
+    # -- readers of several tokens, or of more than one kind of token
 
     def need_name(self, what: str, dotted) -> str:
         """A reference by id, or a dotted id that matches the pattern ``dotted``."""
@@ -351,10 +349,11 @@ class _Parser:
         except _SyntaxProblem as problem:
             self.note(*problem.args)
             self.skip_past_end(at_end=False)
+        cursor = self.cursor
         while self.tok:
             block = _BLOCKS.get(self.tok)
             if block is not None:
-                head = self.here()
+                head = cursor[0] - cursor[1].__length_hint__() - 1  # ``here()`` in line
                 self.tok = self.pull()
                 try:
                     block.parse(self, head)
@@ -589,16 +588,23 @@ class _Reader:
     the lexeme).  The parser reads such a value in place, and ``_token``
     derives its ``read`` from the same form.  A reader of several tokens has
     a test that no lexeme passes; one whose common case is one token, as a
-    lens, declares that case's form and reads the rest with ``read``."""
+    lens, declares that case's form and reads the rest with ``read``.
 
-    __slots__ = ("read", "text", "checked", "token")
+    ``shape`` tells the compiled readers (``_reader``) what a value is made
+    of where ``token`` does not: ``("dotted", pattern)`` for an id whose
+    test is a pattern's, ``("commas", item)`` for a list of ``item``
+    values, ``("nested", cls, readers)`` for a record of one value of each
+    reader; None for any other."""
+
+    __slots__ = ("read", "text", "checked", "token", "shape")
 
     def __init__(self, read: Callable, text: Callable, checked: bool = False,
-                 token: tuple = (_NO_LEXEME, None)):
+                 token: tuple = (_NO_LEXEME, None), shape: tuple | None = None):
         self.read = read        # (parser, what) -> value
         self.text = text        # value -> text
         self.checked = checked  # a string, or a record whose str fields P037 checks
         self.token = token
+        self.shape = shape
 
 
 def _token(test: Callable, convert: Callable | None, fail: Callable, text: Callable,
@@ -631,9 +637,11 @@ def _refused(lexeme: str) -> bool:
 
 def _dotted(pattern) -> _Reader:
     """An id of the anchored ``pattern``."""
-    return _token(lambda lexeme: pattern.match(lexeme) and (len(lexeme) <= _CHECKED
-                                                             or not _refused(lexeme)), None,
-                  lambda p, what: p.need_dotted(pattern, what), str)
+    reader = _token(lambda lexeme: pattern.match(lexeme) and (len(lexeme) <= _CHECKED
+                                                               or not _refused(lexeme)), None,
+                    lambda p, what: p.need_dotted(pattern, what), str)
+    reader.shape = ("dotted", pattern)
+    return reader
 
 
 @functools.cache
@@ -654,7 +662,8 @@ def _commas(reader: _Reader) -> _Reader:
             items.append(reader.read(p, what))
         return tuple(items)
 
-    return _Reader(read, lambda items: ", ".join(map(reader.text, items)))
+    return _Reader(read, lambda items: ", ".join(map(reader.text, items)),
+                   shape=("commas", reader))
 
 
 _STRING = _token(_is_string, _sval, _Parser.need_string, _quote, True)
@@ -665,7 +674,10 @@ _BOOLS = {"true": True, "false": False}
 _BOOL = _token(_BOOLS.__contains__, _BOOLS.__getitem__, _Parser.need_bool,
                {True: "true", False: "false"}.__getitem__)
 _IDENT = _token(str.isidentifier, None, _Parser.expected, str)
-_NUMBER = _Reader(_Parser.need_number, str)  # a core value's id
+# A core value's id: an integer without a leading zero.
+_NUMBER = _token(lambda lexeme: lexeme.isdigit() and (lexeme[0] != "0" or len(lexeme) == 1)
+                 and (len(lexeme) <= _CHECKED or not _refused(lexeme)),
+                 int, _Parser.need_number, str)
 # A reference to an entity by its id: ``end`` closes the block instead.
 _REF = _token(m.IDENT_RE.match, None, _Parser.expected, str)
 # Prose: one ``note`` line per line of text.
@@ -692,6 +704,9 @@ def _attested_text(subject: m.AttestationSubject) -> str:
     return word if reader is None else f"{word} {reader.text(subject.ref)}"
 
 
+_ATTESTATION_SUBJECT = _Reader(_Parser.need_attested, _attested_text, True)
+
+
 # Placeholders the table compiles into a reader for the field's class.
 _ENUM = _Reader(None, None)    # an enum member, by its value
 _NESTED = _Reader(None, None)  # a dataclass, its fields in order on one line
@@ -706,7 +721,8 @@ def _nested(cls: type) -> _Reader:
         return cls(*[reader.read(p, what) for (_, reader), what in zip(parts, whats)])
 
     return _Reader(read, lambda value: " ".join([reader.text(getattr(value, name))
-                                                 for name, reader in parts]), True)
+                                                 for name, reader in parts]), True,
+                   shape=("nested", cls, [reader for _, reader in parts]))
 
 
 def _held_class(hint) -> tuple[type, bool]:
@@ -1016,7 +1032,7 @@ _BLOCKS: dict[str, _Block] = {block.keyword: block for block in (
         ("note", "narrative", _NOTE),
     ), derived=("kind",)),
     _Block("attestation", "attestations", (
-        ("subject", _Reader(_Parser.need_attested, _attested_text, True), "attestation subject"),
+        ("subject", _ATTESTATION_SUBJECT, "attestation subject"),
     ), (
         ("by", "signatory_name", _STRING, "signatory name"),
         ("role", "signatory_role", _ENUM, "signatory role"),
@@ -1054,18 +1070,78 @@ _BLOCKS: dict[str, _Block] = {block.keyword: block for block in (
 # Generated functions: the compiled readers
 
 # The blocks of one kind the table reads in a process before the kind gets
-# its compiled reader.  A reader compiles in 0.2-1 ms and saves about 4 us a
-# block, so it pays for itself within about 250 more blocks of its kind;
-# at 256 no CLI call on a committed fixture compiles one (the most blocks
-# of one kind there is tm_full's 234 statements).
+# its compiled reader.  A reader compiles in 0.3-2 ms and saves 2-8 us a
+# block (Python 3.11 on 2 CPUs, lexing included: funcreq and alias about
+# 2 us, threat 2.5, statement 4.5, attestation 4, evr 8; the longest
+# readers, corevalue and evr, compile in 1.5-2 ms), so it pays for itself
+# within about 100-300 more blocks of its kind; at 256 no CLI call on a
+# committed fixture compiles one (the most blocks of one kind there is
+# tm_full's 234 statements).
 _HOT = 256
 
 
-def _compiled(lines: list[str], bound: dict, name: str = "write") -> Callable:
-    """The function ``name`` of ``lines``, compiled with the names ``bound`` as constants."""
-    exec("\n    ".join([f"def make({', '.join(bound)}):", *lines, f"return {name}"]), globals(),
-         made := {})
+def _compiled(lines: list[str], bound: dict, title: str, name: str = "write") -> Callable:
+    """The function ``name`` of ``lines``, compiled with the names ``bound`` as
+    constants, under the file name ``<evrforge.dsl {title}>`` so that a profile
+    or traceback tells each generated function from the others."""
+    source = "\n    ".join([f"def make({', '.join(bound)}):", *lines, f"return {name}"])
+    exec(compile(source, f"<evrforge.dsl {title}>", "exec"), globals(), made := {})
     return made["make"](**bound)
+
+
+def _value(reader: _Reader, what, store: str, constant: Callable) -> list[str]:
+    """A compiled reader's lines that read a value of ``reader`` at ``tok``,
+    and keep it by ``store``, a format of the value; ``what`` names it in
+    problems, and ``constant(obj)`` names an object the lines use."""
+    shape, *parts = reader.shape or (None,)
+    if shape == "commas":
+        item, = parts
+        later = _value(item, what, "items.append({})", constant)
+        return [*_value(item, what, "items = [{}]", constant), "while tok == ',':",
+                "    tok = pull()", *("    " + line for line in later),
+                store.format("tuple(items)")]
+    if shape == "nested":
+        cls, readers = parts
+        names = [f"x{i}" for i in range(len(readers))]
+        lines = [line for name, part, part_what in zip(names, readers, what)
+                 for line in _value(part, part_what, name + " = {}", constant)]
+        return lines + [store.format(f"{constant(cls)}({', '.join(names)})")]
+    call = ["p.tok = tok", store.format(f"{constant(reader.read)}(p, {what!r})"),
+            "tok = p.tok"]
+    if reader is _ATTESTATION_SUBJECT:  # a word of ``_ATTESTED``, then its ref
+        lines, made = [], constant(m.AttestationSubject)
+        for word, (kind, ref, ref_what) in _ATTESTED.items():
+            subject = f"{made}({constant(kind)}, {{}})"
+            got = [store.format(subject.format("''"))] if ref is None else [
+                *_value(ref, ref_what, "x0 = {}", constant),
+                store.format(subject.format("str(x0)"))]
+            lines += [f"{'elif' if lines else 'if'} tok == {word!r}:", "    tok = pull()",
+                      *("    " + line for line in got)]
+        return lines + ["else:", *("    " + line for line in call)]
+    test, convert = reader.token
+    if test is _NO_LEXEME:
+        return call
+    owner = getattr(test, "__self__", None)
+    if test is _is_string and convert is _sval:
+        test, kept = "len(tok) > 1 and tok[0] == '\"'", \
+            "(tok[1:-1] if '\\\\' not in tok else _sval(tok))"
+    elif test is str.isidentifier and convert is None:
+        test, kept = "tok.isidentifier()", "tok"
+    elif reader is _INT or reader is _NUMBER:  # a number has no leading zero
+        lead = "(tok[0] != '0' or len(tok) == 1) and " if reader is _NUMBER else ""
+        test = f"tok.isdigit() and {lead}(len(tok) <= _CHECKED or not _refused(tok))"
+        kept = "int(tok)"
+    elif shape == "dotted":
+        test, kept = (f"{constant(parts[0].match)}(tok) and "
+                      "(len(tok) <= _CHECKED or not _refused(tok))"), "tok"
+    elif owner.__class__ is dict and convert == owner.__getitem__:  # an enum, bool or lens
+        table = constant(owner)
+        test, kept = f"tok in {table}", f"{table}[tok]"
+    else:
+        test, kept = f"{constant(test)}(tok)", (
+            "tok" if convert is None else f"{constant(convert)}(tok)")
+    return [f"if {test}:", "    " + store.format(kept), "    tok = pull()", "else:",
+            *("    " + line for line in call)]
 
 
 def _reader(block: _Block) -> Callable:
@@ -1073,12 +1149,16 @@ def _reader(block: _Block) -> Callable:
     does with one block of the kind after its keyword, the lexeme ``head``,
     as straight-line Python.  Each field is a local, and so is the current
     lexeme, ``tok``, which goes to ``p.tok`` before any call that reads it or
-    raises.  A string, an identifier, an integer, an enum member, a bool or
-    a plain lens is tested and converted in line; a value of another
-    one-token reader by its token form; any other value, or a lexeme that
-    fails the test, by the reader's ``read``.  The attribute keys are an
-    ``if``/``elif`` chain, the record is built by position, and the problems
-    come as the table raises them: each incomplete group (P034), then each
+    raises.  Every value of one token, and each token of a comma list, a
+    nested record or an attestation subject, is tested and converted in
+    line, so reading a well-formed block calls no Python function but
+    ``pull`` (and ``_sval`` for a string with an escape) before the record's
+    ``__init__``; the first lexeme that fails its test goes to its reader's
+    ``read``, which raises the problem, or reads on, as it does in the table.  Each
+    attribute key has one test in the loop, in declaration order (a
+    repeated one a ``while``), so a block written in that order goes round
+    the loop once.  The record is built by position, and the problems come
+    as the table raises them: each incomplete group (P034), then each
     required attribute missing (P006)."""
     bound: dict = {}
 
@@ -1092,32 +1172,6 @@ def _reader(block: _Block) -> Callable:
 
     def local(a: _Attr) -> str:
         return f"f_{a.field}" if a.member is None else f"f_{a.field}__{a.member}"
-
-    def read(a: _Attr, store: str) -> list[str]:
-        """Lines that read ``a``'s value at ``tok``, and keep it by ``store``,
-        a format of the value."""
-        call = ["p.tok = tok", store.format(f"{constant(a.reader.read)}(p, {a.what!r})"),
-                "tok = p.tok"]
-        test, convert = a.reader.token
-        if test is _NO_LEXEME:
-            return call
-        owner = getattr(test, "__self__", None)
-        if test is _is_string and convert is _sval:
-            test, value = "len(tok) > 1 and tok[0] == '\"'", \
-                "(tok[1:-1] if '\\\\' not in tok else _sval(tok))"
-        elif test is str.isidentifier and convert is None:
-            test, value = "tok.isidentifier()", "tok"
-        elif a.reader is _INT:
-            test = "tok.isdigit() and (len(tok) <= _CHECKED or not _refused(tok))"
-            value = "int(tok)"
-        elif owner.__class__ is dict and convert == owner.__getitem__:  # an enum, bool or lens
-            table = constant(owner)
-            test, value = f"tok in {table}", f"{table}[tok]"
-        else:
-            test, value = f"{constant(test)}(tok)", (
-                "tok" if convert is None else f"{constant(convert)}(tok)")
-        return [f"if {test}:", "    " + store.format(value), "    tok = pull()", "else:",
-                *("    " + line for line in call)]
 
     def problem(code: str, words: str, rest: str = "") -> str:
         """The line that raises ``code`` at the block, its message naming the block by id."""
@@ -1138,29 +1192,30 @@ def _reader(block: _Block) -> Callable:
             lines += [f"    if tok != {slot!r}:", "        p.tok = tok",
                       f"        p.need_keyword({slot!r})", "    tok = pull()"]
         else:
-            lines += ["    " + line for line in read(slot, f"f_{slot.field} = {{}}")]
+            store = f"f_{slot.field} = {{}}"
+            lines += ["    " + line for line in _value(slot.reader, slot.what, store, constant)]
     if block.keys is None:  # no attributes and no ``end``
         lines.append("    p.tok = tok")
     else:
-        branches = []
+        branches, keys = [], constant(block.keys)
         for a in block.attrs:
             store = f"{local(a)}.append({{}})" if a.gather else f"{local(a)} = {{}}"
-            branches += [f"elif tok == {a.key!r}:", "    tok = pull()",
-                         *("    " + line for line in read(a, store))]
-        branches += ["elif tok == 'end':", "    p.tok = pull()", "    break",
-                     "else:", "    p.tok = tok", f"    p.unknown_key({constant(block.keys)})",
+            branches += [f"{'while' if a.gather else 'if'} tok == {a.key!r}:", "    tok = pull()",
+                         *("    " + line for line in _value(a.reader, a.what, store, constant))]
+        branches += ["if tok == 'end':", "    p.tok = pull()", "    break",
+                     f"if tok not in {keys}:", "    p.tok = tok", f"    p.unknown_key({keys})",
                      "    tok = p.tok"]
-        branches[0] = branches[0][2:]  # the first ``elif`` is an ``if``
         lines += ["    while True:", *("        " + line for line in branches)]
     lines += [f"    {local(a)} = {constant(a.gather)}({local(a)}) if {local(a)} else "
               f"{literal(a.default)}" for a in block.gathered]
     for field, group, what, members in block.groups:
         lines += [f"    f_{field} = {literal(block.defaults[field])}",
                   f"    if {' or '.join(f'{local(a)} is not MISSING' for a in members)}:"]
-        needed = ", ".join(f"({a.member!r}, {local(a)})" for a in members if a.default is MISSING)
+        needed = [a for a in members if a.default is MISSING]
         if needed:
-            lines += [f"        missing = [name for name, v in ({needed},) if v is MISSING]",
-                      "        if missing:",
+            pairs = ", ".join(f"({a.member!r}, {local(a)})" for a in needed)
+            lines += [f"        if {' or '.join(f'{local(a)} is MISSING' for a in needed)}:",
+                      f"            missing = [name for name, v in ({pairs},) if v is MISSING]",
                       "            " + problem("P034", f" {what} are incomplete (missing ",
                                                " + ', '.join(missing) + ')'")]
         given = ", ".join(local(a) if a.default is MISSING else
@@ -1177,7 +1232,7 @@ def _reader(block: _Block) -> Callable:
                   "    else:",
                   "        p.aliases[f_name] = f_target",
                   "        p.heads.append((None, head))"]
-        return _compiled(lines, bound, "read")
+        return _compiled(lines, bound, f"read {block.keyword}", "read")
     held = {slot.field for slot in block.head if slot.__class__ is not str} | {
         a.field for a in block.attrs}
     built = f"{constant(block.cls)}(" + ", ".join(
@@ -1188,7 +1243,7 @@ def _reader(block: _Block) -> Callable:
     else:
         lines += [f"    p.entities[{block.slot!r}].append({built})",
                   f"    p.heads.append(({block.kind!r}, head))"]
-    return _compiled(lines, bound, "read")
+    return _compiled(lines, bound, f"read {block.keyword}", "read")
 
 
 # ---------------------------------------------------------------------------
@@ -1251,7 +1306,8 @@ def _canonical(block: _Block) -> Callable:
         repr(slot) if slot.__class__ is str else spelled(slot, f"obj.{slot.field}")
         for slot in block.head])
     if block.keys is None:  # a block without attributes is one line
-        return _compiled(["def write(obj, doc):", f"    return {header}"], bound)
+        return _compiled(["def write(obj, doc):", f"    return {header}"], bound,
+                         f"write {block.keyword}")
     lines, group = ["def write(obj, doc):", f"    out = [{header}]"], None
     for a in block.attrs:
         if a.member is not None and a.field != group:
@@ -1268,7 +1324,8 @@ def _canonical(block: _Block) -> Callable:
             items = "v.split('\\n')" if a.reader is _NOTE else "v"
             lines += [f"        for x in {items}:",
                       f"            out.append({f'  {a.key} '!r} + {spelled(a, 'x')})"]
-    return _compiled(lines + ["    out.append('end')", "    return '\\n'.join(out)"], bound)
+    return _compiled(lines + ["    out.append('end')", "    return '\\n'.join(out)"], bound,
+                     f"write {block.keyword}")
 
 
 def _check_line_breaks(doc: m.RegisterDocument, bad: Callable) -> None:
@@ -1340,10 +1397,13 @@ def _json(value, out: list, pad: str) -> None:
 
 
 def _array(items, out: list, pad: str, cls: type | None = None) -> None:
-    """A tuple as an array; an item of the record class ``cls`` by its writer."""
+    """A tuple as an array; an item of the record class ``cls``, by default
+    the first item's class if that is a record, by its writer."""
     if not items:
         out.append("[]")
         return
+    if cls is None and is_dataclass(items[0].__class__):
+        cls = items[0].__class__
     inner = pad + "  "
     comma, write = ",\n" + inner, cls and _object(cls, inner)
     out.append("[\n" + inner)
@@ -1371,12 +1431,27 @@ def _dict(items: dict, out: list, pad: str) -> None:
     out[-1] = "\n" + pad + "}"  # in place of the last comma
 
 
+def _document(doc: m.RegisterDocument, out: list, pad: str) -> None:
+    """The document as an object, each field by ``_write``: it is written
+    once per export, so a compiled writer would cost more to compile than
+    it saves."""
+    inner = pad + "  "
+    out.append("{\n" + inner)
+    for name in _DOCUMENT_HINTS:
+        out.append(_ENCODE(name) + ": ")
+        _write(getattr(doc, name), out, inner)
+        out.append(",\n" + inner)
+    out[-1] = "\n" + pad + "}"  # in place of the last comma
+
+
 def _writer(cls: type) -> Callable:
     """How ``_write`` writes a value of ``cls``."""
     if cls is tuple or cls is list:
         return _array
     if cls is dict:
         return _dict
+    if cls is m.RegisterDocument:
+        return _document
     if is_dataclass(cls):
         return lambda value, out, pad: _object(cls, pad)(value, out)
     for base, spell in _SCALARS:
@@ -1431,7 +1506,8 @@ def _object(cls: type, pad: str) -> Callable:
         if empty:  # None, or an empty tuple of strings, as a constant
             lines += [f"    elif v {empty[0]}:", f"        out.append({prefix + empty[1]!r})"]
         lines += ["    else:", "        " + generic]
-    return _compiled(lines + [f"    out.append({chr(10) + pad + '}'!r})"], bound)
+    return _compiled(lines + [f"    out.append({chr(10) + pad + '}'!r})"], bound,
+                     f"interchange {cls.__name__} indent {len(pad)}")
 
 
 def export_interchange(doc: m.RegisterDocument) -> str:

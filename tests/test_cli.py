@@ -587,6 +587,22 @@ def test_ab_roundtrip_times_the_working_tree(tmp_path, monkeypatch):
             del sys.modules[name]
 
 
+def test_ab_audit_times_the_working_tree(tmp_path, monkeypatch):
+    """``scripts/ab.py``'s audit timer, built for the working tree on the
+    ladder register, runs once and gives a time; on the corpus it is refused."""
+    ab = _script("ab")
+    monkeypatch.syspath_prepend(str(tmp_path))
+    try:
+        package = ab.load(None, "evrforge_ab_audit", tmp_path)
+        assert ab.timer(package, "audit", ab.inputs("ladder"))() > 0
+    finally:
+        for name in [name for name in sys.modules if name.startswith("evrforge_ab_audit")]:
+            del sys.modules[name]
+    with pytest.raises(SystemExit) as refused:
+        ab.main(["HEAD", "audit", "--inputs", "corpus"])
+    assert refused.value.code == 2
+
+
 def test_ab_importtime_times_the_working_tree(tmp_path):
     """``scripts/ab.py importtime``'s timer imports the working tree's CLI
     once in a fresh interpreter and gives its modules' self time."""

@@ -526,18 +526,37 @@ def _scaffold_blocks() -> dict[str, list[str]]:
     return blocks
 
 
+# Head lines tried beside the scaffold's first block of a kind: a comma list
+# with later items, and an attestation subject of each other word.
+_MORE_HEADS = {
+    "control": ["control 1.1.1-C1 for 1.1.1-T1, 1.1.1-T2, 1.1.1-T3"],
+    "attestation": ["attestation A2 risk 1.1.1-C1", 'attestation A5 rule "VBE-C12"',
+                    "attestation A3 mission"],
+}
+
+
+def _swapped(line: str):
+    """``line`` with each token of ``_TOKENS`` in place of each of its
+    lexemes after the first."""
+    for *_, col, end_col in reference_lex(line, "r.evr")[0][1:-1]:
+        for tok in _TOKENS:
+            yield line[:col - 1] + tok[1] + line[end_col - 1:]
+
+
 def _with_each_token(block, lines: list[str]):
-    """``lines`` with each token of ``_TOKENS`` in place of the value of each
-    one-token header slot whose place on the line is fixed, and after each
-    key of a one-token attribute on a line of its own before ``end``."""
-    head = reference_lex(lines[0], "r.evr")[0]
-    for at, slot in enumerate(block.reads):
-        if slot.__class__ is not str and slot[1] is not dsl._NO_LEXEME:
-            *_, col, end_col = head[at + 1]
-            for tok in _TOKENS:
-                yield "\n".join([lines[0][:col - 1] + tok[1] + lines[0][end_col - 1:], *lines[1:]])
-        if slot.__class__ is not str and slot[1] is dsl._NO_LEXEME:
-            break  # a value of several tokens: the next slot has no fixed place
+    """``lines`` with each token of ``_TOKENS`` in place of each lexeme after
+    the keyword on the head line, or on one of the kind's ``_MORE_HEADS``
+    (each slot, keyword, item of a comma list, subject word and ref); in
+    place of each value lexeme of an attribute line whose value has several
+    (each part of a nested record, a cultural lens); and after each key of a
+    one-token attribute on a line of its own before ``end``."""
+    for head in [lines[0], *_MORE_HEADS.get(block.keyword, ())]:
+        for changed in _swapped(head):
+            yield "\n".join([changed, *lines[1:]])
+    for at, line in enumerate(lines[1:-1], 1):
+        if len(reference_lex(line, "r.evr")[0]) > 3:  # a key, its values and the end
+            for changed in _swapped(line):
+                yield "\n".join([*lines[:at], changed, *lines[at + 1:]])
     for key, entry in (block.keys or {}).items():
         if entry[1] is not dsl._NO_LEXEME:
             for tok in _TOKENS:
@@ -558,10 +577,10 @@ class TestOneTokenReaders:
     """``parse_attrs`` reads a value of one token in place; the reader's own
     ``read`` must give the same value, or raise the same problem.  Each
     token is fed as a parse reads it, after a key in a source of its own.
-    Each kind's compiled reader reads such a value in line too, so each
-    token is also fed to it, in each one-token header slot and attribute of
-    the scaffold's block of the kind, and it must leave what the table
-    leaves."""
+    Each kind's compiled reader reads every token of a value in line too,
+    so each token is also fed to it in each place of the scaffold's block
+    of the kind that holds one (``_with_each_token``), and it must leave
+    what the table leaves."""
 
     def _compare(self):
         entries = _one_token_entries()

@@ -21,6 +21,7 @@ import pytest
 from evrforge import dsl
 
 from .support import fuzz_source, parse_digest, tier
+from .test_dsl import _scaffold_blocks
 from .test_lexer import EDGE_ROWS, _differential_sources, _reference
 from .test_pins import PINS, SCAFFOLD, _scaffold_mutants
 
@@ -117,3 +118,26 @@ def test_an_incomplete_group_comes_before_a_missing_attribute():
                  "bearer_independence, intrinsic_worth)"),
         ("P006", "core value 2 declares no name"),
     ]
+
+
+def _reordered(lines: list[str], rng: random.Random) -> dict[str, list[str]]:
+    """A block's lines with its attribute lines reversed, shuffled,
+    duplicated, and with an unknown key between each two, by label."""
+    head, attrs, end = lines[0], lines[1:-1], lines[1:][-1:]  # an alias has no ``end``
+    shuffled = attrs[:]
+    rng.shuffle(shuffled)
+    unknown = [line for attr in attrs for line in ('  colour "red"', attr)][1:]
+    return {label: [head, *body, *end] for label, body in (
+        ("reversed", attrs[::-1]), ("shuffled", shuffled), ("duplicated", attrs + attrs),
+        ("unknown keys between", unknown))}
+
+
+@pytest.mark.parametrize("keyword", list(dsl._BLOCKS))
+def test_attributes_in_any_order_parse_alike(keyword):
+    """A compiled reader tests each key once per round of its loop, in
+    declaration order: attributes in another order, repeated or among
+    unknown keys take more rounds and must give what the table gives."""
+    lines = _scaffold_blocks()[keyword]
+    rng = random.Random(keyword)
+    _alike([(f"{keyword} {label}", _HEADER + "\n".join(block) + "\n")
+            for label, block in _reordered(lines, rng).items()])

@@ -13,9 +13,9 @@ type.  Run this module to record the file again:
 
 The writers are compiled on first use, so a run that never writes compiles
 none, and one that writes compiles one writer per block kind or record
-class it writes, once.  A block kind's reader is compiled once the table has
-read ``dsl._HOT`` blocks of it in a process, so no CLI call on a fixture
-compiles one.
+class it writes, once; the document itself is written without one.  A
+block kind's reader is compiled once the table has read ``dsl._HOT``
+blocks of it in a process, so no CLI call on a fixture compiles one.
 """
 
 from __future__ import annotations
@@ -89,7 +89,8 @@ def test_the_writers_give_the_recorded_bytes_or_exception():
 
 
 # Run in a fresh interpreter, since an audit hook cannot be removed: the
-# ``<string>`` sources that ``evrforge.dsl`` compiles in each step.
+# sources that ``evrforge.dsl`` compiles in each step, each under a file name
+# of its own, ``<evrforge.dsl ...>``.
 _COMPILES = """
 import contextlib, io, json, sys
 from dataclasses import fields, is_dataclass
@@ -97,7 +98,7 @@ from dataclasses import fields, is_dataclass
 compiled = []
 
 def hook(event, args):
-    if (event == "compile" and args[1] == "<string>"
+    if (event == "compile" and str(args[1]).startswith("<evrforge.dsl ")
             and sys._getframe(1).f_globals["__name__"] == "evrforge.dsl"):
         compiled.append(args[0] if isinstance(args[0], str) else args[0].decode())
 
@@ -183,6 +184,10 @@ def test_the_writers_compile_on_first_use_only():
     for writer in ("serialize_canonical", "export_interchange"):
         assert len(set(steps[writer])) == len(steps[writer])
         assert steps[writer + " again"] == []
+    # One interchange writer per record class and depth but the document's,
+    # which is written once per export through the generic path.
+    assert len(steps["export_interchange"]) == seen["records"] - 1
+    assert not [text for text in steps["export_interchange"] if "obj.alias_map" in text]
     # No CLI call on a fixture compiles a reader; a register with more than
     # ``_HOT`` blocks of a kind compiles one reader for each such kind, once.
     assert len(seen["readers"]) == 60
