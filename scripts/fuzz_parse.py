@@ -14,7 +14,11 @@ their spans' ends, its header and its canonical document) must equal the
 one recorded for the run's count and seed.  Other runs print their digest.
 The inputs are parsed twice, with every block kind held to the parser's
 table (tier 0) and then to its compiled readers (tier 1), and each pass
-must give that digest; the lexer is checked in the first.
+must give that digest; the lexer is checked in the first.  Where ``re`` has
+possessive repeats (Python 3.11+), the first pass also lexes each input
+with the lexeme pattern as Python 3.10 compiles it, every repeat greedy,
+and counts the inputs where its matches or their spans differ; any
+difference fails the run.
 Besides a fixed piece list, the soup draws on every block keyword and
 attribute key of the parser's block table, and on the lines of the
 ``evrforge init`` scaffold, which open every kind of block and give every
@@ -38,12 +42,14 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 from evrforge import dsl  # noqa: E402
 from evrforge.cli import scaffold_text  # noqa: E402
 from tests.support import (  # noqa: E402
-    FUZZ_PIECES, by_place, fuzz_source, lexed, parse_digest, reference_lex, robustness_breach, tier)
+    FUZZ_PIECES, GREEDY_LEXEME_RE, by_place, fuzz_source, lexed, lexeme_forms_differ, parse_digest,
+    reference_lex, robustness_breach, tier)
 
 TABLE = {*dsl._BLOCKS, *(a.key for block in dsl._BLOCKS.values() for a in block.attrs)}
 SCAFFOLD = {line.strip() for line in scaffold_text("fuzz").splitlines()
             if line.strip() and not line.startswith("#")}
 PIECES = FUZZ_PIECES + sorted((TABLE | SCAFFOLD) - set(FUZZ_PIECES))
+POSSESSIVE = dsl._LEXEME_RE.pattern != GREEDY_LEXEME_RE.pattern  # else both forms are one
 # (count, seed): the digest of the run, computed with the parser that parsed
 # a source fast and again, located, whenever anything had to be placed.
 REFERENCE = {
@@ -59,6 +65,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     reference = REFERENCE.get((args.count, args.seed))
+    forms_differ = 0
     for level in (0, 1):
         rng = random.Random(args.seed)
         started = time.monotonic()
@@ -72,6 +79,7 @@ def main(argv: list[str] | None = None) -> int:
                     if lexed(text, "fuzz.evr") != (tokens, by_place(diags)):
                         print(f"lexer differs from the reference at input {i}: {text!r}")
                         return 1
+                    forms_differ += POSSESSIVE and lexeme_forms_differ(text)
                 result = dsl.parse_register(text, "fuzz.evr")
                 digest.update(parse_digest(result).encode("ascii"))
                 breach = robustness_breach(text, result)
@@ -80,6 +88,9 @@ def main(argv: list[str] | None = None) -> int:
                     return 1
                 with_errors += bool(result.errors)
         elapsed = time.monotonic() - started
+        if forms_differ:
+            print(f"the greedy and possessive lexeme patterns differ on {forms_differ} inputs")
+            return 1
         if reference is not None and digest.hexdigest() != reference:
             print(f"tier {level}: the parses differ from the reference: digest "
                   f"{digest.hexdigest()}, recorded {reference}")
@@ -87,6 +98,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"tier {level}: {args.count} inputs, {with_errors} with errors, "
               f"no crashes, all spans in bounds, "
               + ("lexing as the reference, " if level == 0 else "")
+              + ("and alike with the greedy pattern, " if level == 0 and POSSESSIVE else "")
               + f"parse digest {digest.hexdigest()}" + (" as recorded" if reference else "")
               + f" ({elapsed:.1f}s)")
     return 0

@@ -40,7 +40,7 @@ from collections.abc import Callable, Iterator
 from dataclasses import MISSING, fields, is_dataclass, replace
 from enum import Enum
 from itertools import chain, repeat
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 
 from . import model as m
 from .model import record
@@ -95,25 +95,27 @@ class ParseResult:
 # keeps no kind, value or offset, only its ordinal: its index in the lexemes.
 #
 # ``_LEXEME_RE`` makes one match per lexeme, the blanks and comments before
-# it included.  No token or comment spans a line, so ``_lexemes`` lexes a
-# chunk of about 64 KB, cut after a line feed, with one ``findall``: no
-# Python runs per token.  Group 1 is a token: an ASCII identifier, number or
-# dotted id (no \d or \w, which take non-ASCII), a comma, or a string closed
-# on its line whose escapes are \" or \\.  A problem matches outside it, so
-# ``findall`` gives "" for it: another string, up to its closing quote or the
-# line end, or an illegal character.  The empty match at a chunk's end, twice
-# after its line feed, keeps ``findall`` from retrying the pattern from each
-# blank after the last token.
-_LEXEME_RE = re.compile(
-    r'[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*(?:('
-    r'[A-Za-z_][A-Za-z0-9_]*'
-    r'|"[^"\\\n]*(?:\\["\\][^"\\\n]*)*"'
-    r'|[0-9]+(?:(?:\.[0-9]+)+(?:-[TC][0-9]+)?)?'
-    r'|,|\Z)|"[^"\\\n]*(?:\\.?[^"\\\n]*)*"?|(?s:.))'
+# it included.  Every repeat of ``_LEXEME`` is possessive where ``re`` has
+# them (3.11+), and greedy on 3.10: the greedy form never backtracks, so the
+# two make the same matches.  No token or comment spans a line, so
+# ``_lexemes`` lexes a chunk of about 64 KB, cut after a line feed, with one
+# ``findall``: no Python runs per token.  Group 1 is a token: an ASCII
+# identifier, number or dotted id (no \d or \w, which take non-ASCII), a
+# comma, or a string closed on its line whose escapes are \" or \\.  A
+# problem matches outside it, so ``findall`` gives "" for it: another string,
+# up to its closing quote or the line end, or an illegal character.  The empty
+# match at a chunk's end, twice after its line feed, keeps ``findall`` from
+# retrying the pattern from each blank after the last token.
+_LEXEME = (
+    r'[ \t\r\n]*+(?:#[^\n]*+[ \t\r\n]*+)*+(?:('
+    r'[A-Za-z_][A-Za-z0-9_]*+'
+    r'|"[^"\\\n]*+(?:\\["\\][^"\\\n]*+)*+"'
+    r'|[0-9]++(?:(?:\.[0-9]++)++(?:-[TC][0-9]++)?+)?+'
+    r'|,|\Z)|"[^"\\\n]*+(?:\\.?+[^"\\\n]*+)*+"?+|(?s:.))'
 )
+_LEXEME_RE = re.compile(_LEXEME if sys.version_info >= (3, 11)
+                        else re.sub(r"([*+?])\+", r"\1", _LEXEME))
 _CHUNK = 1 << 16
-_ESCAPE_RE = re.compile(r'\\(["\\])')
-_ESCAPED = itemgetter(1)  # an escape's replacement, its character, taken in C
 _ANY_ESCAPE_RE = re.compile(r'\\(.?)')  # a backslash and what it escapes in a string
 _CLOSED_RE = re.compile(r'"(?:[^"\\]|\\.)*"')  # a string with its closing quote
 
@@ -181,9 +183,11 @@ def _is_string(lexeme: str) -> bool:
 
 def _sval(lexeme: str) -> str:
     """A string's value: its quotes dropped and its escaped quotes and
-    backslashes resolved; any other backslash is kept."""
+    backslashes resolved; any other backslash is kept.  A quote in a lexeme's
+    body follows an odd run of backslashes, so resolving ``\\"`` first takes
+    only that run's last backslash, and then the pairs are halved."""
     body = lexeme[1:-1]
-    return _ESCAPE_RE.sub(_ESCAPED, body) if "\\" in body else body
+    return body.replace('\\"', '"').replace("\\\\", "\\") if "\\" in body else body
 
 
 def _locator(source: str, file: str) -> Callable[[int, int], SourceSpan]:
@@ -1127,6 +1131,8 @@ def _value(reader: _Reader, what, store: str, constant: Callable) -> list[str]:
             "(tok[1:-1] if '\\\\' not in tok else _sval(tok))"
     elif test is str.isidentifier and convert is None:
         test, kept = "tok.isidentifier()", "tok"
+    elif reader is _REF:  # an identifier lexeme is ASCII: a non-ASCII letter is a P004
+        test, kept = "tok.isidentifier() and tok != 'end'", "tok"
     elif reader is _INT or reader is _NUMBER:  # a number has no leading zero
         lead = "(tok[0] != '0' or len(tok) == 1) and " if reader is _NUMBER else ""
         test = f"tok.isdigit() and {lead}(len(tok) <= _CHECKED or not _refused(tok))"

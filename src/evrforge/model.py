@@ -51,7 +51,7 @@ def record(cls):
         super(cls, self).__delattr__(name)
 
     def __eq__(self, other):
-        cls.__eq__ = _field_equality(names)
+        cls.__eq__ = _field_equality(cls, names)
         return cls.__eq__(self, other)
 
     def __hash__(self):
@@ -96,21 +96,23 @@ def _initializer(cls):
         else:
             params.append(f.name)
         body.append(f"    __set(self, {f.name!r}, {value})\n")
-    exec(f"def __init__(self, {', '.join(params)}):\n{''.join(body)}", namespace)
+    exec(compile(f"def __init__(self, {', '.join(params)}):\n{''.join(body)}",
+                 f"<evrforge.model init {cls.__qualname__}>", "exec"), namespace)
     init = namespace["__init__"]
     init.__annotations__ = {f.name: f.type for f in fields(cls)} | {"return": None}
     init.__qualname__ = f"{cls.__qualname__}.__init__"
     return init
 
 
-def _field_equality(names: tuple[str, ...]):
+def _field_equality(cls, names: tuple[str, ...]):
     mine = "".join(f"self.{name}, " for name in names)
     theirs = "".join(f"other.{name}, " for name in names)
     namespace: dict = {}
-    exec("def __eq__(self, other):\n"
-         "    if other.__class__ is self.__class__:\n"
-         f"        return ({mine}) == ({theirs})\n"
-         "    return NotImplemented\n", namespace)
+    exec(compile("def __eq__(self, other):\n"
+                 "    if other.__class__ is self.__class__:\n"
+                 f"        return ({mine}) == ({theirs})\n"
+                 "    return NotImplemented\n", f"<evrforge.model eq {cls.__qualname__}>", "exec"),
+         namespace)
     return namespace["__eq__"]
 
 

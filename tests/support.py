@@ -1,11 +1,12 @@
 """Shared builders for the test suite.
 
-Eight things live here: a seeded generator of structurally valid registers
+Nine things live here: a seeded generator of structurally valid registers
 used by the bulk round-trip and monotonicity runs, the table of
 violation/repair document pairs behind the monotone-repair checks, scanning
 oracles for the indexed analysis layer, the parse fuzz soup and the digest
 that parse differentials compare, ``tier``, which holds every block kind
-to one of the parser's two tiers, the reference lexer that the
+to one of the parser's two tiers, the lexeme pattern as Python 3.10
+compiles it, the reference lexer that the
 master-regex lexer is checked against (with the parser's lexemes put in its
 shape), a strict reader of the interchange
 export, and the inverse of a register diff.
@@ -17,6 +18,7 @@ import contextlib
 import hashlib
 import json
 import random
+import re
 import sys
 import types
 import typing
@@ -862,6 +864,20 @@ def tier(level: int):
             block.__dict__.pop("parse", None)
             if parse is not None:
                 block.parse = parse
+
+
+# The lexeme pattern as Python 3.10 compiles it: ``dsl._LEXEME`` with every
+# repeat greedy.  Where ``re`` has possessive repeats (3.11+), ``dsl._LEXEME_RE``
+# is the possessive text, so a run there checks the 3.10 form against it.
+GREEDY_LEXEME_RE = re.compile(re.sub(r"([*+?])\+", r"\1", dsl._LEXEME))
+
+
+def lexeme_forms_differ(source: str) -> bool:
+    """Whether ``GREEDY_LEXEME_RE`` lexes ``source`` otherwise than
+    ``dsl._LEXEME_RE``: another ``findall`` list or other ``finditer`` spans."""
+    return (GREEDY_LEXEME_RE.findall(source) != dsl._LEXEME_RE.findall(source)
+            or [match.span() for match in GREEDY_LEXEME_RE.finditer(source)]
+            != [match.span() for match in dsl._LEXEME_RE.finditer(source)])
 
 
 # ---------------------------------------------------------------------------

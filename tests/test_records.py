@@ -23,7 +23,8 @@ from evrforge import model as m
 
 from .conftest import FIXTURES, load_fixture
 
-# Run in a fresh interpreter: every ``<string>`` source compiled while
+# Run in a fresh interpreter: every ``<string>`` or ``<evrforge. ...>`` source
+# (a record's ``__init__`` is ``<evrforge.model init Class>``) compiled while
 # ``evrforge.cli`` is imported, with the module of the class whose type hints
 # were being resolved when ``typing.get_type_hints`` compiled it, and the
 # module that called ``compile``, ``exec`` or ``eval``.
@@ -33,7 +34,7 @@ import json, sys
 compiled = []
 
 def hook(event, args):
-    if event != "compile" or args[1] != "<string>":
+    if event != "compile" or not (args[1] == "<string>" or str(args[1]).startswith("<evrforge.")):
         return
     frame, owner = sys._getframe(1), None
     caller = frame.f_globals["__name__"]
@@ -213,6 +214,17 @@ def test_building_the_records_compiles_only_their_initializers():
             if caller.partition(".")[0] == "evrforge"
             and [(type(node), getattr(node, "name", None)) for node in ast.parse(source).body]
             != [(ast.FunctionDef, "__init__")]] == []
+
+
+def test_each_record_class_compiles_its_methods_under_a_file_name_of_its_own():
+    """So a profile or traceback tells one class's ``__init__`` or ``==``
+    from another's."""
+    assert m.Control.__init__.__code__.co_filename == "<evrforge.model init Control>"
+    assert m.Threat.__init__.__code__.co_filename == "<evrforge.model init Threat>"
+    assert len({cls.__init__.__code__.co_filename for cls in RECORDS}) == len(RECORDS)
+    control = INSTANCES[m.Control]
+    assert control == replace(control)
+    assert m.Control.__eq__.__code__.co_filename == "<evrforge.model eq Control>"
 
 
 class TestEquality:
