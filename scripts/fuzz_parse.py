@@ -18,7 +18,10 @@ must give that digest; the lexer is checked in the first.  Where ``re`` has
 possessive repeats (Python 3.11+), the first pass also lexes each input
 with the lexeme pattern as Python 3.10 compiles it, every repeat greedy,
 and counts the inputs where its matches or their spans differ; any
-difference fails the run.
+difference fails the run.  Every document a parse builds, one with
+violations too, is validated again beside an unmarked copy (the parse
+marks what it proved of the ids, ``model._SHAPED``), and any difference
+between the two fails the run.
 Besides a fixed piece list, the soup draws on every block keyword and
 attribute key of the parser's block table, and on the lines of the
 ``evrforge init`` scaffold, which open every kind of block and give every
@@ -43,7 +46,7 @@ from evrforge import dsl  # noqa: E402
 from evrforge.cli import scaffold_text  # noqa: E402
 from tests.support import (  # noqa: E402
     FUZZ_PIECES, GREEDY_LEXEME_RE, by_place, fuzz_source, lexed, lexeme_forms_differ, parse_digest,
-    reference_lex, robustness_breach, tier)
+    parse_validated, reference_lex, robustness_breach, tier, validation_paths_differ)
 
 TABLE = {*dsl._BLOCKS, *(a.key for block in dsl._BLOCKS.values() for a in block.attrs)}
 SCAFFOLD = {line.strip() for line in scaffold_text("fuzz").splitlines()
@@ -69,7 +72,7 @@ def main(argv: list[str] | None = None) -> int:
     for level in (0, 1):
         rng = random.Random(args.seed)
         started = time.monotonic()
-        with_errors = 0
+        with_errors = validated = paths_differ = 0
         digest = hashlib.sha256()
         with tier(level):
             for i in range(args.count):
@@ -80,7 +83,10 @@ def main(argv: list[str] | None = None) -> int:
                         print(f"lexer differs from the reference at input {i}: {text!r}")
                         return 1
                     forms_differ += POSSESSIVE and lexeme_forms_differ(text)
-                result = dsl.parse_register(text, "fuzz.evr")
+                result, doc = parse_validated(text, "fuzz.evr")
+                if doc is not None:
+                    validated += 1
+                    paths_differ += bool(validation_paths_differ(doc, deep=False))
                 digest.update(parse_digest(result).encode("ascii"))
                 breach = robustness_breach(text, result)
                 if breach:
@@ -91,12 +97,17 @@ def main(argv: list[str] | None = None) -> int:
         if forms_differ:
             print(f"the greedy and possessive lexeme patterns differ on {forms_differ} inputs")
             return 1
+        if paths_differ:
+            print(f"tier {level}: {paths_differ} of {validated} documents validate otherwise "
+                  "than their unmarked copies")
+            return 1
         if reference is not None and digest.hexdigest() != reference:
             print(f"tier {level}: the parses differ from the reference: digest "
                   f"{digest.hexdigest()}, recorded {reference}")
             return 1
         print(f"tier {level}: {args.count} inputs, {with_errors} with errors, "
-              f"no crashes, all spans in bounds, "
+              f"no crashes, all spans in bounds, {validated} documents validated "
+              f"as their unmarked copies ({paths_differ} differences), "
               + ("lexing as the reference, " if level == 0 else "")
               + ("and alike with the greedy pattern, " if level == 0 and POSSESSIVE else "")
               + f"parse digest {digest.hexdigest()}" + (" as recorded" if reference else "")

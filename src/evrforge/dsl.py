@@ -237,9 +237,10 @@ class _Parser:
 
     Problems wait in ``notes`` with their lexemes' ordinals, a lexer's with
     its point's offset in the lexeme, until ``placed`` locates those lexemes
-    in one sweep.  ``heads`` holds the kind and keyword ordinal of each block
-    in ``entities`` and ``aliases``, and ``header`` the ordinal of
-    ``register``, so that a violation can be noted at its block (``spans``)."""
+    in one sweep.  ``heads`` holds the keyword ordinals of the blocks in
+    ``entities`` per kind, and of those in ``aliases`` under None, and
+    ``header`` the ordinal of ``register``, so that a violation can be
+    noted at its block (``spans``)."""
 
     def __init__(self, source: str, file: str):
         self.source, self.file = source, file
@@ -249,13 +250,13 @@ class _Parser:
         # make every parser wait for the cyclic collector.
         self.pull = chain.from_iterable(_lexemes(source, self.cursor, self.notes)).__next__
         self.tok = self.pull()
-        self.heads: list[tuple[str | None, int]] = []
         self.header: int | None = None
 
         self.project_name = ""
         self.version = ""
         self.phase = m.Phase.CONCEPT
         self.entities: dict[str, list] = {kind: [] for kind in m.ENTITY_KINDS}
+        self.heads: dict[str | None, list[int]] = {kind: [] for kind in (*m.ENTITY_KINDS, None)}
         self.singles: dict[str, object] = {}  # soi, mission, investment_decision
         self.aliases: dict[str, str] = {}
 
@@ -424,12 +425,12 @@ class _Parser:
             self.singles.setdefault(block.slot, obj)
         elif block.cls is not _Alias:
             self.entities[block.slot].append(obj)
-            self.heads.append((block.kind, head))
+            self.heads[block.kind].append(head)
         elif obj.name in self.aliases:
             self.note("P010", f"duplicate alias {obj.name!r}", head)
         else:
             self.aliases[obj.name] = obj.target
-            self.heads.append((None, head))
+            self.heads[None].append(head)
 
     def parse_attrs(self, keys: dict, values: dict) -> None:
         """Consume ``(KEY value*)*`` up to and including ``end``, each value
@@ -494,11 +495,11 @@ class _Parser:
 
     def spans(self) -> dict[tuple[str | None, str], int]:
         """The keyword ordinal of the first block of each kind and id."""
-        ids = {kind: (str(obj.id) for obj in objs) for kind, objs in self.entities.items()}
-        ids[None] = iter(self.aliases)
         spans = {}
-        for kind, head in self.heads:
-            spans.setdefault((kind, next(ids[kind])), head)
+        for kind, heads in self.heads.items():
+            names = self.aliases if kind is None else (str(obj.id) for obj in self.entities[kind])
+            for name, head in zip(names, heads):
+                spans.setdefault((kind, name), head)
         return spans
 
     def placed(self) -> tuple[tuple[ParseDiagnostic, ...], SourceSpan | None]:
@@ -543,13 +544,16 @@ def parse_register(source_text: str, file_name: str = "<register>") -> ParseResu
     hold a line break, a string holds no line feed, and a note's lines are
     joined by line feeds, which prose may hold.  So the validation is
     complete either way, and a document returned keeps its clean verdict
-    for :func:`serialize_canonical` (``_VALIDATED``).
+    for :func:`serialize_canonical` (``_VALIDATED``).  The document is
+    marked before it is validated (``model._SHAPED``): every id was read in
+    its kind's shape, so validation and the index need not match them again.
     """
     parser = _Parser(source_text, file_name)
     parser.parse()
     doc = None
     if all(note[4] != "error" for note in parser.notes):
         doc = parser.build_document()
+        doc.__dict__[m._SHAPED] = True  # every id was read in its kind's shape
         violations = m.validate_register(doc, line_breaks="\r" in source_text)
         if not violations:
             doc.__dict__[_VALIDATED] = dict(doc.alias_map)
@@ -1237,7 +1241,7 @@ def _reader(block: _Block) -> Callable:
                   "        p.note('P010', 'duplicate alias ' + repr(f_name), head)",
                   "    else:",
                   "        p.aliases[f_name] = f_target",
-                  "        p.heads.append((None, head))"]
+                  "        p.heads[None].append(head)"]
         return _compiled(lines, bound, f"read {block.keyword}", "read")
     held = {slot.field for slot in block.head if slot.__class__ is not str} | {
         a.field for a in block.attrs}
@@ -1248,7 +1252,7 @@ def _reader(block: _Block) -> Callable:
         lines.append(f"    p.singles.setdefault({block.slot!r}, {built})")
     else:
         lines += [f"    p.entities[{block.slot!r}].append({built})",
-                  f"    p.heads.append(({block.kind!r}, head))"]
+                  f"    p.heads[{block.kind!r}].append(head)"]
     return _compiled(lines, bound, f"read {block.keyword}", "read")
 
 

@@ -229,6 +229,9 @@ QUALITY_ID_RE = re.compile(r"^([1-9][0-9]*)\.([1-9][0-9]*)\Z")
 EVR_ID_RE = re.compile(r"^([1-9][0-9]*\.[1-9][0-9]*)\.([1-9][0-9]*)\Z")
 THREAT_ID_RE = re.compile(r"^([1-9][0-9]*\.[1-9][0-9]*\.[1-9][0-9]*)-T([1-9][0-9]*)\Z")
 CONTROL_ID_RE = re.compile(r"^([1-9][0-9]*\.[1-9][0-9]*\.[1-9][0-9]*)-C([1-9][0-9]*)\Z")
+# The key of the mark ``dsl.parse_register`` leaves on a document it built: the parse
+# read each id in its kind's shape (or as ``end``).  Ids are frozen; ``replace`` drops it.
+_SHAPED = "_ids_in_shape"
 
 
 def control_parent(control_id: str) -> str | None:
@@ -761,8 +764,9 @@ class DocIndex:
     :data:`ENTITY_KINDS` a dict from id to entity under the collection's
     name (``idx.evrs``), the numbered kinds' entities grouped by their
     chain parent in :data:`REFERENCES` (``idx.evrs_by_quality``), and
-    ``controls_by_evr``.  It holds no reference to the document, so the
-    cached index makes no reference cycle."""
+    ``controls_by_evr``, whose control ids are split at ``-C`` without a
+    match on a document marked ``_SHAPED``.  It holds no reference to the
+    document, so the cached index makes no reference cycle."""
 
     GROUPINGS = {"qualities": "qualities_by_value", "evrs": "evrs_by_quality",
                  "threats": "threats_by_evr", "controls": "controls_by_threat"}
@@ -787,8 +791,9 @@ class DocIndex:
                         groups.setdefault(ref, []).append(entity)
                 setattr(self, self.GROUPINGS[kind], groups)
         self.controls_by_evr: dict[str, list[Control]] = {}
+        shaped = _SHAPED in doc.__dict__
         for c in doc.controls:
-            parent = control_parent(c.id)
+            parent = c.id.rpartition("-C")[0] if shaped else control_parent(c.id)
             if parent is not None:
                 self.controls_by_evr.setdefault(parent, []).append(c)
 
@@ -826,21 +831,28 @@ def _breaches(holders: list, checks: tuple) -> list:
     return found
 
 
-def _numbered(doc: RegisterDocument, kind: str, bad, numbers: dict):
+def _numbered(doc: RegisterDocument, kind: str, bad, numbers: dict, formed: dict | None):
     """Each entity of a numbered ``kind`` whose id has the declared form,
     with the id's prefix.  Reports P012 for the others and the prefix
-    check against the chain parent, and records each number under its id
-    prefix in ``numbers[kind]``."""
+    check against the chain parent, records each number under its id
+    prefix in ``numbers[kind]``, and the ids of the declared form in
+    ``formed[kind]``.  ``formed`` is None when every id has that form
+    (``_SHAPED``): each id is then split at its last separator."""
     noun, form, parent_kind, prefix_check = _NUMBERED[kind]
     shape, parent = ENTITY_KINDS[kind][2], attrgetter(_CHAIN_PARENT[kind])
     numeric = ENTITY_KINDS[parent_kind][2] is None  # the parent's ids are numbers
+    separator = form[-3:-1] if "-" in form else "."  # "N.M.K-Tj": "-T"
     groups = numbers[kind] = {}
+    ids = None if formed is None else formed.setdefault(kind, set())
     for entity in getattr(doc, kind):
-        match = shape.match(entity.id)
-        if match is None:
+        if ids is None:
+            prefix, _, number = entity.id.rpartition(separator)
+        elif (match := shape.match(entity.id)) is None:
             bad("P012", entity.id, f"{noun} id {entity.id!r} is not of the form {form}", kind)
             continue
-        prefix, number = match.groups()
+        else:
+            prefix, number = match.groups()
+            ids.add(entity.id)
         groups.setdefault(prefix, []).append(int(number))
         if prefix_check and (int(prefix) if numeric else prefix) != (value := parent(entity)):
             bad(prefix_check[0], entity.id, prefix_check[1].format(prefix=prefix, parent=value), kind)
@@ -867,6 +879,11 @@ def validate_register(doc: RegisterDocument, *,
     breaks the text format cannot carry (P037).  It is for a caller that
     knows no string can hold one, as ``dsl.parse_register`` knows of a
     source without a carriage return.
+
+    On a document that ``dsl.parse_register`` built and marked ``_SHAPED``,
+    numbered ids are split without a match, and identifier ids are matched
+    only in a kind that holds an id ``end``, the one wrong shape the parse
+    reads.  The result is the same as without the mark.
     """
     out: list[Violation] = []
 
@@ -896,8 +913,11 @@ def validate_register(doc: RegisterDocument, *,
 
     idx = doc.index
 
+    # Per numbered kind, the ids of the declared form, which references
+    # check; None when the parse proved every id's form (``_SHAPED``).
+    formed = None if _SHAPED in doc.__dict__ else {}
     for kind, (label, _, shape) in ENTITY_KINDS.items():
-        if shape is IDENT_RE:
+        if shape is IDENT_RE and (formed is not None or "end" in getattr(idx, kind)):
             for entity in getattr(doc, kind):
                 if not IDENT_RE.match(entity.id):
                     why = "is reserved: it closes a block" if entity.id == "end" else "is not identifier-shaped"
@@ -927,18 +947,17 @@ def validate_register(doc: RegisterDocument, *,
     check("core_values")
 
     numbers: dict[str, dict] = {}  # per numbered kind: id prefix -> the numbers under it
-    # Per numbered kind, the ids of the declared form: references skip the others.
-    formed = {kind: {e.id for e, _ in _numbered(doc, kind, bad, numbers)} for kind in ("qualities", "evrs")}
+    for kind in ("qualities", "evrs"):
+        for _ in _numbered(doc, kind, bad, numbers, formed):
+            pass
     for e in doc.evrs:
         if "evrs" in faulty:
             check("evrs", e)
         if e.risk_path is RiskPath.HIGH and e.protection_demand is None:
             bad("P032", e.id, f"high-risk EVR {e.id} has no protection demand", "evrs")
 
-    threat_evrs = formed["threats"] = {t.id: evr for t, evr in _numbered(doc, "threats", bad, numbers)}
-    formed["controls"] = set()
-    for c, own_evr in _numbered(doc, "controls", bad, numbers):
-        formed["controls"].add(c.id)
+    threat_evrs = {t.id: evr for t, evr in _numbered(doc, "threats", bad, numbers, formed)}
+    for c, own_evr in _numbered(doc, "controls", bad, numbers, formed):
         for tid in c.threats:
             if tid in idx.threats and threat_evrs.get(tid) != own_evr:
                 bad("P024", c.id, f"control {c.id} references threat {tid} outside its EVR {own_evr}", "controls")
@@ -952,7 +971,7 @@ def validate_register(doc: RegisterDocument, *,
         known, *others = [getattr(idx, target) for target in targets]
         held = getattr(doc, kind)
         single = kind not in ENTITY_KINDS
-        ids = formed.get(kind)
+        ids = formed and formed.get(kind)
         entities = ((held,) if held is not None else ()) if single else held
         for entity, refs in zip(entities, map(attrgetter(field), entities)):
             if refs.__class__ is not tuple:

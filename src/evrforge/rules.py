@@ -72,7 +72,7 @@ def _signed(idx: m.DocIndex, kind: m.SubjectKind, ref: str,
             role: m.SignatoryRole | None = None, consent: bool = False) -> bool:
     """Whether an attestation on (kind, ref) is signed, by ``role`` if given."""
     return any((role is None or a.signatory_role is role) and (a.consent or not consent)
-               for a in idx.attestations_for(kind, ref))
+               for a in idx._attestations_by_subject.get((kind, ref), ()))
 
 
 def _attested(rule_id: str, role: m.SignatoryRole | None, gap: str,
@@ -530,14 +530,14 @@ _rule("VBE-C19", "warning", "attested",
        m.Phase.DESIGN)
 def _c20(doc, idx):
     out = []
-    for control in doc.controls:
-        if control.status is m.ControlStatus.PROPOSED:
-            continue
-        parent = m.control_parent(control.id)
-        evr = idx.evrs.get(parent) if parent else None
+    for parent, controls in idx.controls_by_evr.items():
+        evr = idx.evrs.get(parent)
         if evr is None or evr.risk_path is not m.RiskPath.HIGH:
             continue
-        if not _signed(idx, m.SubjectKind.RISK_ACCEPTANCE, control.id, m.SignatoryRole.ENGINEER):
+        for control in controls:
+            if control.status is m.ControlStatus.PROPOSED or _signed(
+                    idx, m.SubjectKind.RISK_ACCEPTANCE, control.id, m.SignatoryRole.ENGINEER):
+                continue
             out.append((control.id,
                         f"control {control.id} on high-risk EVR {parent} lacks an "
                         "engineer-signed risk acceptance"))

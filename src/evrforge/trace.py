@@ -192,11 +192,9 @@ def coverage_report(doc: m.RegisterDocument) -> tuple[CoverageRow, ...]:
         evr_ids = {e.id for e in evrs}
         threats = sum(len(idx.threats_by_evr.get(eid, [])) for eid in evr_ids)
         controls = [c for eid in evr_ids for c in idx.controls_by_evr.get(eid, [])]
-        attestations = len(idx.attestations_for(m.SubjectKind.PRIORITY_DECISION, str(cv.id)))
-        attestations += sum(
-            len(idx.attestations_for(m.SubjectKind.RISK_ACCEPTANCE, c.id))
-            for c in controls
-        )
+        groups = idx._attestations_by_subject  # read, not copied as ``attestations_for`` does
+        attestations = len(groups.get((m.SubjectKind.PRIORITY_DECISION, str(cv.id)), ()))
+        attestations += sum(len(groups.get((m.SubjectKind.RISK_ACCEPTANCE, c.id), ())) for c in controls)
         rows.append(CoverageRow(
             core_value=cv.name,
             rank=cv.priority_rank,

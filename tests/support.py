@@ -1,10 +1,11 @@
 """Shared builders for the test suite.
 
-Nine things live here: a seeded generator of structurally valid registers
+Ten things live here: a seeded generator of structurally valid registers
 used by the bulk round-trip and monotonicity runs, the table of
 violation/repair document pairs behind the monotone-repair checks, scanning
 oracles for the indexed analysis layer, the parse fuzz soup and the digest
-that parse differentials compare, ``tier``, which holds every block kind
+that parse differentials compare, the check that a parsed document and an
+unmarked copy validate alike, ``tier``, which holds every block kind
 to one of the parser's two tiers, the lexeme pattern as Python 3.10
 compiles it, the reference lexer that the
 master-regex lexer is checked against (with the parser's lexemes put in its
@@ -25,7 +26,7 @@ import typing
 from dataclasses import astuple, fields, is_dataclass, replace
 from enum import Enum
 
-from evrforge import dsl, trace
+from evrforge import cli, dsl, rules, trace
 from evrforge import model as m
 from evrforge.dsl import ParseDiagnostic, SourceSpan
 
@@ -838,6 +839,61 @@ def parse_digest(result: dsl.ParseResult) -> str:
              result.header and astuple(result.header),
              result.document and dsl.serialize_canonical(result.document)]
     return hashlib.sha256(json.dumps(shown).encode("ascii")).hexdigest()
+
+
+def parse_validated(source: str, file: str) -> tuple[dsl.ParseResult, m.RegisterDocument | None]:
+    """``dsl.parse_register(source, file)``, and the document it built and
+    validated, caught at its ``validate_register`` call so that one with
+    violations is caught too; None for a parse that stopped at an error."""
+    caught = []
+    validate = m.validate_register
+
+    def spy(doc, **options):
+        caught.append(doc)
+        return validate(doc, **options)
+
+    m.validate_register = spy
+    try:
+        result = dsl.parse_register(source, file)
+    finally:
+        m.validate_register = validate
+    return result, (caught[0] if caught else None)
+
+
+def _outcome(call, *args):
+    """What ``call(*args)`` returns, or the class and message of what it raises."""
+    try:
+        return call(*args)
+    except Exception as error:  # noqa: BLE001 - an outcome to compare
+        return {"raises": type(error).__name__, "message": str(error)}
+
+
+def validation_paths_differ(parsed: m.RegisterDocument, deep: bool = True) -> list[str]:
+    """What differs between ``parsed``, a document ``parse_register`` marked
+    (``model._SHAPED``), and an unmarked ``replace`` copy of it: ``mark``
+    when the document lacks the mark or the copy carries it, ``violations``
+    when their ``validate_register`` results differ in content or order,
+    and with ``deep``, ``index`` (any ``DocIndex`` table, its key order
+    included), ``rules`` and ``report`` (``cli.render_audit_report``)."""
+    copy = replace(parsed)
+    differ = []
+    if m._SHAPED not in vars(parsed) or m._SHAPED in vars(copy):
+        differ.append("mark")
+    if m.validate_register(parsed) != m.validate_register(copy):
+        differ.append("violations")
+    if deep:
+        tables = [{name: list(table.items()) for name, table in vars(doc.index).items()}
+                  for doc in (parsed, copy)]
+        if tables[0] != tables[1]:
+            differ.append("index")
+        findings = [_outcome(rules.run_rules, doc) for doc in (parsed, copy)]
+        if findings[0] != findings[1]:
+            differ.append("rules")
+        if findings[0].__class__ is tuple and (
+                _outcome(cli.render_audit_report, parsed, findings[0])
+                != _outcome(cli.render_audit_report, copy, findings[1])):
+            differ.append("report")
+    return differ
 
 
 @contextlib.contextmanager

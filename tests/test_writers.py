@@ -195,7 +195,7 @@ def test_the_writers_compile_on_first_use_only():
     assert len(steps["many"]) == 2
     assert all("def read(p, head)" in text for text in steps["many"])
     assert [kind for kind in ("stakeholders", "functional_requirements", "sessions")
-            if any(f"({kind!r}, head)" in text for text in steps["many"])] == [
+            if any(f"p.heads[{kind!r}].append(head)" in text for text in steps["many"])] == [
         "stakeholders", "functional_requirements"]
     assert steps["many again"] == []
 
